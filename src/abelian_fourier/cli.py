@@ -18,15 +18,8 @@ import json
 import sys
 
 from . import __version__
-from .errors import (
-    NoComplexStructure,
-    NonDivisible,
-    NonIntegralResult,
-    NotHodge,
-    RankMismatch,
-    UnknownCheck,
-    UnsupportedParams,
-)
+from .errors import NonDivisible, RankMismatch, UnknownCheck, UnsupportedParams
+from .exterior import bits_of
 from .fourier import fourier, inverse_fourier
 from .hodge import hodge_lattice, voisin_certificate
 from .intlinalg import cokernel_invariants
@@ -42,18 +35,10 @@ from .report import (
 from .suite import REGISTRY, default_suite, run_check_lenient
 from .varieties import elliptic_product, standard_ppav
 
-_INPUT_ERRORS = (
-    UnsupportedParams,
-    UnknownCheck,
-    RankMismatch,
-    NoComplexStructure,
-    NotHodge,
-    NonIntegralResult,
-    ValueError,
-    KeyError,
-    OSError,
-    json.JSONDecodeError,
-)
+# Every input error of the package (UnsupportedParams, RankMismatch,
+# NoComplexStructure, NotHodge, NonIntegralResult, ...) is a ValueError,
+# UnknownCheck a KeyError, and a malformed file a JSONDecodeError.
+_INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 
 def _write(text: str, out_path: str | None):
@@ -88,20 +73,16 @@ def _cmd_verify(args) -> int:
             if n not in REGISTRY:
                 raise UnknownCheck(n)
 
-    results = []
-    if variety is not None and args.variety:
-        # A file-supplied variety drives the variety-parameterized checks.
-        for name in names or REGISTRY:
-            results.append(run_check_lenient(name, variety=variety, seed=args.seed))
+    if args.variety:
+        # A file-supplied variety drives every check once.
+        grid = [(name, {"variety": variety, "seed": args.seed}) for name in REGISTRY]
     else:
-        genus = variety.genus if variety is not None else None
-        ptype = variety.polarization_type if variety is not None else None
-        grid = default_suite(genus=genus, seed=args.seed)
-        if names is not None:
-            grid = [(n, p) for n, p in grid if n in names]
-        if ptype is not None and any(d != 1 for d in ptype):
-            grid = [(n, dict(p, type=ptype)) for n, p in grid]
-        results = [run_check_lenient(name, **params) for name, params in grid]
+        grid = default_suite(genus=None if variety is None else variety.genus, seed=args.seed)
+        if variety is not None and not variety.is_principal:
+            grid = [(n, dict(p, type=variety.polarization_type)) for n, p in grid]
+    if names is not None:
+        grid = [(n, p) for n, p in grid if n in names]
+    results = [run_check_lenient(name, **params) for name, params in grid]
 
     results.sort(key=lambda r: (r.descriptor.name, repr(r.descriptor.params)))
     doc = ReportDocument.from_results(results)
@@ -142,9 +123,7 @@ def _cmd_hodge(args) -> int:
         "degree": 2 * k,
         "rank": lat.rank,
         "ambient_dimension": ambient,
-        "basis_monomials": [
-            [int(i) for i in _mask_bits(m)] for m in lat.masks
-        ],
+        "basis_monomials": [bits_of(m) for m in lat.masks],
         "basis": [[str(x) for x in row] for row in lat.basis],
         "saturation_divisors": [str(d) for d in saturation.divisors],
         "saturation_free_rank": saturation.free_rank,
@@ -182,15 +161,6 @@ def _cmd_hodge(args) -> int:
             )
         _write("\n".join(lines) + "\n", args.out)
     return 0
-
-
-def _mask_bits(mask: int):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:

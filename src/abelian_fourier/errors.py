@@ -24,13 +24,15 @@ class NonDivisible(ArithmeticError):
 
     Carries the first offending term as an integrality witness: ``mask``
     is the basis monomial (bitmask over generators), ``coefficient`` the
-    integer that is not divisible by ``divisor``.
+    integer that is not divisible by ``divisor``, and ``rank`` the
+    generator count of the class it belongs to.
     """
 
-    def __init__(self, mask, coefficient, divisor):
+    def __init__(self, mask, coefficient, divisor, rank):
         self.mask = mask
         self.coefficient = coefficient
         self.divisor = divisor
+        self.rank = rank
         super().__init__(
             f"coefficient {coefficient} of monomial mask {mask:#x} "
             f"is not divisible by {divisor}"

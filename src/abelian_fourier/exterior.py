@@ -142,9 +142,6 @@ class Multivector:
             {m: c for m, c in self._terms.items() if m.bit_count() == k},
         )
 
-    def max_degree(self) -> int:
-        return max((m.bit_count() for m in self._terms), default=0)
-
     # -- ring structure -------------------------------------------------
 
     def _check_rank(self, other: "Multivector"):
@@ -220,7 +217,7 @@ class Multivector:
             c = self._terms[m]
             q, r = divmod(c, n)
             if r:
-                raise NonDivisible(m, c, n)
+                raise NonDivisible(m, c, n, self.rank)
             terms[m] = q
         return Multivector(self.rank, terms)
 
@@ -272,7 +269,7 @@ class Multivector:
             [(j, Fraction(entry)) for j, entry in enumerate(row) if entry]
             for row in matrix
         ]
-        return _apply_generator_images(self, rows, self.rank)
+        return _integral_image(self, rows, self.rank)
 
     # -- value semantics and display ----------------------------------
 
@@ -343,13 +340,12 @@ def integrate(x: Multivector, orientation: int):
     return orientation * x.coefficient(full)
 
 
-def _apply_generator_images(x: Multivector, rows, target_rank: int) -> Multivector:
+def _apply_generator_images(x: Multivector, rows) -> dict[int, Fraction]:
     """Extend generator images to an algebra map, exactly.
 
     ``rows[i]`` is the image of generator ``i`` of ``x`` as a sparse list
-    of ``(target_index, Fraction)`` pairs.  Intermediate arithmetic is
-    rational; a non-integer surviving in the result raises
-    :class:`NonIntegralResult`.
+    of ``(target_index, Fraction)`` pairs.  Returns the image as a map
+    from target masks to nonzero rational coefficients.
     """
     acc: dict[int, Fraction] = {}
     for mask, coeff in x.items():
@@ -381,30 +377,22 @@ def _apply_generator_images(x: Multivector, rows, target_rank: int) -> Multivect
                 acc[k] = nv
             elif k in acc:
                 del acc[k]
+    return acc
+
+
+def _integral_image(x: Multivector, rows, target_rank: int) -> Multivector:
+    """The image under :func:`_apply_generator_images`, which must be integral.
+
+    A non-integer coefficient raises :class:`NonIntegralResult`.
+    """
     terms = {}
-    for mask, val in acc.items():
+    for mask, val in _apply_generator_images(x, rows).items():
         if val.denominator != 1:
             raise NonIntegralResult(
                 f"coefficient {val} of monomial mask {mask:#x} is not an integer"
             )
         terms[mask] = int(val)
     return Multivector(target_rank, terms)
-
-
-def poincare_pairing_matrix(rank: int, k: int, orientation: int) -> list[list[int]]:
-    """Matrix of the pairing of degree k against degree ``rank - k`` monomials."""
-    from itertools import combinations
-
-    left = [sum(1 << i for i in c) for c in combinations(range(rank), k)]
-    right = [sum(1 << i for i in c) for c in combinations(range(rank), rank - k)]
-    full = (1 << rank) - 1
-    out = []
-    for a in left:
-        row = []
-        for b in right:
-            row.append(orientation * wedge_sign(a, b) if (a | b) == full else 0)
-        out.append(row)
-    return out
 
 
 def degree_basis_masks(rank: int, k: int) -> list[int]:

@@ -23,20 +23,15 @@ from . import intlinalg
 from .errors import (
     ImageNotInHodge,
     NoComplexStructure,
+    NonIntegralResult,
     NotHodge,
     NotHomogeneous,
     RankMismatch,
     UnsupportedParams,
 )
-from .exterior import Multivector, degree_basis_masks
+from .exterior import Multivector, _apply_generator_images, degree_basis_masks
 from .fourier import fourier
-from .varieties import (
-    HODGE_DEFAULT_AB,
-    AbelianVariety,
-    _apply_rows_rational,
-    _hodge_rows,
-    dual,
-)
+from .varieties import HODGE_DEFAULT_AB, AbelianVariety, _hodge_rows, dual
 
 
 def _validate_parameter(ab):
@@ -85,12 +80,17 @@ class HodgeLattice:
         return [x.coefficient(m) for m in self.masks]
 
     def coordinates(self, x: Multivector):
-        """Integer coordinates of x in the lattice basis, or None."""
+        """Integer coordinates of x in the lattice basis, or None.
+
+        Saturation makes rational membership integral membership, so a
+        fractional coordinate means the basis is not saturated and raises
+        :class:`NonIntegralResult`.
+        """
         sol = intlinalg.rational_solve([list(r) for r in self.basis], self.ambient_vector(x))
         if sol is None:
             return None
-        # Saturation makes rational membership integral membership.
-        assert all(c.denominator == 1 for c in sol), "saturated lattice produced fractions"
+        if any(c.denominator != 1 for c in sol):
+            raise NonIntegralResult(f"coordinates {sol} in a lattice basis that is not saturated")
         return [int(c) for c in sol]
 
 
@@ -102,7 +102,7 @@ def _operator_matrix(V: AbelianVariety, k: int, ab) -> list[list[Fraction]]:
     n = len(masks)
     M = [[Fraction(0)] * n for _ in range(n)]
     for j, mask in enumerate(masks):
-        image = _apply_rows_rational(Multivector(V.rank, {mask: 1}), rows_op, V.rank)
+        image = _apply_generator_images(Multivector(V.rank, {mask: 1}), rows_op)
         for m, c in image.items():
             M[index[m]][j] = c
     return M
@@ -153,7 +153,7 @@ def is_hodge(V: AbelianVariety, x: Multivector, ab=HODGE_DEFAULT_AB) -> bool:
         return False
     p = _validate_parameter(ab)
     rows_op = _hodge_rows(V.J, *ab)
-    image = _apply_rows_rational(x, rows_op, V.rank)
+    image = _apply_generator_images(x, rows_op)
     lam = Fraction(p ** (deg // 2))
     return image == {m: lam * c for m, c in x.items()}
 

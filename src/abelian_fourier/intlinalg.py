@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 IntMatrix = list[list[int]]
 RatMatrix = list[list[Fraction]]
@@ -49,14 +49,6 @@ def mat_mul(A, B):
             row.append(s)
         out.append(row)
     return out
-
-
-def mat_vec(A, v):
-    return [sum(A[i][k] * v[k] for k in range(len(v))) for i in range(len(A))]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)] if A else []
 
 
 def mat_eq(A, B) -> bool:
@@ -407,16 +399,3 @@ def rational_solve(A, b):
         x[c] = M[i][cols]
     return x
 
-
-def column_space_rank(M) -> int:
-    if not M or not M[0]:
-        return 0
-    return smith_normal_form(M).rank
-
-
-def gcd_of_entries(M) -> int:
-    g = 0
-    for row in M:
-        for x in row:
-            g = gcd(g, x)
-    return g

@@ -6,8 +6,13 @@ witness class on failure.  Checks are pure and deterministic: randomized
 ones derive all choices from an explicit seed that is recorded in the
 result parameters.
 
-Parameter ceilings are baked in: beyond them a check reports status
-``skipped`` with a budget note rather than running unbounded work. The
+Each check is described by data, its :class:`_CheckSpec`: a desk-scale
+genus ceiling, whether it needs a principal polarization, whether it
+builds its own ``standard_ppav`` models, its default-grid entries and
+how one ``--genus`` maps to its parameters.  :func:`run_check` enforces
+these fields in one place and :func:`default_suite` derives both grids
+from them.  Beyond its ceiling a check reports status ``skipped`` with a
+budget note rather than running unbounded work.  The
 ``poincare_normalization`` check is a sign audit: it asserts the derived
 normalization ``integrate(ell^{2g}) = (-1)^g (2g)!`` and its result notes
 that a displayed-positive normalization of the top self-pairing would
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
@@ -82,9 +88,6 @@ class CheckDescriptor:
     statement: str
     params: tuple[tuple[str, object], ...]
 
-    def params_dict(self) -> dict:
-        return dict(self.params)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -94,36 +97,10 @@ class CheckResult:
     detail: str | None
     runtime_ms: int
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
 
 class _Skip(Exception):
     def __init__(self, reason):
         self.reason = reason
-
-
-def _variety(params) -> AbelianVariety:
-    injected = params.get("_variety")
-    if injected is not None:
-        return injected
-    g = int(params.get("genus", 1))
-    if g < 1:
-        raise UnsupportedParams(f"genus must be positive, got {g}")
-    ptype = params.get("type")
-    if ptype is None:
-        return standard_ppav(g)
-    ptype = tuple(int(d) for d in ptype)
-    if len(ptype) != g:
-        raise UnsupportedParams(f"type {ptype} has length {len(ptype)}, genus is {g}")
-    return elliptic_product(ptype)
-
-
-def _budget(params, ceiling: int):
-    g = int(params.get("genus", 1))
-    if g > ceiling:
-        raise _Skip(f"genus {g} beyond the desk-scale ceiling {ceiling} (budget)")
 
 
 def _equal_or_witness(lhs: Multivector, rhs: Multivector):
@@ -135,9 +112,7 @@ def _equal_or_witness(lhs: Multivector, rhs: Multivector):
 # --- individual checks -----------------------------------------------------
 
 
-def _check_fourier_involution(params):
-    _budget(params, 4)
-    A = _variety(params)
+def _check_fourier_involution(A, params):
     Ah = dual(A)
     g = A.genus
     for mask in range(1 << A.rank):
@@ -149,19 +124,13 @@ def _check_fourier_involution(params):
     return True, None, None
 
 
-def _check_beauville_exp(params):
-    _budget(params, 5)
-    A = _variety(params)
-    if not A.is_principal:
-        raise UnsupportedParams("the exponential identity needs a principal polarization")
+def _check_beauville_exp(A, params):
     lhs = fourier(A, A.theta_class().cup_exponential())
     rhs = (-dual(A).theta_class()).cup_exponential()
     return _equal_or_witness(lhs, rhs)
 
 
-def _check_star_exp_of_R(params):
-    _budget(params, 3)
-    A = _variety(params)
+def _check_star_exp_of_R(A, params):
     g = A.genus
     X = product(A, dual(A)).variety
     R = named_class(A, "R")
@@ -172,9 +141,7 @@ def _check_star_exp_of_R(params):
     return _equal_or_witness(context(A).ch, rhs)
 
 
-def _check_claim_star(params):
-    _budget(params, 3)
-    A = _variety(params)
+def _check_claim_star(A, params):
     g = A.genus
     Ah = dual(A)
     X = product(A, Ah).variety
@@ -185,9 +152,7 @@ def _check_claim_star(params):
     return _equal_or_witness(lhs, rhs)
 
 
-def _check_eq35_minclass(params):
-    _budget(params, 4)
-    A = _variety(params)
+def _check_eq35_minclass(A, params):
     g = A.genus
     Ah = dual(A)
     Y = product(Ah, A).variety
@@ -196,11 +161,7 @@ def _check_eq35_minclass(params):
     return _equal_or_witness(fourier(Y, arg), named_class(A, "R"))
 
 
-def _check_tau_equals_R(params):
-    _budget(params, 4)
-    A = _variety(params)
-    if not A.is_principal:
-        raise UnsupportedParams("the three-term spread needs a principal polarization")
+def _check_tau_equals_R(A, params):
     g = A.genus
     R = named_class(A, "R")
     want = R if (g + 1) % 2 == 0 else -R
@@ -216,10 +177,8 @@ def _gaussian_hom(rng, h_src: int, h_tgt: int) -> list[list[int]]:
     ]
 
 
-def _check_functoriality(params):
+def _check_functoriality(_, params):
     gmax = int(params.get("genus", 3))
-    if gmax > 3:
-        raise _Skip(f"genus {gmax} beyond the desk-scale ceiling 3 (budget)")
     count = int(params.get("count", 20))
     rng = random.Random(int(params.get("seed", 0)))
     for _ in range(count):
@@ -255,10 +214,8 @@ def _random_even_class(rng, rank: int, max_terms: int = 4) -> Multivector:
     return Multivector(rank, terms)
 
 
-def _check_product_exchange(params):
+def _check_product_exchange(_, params):
     gmax = int(params.get("genus", 3))
-    if gmax > 3:
-        raise _Skip(f"genus {gmax} beyond the desk-scale ceiling 3 (budget)")
     count = int(params.get("count", 50))
     rng = random.Random(int(params.get("seed", 0)))
     for _ in range(count):
@@ -280,28 +237,19 @@ def _check_product_exchange(params):
     return True, None, None
 
 
-def _check_theta_divided(params):
-    _budget(params, 5)
-    A = _variety(params)
-    if not A.is_principal:
-        raise UnsupportedParams("divided powers of theta need a principal polarization")
+def _check_theta_divided(A, params):
     g = A.genus
     theta = A.theta_class()
     gamma = named_class(A, "gamma_theta")
     for i in range(g + 1):
-        try:
-            lhs = theta.wedge_power_divided(i)
-            rhs = star_divided_power(A, gamma, g - i)
-        except NonDivisible as nd:
-            return False, Multivector(A.rank, {nd.mask: nd.coefficient}), str(nd)
+        lhs = theta.wedge_power_divided(i)
+        rhs = star_divided_power(A, gamma, g - i)
         if lhs != rhs:
             return False, lhs - rhs, f"exponent i={i}"
     return True, None, None
 
 
-def _check_kunneth_R(params):
-    _budget(params, 3)
-    A = _variety(params)
+def _check_kunneth_R(A, params):
     lhs, rhs = kunneth_R_decomposition(A)
     if A.genus % 2:
         rhs = -rhs
@@ -310,11 +258,7 @@ def _check_kunneth_R(params):
     return ok, witness, detail or note
 
 
-def _check_sigma_triple_sum(params):
-    _budget(params, 4)
-    A = _variety(params)
-    if not A.is_principal:
-        raise UnsupportedParams("the triple sum needs a principal polarization")
+def _check_sigma_triple_sum(A, params):
     g = A.genus
     sh = structure_homs(A)
     theta = A.theta_class()
@@ -337,11 +281,7 @@ def _check_sigma_triple_sum(params):
     return _equal_or_witness(lhs, rhs)
 
 
-def _check_beta_surjectivity(params):
-    _budget(params, 3)
-    A = _variety(params)
-    if not A.is_principal:
-        raise UnsupportedParams("the divisor-to-curve formula needs a principal polarization")
+def _check_beta_surjectivity(A, params):
     g = A.genus
     gamma = named_class(A, "gamma_theta")
     beta_theta = beta_from_divisor(A, A.theta_class())
@@ -360,24 +300,17 @@ def _check_beta_surjectivity(params):
     return True, None, f"{len(gens)} divisor classes generate the curve-class lattice"
 
 
-def _check_divided_square(params):
-    _budget(params, 4)
-    A = _variety(params)
+def _check_divided_square(A, params):
     g = A.genus
     X = product(A, dual(A)).variety
     R = named_class(A, "R")
-    try:
-        sq = star_divided_power(X, R, 2)
-    except NonDivisible as nd:
-        return False, Multivector(X.rank, {nd.mask: nd.coefficient}), str(nd)
+    sq = star_divided_power(X, R, 2)
     if g % 2:
         sq = -sq
     return _equal_or_witness(named_class(A, "sigma"), sq)
 
 
-def _check_lemma51_diagram(params):
-    _budget(params, 3)
-    A = _variety(params)
+def _check_lemma51_diagram(A, params):
     Ah = dual(A)
     ctx_hat = context(Ah)
     sigma_hat = named_class(Ah, "sigma")
@@ -402,7 +335,7 @@ def _check_lemma51_diagram(params):
     return True, None, None
 
 
-def _check_prop45_pushforward(params):
+def _check_prop45_pushforward(_, params):
     pairs = params.get("pairs")
     if pairs is None:
         g = int(params.get("genus", 2))
@@ -410,8 +343,6 @@ def _check_prop45_pushforward(params):
             raise _Skip("needs two factors, so genus at least 2")
         pairs = [(g - 1, 1)]
     for gA, gB in pairs:
-        if gA + gB > 3:
-            raise _Skip(f"total dimension {gA + gB} beyond the desk-scale ceiling 3 (budget)")
         A, B = standard_ppav(int(gA)), standard_ppav(int(gB))
         split_ok, push_ok, pushed, expected = prop45_pushforward_check(A, B)
         if not split_ok:
@@ -421,10 +352,8 @@ def _check_prop45_pushforward(params):
     return True, None, None
 
 
-def _check_isogeny_degree(params):
+def _check_isogeny_degree(_, params):
     g = int(params.get("genus", 2))
-    if g > 3:
-        raise _Skip(f"genus {g} beyond the desk-scale ceiling 3 (budget)")
     count = int(params.get("count", 10))
     rng = random.Random(int(params.get("seed", 0)))
     X = standard_ppav(g)
@@ -454,9 +383,7 @@ def _check_isogeny_degree(params):
     return True, None, None
 
 
-def _check_hodge_fourier_unimodular(params):
-    _budget(params, 3)
-    A = _variety(params)
+def _check_hodge_fourier_unimodular(A, params):
     for i in range(A.genus + 1):
         fm = fourier_hodge_matrix(A, i)
         if fm.source_rank != fm.target_rank:
@@ -474,12 +401,8 @@ def _check_hodge_fourier_unimodular(params):
     return True, None, None
 
 
-def _check_ihc_certificate(params):
+def _check_ihc_certificate(_, params):
     g = int(params.get("genus", 2))
-    if g < 1:
-        raise UnsupportedParams("genus must be positive")
-    if g > 3:
-        raise _Skip(f"genus {g} beyond the desk-scale ceiling 3 (budget)")
     A = standard_ppav(g)
     lat2 = hodge_lattice(A, 1)
     if lat2.rank != g * g:
@@ -498,9 +421,7 @@ def _check_ihc_certificate(params):
     return True, None, f"rank {lat2.rank} divisor lattice, trivial cokernel in degree {2 * g - 2}"
 
 
-def _check_poincare_normalization(params):
-    _budget(params, 4)
-    A = _variety(params)
+def _check_poincare_normalization(A, params):
     g = A.genus
     X = product(A, dual(A)).variety
     value = X.integrate(poincare_class(A).wedge_power(2 * g))
@@ -515,9 +436,7 @@ def _check_poincare_normalization(params):
     return True, None, note
 
 
-def _check_ell_integrality(params):
-    _budget(params, 4)
-    A = _variety(params)
+def _check_ell_integrality(A, params):
     ell = poincare_class(A)
     for k in range(2 * A.genus + 1):
         try:
@@ -531,92 +450,162 @@ def _check_ell_integrality(params):
     return True, None, None
 
 
+def _genera(lo: int, hi: int) -> tuple[dict, ...]:
+    return tuple({"genus": g} for g in range(lo, hi + 1))
+
+
+def _genus_only(g: int) -> dict | None:
+    return {"genus": g}
+
+
+def _two_factors(g: int) -> dict | None:
+    return {"pairs": ((g - 1, 1),)} if g >= 2 else None
+
+
 @dataclass(frozen=True)
 class _CheckSpec:
-    fn: object
+    """One check and how the runner and the default grids treat it.
+
+    ``fn(A, params)`` returns ``(ok, witness, detail)``; ``A`` is the
+    variety the parameters name, or None when ``own_models`` is set.
+    """
+
+    fn: Callable
     statement: str
+    # largest genus (for ``pairs``, total dimension) run at desk scale
+    ceiling: int
+    # the reason given when the polarization is not principal
+    principal: str | None = None
+    # builds its own standard_ppav models, so takes no variety or type
+    own_models: bool = False
+    # takes the suite seed; one --genus beyond the ceiling runs at the ceiling
+    randomized: bool = False
+    # default-grid entries; None runs genus 1 to the ceiling
+    grid: tuple[dict, ...] | None = None
+    # the parameters for one --genus, or None to leave the check out
+    at_genus: Callable[[int], dict | None] = _genus_only
 
 
 REGISTRY: dict[str, _CheckSpec] = {
-    "fourier_involution": _CheckSpec(
-        _check_fourier_involution,
-        "F_dual . F = (-1)^g [-1]^* on every basis monomial",
-    ),
     "beauville_exp": _CheckSpec(
         _check_beauville_exp,
         "F(exp(theta)) = exp(-theta_dual) for principal theta",
+        ceiling=5,
+        principal="the exponential identity needs a principal polarization",
+    ),
+    "fourier_involution": _CheckSpec(
+        _check_fourier_involution,
+        "F_dual . F = (-1)^g [-1]^* on every basis monomial",
+        ceiling=4,
+        grid=_genera(1, 3) + ({"genus": 2, "type": (1, 2)},),
     ),
     "star_exp_of_R": _CheckSpec(
         _check_star_exp_of_R,
         "exp(ell) = (-1)^g E_star((-1)^g R) on A x A^",
+        ceiling=3,
     ),
     "claim_star": _CheckSpec(
         _check_claim_star,
         "F_{A x A^}(exp(ell)) = (-1)^g exp(-ell_dual)",
+        ceiling=3,
     ),
     "eq35_minclass": _CheckSpec(
         _check_eq35_minclass,
         "F_{A^ x A}((-1)^{g+1} ell_dual) = ell^{2g-1}/(2g-1)!",
+        ceiling=4,
     ),
     "tau_equals_R": _CheckSpec(
         _check_tau_equals_R,
         "j1_* gamma + j2_* gamma_dual - graph(lambda)_* gamma = (-1)^{g+1} R",
+        ceiling=4,
+        principal="the three-term spread needs a principal polarization",
     ),
     "functoriality": _CheckSpec(
         _check_functoriality,
         "dual(f)^* . F = F . f_* and F . f^* = (-1)^{dim X - dim Y} dual(f)_* . F",
+        ceiling=3,
+        own_models=True,
+        randomized=True,
+        grid=({"genus": 3, "count": 20},),
     ),
     "product_exchange": _CheckSpec(
         _check_product_exchange,
         "F(x . y) = (-1)^g F(x) * F(y) and F(x * y) = F(x) . F(y)",
+        ceiling=3,
+        own_models=True,
+        randomized=True,
+        grid=({"genus": 3, "count": 50},),
     ),
     "theta_divided": _CheckSpec(
         _check_theta_divided,
         "theta^i/i! = gamma_theta^{*(g-i)}/(g-i)! for 0 <= i <= g",
+        ceiling=5,
+        principal="divided powers of theta need a principal polarization",
     ),
     "kunneth_R": _CheckSpec(
         _check_kunneth_R,
         "R of A x A^ splits into factor minimal classes against point classes",
+        ceiling=3,
     ),
     "sigma_triple_sum": _CheckSpec(
         _check_sigma_triple_sum,
         "ell^{2g-2}/(2g-2)! equals the signed triple sum of theta divided powers",
-    ),
-    "beta_surjectivity": _CheckSpec(
-        _check_beta_surjectivity,
-        "divisor-to-curve classes over a divisor basis generate the curve-class lattice",
+        ceiling=4,
+        principal="the triple sum needs a principal polarization",
     ),
     "divided_square": _CheckSpec(
         _check_divided_square,
         "ell^{2g-2}/(2g-2)! = (-1)^g R^{*2}/2!",
+        ceiling=4,
+    ),
+    "beta_surjectivity": _CheckSpec(
+        _check_beta_surjectivity,
+        "divisor-to-curve classes over a divisor basis generate the curve-class lattice",
+        ceiling=3,
+        principal="the divisor-to-curve formula needs a principal polarization",
     ),
     "lemma51_diagram": _CheckSpec(
         _check_lemma51_diagram,
         "correspondence action of sigma on degree 2 agrees with the transform",
+        ceiling=3,
     ),
     "prop45_pushforward": _CheckSpec(
         _check_prop45_pushforward,
         "the product minimal class splits and pushes to (-1)^{g_B} mu^{2g_A-1}/(2g_A-1)!",
+        ceiling=3,
+        own_models=True,
+        grid=({"pairs": ((1, 1), (2, 1))},),
+        at_genus=_two_factors,
     ),
     "isogeny_degree": _CheckSpec(
         _check_isogeny_degree,
         "beta . alpha = [m] with deg(alpha) deg(beta) = m^{2h}, dually as well",
+        ceiling=3,
+        own_models=True,
+        randomized=True,
+        grid=({"genus": 2, "count": 10},),
     ),
     "hodge_fourier_unimodular": _CheckSpec(
         _check_hodge_fourier_unimodular,
         "the transform maps each Hodge lattice isomorphically with unimodular matrix",
+        ceiling=3,
     ),
     "ihc_certificate_elliptic_products": _CheckSpec(
         _check_ihc_certificate,
         "divisor-to-curve classes span the full degree 2g-2 Hodge lattice (trivial cokernel)",
+        ceiling=3,
+        own_models=True,
+        grid=_genera(2, 3),
     ),
     "poincare_normalization": _CheckSpec(
         _check_poincare_normalization,
         "integrate(ell^{2g}) = (-1)^g (2g)! (sign audit, never a suite failure)",
+        ceiling=4,
     ),
     "ell_integrality": _CheckSpec(
         _check_ell_integrality,
         "ell^k/k! is integral for every k <= 2g",
+        ceiling=4,
     ),
 }
 
@@ -624,8 +613,6 @@ REGISTRY: dict[str, _CheckSpec] = {
 def _canonical_params(params: dict) -> tuple[tuple[str, object], ...]:
     out = []
     for key in sorted(params):
-        if key.startswith("_"):
-            continue
         val = params[key]
         if isinstance(val, (list, tuple)):
             val = tuple(
@@ -636,27 +623,68 @@ def _canonical_params(params: dict) -> tuple[tuple[str, object], ...]:
     return tuple(out)
 
 
+def _descriptor(name: str, params: dict) -> CheckDescriptor:
+    """What a result records; an injected variety shows as its genus and name."""
+    if name not in REGISTRY:
+        raise UnknownCheck(name)
+    shown = dict(params)
+    injected = shown.pop("variety", None)
+    if injected is not None:
+        shown.update(genus=injected.genus, variety=injected.name)
+    return CheckDescriptor(name, REGISTRY[name].statement, _canonical_params(shown))
+
+
+def _check_budget(spec: _CheckSpec, params: dict):
+    pairs = params.get("pairs")
+    if pairs is None:
+        what, size = "genus", int(params.get("genus", 1))
+    else:
+        what, size = "total dimension", max((a + b for a, b in pairs), default=0)
+    if size > spec.ceiling:
+        raise _Skip(f"{what} {size} beyond the desk-scale ceiling {spec.ceiling} (budget)")
+
+
+def _variety(spec: _CheckSpec, injected, params) -> AbelianVariety | None:
+    """The variety a check runs on; None for one that builds its own models."""
+    if spec.own_models and (injected is not None or "type" in params):
+        raise UnsupportedParams(
+            "the check builds its own principal models and takes no variety or type"
+        )
+    if injected is not None:
+        return injected
+    g = int(params.get("genus", 1))
+    if g < 1:
+        raise UnsupportedParams(f"genus must be positive, got {g}")
+    if spec.own_models:
+        return None
+    ptype = params.get("type")
+    if ptype is None:
+        return standard_ppav(g)
+    ptype = tuple(int(d) for d in ptype)
+    if len(ptype) != g:
+        raise UnsupportedParams(f"type {ptype} has length {len(ptype)}, genus is {g}")
+    return elliptic_product(ptype)
+
+
 def run_check(name: str, **params) -> CheckResult:
     """Run one registered check; deterministic for fixed parameters.
 
     A concrete variety may be injected with ``variety=A``; its name and
     genus are recorded in the descriptor and the check runs on it instead
-    of the built-in model.
+    of the built-in model.  The spec is enforced in this order: the
+    budget skip, the variety, the principal hypothesis, then the check.
+    A hypothesis that does not hold raises :class:`UnsupportedParams`.
     """
-    if name not in REGISTRY:
-        raise UnknownCheck(name)
+    descriptor = _descriptor(name, params)
     spec = REGISTRY[name]
     injected = params.pop("variety", None)
-    if injected is not None:
-        params["_variety"] = injected
-        params["genus"] = injected.genus
-        params["variety"] = injected.name
-    descriptor = CheckDescriptor(
-        name=name, statement=spec.statement, params=_canonical_params(params)
-    )
     start = time.perf_counter()
     try:
-        ok, witness, detail = spec.fn(params)
+        _check_budget(spec, dict(descriptor.params))
+        A = _variety(spec, injected, params)
+        if spec.principal and not A.is_principal:
+            raise UnsupportedParams(spec.principal)
+        ok, witness, detail = spec.fn(A, params)
         status = "pass" if ok else "fail"
     except _Skip as skip:
         status, witness, detail = "skipped", None, skip.reason
@@ -664,7 +692,7 @@ def run_check(name: str, **params) -> CheckResult:
         status, witness, detail = "skipped", None, str(exc)
     except NonDivisible as nd:
         status = "fail"
-        witness = Multivector(64, {nd.mask: nd.coefficient})
+        witness = Multivector(nd.rank, {nd.mask: nd.coefficient})
         detail = f"exact division failed: {nd}"
     runtime_ms = int((time.perf_counter() - start) * 1000)
     return CheckResult(
@@ -680,83 +708,32 @@ def run_check_lenient(name: str, **params) -> CheckResult:
     """Like :func:`run_check` but mapping unsupported parameters to a skip.
 
     Suites assembled over arbitrary user varieties hit checks whose
-    hypotheses (principal polarization, two factors) simply do not apply;
-    those report as skipped with the reason instead of erroring out.
+    hypotheses (a principal polarization, or no variety at all for a check
+    that builds its own models) simply do not apply; those report as
+    skipped with the reason instead of erroring out.
     """
     try:
         return run_check(name, **params)
     except UnsupportedParams as exc:
-        spec = REGISTRY[name]
-        injected = params.pop("variety", None)
-        if injected is not None:
-            params["genus"] = injected.genus
-            params["variety"] = injected.name
-        descriptor = CheckDescriptor(
-            name=name, statement=spec.statement, params=_canonical_params(params)
-        )
-        return CheckResult(
-            descriptor=descriptor,
-            status="skipped",
-            witness=None,
-            detail=str(exc),
-            runtime_ms=0,
-        )
+        return CheckResult(_descriptor(name, params), "skipped", None, str(exc), 0)
 
 
 def default_suite(genus: int | None = None, seed: int = 0):
-    """Parameter grid for a full run.
+    """Parameter grid for a full run, derived from the check specs.
 
-    With ``genus`` given, every check runs at that single genus (plus its
-    own auxiliary parameters); otherwise the full graded grid is used,
-    covering each check's supported range.
+    With ``genus`` given, every check runs once as its ``at_genus`` maps
+    that genus; otherwise each check runs over its default grid.
+    Randomized checks also take ``seed``.
     """
-    if genus is not None:
-        grid = []
-        for name in REGISTRY:
-            params: dict = {"genus": genus}
-            if name in ("functoriality", "product_exchange", "isogeny_degree"):
-                params["seed"] = seed
-                params["genus"] = min(genus, 3)
-            if name == "prop45_pushforward":
-                if genus < 2:
-                    continue
-                params = {"pairs": ((genus - 1, 1),)}
-            grid.append((name, params))
-        return grid
     grid = []
-    for g in range(1, 6):
-        grid.append(("beauville_exp", {"genus": g}))
-    for g in range(1, 4):
-        grid.append(("fourier_involution", {"genus": g}))
-    grid.append(("fourier_involution", {"genus": 2, "type": (1, 2)}))
-    for g in range(1, 4):
-        grid.append(("star_exp_of_R", {"genus": g}))
-    for g in range(1, 4):
-        grid.append(("claim_star", {"genus": g}))
-    for g in range(1, 5):
-        grid.append(("eq35_minclass", {"genus": g}))
-        grid.append(("tau_equals_R", {"genus": g}))
-    grid.append(("functoriality", {"genus": 3, "count": 20, "seed": seed}))
-    grid.append(("product_exchange", {"genus": 3, "count": 50, "seed": seed}))
-    for g in range(1, 6):
-        grid.append(("theta_divided", {"genus": g}))
-    for g in range(1, 4):
-        grid.append(("kunneth_R", {"genus": g}))
-    for g in range(1, 5):
-        grid.append(("sigma_triple_sum", {"genus": g}))
-        grid.append(("divided_square", {"genus": g}))
-    for g in range(1, 4):
-        grid.append(("beta_surjectivity", {"genus": g}))
-        grid.append(("lemma51_diagram", {"genus": g}))
-    grid.append(("prop45_pushforward", {"pairs": ((1, 1), (2, 1))}))
-    grid.append(("isogeny_degree", {"genus": 2, "count": 10, "seed": seed}))
-    for g in range(1, 4):
-        grid.append(("hodge_fourier_unimodular", {"genus": g}))
-    for g in range(2, 4):
-        grid.append(("ihc_certificate_elliptic_products", {"genus": g}))
-    for g in range(1, 5):
-        grid.append(("poincare_normalization", {"genus": g}))
-        grid.append(("ell_integrality", {"genus": g}))
+    for name, spec in REGISTRY.items():
+        if genus is None:
+            entries = spec.grid or _genera(1, spec.ceiling)
+        else:
+            entry = spec.at_genus(min(genus, spec.ceiling) if spec.randomized else genus)
+            entries = () if entry is None else (entry,)
+        for params in entries:
+            grid.append((name, dict(params, seed=seed) if spec.randomized else dict(params)))
     return grid
 
 

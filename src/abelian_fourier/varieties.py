@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import prod
+from math import factorial, prod
 
 from . import intlinalg
 from .errors import (
@@ -43,7 +43,13 @@ from .errors import (
     RiemannRelationViolated,
     SingularPolarization,
 )
-from .exterior import Multivector, _apply_generator_images, integrate, wedge_sign
+from .exterior import (
+    Multivector,
+    _apply_generator_images,
+    _integral_image,
+    integrate,
+    wedge_sign,
+)
 
 # Default Gaussian-prime parameter (a, b): the Hodge projector uses the
 # group element a + bJ, whose norm a^2 + b^2 must be an odd prime.
@@ -87,13 +93,7 @@ class AbelianVariety:
         Integrates in top power to the product of the polarization
         divisors: ``integrate(theta^g / g!) = d_1 * ... * d_g``.
         """
-        n = self.rank
-        terms = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.E[i][j]:
-                    terms[(1 << i) | (1 << j)] = self.E[i][j]
-        return Multivector(n, terms)
+        return _theta_form(self.E)
 
     def point_class(self) -> Multivector:
         """Top-degree class integrating to 1 (the class of a point)."""
@@ -136,6 +136,17 @@ def _paired_type(E) -> tuple[int, ...]:
     return tuple(paired)
 
 
+def _theta_form(E) -> Multivector:
+    """The 2-form of an alternating matrix E on the dual basis."""
+    n = len(E)
+    terms = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if E[i][j]:
+                terms[(1 << i) | (1 << j)] = E[i][j]
+    return Multivector(n, terms)
+
+
 def _theta_orientation(E, g, delta) -> int:
     """Orientation making the polarization integrate positively.
 
@@ -143,15 +154,8 @@ def _theta_orientation(E, g, delta) -> int:
     sign) the Pfaffian of E, whose absolute value is the product of the
     polarization divisors.
     """
-    n = 2 * g
-    terms = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if E[i][j]:
-                terms[(1 << i) | (1 << j)] = E[i][j]
-    theta = Multivector(n, terms)
-    top = theta.wedge_power(g).divide_exact(prod(range(1, g + 1)) if g else 1)
-    coeff = top.coefficient((1 << n) - 1)
+    top = _theta_form(E).wedge_power(g).divide_exact(factorial(g))
+    coeff = top.coefficient((1 << 2 * g) - 1)
     if abs(coeff) != prod(delta):
         raise SingularPolarization(
             f"Pfaffian {coeff} does not match polarization type {delta}"
@@ -283,45 +287,8 @@ def _pairing_class_is_hodge(JA, JB, a: int = 1, b: int = 2) -> bool:
             blocks[nA + i][nA + j] = Fraction(JB[i][j])
     ell = Multivector(n, {(1 << i) | (1 << (nA + i)): 1 for i in range(nA)})
     rows = _hodge_rows(blocks, a, b)
-    image = _apply_rows_rational(ell, rows, n)
+    image = _apply_generator_images(ell, rows)
     return image == {m: Fraction((a * a + b * b) * c) for m, c in ell.items()}
-
-
-def _apply_rows_rational(x: Multivector, rows, target_rank: int):
-    """Like the exterior algebra map but keeping rational output."""
-    from .exterior import wedge_sign as _ws
-
-    acc: dict[int, Fraction] = {}
-    for mask, coeff in x.items():
-        partial = {0: Fraction(coeff)}
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            row = rows[low.bit_length() - 1]
-            nxt: dict[int, Fraction] = {}
-            for pmask, pc in partial.items():
-                for j, cj in row:
-                    bit = 1 << j
-                    if pmask & bit:
-                        continue
-                    s = _ws(pmask, bit)
-                    key = pmask | bit
-                    val = nxt.get(key, Fraction(0)) + s * pc * cj
-                    if val:
-                        nxt[key] = val
-                    elif key in nxt:
-                        del nxt[key]
-            partial = nxt
-            if not partial:
-                break
-        for k, v in partial.items():
-            nv = acc.get(k, Fraction(0)) + v
-            if nv:
-                acc[k] = nv
-            elif k in acc:
-                del acc[k]
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -407,7 +374,7 @@ class Homomorphism:
             [(j, Fraction(e)) for j, e in enumerate(row) if e]
             for row in self.matrix
         ]
-        return _apply_generator_images(x, rows, self.source.rank)
+        return _integral_image(x, rows, self.source.rank)
 
     def pushforward(self, x: Multivector) -> Multivector:
         """Poincare-duality adjoint of the pullback.

@@ -180,3 +180,34 @@ def test_hodge_odd_degree_rejected(capsys):
 
 def test_cli_version(capsys):
     assert run_cli(["--version"]) == 0
+
+
+OWN_MODEL_CHECKS = {
+    "functoriality",
+    "product_exchange",
+    "isogeny_degree",
+    "prop45_pushforward",
+    "ihc_certificate_elliptic_products",
+}
+
+
+@pytest.mark.parametrize("how", ["type", "variety"])
+def test_verify_own_model_checks_skip_a_given_variety(tmp_path, how):
+    # checks that build their own principal models must not report a
+    # result for the (1, 2) surface they were handed but never used
+    if how == "type":
+        flags = ["--type", "1,2"]
+    else:
+        spec = tmp_path / "surface.json"
+        write_json(spec, {"name": "S", "genus": 2, "polarization_type": [1, 2]})
+        flags = ["--variety", str(spec)]
+    checks = ",".join(sorted(OWN_MODEL_CHECKS | {"claim_star", "theta_divided"}))
+    out = tmp_path / "report.json"
+    code = run_cli(["verify", *flags, "--checks", checks, "--format", "json", "--out", str(out)])
+    assert code == 0
+    status = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+    assert status == {
+        **dict.fromkeys(OWN_MODEL_CHECKS, "skipped"),
+        "claim_star": "pass",
+        "theta_divided": "skipped",
+    }

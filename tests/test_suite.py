@@ -3,6 +3,7 @@
 import pytest
 
 import abelian_fourier
+import abelian_fourier.suite as suite
 from abelian_fourier.errors import UnknownCheck, UnsupportedParams
 from abelian_fourier.suite import (
     REGISTRY,
@@ -12,7 +13,8 @@ from abelian_fourier.suite import (
     run_check_lenient,
     run_suite,
 )
-from abelian_fourier.varieties import elliptic_product, make_variety
+from abelian_fourier.exterior import Multivector
+from abelian_fourier.varieties import elliptic_product, make_variety, standard_ppav
 
 
 def test_registry_size_and_names():
@@ -140,3 +142,43 @@ def test_seed_changes_randomized_checks():
     b = run_check("product_exchange", genus=2, count=3, seed=2)
     assert a.status == b.status == "pass"
     assert dict(a.descriptor.params)["seed"] != dict(b.descriptor.params)["seed"]
+
+
+def test_default_suite_sizes():
+    assert len(default_suite()) == 62
+    # prop45_pushforward needs two factors, so genus 1 leaves it out
+    assert [len(default_suite(genus=g)) for g in range(1, 6)] == [19, 20, 20, 20, 20]
+    # randomized checks take the seed and run at most at their ceiling
+    grid = dict(default_suite(genus=5, seed=7))
+    assert grid["functoriality"] == {"genus": 3, "seed": 7}
+    assert grid["prop45_pushforward"] == {"pairs": ((4, 1),)}
+
+
+def test_own_model_checks_take_no_variety_or_type():
+    for name in (
+        "functoriality",
+        "product_exchange",
+        "isogeny_degree",
+        "prop45_pushforward",
+        "ihc_certificate_elliptic_products",
+    ):
+        with pytest.raises(UnsupportedParams):
+            run_check(name, genus=2, type=(1, 2))
+        with pytest.raises(UnsupportedParams):
+            run_check(name, variety=standard_ppav(2))
+        r = run_check_lenient(name, genus=2, type=(1, 2))
+        assert r.status == "skipped"
+        assert dict(r.descriptor.params) == {"genus": 2, "type": (1, 2)}
+
+
+def test_division_failure_witness_has_the_class_rank(monkeypatch):
+    # a NonDivisible escaping a check body becomes a fail whose witness
+    # lives in the algebra of the class that failed to divide
+    def failing_fourier(A, x):
+        return Multivector(4, {0b11: 1}).divide_exact(2)
+
+    monkeypatch.setattr(suite, "fourier", failing_fourier)
+    r = run_check("beauville_exp", genus=2)
+    assert r.status == "fail"
+    assert r.witness == Multivector(4, {0b11: 1})
+    assert "exact division failed" in r.detail
