@@ -18,6 +18,7 @@ from .errors import (
     NoComplexStructure,
     NonDivisible,
     NonIntegralResult,
+    NonTerminatingSeries,
     NotAlternating,
     NotHodge,
     NotHomogeneous,

@@ -36,8 +36,11 @@ from .suite import REGISTRY, default_suite, run_check_lenient
 from .varieties import elliptic_product, standard_ppav
 
 # Every input error of the package (UnsupportedParams, RankMismatch,
-# NoComplexStructure, NotHodge, NonIntegralResult, ...) is a ValueError,
+# NoComplexStructure, NotHodge, NotAlternating, ...) is a ValueError,
 # UnknownCheck a KeyError, and a malformed file a JSONDecodeError.
+# The mathematical failures NonDivisible, ImageNotInHodge and
+# NonTerminatingSeries are ArithmeticErrors, not input errors; ``run_check``
+# reports them as a ``fail`` with a witness.
 _INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 

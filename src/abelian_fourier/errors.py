@@ -86,12 +86,28 @@ class NotHodge(ValueError):
         super().__init__(f"generator {index} is not a Hodge class")
 
 
-class ImageNotInHodge(ValueError):
+class ImageNotInHodge(ArithmeticError):
     """The transform of a Hodge class left the Hodge lattice.
 
     This would contradict the transform being a morphism of Hodge
-    structures, so it is treated as a fatal check failure.
+    structures, so it is a check failure; ``witness`` is the offending
+    image.
     """
+
+    def __init__(self, message, witness):
+        self.witness = witness
+        super().__init__(message)
+
+
+class NonTerminatingSeries(ArithmeticError):
+    """A nilpotent series kept producing nonzero terms past its degree bound.
+
+    ``witness`` is the last nonzero term, which should have vanished.
+    """
+
+    def __init__(self, message, witness):
+        self.witness = witness
+        super().__init__(message)
 
 
 class UnknownCheck(KeyError):

@@ -12,6 +12,12 @@ number of inversions between their set bits, computed with shifted
 popcounts rather than permutation sorting.
 
 Multivectors are immutable values; every operation returns a fresh one.
+
+One kernel, :func:`_apply_generator_images`, extends generator images to
+an algebra map.  Its coefficients are exact ``int`` or ``Fraction``
+values: integral homomorphism matrices stay in integer arithmetic, and
+the rational Hodge operator built from a complex structure runs through
+the same loop.
 """
 
 from __future__ import annotations
@@ -266,7 +272,8 @@ class Multivector:
                 f"matrix is {len(matrix)} rows for an algebra of rank {self.rank}"
             )
         rows = [
-            [(j, Fraction(entry)) for j, entry in enumerate(row) if entry]
+            [(j, entry if isinstance(entry, int) else Fraction(entry))
+             for j, entry in enumerate(row) if entry]
             for row in matrix
         ]
         return _integral_image(self, rows, self.rank)
@@ -340,39 +347,40 @@ def integrate(x: Multivector, orientation: int):
     return orientation * x.coefficient(full)
 
 
-def _apply_generator_images(x: Multivector, rows) -> dict[int, Fraction]:
+def _apply_generator_images(x: Multivector, rows) -> dict[int, int | Fraction]:
     """Extend generator images to an algebra map, exactly.
 
     ``rows[i]`` is the image of generator ``i`` of ``x`` as a sparse list
-    of ``(target_index, Fraction)`` pairs.  Returns the image as a map
-    from target masks to nonzero rational coefficients.
+    of ``(target_index, coefficient)`` pairs with ``int`` or ``Fraction``
+    coefficients.  Returns the image as a map from target masks to
+    nonzero coefficients, which stay ``int`` when every row entry is.
+    The sign of appending generator ``j`` to a monomial ``pmask`` is the
+    parity of the generators of ``pmask`` above ``j``.
     """
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int | Fraction] = {}
     for mask, coeff in x.items():
-        partial = {0: Fraction(coeff)}
+        partial = {0: coeff}
         m = mask
         while m:
             low = m & -m
             m ^= low
             row = rows[low.bit_length() - 1]
-            nxt: dict[int, Fraction] = {}
+            nxt: dict[int, int | Fraction] = {}
             for pmask, pc in partial.items():
                 for j, cj in row:
                     bit = 1 << j
                     if pmask & bit:
                         continue
-                    s = wedge_sign(pmask, bit)
                     key = pmask | bit
-                    val = nxt.get(key, Fraction(0)) + s * pc * cj
-                    if val:
-                        nxt[key] = val
-                    elif key in nxt:
-                        del nxt[key]
-            partial = nxt
+                    if (pmask >> j).bit_count() & 1:
+                        nxt[key] = nxt.get(key, 0) - pc * cj
+                    else:
+                        nxt[key] = nxt.get(key, 0) + pc * cj
+            partial = {k: v for k, v in nxt.items() if v}
             if not partial:
                 break
         for k, v in partial.items():
-            nv = acc.get(k, Fraction(0)) + v
+            nv = acc.get(k, 0) + v
             if nv:
                 acc[k] = nv
             elif k in acc:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .errors import RankMismatch, UnsupportedParams
+from .errors import NonTerminatingSeries, RankMismatch, UnsupportedParams
 from .exterior import Multivector
 from .varieties import (
     AbelianVariety,
@@ -167,7 +167,9 @@ def star_exponential(V: AbelianVariety, x: Multivector) -> Multivector:
             return out
         out = out + p.divide_exact(factorial(n))
         if n > V.rank + 1:
-            raise RuntimeError("star exponential failed to terminate")
+            raise NonTerminatingSeries(
+                f"star power {n} of a class without top component is nonzero", p
+            )
 
 
 NAMED_CLASS_TAGS = ("R", "rho", "sigma", "gamma_theta", "tau", "point", "fundamental")

@@ -236,12 +236,14 @@ def fourier_hodge_matrix(A: AbelianVariety, i: int, ab=HODGE_DEFAULT_AB) -> Four
         image = fourier(A, u)
         if not is_hodge(dual(A), image, ab):
             raise ImageNotInHodge(
-                f"transform of Hodge basis class {idx} in degree {2 * i} left the Hodge lattice"
+                f"transform of Hodge basis class {idx} in degree {2 * i} left the Hodge lattice",
+                image,
             )
         coords = lat_dst.coordinates(image)
         if coords is None:
             raise ImageNotInHodge(
-                f"transform of Hodge basis class {idx} is not in the dual Hodge span"
+                f"transform of Hodge basis class {idx} is not in the dual Hodge span",
+                image,
             )
         cols.append(coords)
     matrix = [[col[r] for col in cols] for r in range(lat_dst.rank)]

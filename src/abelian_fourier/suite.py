@@ -31,8 +31,10 @@ from math import factorial
 
 from . import intlinalg
 from .errors import (
+    ImageNotInHodge,
     NoComplexStructure,
     NonDivisible,
+    NonTerminatingSeries,
     NotHodge,
     UnknownCheck,
     UnsupportedParams,
@@ -674,6 +676,9 @@ def run_check(name: str, **params) -> CheckResult:
     of the built-in model.  The spec is enforced in this order: the
     budget skip, the variety, the principal hypothesis, then the check.
     A hypothesis that does not hold raises :class:`UnsupportedParams`.
+    A mathematical failure (an inexact division, a transform image outside
+    the Hodge lattice, a star series that does not terminate) is a
+    ``fail`` carrying the class that witnesses it.
     """
     descriptor = _descriptor(name, params)
     spec = REGISTRY[name]
@@ -694,6 +699,8 @@ def run_check(name: str, **params) -> CheckResult:
         status = "fail"
         witness = Multivector(nd.rank, {nd.mask: nd.coefficient})
         detail = f"exact division failed: {nd}"
+    except (ImageNotInHodge, NonTerminatingSeries) as exc:
+        status, witness, detail = "fail", exc.witness, str(exc)
     runtime_ms = int((time.perf_counter() - start) * 1000)
     return CheckResult(
         descriptor=descriptor,

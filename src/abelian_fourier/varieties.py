@@ -29,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial, prod
+from math import prod
 
 from . import intlinalg
 from .errors import (
@@ -147,15 +146,49 @@ def _theta_form(E) -> Multivector:
     return Multivector(n, terms)
 
 
+def _pfaffian(E) -> int:
+    """Pfaffian of an integer alternating matrix, fraction-free.
+
+    Congruence elimination two rows at a time: the pivot ``T[k][k+1]``
+    clears rows ``k`` and ``k+1``, and each trailing entry becomes the
+    Pfaffian of a principal minor, divided exactly by the previous pivot
+    (the Pfaffian form of Sylvester's identity).  A symmetric swap that
+    brings a nonzero pivot into place flips the sign; a zero row makes
+    the Pfaffian zero.  It equals the top coefficient of
+    ``theta^g / g!`` for the 2-form of E.
+    """
+    T = [list(row) for row in E]
+    n = len(T)
+    sign, prev = 1, 1
+    for k in range(0, n, 2):
+        p = next((j for j in range(k + 1, n) if T[k][j]), None)
+        if p is None:
+            return 0
+        if p != k + 1:
+            T[p], T[k + 1] = T[k + 1], T[p]
+            for row in T:
+                row[p], row[k + 1] = row[k + 1], row[p]
+            sign = -sign
+        a = T[k][k + 1]
+        rk, rk1 = T[k], T[k + 1]
+        for i in range(k + 2, n):
+            ri = T[i]
+            for j in range(i + 1, n):
+                v = (a * ri[j] - rk[i] * rk1[j] + rk[j] * rk1[i]) // prev
+                ri[j] = v
+                T[j][i] = -v
+        prev = a
+    return sign * prev
+
+
 def _theta_orientation(E, g, delta) -> int:
     """Orientation making the polarization integrate positively.
 
-    The coefficient of the full monomial in ``theta^g / g!`` is (up to
-    sign) the Pfaffian of E, whose absolute value is the product of the
+    The coefficient of the full monomial in ``theta^g / g!`` is the
+    Pfaffian of E, whose absolute value is the product of the
     polarization divisors.
     """
-    top = _theta_form(E).wedge_power(g).divide_exact(factorial(g))
-    coeff = top.coefficient((1 << 2 * g) - 1)
+    coeff = _pfaffian(E)
     if abs(coeff) != prod(delta):
         raise SingularPolarization(
             f"Pfaffian {coeff} does not match polarization type {delta}"
@@ -370,42 +403,39 @@ class Homomorphism:
         row i of the matrix, read as a 1-form on the source."""
         if x.rank != self.target.rank:
             raise RankMismatch(f"class lives on rank {x.rank}, target is {self.target.rank}")
-        rows = [
-            [(j, Fraction(e)) for j, e in enumerate(row) if e]
-            for row in self.matrix
-        ]
+        rows = [[(j, e) for j, e in enumerate(row) if e] for row in self.matrix]
         return _integral_image(x, rows, self.source.rank)
 
     def pushforward(self, x: Multivector) -> Multivector:
-        """Poincare-duality adjoint of the pullback.
+        """Poincare duality, then the exterior power of M on homology, then
+        Poincare duality back.
 
-        Defined by ``integrate_target(f_*(x) ^ y) = integrate_source(x ^ f^*(y))``
-        for every y, so all Koszul signs come from the wedge itself.
-        Raises the class degree by ``2(g_target - g_source)``.
+        A source term ``c e_S`` is dual to ``wedge_sign(S, S^c) c`` times the
+        homology monomial on ``S^c``; its image under ``Lambda(M)`` (source
+        generator j goes to column j of M) has coefficient
+        ``det(M[U, S^c])`` on each target monomial U by Cauchy-Binet, and U
+        is dual to ``oA oB wedge_sign(w, U) e_w`` with ``w = U^c``.  This is
+        the adjoint of the pullback:
+        ``integrate_target(f_*(x) ^ y) = integrate_source(x ^ f^*(y))``
+        for every y.  Raises the class degree by ``2(g_target - g_source)``.
         """
         if x.rank != self.source.rank:
             raise RankMismatch(f"class lives on rank {x.rank}, source is {self.source.rank}")
         nA, nB = self.source.rank, self.target.rank
-        oA, oB = self.source.orientation, self.target.orientation
+        sign = self.source.orientation * self.target.orientation
         full_A = (1 << nA) - 1
         full_B = (1 << nB) - 1
-        out: dict[int, int] = {}
-        for k in sorted(x.degrees()):
-            xk = x.graded_component(k)
-            u_size = nA - k
-            if u_size < 0 or k + nB - nA < 0:
-                continue
-            for combo in combinations(range(nB), u_size):
-                u_mask = 0
-                for i in combo:
-                    u_mask |= 1 << i
-                pulled = self.pullback(Multivector(nB, {u_mask: 1}))
-                if pulled.is_zero() and u_size:
-                    continue
-                val = oA * xk.wedge(pulled).coefficient(full_A)
-                if val:
-                    w = full_B ^ u_mask
-                    out[w] = out.get(w, 0) + oB * wedge_sign(w, u_mask) * val
+        homology = Multivector(
+            nA, {full_A ^ m: wedge_sign(m, full_A ^ m) * c for m, c in x.items()}
+        )
+        cols = [
+            [(i, row[j]) for i, row in enumerate(self.matrix) if row[j]]
+            for j in range(nA)
+        ]
+        out = {}
+        for u, c in _apply_generator_images(homology, cols).items():
+            w = full_B ^ u
+            out[w] = sign * wedge_sign(w, u) * c
         return Multivector(nB, out)
 
     def compose(self, other: "Homomorphism") -> "Homomorphism":

@@ -7,7 +7,7 @@ import pytest
 from abelian_fourier.cli import main
 from abelian_fourier.exterior import Multivector
 from abelian_fourier.fourier import fourier
-from abelian_fourier.report import emit_class, parse_class, variety_to_dict
+from abelian_fourier.report import class_from_dict, emit_class, parse_class, variety_to_dict
 from abelian_fourier.varieties import dual, standard_ppav
 
 
@@ -211,3 +211,22 @@ def test_verify_own_model_checks_skip_a_given_variety(tmp_path, how):
         "claim_star": "pass",
         "theta_divided": "skipped",
     }
+
+
+def test_verify_reports_hodge_image_failure_as_check_failure(tmp_path, monkeypatch):
+    # a transform image outside the Hodge lattice is a mathematical
+    # failure: the check fails with the image as witness and verify exits
+    # 1, not 2 (input error)
+    import abelian_fourier.hodge as hodge
+
+    monkeypatch.setattr(hodge, "is_hodge", lambda V, x, ab=None: False)
+    out = tmp_path / "report.json"
+    code = run_cli(
+        ["verify", "--genus", "1", "--checks", "hodge_fourier_unimodular",
+         "--format", "json", "--out", str(out)]
+    )
+    assert code == 1
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["status"] == "fail"
+    assert "left the Hodge lattice" in check["detail"]
+    assert not class_from_dict(check["witness"]).is_zero()

@@ -1,6 +1,7 @@
 """Exterior algebra: signs, grading, exact division, linear functoriality."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -15,6 +16,8 @@ from abelian_fourier.errors import (
 )
 from abelian_fourier.exterior import (
     Multivector,
+    _apply_generator_images,
+    _integral_image,
     bits_of,
     degree_basis_masks,
     integrate,
@@ -189,8 +192,6 @@ def test_apply_linear_functoriality_and_ring_map():
 
 
 def test_apply_linear_integrality_guard():
-    from fractions import Fraction
-
     x = Multivector.generator(2, 0)
     with pytest.raises(NonIntegralResult):
         x.apply_linear([[Fraction(1, 2), 0], [0, 1]])
@@ -227,3 +228,29 @@ def test_degree_basis_masks():
     assert len(masks) == 6
     assert masks == sorted(masks)
     assert all(m.bit_count() == 2 for m in masks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_coefficients_are_minors(data):
+    # the algebra map sending generator i to row i of M has the minors of M
+    # as coefficients: e_S goes to sum_T det(M[S, T]) e_T.  Integer rows
+    # stay integral; halved Fraction rows run through the same kernel and
+    # give the minors over 2^|S|.
+    r = data.draw(st.integers(0, 8), label="rows")
+    c = data.draw(st.integers(0, 8), label="columns")
+    entry = st.integers(-3, 3)
+    M = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    S = data.draw(st.integers(0, (1 << r) - 1), label="mask")
+    x = Multivector(r, {S: 1})
+    rows = [[(j, e) for j, e in enumerate(row) if e] for row in M]
+    halves = [[(j, Fraction(e, 2)) for j, e in row] for row in rows]
+    image = _integral_image(x, rows, c)
+    rational = _apply_generator_images(x, halves)
+    src = bits_of(S)
+    k = len(src)
+    assert image.degrees() <= {k}
+    for T in degree_basis_masks(c, k):
+        minor = det_bareiss([[M[i][j] for j in bits_of(T)] for i in src])
+        assert image.coefficient(T) == minor
+        assert rational.get(T, 0) == Fraction(minor, 2**k)

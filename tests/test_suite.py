@@ -182,3 +182,37 @@ def test_division_failure_witness_has_the_class_rank(monkeypatch):
     assert r.status == "fail"
     assert r.witness == Multivector(4, {0b11: 1})
     assert "exact division failed" in r.detail
+
+
+def test_nonterminating_star_series_fails_with_witness(monkeypatch):
+    # star powers that never vanish make the series fail to terminate; the
+    # runner reports a fail with the last power as witness instead of
+    # letting the error escape.  The n-th power is n! x, so every term
+    # divides exactly and only the termination bound can trip.
+    import sys
+
+    fourier_module = sys.modules["abelian_fourier.fourier"]
+    calls = []
+
+    def stuck_pontryagin(V, p, x):
+        calls.append(p)
+        return p * (len(calls) + 1)
+
+    abelian_fourier.clear_caches()
+    monkeypatch.setattr(fourier_module, "pontryagin", stuck_pontryagin)
+    try:
+        r = run_check("star_exp_of_R", genus=1)
+    finally:
+        monkeypatch.undo()
+        abelian_fourier.clear_caches()
+    assert r.status == "fail"
+    assert r.witness is not None and not r.witness.is_zero()
+    assert "star power" in r.detail
+
+
+def test_default_grid_passes():
+    results = run_suite(default_suite())
+    assert len(results) == 62
+    failed = [(r.descriptor.name, r.descriptor.params, r.status) for r in results
+              if r.status != "pass"]
+    assert failed == []

@@ -2,8 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelian_fourier.errors import (
     ComplexStructureInvalid,
@@ -14,10 +18,12 @@ from abelian_fourier.errors import (
     RiemannRelationViolated,
     SingularPolarization,
 )
-from abelian_fourier.exterior import Multivector
+from abelian_fourier.exterior import Multivector, wedge_sign
+from abelian_fourier.fourier import graph_of_polarization
 from abelian_fourier.intlinalg import mat_mul
 from abelian_fourier.varieties import (
     Homomorphism,
+    _pfaffian,
     dual,
     elliptic_product,
     gaussian_elliptic_curve,
@@ -36,6 +42,39 @@ STD_J = [[0, -1], [1, 0]]
 
 def rand_mv(rng, rank, terms=3):
     return Multivector(rank, {rng.randrange(1 << rank): rng.randint(-3, 3) for _ in range(terms)})
+
+
+def adjoint_pushforward(f, x):
+    """Reference pushforward read off the adjunction with the pullback.
+
+    The coefficient of ``e_w`` in ``f_* x`` is, up to the orientations and
+    ``wedge_sign(w, U)`` with ``U`` the complement of ``w``, the top
+    coefficient of ``x ^ f^*(e_U)``: one pullback and one wedge per
+    target subset.
+    """
+    nA, nB = f.source.rank, f.target.rank
+    full_A, full_B = (1 << nA) - 1, (1 << nB) - 1
+    out = {}
+    for k in sorted(x.degrees()):
+        xk = x.graded_component(k)
+        for combo in combinations(range(nB), nA - k):
+            u = sum(1 << i for i in combo)
+            top = xk.wedge(f.pullback(Multivector(nB, {u: 1}))).coefficient(full_A)
+            if top:
+                w = full_B ^ u
+                sign = f.source.orientation * f.target.orientation * wedge_sign(w, u)
+                out[w] = out.get(w, 0) + sign * top
+    return Multivector(nB, out)
+
+
+def theta_top_coefficient(E):
+    """Top coefficient of ``theta^g / g!`` for the 2-form of E."""
+    n = len(E)
+    theta = Multivector(
+        n, {(1 << i) | (1 << j): E[i][j] for i in range(n) for j in range(i + 1, n)}
+    )
+    g = n // 2
+    return theta.wedge_power(g).divide_exact(factorial(g)).coefficient((1 << n) - 1)
 
 
 def test_make_variety_gaussian_curve():
@@ -278,3 +317,70 @@ def test_hom_shape_validation():
         Homomorphism(E1, A, ((1, 0), (0, 1)), False)
     with pytest.raises(RankMismatch):
         identity_hom(E1).pullback(Multivector.unit(4))
+
+
+def _fixed_homs():
+    E1 = gaussian_elliptic_curve()
+    P = product(E1, E1)
+    return [
+        P.j1,
+        P.j2,
+        P.pi1,
+        P.pi2,
+        structure_homs(E1).m,
+        structure_homs(E1).diagonal,
+        graph_of_polarization(E1),
+        polarization_isogeny(elliptic_product((1, 2))),
+        polarization_isogeny(elliptic_product((1, 2))).dual_hom(),
+    ]
+
+
+@st.composite
+def homs(draw):
+    """A shipped non-square or isogeny hom, or a random Gaussian hom,
+    with source and target ranks adding up to at most 8."""
+    fixed = _fixed_homs()
+    pick = draw(st.integers(0, len(fixed)))
+    if pick < len(fixed):
+        return fixed[pick]
+    h1 = draw(st.integers(1, 3))
+    h2 = draw(st.integers(1, 4 - h1))
+    block = st.lists(st.lists(st.integers(-3, 3), min_size=h1, max_size=h1),
+                     min_size=h2, max_size=h2)
+    P, Q = draw(block), draw(block)
+    M = [P[i] + [-x for x in Q[i]] for i in range(h2)] + [Q[i] + P[i] for i in range(h2)]
+    return Homomorphism(standard_ppav(h1), standard_ppav(h2), tuple(map(tuple, M)), True)
+
+
+def classes(rank):
+    term = st.tuples(st.integers(0, (1 << rank) - 1), st.integers(-3, 3))
+    return st.lists(term, max_size=6).map(lambda ts: Multivector(rank, dict(ts)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pushforward_matches_adjoint_reference(data):
+    f = data.draw(homs())
+    x = data.draw(classes(f.source.rank))
+    y = data.draw(classes(f.target.rank))
+    pushed = f.pushforward(x)
+    assert pushed == adjoint_pushforward(f, x)
+    assert f.target.integrate(pushed.wedge(y)) == f.source.integrate(x.wedge(f.pullback(y)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pfaffian_matches_theta_power(data):
+    g = data.draw(st.integers(0, 4))
+    n = 2 * g
+    E = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            E[i][j] = data.draw(st.integers(-2, 2))
+            E[j][i] = -E[i][j]
+    if n and data.draw(st.booleans(), label="singular"):
+        # a zero row and column forces a zero Pfaffian
+        k = data.draw(st.integers(0, n - 1))
+        for i in range(n):
+            E[k][i] = E[i][k] = 0
+    assert _pfaffian(E) == theta_top_coefficient(E)
