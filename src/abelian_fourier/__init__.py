@@ -60,11 +60,13 @@ from .fourier import (
     context,
     correspondence_action,
     fourier,
+    fourier_reference,
     inverse_fourier,
     kunneth_R_decomposition,
     named_class,
     poincare_class,
     pontryagin,
+    pontryagin_reference,
     prop45_pushforward_check,
     star_divided_power,
     star_exponential,

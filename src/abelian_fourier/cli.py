@@ -18,7 +18,13 @@ import json
 import sys
 
 from . import __version__
-from .errors import NonDivisible, RankMismatch, UnknownCheck, UnsupportedParams
+from .errors import (
+    NonDivisible,
+    NonIntegralResult,
+    RankMismatch,
+    UnknownCheck,
+    UnsupportedParams,
+)
 from .exterior import bits_of
 from .fourier import fourier, inverse_fourier
 from .hodge import hodge_lattice, voisin_certificate
@@ -38,9 +44,9 @@ from .varieties import elliptic_product, standard_ppav
 # Every input error of the package (UnsupportedParams, RankMismatch,
 # NoComplexStructure, NotHodge, NotAlternating, ...) is a ValueError,
 # UnknownCheck a KeyError, and a malformed file a JSONDecodeError.
-# The mathematical failures NonDivisible, ImageNotInHodge and
-# NonTerminatingSeries are ArithmeticErrors, not input errors; ``run_check``
-# reports them as a ``fail`` with a witness.
+# The mathematical failures NonDivisible, NonIntegralResult, ImageNotInHodge
+# and NonTerminatingSeries are ArithmeticErrors, not input errors;
+# ``run_check`` reports them as a ``fail`` with a witness.
 _INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 
@@ -221,7 +227,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except NonDivisible as exc:
+    except (NonDivisible, NonIntegralResult) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _INPUT_ERRORS as exc:

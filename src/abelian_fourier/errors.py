@@ -10,13 +10,21 @@ class RankMismatch(ValueError):
     """Operands live in exterior algebras on different generator counts."""
 
 
-class NonIntegralResult(ValueError):
+class NonIntegralResult(ArithmeticError):
     """A rational linear map produced a non-integer coefficient.
 
     Raised when pulling back an integral class along a rational matrix
     leaves a fractional term, which signals that the map does not act on
-    the integral lattice.
+    the integral lattice, and when a class has a fractional coordinate in
+    a lattice basis that should be saturated.  ``witness`` is a nonzero
+    integral class locating the failure: the numerator of the offending
+    coefficient on its monomial, or of the offending coordinate times its
+    lattice basis class.
     """
+
+    def __init__(self, message, witness):
+        self.witness = witness
+        super().__init__(message)
 
 
 class NonDivisible(ArithmeticError):

@@ -391,13 +391,15 @@ def _apply_generator_images(x: Multivector, rows) -> dict[int, int | Fraction]:
 def _integral_image(x: Multivector, rows, target_rank: int) -> Multivector:
     """The image under :func:`_apply_generator_images`, which must be integral.
 
-    A non-integer coefficient raises :class:`NonIntegralResult`.
+    A non-integer coefficient raises :class:`NonIntegralResult`, whose
+    witness is its numerator on its monomial.
     """
     terms = {}
     for mask, val in _apply_generator_images(x, rows).items():
         if val.denominator != 1:
             raise NonIntegralResult(
-                f"coefficient {val} of monomial mask {mask:#x} is not an integer"
+                f"coefficient {val} of monomial mask {mask:#x} is not an integer",
+                Multivector(target_rank, {mask: val.numerator}),
             )
         terms[mask] = int(val)
     return Multivector(target_rank, terms)

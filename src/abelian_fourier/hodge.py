@@ -84,13 +84,18 @@ class HodgeLattice:
 
         Saturation makes rational membership integral membership, so a
         fractional coordinate means the basis is not saturated and raises
-        :class:`NonIntegralResult`.
+        :class:`NonIntegralResult`, whose witness is the coordinate's
+        numerator times its basis class.
         """
         sol = intlinalg.rational_solve([list(r) for r in self.basis], self.ambient_vector(x))
         if sol is None:
             return None
-        if any(c.denominator != 1 for c in sol):
-            raise NonIntegralResult(f"coordinates {sol} in a lattice basis that is not saturated")
+        for j, c in enumerate(sol):
+            if c.denominator != 1:
+                raise NonIntegralResult(
+                    f"coordinate {j} = {c} in a lattice basis that is not saturated",
+                    self.basis_classes()[j] * c.numerator,
+                )
         return [int(c) for c in sol]
 
 

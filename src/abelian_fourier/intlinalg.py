@@ -322,7 +322,9 @@ def is_positive_definite(S) -> bool:
     """Exact positive-definiteness test via leading principal minors.
 
     The input may be rational; it is scaled by a positive integer (which
-    preserves definiteness) and the minors are evaluated fraction-free.
+    preserves definiteness).  One fraction-free Bareiss elimination without
+    row exchanges reads the leading principal minors as its successive
+    pivots and stops at the first that is not positive.
 
     >>> is_positive_definite([[2, 1], [1, 1]])
     True
@@ -330,19 +332,26 @@ def is_positive_definite(S) -> bool:
     False
     """
     n = len(S)
-    rows = [[Fraction(x) for x in row] for row in S]
+    if any(len(row) != n for row in S):
+        raise NotSymmetric("matrix is not square")
     for i in range(n):
-        if len(rows[i]) != n:
-            raise NotSymmetric("matrix is not square")
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            if S[i][j] != S[j][i]:
                 raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-    scale = lcm(*(x.denominator for row in rows for x in row)) if n else 1
-    A = [[int(x * scale) for x in row] for row in rows]
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in A[:k]]
-        if det_bareiss(minor) <= 0:
+    scale = lcm(*(x.denominator for row in S for x in row))
+    A = [[int(x * scale) for x in row] for row in S]
+    prev = 1
+    for k in range(n):
+        p = A[k][k]
+        if p <= 0:
             return False
+        Ak = A[k]
+        for i in range(k + 1, n):
+            Ai = A[i]
+            a = Ai[k]
+            for j in range(k + 1, n):
+                Ai[j] = (Ai[j] * p - a * Ak[j]) // prev
+        prev = p
     return True
 
 

@@ -218,10 +218,12 @@ def make_variety(E, J=None, name: str = "A", leaves=None) -> AbelianVariety:
         Jt = _as_frac_matrix(J)
         if len(Jt) != n or any(len(row) != n for row in Jt):
             raise ComplexStructureInvalid("J has wrong dimensions")
-        J2 = intlinalg.mat_mul([list(r) for r in Jt], [list(r) for r in Jt])
-        if not intlinalg.mat_eq(J2, intlinalg.scalar_matrix(n, Fraction(-1))):
+        # integral entries as ints: the shipped J are validated in ints
+        Jm = [[int(x) if x.denominator == 1 else x for x in row] for row in Jt]
+        J2 = intlinalg.mat_mul(Jm, Jm)
+        if not intlinalg.mat_eq(J2, intlinalg.scalar_matrix(n, -1)):
             raise ComplexStructureInvalid("J^2 != -identity")
-        S = intlinalg.mat_mul([list(r) for r in Et], [list(r) for r in Jt])
+        S = intlinalg.mat_mul([list(r) for r in Et], Jm)
         try:
             if not intlinalg.is_positive_definite(S):
                 raise RiemannRelationViolated("E(x, Jx) is not positive definite")

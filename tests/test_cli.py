@@ -1,13 +1,23 @@
 """Command-line interface: exit codes, file flows, byte-exact round trips."""
 
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from abelian_fourier.cli import main
 from abelian_fourier.exterior import Multivector
 from abelian_fourier.fourier import fourier
-from abelian_fourier.report import class_from_dict, emit_class, parse_class, variety_to_dict
+from abelian_fourier.report import (
+    class_from_dict,
+    emit_class,
+    emit_report,
+    parse_class,
+    parse_report,
+    strip_runtimes,
+    variety_to_dict,
+)
 from abelian_fourier.varieties import dual, standard_ppav
 
 
@@ -230,3 +240,39 @@ def test_verify_reports_hodge_image_failure_as_check_failure(tmp_path, monkeypat
     assert check["status"] == "fail"
     assert "left the Hodge lattice" in check["detail"]
     assert not class_from_dict(check["witness"]).is_zero()
+
+
+def test_verify_reports_non_integral_image_as_check_failure(tmp_path, monkeypatch):
+    # a pullback with a fractional coefficient is a mathematical failure:
+    # the check fails with the offending monomial as witness and verify
+    # exits 1, not 2 (input error)
+    import abelian_fourier.exterior as exterior
+
+    apply = exterior._apply_generator_images
+    monkeypatch.setattr(
+        exterior,
+        "_apply_generator_images",
+        lambda x, rows: {m: Fraction(c, 2) for m, c in apply(x, rows).items()},
+    )
+    out = tmp_path / "report.json"
+    code = run_cli(
+        ["verify", "--genus", "2", "--checks", "sigma_triple_sum",
+         "--format", "json", "--out", str(out)]
+    )
+    assert code == 1
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["status"] == "fail"
+    assert "is not an integer" in check["detail"]
+    assert not class_from_dict(check["witness"]).is_zero()
+
+
+# sha256 of the default ``verify`` JSON report after ``strip_runtimes``; a
+# change that keeps every result keeps this digest
+DEFAULT_REPORT_SHA256 = "83ae67a2e971ce49ee8104c8f7e25d9a4e87be3d3227054770a48eb0ab1c0b6e"
+
+
+def test_default_verify_report_digest(tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "--format", "json", "--out", str(out)]) == 0
+    stripped = emit_report(strip_runtimes(parse_report(out.read_text(encoding="utf-8"))))
+    assert hashlib.sha256(stripped.encode("utf-8")).hexdigest() == DEFAULT_REPORT_SHA256

@@ -193,8 +193,9 @@ def test_apply_linear_functoriality_and_ring_map():
 
 def test_apply_linear_integrality_guard():
     x = Multivector.generator(2, 0)
-    with pytest.raises(NonIntegralResult):
+    with pytest.raises(NonIntegralResult) as exc:
         x.apply_linear([[Fraction(1, 2), 0], [0, 1]])
+    assert exc.value.witness == Multivector(2, {0b01: 1})
     # rational entries that cancel to integers are fine
     y = Multivector(2, {0b11: 4})
     half = [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]

@@ -9,6 +9,8 @@ import random
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelian_fourier.errors import NonDivisible, UnsupportedParams
 from abelian_fourier.exterior import Multivector, degree_basis_masks
@@ -17,6 +19,7 @@ from abelian_fourier.fourier import (
     context,
     correspondence_action,
     fourier,
+    fourier_reference,
     graph_of_polarization,
     inverse_fourier,
     kunneth_R_decomposition,
@@ -24,6 +27,7 @@ from abelian_fourier.fourier import (
     named_class,
     poincare_class,
     pontryagin,
+    pontryagin_reference,
     prop45_pushforward_check,
     star_divided_power,
     star_exponential,
@@ -44,6 +48,21 @@ from abelian_fourier.varieties import (
 
 def rand_mv(rng, rank, terms=3):
     return Multivector(rank, {rng.randrange(1 << rank): rng.randint(-3, 3) for _ in range(terms)})
+
+
+# principal and non-principal models, their duals (every leaf sign -1) and
+# a product whose leaves carry both signs
+ORACLE_MODELS = [
+    V
+    for A in (
+        standard_ppav(1),
+        standard_ppav(2),
+        standard_ppav(3),
+        elliptic_product((1, 2)),
+        elliptic_product((1, 1, 2)),
+    )
+    for V in (A, dual(A))
+] + [product(standard_ppav(1), dual(standard_ppav(2))).variety]
 
 
 # --- pairing class and transform, frozen genus-1 oracles -------------------
@@ -291,12 +310,24 @@ def test_tau_genus1_equals_pairing_class():
 
 
 def test_correspondence_exponential_is_fourier():
-    for g in (1, 2):
-        A = standard_ppav(g)
-        ctx = context(A)
+    # the closed form against the correspondence, on every monomial
+    for A in ORACLE_MODELS:
         for m in range(1 << A.rank):
             x = Multivector(A.rank, {m: 1})
-            assert correspondence_action(ctx.pair, ctx.ch, x) == fourier(A, x)
+            assert fourier_reference(A, x) == fourier(A, x)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_pontryagin_matches_addition_pushforward(data):
+    # the exchange-law product against its m_* definition, odd classes too
+    A = data.draw(st.sampled_from(ORACLE_MODELS), label="model")
+    terms = st.dictionaries(
+        st.integers(0, (1 << A.rank) - 1), st.integers(-3, 3), max_size=4
+    )
+    x = Multivector(A.rank, data.draw(terms, label="x"))
+    y = Multivector(A.rank, data.draw(terms, label="y"))
+    assert pontryagin(A, x, y) == pontryagin_reference(A, x, y)
 
 
 def test_correspondence_diagonal_is_identity():

@@ -268,5 +268,7 @@ def test_coordinates_reject_unsaturated_basis():
     # must raise rather than be truncated, also when asserts are stripped
     lat = HodgeLattice(A=standard_ppav(1), k=1, masks=(0b11,), basis=((2,),))
     assert lat.coordinates(Multivector(2, {0b11: 2})) == [1]
-    with pytest.raises(NonIntegralResult):
+    with pytest.raises(NonIntegralResult) as exc:
         lat.coordinates(Multivector(2, {0b11: 1}))
+    # coordinate 1/2: its numerator times the basis class 2 e0e1
+    assert exc.value.witness == Multivector(2, {0b11: 2})

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +156,36 @@ def test_positive_definite():
 def test_positive_definite_rational():
     assert is_positive_definite([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
     assert not is_positive_definite([[Fraction(-1, 2), 0], [0, Fraction(1, 3)]])
+
+
+def positive_definite_by_minors(S):
+    """Reference: Sylvester's criterion with one determinant per minor."""
+    n = len(S)
+    rows = [[Fraction(x) for x in row] for row in S]
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    A = [[int(x * scale) for x in row] for row in rows]
+    return all(det_bareiss([row[:k] for row in A[:k]]) > 0 for k in range(1, n + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_positive_definite_matches_minors(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    if data.draw(st.booleans(), label="rational"):
+        entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    else:
+        entries = st.integers(-3, 3)
+    L = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = data.draw(st.sampled_from(("symmetric", "gram", "singular gram")), label="kind")
+    if kind == "symmetric":
+        # mostly indefinite
+        S = [[L[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+    else:
+        # L L^T is positive semidefinite, and singular when L repeats a row
+        if kind == "singular gram":
+            L[-1] = L[0]
+        S = [[sum(a * b for a, b in zip(L[i], L[j])) for j in range(n)] for i in range(n)]
+    assert is_positive_definite(S) == positive_definite_by_minors(S)
 
 
 def test_rational_solve():

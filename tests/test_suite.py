@@ -210,6 +210,21 @@ def test_nonterminating_star_series_fails_with_witness(monkeypatch):
     assert "star power" in r.detail
 
 
+@pytest.mark.parametrize("name", ["star_exp_of_R", "theta_divided", "divided_square"])
+def test_star_checks_use_the_addition_pushforward(monkeypatch, name):
+    # up to genus 2 the star checks also take their star powers from the
+    # m_* definition, so a wrong m_* product fails them although the fast
+    # product is intact; above genus 2 only the fast product is used
+    reference = suite.pontryagin_reference
+
+    def doubled(V, x, y):
+        return reference(V, x, y) * 2
+
+    monkeypatch.setattr(suite, "pontryagin_reference", doubled)
+    assert run_check(name, genus=2).status == "fail"
+    assert run_check(name, genus=3).status == "pass"
+
+
 def test_default_grid_passes():
     results = run_suite(default_suite())
     assert len(results) == 62
