@@ -37,6 +37,7 @@ from .intlinalg import (
     cokernel_invariants,
     is_positive_definite,
     kernel_saturated,
+    kernel_saturated_reference,
     smith_normal_form,
 )
 from .varieties import (

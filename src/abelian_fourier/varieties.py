@@ -73,7 +73,7 @@ class AbelianVariety:
     name: str
     genus: int
     E: tuple[tuple[int, ...], ...]
-    J: tuple[tuple[Fraction, ...], ...] | None
+    J: tuple[tuple[int | Fraction, ...], ...] | None
     orientation: int
     polarization_type: tuple[int, ...]
     leaves: tuple[Leaf, ...]
@@ -118,8 +118,18 @@ def _as_int_matrix(E):
     return tuple(out)
 
 
-def _as_frac_matrix(J):
-    return tuple(tuple(Fraction(x) for x in row) for row in J)
+def _exact_matrix(J):
+    """Exact entries: an int where the entry is integral, else a Fraction.
+
+    Integral J (every shipped model) then runs in int arithmetic wherever
+    it is read: the ``J^2`` and Riemann checks, the intertwining check of
+    holomorphic homomorphisms and the Hodge operator.
+    """
+    out = []
+    for row in J:
+        fracs = map(Fraction, row)
+        out.append(tuple(int(f) if f.denominator == 1 else f for f in fracs))
+    return tuple(out)
 
 
 def _paired_type(E) -> tuple[int, ...]:
@@ -215,15 +225,13 @@ def make_variety(E, J=None, name: str = "A", leaves=None) -> AbelianVariety:
     delta = _paired_type(Et)
     Jt = None
     if J is not None:
-        Jt = _as_frac_matrix(J)
+        Jt = _exact_matrix(J)
         if len(Jt) != n or any(len(row) != n for row in Jt):
             raise ComplexStructureInvalid("J has wrong dimensions")
-        # integral entries as ints: the shipped J are validated in ints
-        Jm = [[int(x) if x.denominator == 1 else x for x in row] for row in Jt]
-        J2 = intlinalg.mat_mul(Jm, Jm)
+        J2 = intlinalg.mat_mul(Jt, Jt)
         if not intlinalg.mat_eq(J2, intlinalg.scalar_matrix(n, -1)):
             raise ComplexStructureInvalid("J^2 != -identity")
-        S = intlinalg.mat_mul([list(r) for r in Et], Jm)
+        S = intlinalg.mat_mul(Et, Jt)
         try:
             if not intlinalg.is_positive_definite(S):
                 raise RiemannRelationViolated("E(x, Jx) is not positive definite")
@@ -293,13 +301,14 @@ def _hodge_rows(J_blocks, a: int, b: int):
     """Generator images of the projector element a + bJ on 1-forms.
 
     The induced action on the dual basis sends generator i to
-    ``a e_i + b sum_j J[i][j] e_j``, i.e. row i of ``a I + b J``.
+    ``a e_i + b sum_j J[i][j] e_j``, i.e. row i of ``a I + b J``.  The
+    entries are ints wherever J's are (see :func:`_exact_matrix`).
     """
     n = len(J_blocks)
     rows = []
     for i in range(n):
-        row = [(j, Fraction(b) * J_blocks[i][j]) for j in range(n) if J_blocks[i][j]]
-        row.append((i, Fraction(a)))
+        row = [(j, b * J_blocks[i][j]) for j in range(n) if J_blocks[i][j]]
+        row.append((i, a))
         rows.append(row)
     return rows
 
@@ -313,17 +322,17 @@ def _pairing_class_is_hodge(JA, JB, a: int = 1, b: int = 2) -> bool:
     """
     nA = len(JA)
     n = nA + len(JB)
-    blocks = [[Fraction(0)] * n for _ in range(n)]
+    blocks = [[0] * n for _ in range(n)]
     for i in range(nA):
         for j in range(nA):
-            blocks[i][j] = Fraction(JA[i][j])
+            blocks[i][j] = JA[i][j]
     for i in range(len(JB)):
         for j in range(len(JB)):
-            blocks[nA + i][nA + j] = Fraction(JB[i][j])
+            blocks[nA + i][nA + j] = JB[i][j]
     ell = Multivector(n, {(1 << i) | (1 << (nA + i)): 1 for i in range(nA)})
     rows = _hodge_rows(blocks, a, b)
     image = _apply_generator_images(ell, rows)
-    return image == {m: Fraction((a * a + b * b) * c) for m, c in ell.items()}
+    return image == {m: (a * a + b * b) * c for m, c in ell.items()}
 
 
 @lru_cache(maxsize=None)
@@ -393,8 +402,9 @@ class Homomorphism:
                 f" does not map rank {self.source.rank} to rank {self.target.rank}"
             )
         if self.holomorphic and self.source.J is not None and self.target.J is not None:
-            MJ = intlinalg.mat_mul([list(r) for r in self.matrix], [list(r) for r in self.source.J])
-            JM = intlinalg.mat_mul([list(r) for r in self.target.J], [list(r) for r in self.matrix])
+            # in ints for integral J (see _exact_matrix)
+            MJ = intlinalg.mat_mul(self.matrix, self.source.J)
+            JM = intlinalg.mat_mul(self.target.J, self.matrix)
             if not intlinalg.mat_eq(MJ, JM):
                 raise ComplexStructureInvalid(
                     "homomorphism flagged holomorphic does not intertwine J"
@@ -581,7 +591,7 @@ def product(A: AbelianVariety, B: AbelianVariety) -> ProductStructure:
             E[nA + i][nA + j] = B.E[i][j]
     J = None
     if A.J is not None and B.J is not None:
-        J = [[Fraction(0)] * n for _ in range(n)]
+        J = [[0] * n for _ in range(n)]
         for i in range(nA):
             for j in range(nA):
                 J[i][j] = A.J[i][j]

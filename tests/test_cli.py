@@ -177,6 +177,21 @@ def test_hodge_rank_and_certificate(tmp_path, capsys):
     assert cert["trivial"] is False
 
 
+def test_hodge_curve_lattice_genus4_is_saturated(tmp_path):
+    # degree 4 on E_i^4: rank C(4,2)^2 = 36 in the C(8,4) = 70 monomials,
+    # reported through the block kernel; the basis spans a direct summand
+    out = tmp_path / "h4.json"
+    code = run_cli(
+        ["hodge", "--genus", "4", "--degree", "4", "--format", "json", "--out", str(out)]
+    )
+    assert code == 0
+    data = json.loads(out.read_text())
+    assert data["rank"] == 36
+    assert data["ambient_dimension"] == 70
+    assert data["saturation_divisors"] == ["1"] * 36
+    assert data["saturation_free_rank"] == data["ambient_dimension"] - data["rank"]
+
+
 def test_hodge_requires_complex_structure(tmp_path, capsys):
     spec = tmp_path / "bare.json"
     write_json(spec, {"name": "bare", "polarization_matrix": [[0, 1], [-1, 0]]})

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelian_fourier.errors import (
     ImageNotInHodge,
@@ -18,6 +20,7 @@ from abelian_fourier.exterior import Multivector
 from abelian_fourier.fourier import beta_from_divisor, poincare_class
 from abelian_fourier.hodge import (
     HodgeLattice,
+    _operator_matrix,
     divisor_power_span,
     fourier_hodge_matrix,
     hodge_lattice,
@@ -27,6 +30,7 @@ from abelian_fourier.hodge import (
 from abelian_fourier.intlinalg import (
     cokernel_invariants,
     kernel_saturated,
+    kernel_saturated_reference,
     rational_solve,
 )
 from abelian_fourier.varieties import (
@@ -166,6 +170,12 @@ def test_parameter_validation():
         hodge_lattice(A, 1, (3, 0))  # b = 0 selects no eigenspace
     with pytest.raises(UnsupportedParams):
         hodge_lattice(A, 1, (0, 3))  # norm 9 is not prime
+    for unit in ((0, 1), (0, -1)):
+        # norm 1 is a unit: it selects every eigenvalue with p = q mod 4
+        with pytest.raises(UnsupportedParams):
+            hodge_lattice(standard_ppav(4), 2, unit)
+        with pytest.raises(UnsupportedParams):
+            is_hodge(A, A.theta_class(), unit)
     with pytest.raises(UnsupportedParams):
         hodge_lattice(A, 5)
     # norm 5 via the conjugate parameter works and agrees
@@ -272,3 +282,117 @@ def test_coordinates_reject_unsaturated_basis():
         lat.coordinates(Multivector(2, {0b11: 1}))
     # coordinate 1/2: its numerator times the basis class 2 e0e1
     assert exc.value.witness == Multivector(2, {0b11: 2})
+
+    # two blocks, both unsaturated: coordinates (1/2, 1/3); the witness is
+    # still the first fractional coordinate's, as in one full-basis solve
+    A = standard_ppav(2)
+    masks = (0b0011, 0b0101, 0b0110, 0b1100)
+    two = HodgeLattice(A=A, k=1, masks=masks, basis=((2, 0), (2, 0), (0, 0), (0, 3)))
+    assert two._blocks == ([([0, 1], [0], [[2], [2]]), ([3], [1], [[3]])], [2])
+    assert two.coordinates(Multivector(4, {0b0011: 4, 0b0101: 4, 0b1100: -3})) == [2, -1]
+    x = Multivector(4, {0b0011: 1, 0b0101: 1, 0b1100: 1})
+    with pytest.raises(NonIntegralResult) as exc:
+        two.coordinates(x)
+    assert exc.value.witness == Multivector(4, {0b0011: 2, 0b0101: 2})
+    assert exc.value.witness == _outcome(reference_coordinates, two, x)[1]
+    # saturated in its first block only: the second block's 1/3 is reported
+    half = HodgeLattice(A=A, k=1, masks=masks, basis=((1, 0), (1, 0), (0, 0), (0, 3)))
+    with pytest.raises(NonIntegralResult) as exc:
+        half.coordinates(x)
+    assert exc.value.witness == Multivector(4, {0b1100: 3})
+    # inconsistent in one block, or nonzero outside every block: not a
+    # member, whatever the other block says
+    assert two.coordinates(Multivector(4, {0b0011: 1, 0b1100: 1})) is None
+    assert two.coordinates(Multivector(4, {0b0110: 1, 0b1100: 1})) is None
+
+
+def in_span(basis, v):
+    """Whether v has integral coordinates in the columns of basis."""
+    sol = rational_solve([list(r) for r in basis], v)
+    return sol is not None and all(c.denominator == 1 for c in sol)
+
+
+ORACLE_MODELS = [standard_ppav(g) for g in (1, 2, 3, 4)] + [
+    elliptic_product((1, 2)),
+    elliptic_product((1, 1, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "V",
+    ORACLE_MODELS + [dual(A) for A in ORACLE_MODELS],
+    ids=lambda V: V.name,
+)
+def test_hodge_lattice_spans_oracle_lattice(V):
+    # the block kernel and the whole-matrix Smith-form kernel of T - p^k
+    # span the same lattice
+    p = 5
+    for k in range(V.genus + 1):
+        lat = hodge_lattice(V, k)
+        M = _operator_matrix(V, k, (1, 2))
+        for i in range(len(M)):
+            M[i][i] -= p**k
+        ref = kernel_saturated_reference(M)
+        assert lat.rank == len(ref[0])
+        for j in range(lat.rank):
+            assert in_span(ref, [row[j] for row in lat.basis])
+            assert in_span(lat.basis, [row[j] for row in ref])
+
+
+def reference_coordinates(lat, x):
+    """Full-basis oracle of ``HodgeLattice.coordinates``: one rational
+    solve against every basis column, then the same integrality check."""
+    sol = rational_solve([list(r) for r in lat.basis], lat.ambient_vector(x))
+    if sol is None:
+        return None
+    for j, c in enumerate(sol):
+        if c.denominator != 1:
+            raise NonIntegralResult(f"coordinate {j} = {c}", lat.basis_classes()[j] * c.numerator)
+    return [int(c) for c in sol]
+
+
+def _scaled(lat, scales):
+    """The same columns multiplied by the given scales: unsaturated when a
+    scale is not 1."""
+    basis = tuple(tuple(v * s for v, s in zip(row, scales)) for row in lat.basis)
+    return HodgeLattice(A=lat.A, k=lat.k, masks=lat.masks, basis=basis)
+
+
+COORDINATE_LATTICES = [
+    hodge_lattice(standard_ppav(3), 1),
+    hodge_lattice(standard_ppav(3), 2),
+    hodge_lattice(elliptic_product((1, 2)), 1),
+    hodge_lattice(dual(elliptic_product((1, 1, 2))), 2),
+]
+
+
+def _outcome(fn, lat, x):
+    try:
+        return fn(lat, x)
+    except NonIntegralResult as exc:
+        return ("NonIntegralResult", exc.witness)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_coordinates_match_full_basis_solve(data):
+    saturated = data.draw(st.sampled_from(COORDINATE_LATTICES))
+    scales = data.draw(
+        st.lists(st.sampled_from((1, 1, 1, 2, -3)), min_size=saturated.rank, max_size=saturated.rank)
+    )
+    lat = data.draw(st.sampled_from((saturated, _scaled(saturated, scales))))
+    classes = lat.basis_classes()
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=lat.rank, max_size=lat.rank))
+    member = Multivector.zero(lat.A.rank)
+    for c, u in zip(coeffs, classes):
+        member = member + u * c
+    # a non-member: random integer entries on a few ambient monomials
+    noise = data.draw(
+        st.dictionaries(st.sampled_from(lat.masks), st.integers(-3, 3), max_size=4)
+    )
+    for x in (member, member + Multivector(lat.A.rank, noise)):
+        expected = _outcome(reference_coordinates, lat, x)
+        got = _outcome(HodgeLattice.coordinates, lat, x)
+        assert got == expected
+    if lat is saturated:
+        assert lat.coordinates(member) == coeffs

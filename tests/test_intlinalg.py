@@ -6,17 +6,19 @@ from itertools import combinations
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abelian_fourier.errors import NotSymmetric
 from abelian_fourier.intlinalg import (
+    column_blocks,
     cokernel_invariants,
     det_bareiss,
     identity_matrix,
     is_positive_definite,
     is_unimodular,
     kernel_saturated,
+    kernel_saturated_reference,
     mat_mul,
     rational_inverse,
     rational_solve,
@@ -78,6 +80,29 @@ def test_snf_decomposition_properties(M):
         assert prod(divisors[:k]) == expected
 
 
+def test_snf_of_block_diagonal_stays_small():
+    # four blocks; a divisor-chain step that adds a row of one block to
+    # the pivot row of another grew this matrix's entries past 4300 digits
+    M = [[0] * 15 for _ in range(11)]
+    blocks = [
+        [[-8, 0], [-7, -7]],
+        [[-4, 4, 9], [-1, -5, -9], [8, -8, 9]],
+        [[5, -4, 7, -8, 3], [-3, 2, -6, -3, 9]],
+        [[-3, 6, -6, 3, 0], [7, 6, -9, 1, 3], [0, -9, -4, -3, 1], [9, -5, 1, 4, -3]],
+    ]
+    r = c = 0
+    for B in blocks:
+        for i, row in enumerate(B):
+            M[r + i][c:c + len(row)] = row
+        r, c = r + len(B), c + len(B[0])
+    snf = smith_normal_form(M)
+    U, V = [list(row) for row in snf.U], [list(row) for row in snf.V]
+    assert mat_mul(mat_mul(U, M), V) == snf.diagonal_matrix()
+    assert is_unimodular(U) and is_unimodular(V)
+    assert snf.divisors == (1, 1, 1, 1, 1, 1, 1, 1, 3, 24, 1512)
+    assert max(abs(x) for row in U + V for x in row) < 10**9
+
+
 def test_snf_roundtrip_seeded_100():
     rng = random.Random(20240908)
     for _ in range(100):
@@ -125,6 +150,77 @@ def test_kernel_saturated_rational_entries():
     x, y = K[0][0], K[1][0]
     assert Fraction(1, 2) * x - Fraction(1, 3) * y == 0
     assert gcd(x, y) == 1
+
+
+@st.composite
+def permuted_block_diagonal(draw):
+    """Random integer blocks on the diagonal, plus zero rows and zero
+    columns, with rows and columns shuffled."""
+    blocks = draw(st.lists(small_matrices, min_size=1, max_size=4))
+    zero_rows = draw(st.integers(0, 2))
+    zero_cols = draw(st.integers(0, 2))
+    rows = sum(len(B) for B in blocks) + zero_rows
+    cols = sum(len(B[0]) for B in blocks) + zero_cols
+    M = [[0] * cols for _ in range(rows)]
+    r = c = 0
+    for B in blocks:
+        for i, row in enumerate(B):
+            M[r + i][c:c + len(row)] = row
+        r, c = r + len(B), c + len(B[0])
+    row_order = draw(st.permutations(range(rows)))
+    col_order = draw(st.permutations(range(cols)))
+    return [[M[i][j] for j in col_order] for i in row_order]
+
+
+def assert_saturated_kernel(M, K, nullity):
+    cols = len(M[0])
+    assert len(K) == cols
+    assert all(len(row) == nullity for row in K)
+    if nullity:
+        assert all(v == 0 for row in mat_mul(M, K) for v in row)
+        cok = cokernel_invariants(K, cols)
+        assert all(d == 1 for d in cok.divisors)
+        assert cok.free_rank == cols - nullity
+
+
+def integral_in_span(K, v):
+    sol = rational_solve(K, v)
+    return sol is not None and all(c.denominator == 1 for c in sol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(permuted_block_diagonal())
+def test_block_kernel_matches_whole_matrix_oracle(M):
+    K = kernel_saturated(M)
+    R = kernel_saturated_reference(M)
+    nullity = len(R[0])
+    assert nullity == len(M[0]) - smith_normal_form(M).rank
+    assert_saturated_kernel(M, K, nullity)
+    assert_saturated_kernel(M, R, nullity)
+    # the same lattice: each basis has integral coordinates in the other
+    for j in range(nullity):
+        assert integral_in_span(R, [row[j] for row in K])
+        assert integral_in_span(K, [row[j] for row in R])
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices)
+def test_connected_kernel_is_the_oracle_basis(M):
+    assume(len(column_blocks(M)) == 1)
+    assert kernel_saturated(M) == kernel_saturated_reference(M)
+    # zero rows keep a matrix connected and the basis unchanged
+    padded = [[0] * len(M[0])] + M + [[0] * len(M[0])]
+    assert kernel_saturated(padded) == kernel_saturated_reference(padded)
+
+
+def test_column_blocks_examples():
+    assert column_blocks([[1, 0], [0, 2]]) == [([0], [0]), ([1], [1])]
+    # a zero column is a block without rows; a zero row is in no block
+    assert column_blocks([[0, 5, 0], [0, 0, 0], [0, 1, 1]]) == [
+        ([], [0]),
+        ([0, 2], [1, 2]),
+    ]
+    assert kernel_saturated([[0, 5, 0], [0, 0, 0], [0, 1, 1]]) == [[1], [0], [0]]
 
 
 def test_cokernel_examples():

@@ -23,6 +23,7 @@ from abelian_fourier.fourier import graph_of_polarization
 from abelian_fourier.intlinalg import mat_mul
 from abelian_fourier.varieties import (
     Homomorphism,
+    _hodge_rows,
     _pfaffian,
     dual,
     elliptic_product,
@@ -126,6 +127,17 @@ def test_rational_J_accepted():
     J = [[Fraction(0), Fraction(-1, 2)], [Fraction(2), Fraction(0)]]
     A = make_variety(STD_E, J)
     assert A.J is not None and A.polarization_type == (1,)
+    # integral entries are read as ints, the rest stay exact Fractions
+    assert A.J == ((0, Fraction(-1, 2)), (2, 0))
+    assert [type(x) for x in A.J[1]] == [int, int]
+    assert _hodge_rows(A.J, 1, 2) == [[(1, Fraction(-1)), (0, 1)], [(0, 4), (1, 1)]]
+
+
+def test_integral_J_is_int_on_every_construction():
+    A = elliptic_product((1, 2))
+    for V in (A, dual(A), product(A, dual(A)).variety):
+        assert all(type(x) is int for row in V.J for x in row)
+        assert all(type(c) is int for row in _hodge_rows(V.J, 1, 2) for _, c in row)
 
 
 def test_theta_class_examples():
