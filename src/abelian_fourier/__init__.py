@@ -75,7 +75,6 @@ from .fourier import (
 from .hodge import (
     FourierHodgeMatrix,
     HodgeLattice,
-    divisor_power_span,
     fourier_hodge_matrix,
     hodge_lattice,
     is_hodge,

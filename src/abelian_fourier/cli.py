@@ -123,10 +123,7 @@ def _cmd_hodge(args) -> int:
     k = args.degree // 2
     lat = hodge_lattice(variety, k)
     ambient = lat.ambient_dimension()
-    saturation = cokernel_invariants(
-        [list(row) for row in lat.basis] if lat.rank else [[] for _ in range(ambient)],
-        ambient,
-    )
+    saturation = cokernel_invariants([list(row) for row in lat.basis], ambient)
     payload = {
         "variety": variety.name,
         "degree": 2 * k,

@@ -21,6 +21,11 @@ and takes the whole-matrix path.
 The default parameter is ``(a, b) = (1, 2)`` of norm 5, the smallest odd
 prime norm; independence of the lattice from the admissible parameter is
 part of the verification suite.
+
+This module owns the operator: :func:`_hodge_rows` gives the action of
+``a + bJ`` on 1-forms, and every Hodge computation of the package (the
+lattices, the membership test and the certificates) extends it to forms of
+higher degree.
 """
 
 from __future__ import annotations
@@ -40,7 +45,27 @@ from .errors import (
 )
 from .exterior import Multivector, _apply_generator_images, degree_basis_masks
 from .fourier import fourier
-from .varieties import HODGE_DEFAULT_AB, AbelianVariety, _hodge_rows, dual
+from .varieties import AbelianVariety, dual
+
+# Default Gaussian-prime parameter (a, b): the Hodge projector uses the
+# group element a + bJ, whose norm a^2 + b^2 must be an odd prime.
+HODGE_DEFAULT_AB = (1, 2)
+
+
+def _hodge_rows(J, a: int, b: int):
+    """Generator images of the projector element a + bJ on 1-forms.
+
+    The induced action on the dual basis sends generator i to
+    ``a e_i + b sum_j J[i][j] e_j``, i.e. row i of ``a I + b J``.  The
+    entries are ints wherever J's are (see ``varieties._exact_matrix``).
+    """
+    n = len(J)
+    rows = []
+    for i in range(n):
+        row = [(j, b * J[i][j]) for j in range(n) if J[i][j]]
+        row.append((i, a))
+        rows.append(row)
+    return rows
 
 
 def _validate_parameter(ab):
@@ -206,28 +231,6 @@ def is_hodge(V: AbelianVariety, x: Multivector, ab=HODGE_DEFAULT_AB) -> bool:
     return image == {m: lam * c for m, c in x.items()}
 
 
-def divisor_power_span(V: AbelianVariety, k: int, ab=HODGE_DEFAULT_AB):
-    """Generators of the divisor-power subgroup of the degree-2k Hodge lattice.
-
-    Returns the k-fold wedge products of a basis of the divisor classes
-    (degree-2 Hodge lattice), as columns in the ambient degree-2k
-    monomial coordinates.  These classes are algebraic whenever divisor
-    classes are, so a trivial cokernel against the full Hodge lattice
-    certifies that the whole lattice is generated by algebraic classes.
-    """
-    from itertools import combinations_with_replacement
-
-    divisors = hodge_lattice(V, 1, ab).basis_classes()
-    masks = degree_basis_masks(V.rank, 2 * k)
-    products = []
-    for combo in combinations_with_replacement(range(len(divisors)), k):
-        w = Multivector.unit(V.rank)
-        for i in combo:
-            w = w.wedge(divisors[i])
-        products.append(w)
-    return [[w.coefficient(m) for w in products] for m in masks]
-
-
 def voisin_certificate(
     V: AbelianVariety, k: int, generators, ab=HODGE_DEFAULT_AB
 ) -> intlinalg.CokernelInvariants:
@@ -253,8 +256,6 @@ def voisin_certificate(
             raise NotHodge(idx)
         columns.append(coords)
     G = [[col[i] for col in columns] for i in range(lat.rank)]
-    if not columns:
-        G = [[] for _ in range(lat.rank)]
     return intlinalg.cokernel_invariants(G, lat.rank)
 
 
@@ -296,9 +297,8 @@ def fourier_hodge_matrix(A: AbelianVariety, i: int, ab=HODGE_DEFAULT_AB) -> Four
         cols.append(coords)
     matrix = [[col[r] for col in cols] for r in range(lat_dst.rank)]
     square = lat_dst.rank == lat_src.rank
-    unimodular = square and lat_src.rank > 0 and abs(intlinalg.det_bareiss(matrix)) == 1
-    if lat_src.rank == 0 and square:
-        unimodular = True
+    # det_bareiss([]) == 1: an empty square matrix is unimodular
+    unimodular = square and abs(intlinalg.det_bareiss(matrix)) == 1
     return FourierHodgeMatrix(
         source_rank=lat_src.rank,
         target_rank=lat_dst.rank,

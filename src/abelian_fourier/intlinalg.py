@@ -10,9 +10,10 @@ side at most 16 costs Smith forms of side 16, not one of side 210.
 
 The central routine is :func:`smith_normal_form`, which returns the full
 decomposition ``U * M * V = diag(divisors)`` with unimodular ``U`` and
-``V``.  Saturated kernels, cokernel invariants and positive-definiteness
-tests are derived from it.  :func:`kernel_saturated_reference`, the
-whole-matrix Smith-form kernel, stays as the oracle of the block kernel.
+``V``.  Saturated kernels, cokernel invariants and the integral scaled
+inverses ``c M^{-1}`` of :func:`scaled_inverse` are derived from it.
+:func:`kernel_saturated_reference`, the whole-matrix Smith-form kernel,
+stays as the oracle of the block kernel.
 """
 
 from __future__ import annotations
@@ -22,17 +23,12 @@ from fractions import Fraction
 from math import lcm
 
 IntMatrix = list[list[int]]
-RatMatrix = list[list[Fraction]]
 
 from .errors import NotSymmetric
 
 
 def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(rows: int, cols: int) -> IntMatrix:
-    return [[0] * cols for _ in range(rows)]
 
 
 def mat_mul(A, B):
@@ -53,13 +49,6 @@ def mat_mul(A, B):
             row.append(s)
         out.append(row)
     return out
-
-
-def mat_eq(A, B) -> bool:
-    return len(A) == len(B) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-        for ra, rb in zip(A, B)
-    )
 
 
 def scalar_matrix(n: int, c) -> list[list]:
@@ -84,12 +73,6 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.divisors if d != 0)
-
-    def diagonal_matrix(self) -> IntMatrix:
-        D = zero_matrix(self.rows, self.cols)
-        for i, d in enumerate(self.divisors):
-            D[i][i] = d
-        return D
 
 
 def _swap_rows(A, i, j):
@@ -370,10 +353,6 @@ class CokernelInvariants:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and all(d == 1 for d in self.divisors)
 
-    @property
-    def nontrivial_divisors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.divisors if d != 1)
-
 
 def cokernel_invariants(generators, ambient_rank: int) -> CokernelInvariants:
     """Invariants of ``Z^ambient_rank`` modulo the span of the given columns.
@@ -387,10 +366,6 @@ def cokernel_invariants(generators, ambient_rank: int) -> CokernelInvariants:
         raise ValueError(
             f"generator matrix has {len(generators)} rows, expected {ambient_rank}"
         )
-    if ambient_rank == 0:
-        return CokernelInvariants(divisors=(), free_rank=0)
-    if not generators[0]:
-        return CokernelInvariants(divisors=(), free_rank=ambient_rank)
     snf = smith_normal_form(generators)
     finite = tuple(d for d in snf.divisors if d != 0)
     return CokernelInvariants(divisors=finite, free_rank=ambient_rank - len(finite))
@@ -419,10 +394,6 @@ def det_bareiss(M) -> int:
             A[i][k] = 0
         prev = A[k][k]
     return sign * A[n - 1][n - 1]
-
-
-def is_unimodular(M) -> bool:
-    return len(M) > 0 and len(M) == len(M[0]) and abs(det_bareiss(M)) == 1
 
 
 def is_positive_definite(S) -> bool:
@@ -462,23 +433,25 @@ def is_positive_definite(S) -> bool:
     return True
 
 
-def rational_inverse(M) -> RatMatrix:
-    """Exact inverse of a nonsingular square matrix, over Fractions."""
-    n = len(M)
-    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [row[n:] for row in A]
+def scaled_inverse(M, c: int) -> IntMatrix:
+    """The integer matrix ``c M^{-1}`` of a nonsingular square integer matrix.
+
+    From the Smith form ``U M V = D``, ``c M^{-1} = V (c D^{-1}) U``.  As
+    ``U`` and ``V`` are unimodular, it is integral exactly when every
+    divisor divides ``c``; :class:`ValueError` otherwise, and
+    :class:`ZeroDivisionError` when ``M`` is not invertible.
+
+    >>> scaled_inverse([[2, 1], [1, 1]], 1)
+    [[1, -1], [-1, 2]]
+    >>> scaled_inverse([[0, 2], [-2, 0]], 2)
+    [[0, -1], [1, 0]]
+    """
+    snf = smith_normal_form(M)
+    if snf.rows != snf.cols or 0 in snf.divisors:
+        raise ZeroDivisionError("matrix is not invertible")
+    if any(c % d for d in snf.divisors):
+        raise ValueError(f"{c} M^-1 is not integral: divisors {snf.divisors}")
+    return mat_mul(snf.V, [[c // d * x for x in row] for d, row in zip(snf.divisors, snf.U)])
 
 
 def rational_solve(A, b):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import UnsupportedParams
 from .exterior import Multivector
-from .suite import CONVENTIONS, CheckDescriptor, CheckResult
+from .suite import CONVENTIONS, CheckDescriptor, CheckResult, _canonical_params
 from .varieties import AbelianVariety, elliptic_product, make_variety
 
 TOOL_NAME = "abelian-fourier"
@@ -131,19 +131,6 @@ def _params_to_json(params: tuple) -> dict:
     return out
 
 
-def _params_from_json(data: dict) -> tuple:
-    out = []
-    for key in sorted(data):
-        val = data[key]
-        if isinstance(val, list):
-            val = tuple(
-                tuple(int(x) for x in v) if isinstance(v, list) else int(v)
-                for v in val
-            )
-        out.append((key, val))
-    return tuple(out)
-
-
 def report_to_dict(doc: ReportDocument) -> dict:
     checks = []
     for r in doc.results:
@@ -172,7 +159,7 @@ def report_from_dict(data: dict) -> ReportDocument:
         descriptor = CheckDescriptor(
             name=rec["name"],
             statement=rec["statement"],
-            params=_params_from_json(rec.get("params", {})),
+            params=_canonical_params(rec.get("params", {})),
         )
         witness = rec.get("witness")
         results.append(

@@ -15,10 +15,11 @@ Cohomology is the exterior algebra on the dual lattice, carried by
 :class:`~abelian_fourier.exterior.Multivector` with one generator per
 lattice basis vector.
 
-The dual variety is modeled on the dual lattice.  Its complex structure
-is the sign choice among the transposed conjugates for which the mixed
-Kunneth pairing class on the product is a Hodge class; the chosen sign is
-computed once at construction time and recorded.  Duality also flips a
+The dual variety is modeled on the dual lattice, with complex structure
+``-J^T``.  That sign makes the pairing class on ``A x A^`` a Hodge class:
+the projector element ``a + bJ`` acts on it as ``(aI + bJ)(aI - bJ) =
+(a^2 + b^2) I``, while ``+J^T`` would give ``(aI + bJ)^2``, which is not
+``(a^2 + b^2) I`` when ``ab != 0``.  Duality also flips a
 recorded sign that the Fourier machinery attaches to the pairing class of
 each factor; see :mod:`abelian_fourier.fourier` for why a single global
 sign cannot satisfy the transform inversion identity on odd cohomology.
@@ -49,11 +50,6 @@ from .exterior import (
     integrate,
     wedge_sign,
 )
-
-# Default Gaussian-prime parameter (a, b): the Hodge projector uses the
-# group element a + bJ, whose norm a^2 + b^2 must be an odd prime.
-HODGE_DEFAULT_AB = (1, 2)
-
 
 @dataclass(frozen=True)
 class Leaf:
@@ -229,7 +225,7 @@ def make_variety(E, J=None, name: str = "A", leaves=None) -> AbelianVariety:
         if len(Jt) != n or any(len(row) != n for row in Jt):
             raise ComplexStructureInvalid("J has wrong dimensions")
         J2 = intlinalg.mat_mul(Jt, Jt)
-        if not intlinalg.mat_eq(J2, intlinalg.scalar_matrix(n, -1)):
+        if J2 != intlinalg.scalar_matrix(n, -1):
             raise ComplexStructureInvalid("J^2 != -identity")
         S = intlinalg.mat_mul(Et, Jt)
         try:
@@ -297,44 +293,6 @@ def standard_ppav(g: int, name: str | None = None) -> AbelianVariety:
 # duality
 
 
-def _hodge_rows(J_blocks, a: int, b: int):
-    """Generator images of the projector element a + bJ on 1-forms.
-
-    The induced action on the dual basis sends generator i to
-    ``a e_i + b sum_j J[i][j] e_j``, i.e. row i of ``a I + b J``.  The
-    entries are ints wherever J's are (see :func:`_exact_matrix`).
-    """
-    n = len(J_blocks)
-    rows = []
-    for i in range(n):
-        row = [(j, b * J_blocks[i][j]) for j in range(n) if J_blocks[i][j]]
-        row.append((i, a))
-        rows.append(row)
-    return rows
-
-
-def _pairing_class_is_hodge(JA, JB, a: int = 1, b: int = 2) -> bool:
-    """Whether ``sum_i e_i ^ ehat_i`` is fixed by the Hodge projector.
-
-    ``JA`` acts on the first block of generators, ``JB`` on the second;
-    the class is of type (1,1) exactly when the projector scales it by
-    ``a^2 + b^2``.
-    """
-    nA = len(JA)
-    n = nA + len(JB)
-    blocks = [[0] * n for _ in range(n)]
-    for i in range(nA):
-        for j in range(nA):
-            blocks[i][j] = JA[i][j]
-    for i in range(len(JB)):
-        for j in range(len(JB)):
-            blocks[nA + i][nA + j] = JB[i][j]
-    ell = Multivector(n, {(1 << i) | (1 << (nA + i)): 1 for i in range(nA)})
-    rows = _hodge_rows(blocks, a, b)
-    image = _apply_generator_images(ell, rows)
-    return image == {m: (a * a + b * b) * c for m, c in ell.items()}
-
-
 @lru_cache(maxsize=None)
 def dual(A: AbelianVariety) -> AbelianVariety:
     """Dual abelian variety, modeled on the dual lattice.
@@ -342,33 +300,17 @@ def dual(A: AbelianVariety) -> AbelianVariety:
     The dual polarization is ``-(d_1 d_g) E^{-1}``, the unique rescaled
     inverse that is integral, satisfies the Riemann relations against the
     dual complex structure, and makes the double dual reproduce ``E``
-    exactly.  The dual complex structure is the sign choice among the
-    transposed conjugates ``+-J^T`` passing the Hodge-membership test for
-    the pairing class; the passing sign is selected at construction time.
+    exactly.  The dual complex structure is ``-J^T``: with ``S = E J``,
+    the dual's ``E^ J^`` is ``c S^{-1}``, positive definite, and the
+    pairing class is a Hodge class (see the module docstring).
+    ``+J^T`` would give ``-c S^{-1}``, which the Riemann check rejects.
     """
     c = A.polarization_type[0] * A.polarization_type[-1]
-    Einv = intlinalg.rational_inverse([list(r) for r in A.E])
-    E_hat = []
-    for row in Einv:
-        out_row = []
-        for x in row:
-            v = -c * x
-            if v.denominator != 1:
-                raise SingularPolarization("dual polarization is not integral")
-            out_row.append(int(v))
-        E_hat.append(out_row)
-    J_hat = None
-    if A.J is not None:
-        Jt = [list(r) for r in zip(*A.J)]
-        for sign in (-1, 1):
-            cand = [[sign * x for x in row] for row in Jt]
-            if _pairing_class_is_hodge(A.J, cand, *HODGE_DEFAULT_AB):
-                J_hat = cand
-                break
-        if J_hat is None:
-            raise ComplexStructureInvalid(
-                "no transposed conjugate of J makes the pairing class Hodge"
-            )
+    try:
+        E_hat = [[-x for x in row] for row in intlinalg.scaled_inverse(A.E, c)]
+    except ValueError as exc:
+        raise SingularPolarization(f"dual polarization is not integral: {exc}") from exc
+    J_hat = None if A.J is None else [[-x for x in col] for col in zip(*A.J)]
     hatted = tuple(Leaf(lf.offset, lf.genus, -lf.sign) for lf in A.leaves)
     # Strip rather than stack dual markers so the double dual is A on the
     # nose (every other field already reproduces exactly).
@@ -405,7 +347,7 @@ class Homomorphism:
             # in ints for integral J (see _exact_matrix)
             MJ = intlinalg.mat_mul(self.matrix, self.source.J)
             JM = intlinalg.mat_mul(self.target.J, self.matrix)
-            if not intlinalg.mat_eq(MJ, JM):
+            if MJ != JM:
                 raise ComplexStructureInvalid(
                     "homomorphism flagged holomorphic does not intertwine J"
                 )
@@ -557,19 +499,11 @@ class ProductStructure:
                 out[m >> s] = out.get(m >> s, 0) + A.orientation * c
         return Multivector(B.rank, out)
 
-    def push_first(self, z: Multivector) -> Multivector:
-        """Fiber integration over the second factor."""
-        A, B = self.factors
-        if z.rank != self.variety.rank:
-            raise RankMismatch("class does not live on the product")
-        s = A.rank
-        full_A = (1 << s) - 1
-        full_B_high = ((1 << B.rank) - 1) << s
-        out: dict[int, int] = {}
-        for m, c in z.items():
-            if m & full_B_high == full_B_high:
-                out[m & full_A] = out.get(m & full_A, 0) + B.orientation * c
-        return Multivector(A.rank, out)
+
+def _block_diagonal(X, Y) -> list[list]:
+    """The square matrix with X and Y on its diagonal and zeros elsewhere."""
+    nX, nY = len(X), len(Y)
+    return [list(row) + [0] * nY for row in X] + [[0] * nX + list(row) for row in Y]
 
 
 @lru_cache(maxsize=None)
@@ -581,23 +515,8 @@ def product(A: AbelianVariety, B: AbelianVariety) -> ProductStructure:
     of a product is the sum of the factor pairing classes.
     """
     nA, nB = A.rank, B.rank
-    n = nA + nB
-    E = [[0] * n for _ in range(n)]
-    for i in range(nA):
-        for j in range(nA):
-            E[i][j] = A.E[i][j]
-    for i in range(nB):
-        for j in range(nB):
-            E[nA + i][nA + j] = B.E[i][j]
-    J = None
-    if A.J is not None and B.J is not None:
-        J = [[0] * n for _ in range(n)]
-        for i in range(nA):
-            for j in range(nA):
-                J[i][j] = A.J[i][j]
-        for i in range(nB):
-            for j in range(nB):
-                J[nA + i][nA + j] = B.J[i][j]
+    E = _block_diagonal(A.E, B.E)
+    J = None if A.J is None or B.J is None else _block_diagonal(A.J, B.J)
     leaves = tuple(A.leaves) + tuple(
         Leaf(lf.offset + nA, lf.genus, lf.sign) for lf in B.leaves
     )
@@ -622,17 +541,14 @@ class StructureMaps:
     square: ProductStructure
     m: Homomorphism
     diagonal: Homomorphism
-    pi1: Homomorphism
-    pi2: Homomorphism
-    j1: Homomorphism
-    j2: Homomorphism
 
 
 @lru_cache(maxsize=None)
 def structure_homs(A: AbelianVariety) -> StructureMaps:
-    """Addition, diagonal, projections and zero-sections of ``A x A``.
+    """Addition and diagonal of ``A x A``; its projections and
+    zero-sections are those of ``square``.
 
-    Satisfies ``m . diagonal = [2]`` and ``m . j1 = id`` on homology.
+    Satisfies ``m . diagonal = [2]`` and ``m . square.j1 = id`` on homology.
     """
     sq = product(A, A)
     n = A.rank
@@ -643,6 +559,4 @@ def structure_homs(A: AbelianVariety) -> StructureMaps:
     diag = Homomorphism(
         A, sq.variety, tuple(tuple(row) for row in (I + I)), True
     )
-    return StructureMaps(
-        square=sq, m=m, diagonal=diag, pi1=sq.pi1, pi2=sq.pi2, j1=sq.j1, j2=sq.j2
-    )
+    return StructureMaps(square=sq, m=m, diagonal=diag)

@@ -1,0 +1,67 @@
+"""What the benchmark in ``perfbench/`` needs of the package.
+
+The tracer rebinds the functions it lists by name and reads the memo
+tables it lists, and the verify workload times each check by patching
+``cli.run_check_lenient``.  A change that renames or removes one of these
+then fails here instead of in the benchmark run.  The benchmark files are
+read, never imported, so no bytecode is written next to them.
+"""
+
+import re
+import sys
+import types
+from pathlib import Path
+
+import abelian_fourier
+from abelian_fourier import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_name_resolves():
+    lt = load_perfbench("layertrace")
+    # resolved as the tracer resolves them on entry
+    for module, path, _ in lt.TRACED:
+        owner = sys.modules[f"{lt.PACKAGE}.{module}"]
+        for part in path.split("."):
+            owner = vars(owner)[part] if isinstance(owner, type) else getattr(owner, part)
+        assert callable(owner), f"{module}.{path}"
+    for module, fn in lt.CACHED:
+        assert hasattr(getattr(sys.modules[f"{lt.PACKAGE}.{module}"], fn), "cache_info")
+    suite = sys.modules["abelian_fourier.suite"]
+    with lt.LayerTracer() as tracer:
+        # looked up in the module, where the tracer rebinds it
+        assert suite.run_check("fourier_involution", genus=1).status == "pass"
+    metrics = tracer.metrics()
+    assert metrics["fourier.fourier.calls"] > 0
+    assert metrics["suite.check.fourier_involution.ms"] > 0
+    # every wrapper was taken off again
+    assert not hasattr(abelian_fourier.fourier, "__wrapped__")
+
+
+def test_workloads_use_existing_package_names():
+    source = (PERFBENCH / "workloads.py").read_text(encoding="utf-8")
+    names = set(re.findall(r"\baf\.(\w+)", source))
+    assert names
+    assert [n for n in sorted(names) if not hasattr(abelian_fourier, n)] == []
+
+
+def test_verify_runs_each_check_through_run_check_lenient(monkeypatch):
+    seen = []
+    original = cli.run_check_lenient
+
+    def recording(name, **params):
+        seen.append(name)
+        return original(name, **params)
+
+    monkeypatch.setattr(cli, "run_check_lenient", recording)
+    assert cli.main(["verify", "--genus", "1", "--checks", "claim_star,eq35_minclass"]) == 0
+    assert sorted(seen) == ["claim_star", "eq35_minclass"]

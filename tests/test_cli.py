@@ -257,6 +257,25 @@ def test_verify_reports_hodge_image_failure_as_check_failure(tmp_path, monkeypat
     assert not class_from_dict(check["witness"]).is_zero()
 
 
+@pytest.mark.parametrize("check", ["beta_surjectivity", "ihc_certificate_elliptic_products"])
+def test_verify_reports_non_hodge_generator_as_check_failure(tmp_path, monkeypatch, check):
+    # a divisor-to-curve class outside the Hodge lattice is a mathematical
+    # failure: the check fails with that class as witness and verify exits
+    # 1, not 2 (input error)
+    import abelian_fourier.hodge as hodge
+
+    monkeypatch.setattr(hodge, "is_hodge", lambda V, x, ab=None: False)
+    out = tmp_path / "report.json"
+    code = run_cli(
+        ["verify", "--genus", "2", "--checks", check, "--format", "json", "--out", str(out)]
+    )
+    assert code == 1
+    (result,) = json.loads(out.read_text())["checks"]
+    assert result["status"] == "fail"
+    assert result["detail"] == "generator 0 is not a Hodge class"
+    assert not class_from_dict(result["witness"]).is_zero()
+
+
 def test_verify_reports_non_integral_image_as_check_failure(tmp_path, monkeypatch):
     # a pullback with a fractional coefficient is a mathematical failure:
     # the check fails with the offending monomial as witness and verify

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +14,14 @@ from abelian_fourier.errors import (
     NonIntegralResult,
     NotHodge,
     NotHomogeneous,
+    RiemannRelationViolated,
     UnsupportedParams,
 )
-from abelian_fourier.exterior import Multivector
+from abelian_fourier.exterior import Multivector, degree_basis_masks
 from abelian_fourier.fourier import beta_from_divisor, poincare_class
 from abelian_fourier.hodge import (
     HodgeLattice,
     _operator_matrix,
-    divisor_power_span,
     fourier_hodge_matrix,
     hodge_lattice,
     is_hodge,
@@ -31,16 +31,17 @@ from abelian_fourier.intlinalg import (
     cokernel_invariants,
     kernel_saturated,
     kernel_saturated_reference,
+    mat_mul,
     rational_solve,
 )
 from abelian_fourier.varieties import (
     dual,
     elliptic_product,
-    gaussian_elliptic_curve,
     make_variety,
     product,
     standard_ppav,
 )
+from test_intlinalg import rational_inverse
 
 
 def brute_force_hodge_rank(A, k, ab=(1, 2)):
@@ -141,10 +142,42 @@ def test_membership_needs_complex_structure():
         hodge_lattice(bare, 1)
 
 
+# the models whose dual takes -J^T: E^1 to E^4, three non-principal
+# types, a rational J, and the duals of all of these
+SIGN_MODELS = [standard_ppav(g) for g in (1, 2, 3, 4)] + [
+    elliptic_product((1, 2)),
+    elliptic_product((1, 1, 2)),
+    elliptic_product((1, 1, 3)),
+    make_variety([[0, 1], [-1, 0]], [[0, Fraction(-1, 2)], [2, 0]], name="E_rational"),
+]
+SIGN_MODELS += [dual(A) for A in SIGN_MODELS]
+
+
 def test_pairing_class_is_hodge():
-    for A in (gaussian_elliptic_curve(), standard_ppav(2)):
-        P = product(A, dual(A)).variety
-        assert is_hodge(P, poincare_class(A))
+    for A in SIGN_MODELS:
+        Ah = dual(A)
+        assert Ah.J == tuple(tuple(-x for x in col) for col in zip(*A.J))
+        assert is_hodge(product(A, Ah).variety, poincare_class(A))
+
+
+def test_dual_polarization_matches_fraction_inverse():
+    for A in SIGN_MODELS:
+        c = A.polarization_type[0] * A.polarization_type[-1]
+        want = [[-c * x for x in row] for row in rational_inverse(A.E)]
+        assert [list(row) for row in dual(A).E] == want
+
+
+def test_dual_with_plus_J_transpose_violates_riemann():
+    # E^ J^ is c S^{-1} for -J^T, with S = E J positive definite, and
+    # -c S^{-1} for +J^T
+    for A in SIGN_MODELS:
+        plus = [list(col) for col in zip(*A.J)]
+        with pytest.raises(RiemannRelationViolated):
+            make_variety(dual(A).E, plus)
+        # (aI + bJ)^2 != (a^2 + b^2) I: +J^T does not fix the pairing class
+        n = A.rank
+        P = [[(1 if i == j else 0) + 2 * A.J[i][j] for j in range(n)] for i in range(n)]
+        assert mat_mul(P, P) != [[5 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def test_theta_is_hodge_every_model():
@@ -206,6 +239,26 @@ def test_cup_products_of_hodge_are_hodge():
         assert is_hodge(A, prod_xy)
 
 
+def divisor_power_span(V, k):
+    """Generators of the divisor-power subgroup of the degree-2k Hodge lattice.
+
+    The k-fold wedge products of a basis of the divisor classes (the
+    degree-2 Hodge lattice), as columns in the ambient degree-2k monomial
+    coordinates.  They are algebraic whenever divisor classes are, so a
+    trivial cokernel against the full Hodge lattice certifies that the
+    whole lattice is generated by algebraic classes.
+    """
+    divisors = hodge_lattice(V, 1).basis_classes()
+    masks = degree_basis_masks(V.rank, 2 * k)
+    products = []
+    for combo in combinations_with_replacement(range(len(divisors)), k):
+        w = Multivector.unit(V.rank)
+        for i in combo:
+            w = w.wedge(divisors[i])
+        products.append(w)
+    return [[w.coefficient(m) for w in products] for m in masks]
+
+
 def test_divisor_power_span_full_lattice():
     # k = 1 tautologically spans; k = 2 on the threefold model is the
     # classical fact that products of CM elliptic curves have
@@ -233,7 +286,7 @@ def test_voisin_certificate():
     # doubling one generator leaves index 2
     doubled = [c * 2 for c in lat.basis_classes()[:1]] + lat.basis_classes()[1:]
     cok = voisin_certificate(A, 1, doubled)
-    assert cok.nontrivial_divisors == (2,)
+    assert [d for d in cok.divisors if d != 1] == [2]
     # a doubled generator of a rank-1 lattice leaves divisor (2)
     top = voisin_certificate(A, 2, [A.point_class() * 2])
     assert top.divisors == (2,)

@@ -16,12 +16,11 @@ from abelian_fourier.intlinalg import (
     det_bareiss,
     identity_matrix,
     is_positive_definite,
-    is_unimodular,
     kernel_saturated,
     kernel_saturated_reference,
     mat_mul,
-    rational_inverse,
     rational_solve,
+    scaled_inverse,
     smith_normal_form,
 )
 
@@ -34,6 +33,37 @@ small_matrices = st.integers(1, 5).flatmap(
         )
     )
 )
+
+
+def is_unimodular(M):
+    return len(M) > 0 and len(M) == len(M[0]) and abs(det_bareiss(M)) == 1
+
+
+def diagonal_matrix(snf):
+    """The rows x cols matrix with the Smith divisors on its diagonal."""
+    D = [[0] * snf.cols for _ in range(snf.rows)]
+    for i, d in enumerate(snf.divisors):
+        D[i][i] = d
+    return D
+
+
+def rational_inverse(M):
+    """Oracle of ``scaled_inverse``: the exact inverse by Fraction Gauss-Jordan."""
+    n = len(M)
+    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        A[col], A[piv] = A[piv], A[col]
+        inv = 1 / A[col][col]
+        A[col] = [x * inv for x in A[col]]
+        for r in range(n):
+            if r != col and A[r][col]:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    return [row[n:] for row in A]
 
 
 def minors_gcd(M, k):
@@ -67,7 +97,7 @@ def test_snf_decomposition_properties(M):
     assert is_unimodular([list(r) for r in snf.U])
     assert is_unimodular([list(r) for r in snf.V])
     UMV = mat_mul(mat_mul([list(r) for r in snf.U], M), [list(r) for r in snf.V])
-    assert UMV == snf.diagonal_matrix()
+    assert UMV == diagonal_matrix(snf)
     divisors = snf.divisors
     for a, b in zip(divisors, divisors[1:]):
         if a == 0:
@@ -97,7 +127,7 @@ def test_snf_of_block_diagonal_stays_small():
         r, c = r + len(B), c + len(B[0])
     snf = smith_normal_form(M)
     U, V = [list(row) for row in snf.U], [list(row) for row in snf.V]
-    assert mat_mul(mat_mul(U, M), V) == snf.diagonal_matrix()
+    assert mat_mul(mat_mul(U, M), V) == diagonal_matrix(snf)
     assert is_unimodular(U) and is_unimodular(V)
     assert snf.divisors == (1, 1, 1, 1, 1, 1, 1, 1, 3, 24, 1512)
     assert max(abs(x) for row in U + V for x in row) < 10**9
@@ -111,7 +141,7 @@ def test_snf_roundtrip_seeded_100():
         snf = smith_normal_form(M)
         Uinv = rational_inverse([list(r) for r in snf.U])
         Vinv = rational_inverse([list(r) for r in snf.V])
-        back = mat_mul(mat_mul(Uinv, snf.diagonal_matrix()), Vinv)
+        back = mat_mul(mat_mul(Uinv, diagonal_matrix(snf)), Vinv)
         assert [[Fraction(x) for x in row] for row in M] == [
             [Fraction(x) for x in row] for row in back
         ]
@@ -298,3 +328,60 @@ def test_rational_inverse():
     assert mat_mul(M, Minv) == [[1, 0], [0, 1]]
     with pytest.raises(ZeroDivisionError):
         rational_inverse([[1, 1], [1, 1]])
+
+
+@st.composite
+def square_matrices(draw):
+    """Dense square matrices of side up to 5, or permuted block-diagonal
+    ones of side up to 8 with dense blocks of side up to 4.
+
+    Dense matrices stop at side 5: from side 6 on, the elimination of
+    ``smith_normal_form`` can grow the entries of a dense matrix without
+    bound.
+    """
+    entries = st.integers(-5, 5)
+
+    def dense(n):
+        return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+    if draw(st.booleans(), label="dense"):
+        return draw(dense(draw(st.integers(1, 5))))
+    sides = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda s: sum(s) <= 8))
+    n = sum(sides)
+    M = [[0] * n for _ in range(n)]
+    r = 0
+    for side in sides:
+        for i, row in enumerate(draw(dense(side))):
+            M[r + i][r:r + side] = row
+        r += side
+    rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+    return [[M[i][j] for j in cols] for i in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_scaled_inverse_matches_fraction_inverse(M):
+    det = det_bareiss(M)
+    if det == 0:
+        with pytest.raises(ZeroDivisionError):
+            scaled_inverse(M, 1)
+        return
+    c = abs(det)
+    inverse = rational_inverse(M)
+    assert scaled_inverse(M, c) == [[c * x for x in row] for row in inverse]
+    # below the largest divisor d, c = d - 1 leaves a fraction in c M^{-1}
+    d = smith_normal_form(M).divisors[-1]
+    if d > 1:
+        assert any(((d - 1) * x).denominator != 1 for row in inverse for x in row)
+        with pytest.raises(ValueError):
+            scaled_inverse(M, d - 1)
+
+
+def test_scaled_inverse_examples():
+    assert scaled_inverse([[2, 0], [0, 3]], 6) == [[3, 0], [0, 2]]
+    with pytest.raises(ValueError):
+        scaled_inverse([[2, 0], [0, 3]], 2)
+    with pytest.raises(ZeroDivisionError):
+        scaled_inverse([[1, 1], [1, 1]], 1)
+    with pytest.raises(ZeroDivisionError):
+        scaled_inverse([[1, 0, 0], [0, 1, 0]], 1)
