@@ -58,6 +58,7 @@ from .varieties import (
 from .fourier import (
     PoincareContext,
     beta_from_divisor,
+    beta_from_divisor_reference,
     context,
     correspondence_action,
     fourier,

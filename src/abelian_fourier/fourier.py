@@ -41,6 +41,35 @@ path with itself.  The star checks take their star powers from
 :func:`pontryagin`, and up to genus 2 also from :func:`pontryagin_reference`;
 above genus 2 they rest on the exchange law.
 
+Curve classes of divisors.  For a principal A with polarization isogeny
+``lambda: A -> A^``, the paper's triple sum (:func:`beta_from_divisor_reference`)
+
+    beta(D) = sum_{i+j+k = 2g-2} (-1)^{j+k}
+              push_2( m^*theta^[i] ^ p_1^*theta^[j] ^ p_1^*D ) ^ theta^[k],
+
+with ``x^[i] = x^i / i!``, is ``lambda^* F(D)`` for every degree-2 D
+(Beauville 1983 for the exchange law and ``F(theta^[k])``):
+
+* ``ell_lambda = m^*theta - p_1^*theta - p_2^*theta`` is
+  ``(1 x lambda)^* ell``, pinned by ``(id, lambda)^* ell = 2 theta``.  The
+  three terms of ``m^*theta`` have even degree and commute, so
+  ``m^*theta^[i]`` is the sum of ``ell_lambda^[a] p_1^*theta^[b]
+  p_2^*theta^[c]`` over ``a + b + c = i``.
+* ``p_2^*theta^[c]`` leaves ``push_2`` as ``theta^[c]`` (projection
+  formula).  For fixed a, the sum over ``b + j = s`` of
+  ``(-1)^j theta^[b] theta^[j]`` is ``(theta - theta)^[s]``, zero unless
+  ``s = 0``, and likewise the sum over ``c + k``.  What is left is
+  ``push_2(ell_lambda^[2g-2] ^ p_1^*D)``.
+* ``ell_lambda`` has bidegree (1, 1) and D degree (2, 0), so only
+  ``ell_lambda^[2g-2]`` fills the first factor: the class is
+  ``push_2(exp(ell_lambda) ^ p_1^*D)``.  Base change of ``push_2`` along
+  ``1 x lambda`` turns it into ``lambda^* push_2(exp(ell) ^ p_1^*D)``,
+  which is ``lambda^* F(D)``.
+
+So :func:`beta_from_divisor` is one transform and one pullback along
+``lambda``; the triple sum stays as its oracle, and the suite's
+``beta_surjectivity`` compares the two up to genus 2.
+
 Sign conventions (pinned once, consumed everywhere):
 
 * ``ell`` on ``A x A^`` pairs generator i with dual generator i, with a
@@ -70,6 +99,7 @@ from .varieties import (
     Homomorphism,
     ProductStructure,
     dual,
+    polarization_isogeny,
     product,
     structure_homs,
 )
@@ -306,7 +336,28 @@ def named_class(A: AbelianVariety, tag: str) -> Multivector:
     raise UnsupportedParams(f"unknown class tag {tag!r}; expected one of {NAMED_CLASS_TAGS}")
 
 
+def _require_divisor(A: AbelianVariety, D: Multivector):
+    if not A.is_principal:
+        raise UnsupportedParams("the divisor-to-curve formula needs a principal polarization")
+    if D.degrees() not in ({2}, set()):
+        raise UnsupportedParams("D must be homogeneous of degree 2")
+
+
 def beta_from_divisor(A: AbelianVariety, D: Multivector) -> Multivector:
+    """Curve class attached to a divisor class, ``lambda^* F(D)``.
+
+    For a principally polarized A and an integral degree-2 class D this
+    is the triple sum of :func:`beta_from_divisor_reference` (the
+    derivation is in the module docstring): one transform, one signed
+    monomial per term of D, and one pullback along the polarization
+    isogeny.  Ranging D over a basis of the divisor classes produces
+    generators of the curve-class lattice.
+    """
+    _require_divisor(A, D)
+    return polarization_isogeny(A).pullback(fourier(A, D))
+
+
+def beta_from_divisor_reference(A: AbelianVariety, D: Multivector) -> Multivector:
     """Curve class attached to a divisor class by the triple-sum formula.
 
     For a principally polarized A and an integral degree-2 class D,
@@ -315,13 +366,10 @@ def beta_from_divisor(A: AbelianVariety, D: Multivector) -> Multivector:
                   push_2( m^*(theta^i/i!) ^ pull_1(theta^j/j!) ^ pull_1(D) )
                   ^ theta^k/k!
 
-    with every division exact.  Ranging D over a basis of the divisor
-    classes produces generators of the curve-class lattice.
+    with every division exact.  The oracle that :func:`beta_from_divisor`
+    is tested against.
     """
-    if not A.is_principal:
-        raise UnsupportedParams("the divisor-to-curve formula needs a principal polarization")
-    if D.degrees() not in ({2}, set()):
-        raise UnsupportedParams("D must be homogeneous of degree 2")
+    _require_divisor(A, D)
     g = A.genus
     sh = structure_homs(A)
     theta = A.theta_class()

@@ -2,11 +2,13 @@
 
 Everything in this module is exact: integer matrices are lists of rows of
 Python ints, rational matrices mix ints and :class:`fractions.Fraction`.
-There is no floating point.  Matrices are stored dense, but
-:func:`kernel_saturated` reads their sparsity: it splits a matrix into the
-connected blocks of its row/column support graph (:func:`column_blocks`)
-and works on each block alone, so a 210x210 operator whose blocks have
-side at most 16 costs Smith forms of side 16, not one of side 210.
+There is no floating point.  Matrices are dense lists of rows, except
+for the kernel: :func:`kernel_saturated_sparse` takes sparse rows
+``{column: entry}``, splits the matrix into the connected blocks of its
+row/column support graph (:func:`column_blocks`) and makes only each
+block dense, so a 210x210 operator whose blocks have side at most 16
+costs Smith forms of side 16, not one of side 210, and is never stored
+dense.  A dense matrix enters it through :func:`sparse_rows`.
 
 The central routine is :func:`smith_normal_form`, which returns the full
 decomposition ``U * M * V = diag(divisors)`` with unimodular ``U`` and
@@ -224,17 +226,57 @@ def smith_normal_form(M) -> SmithDecomposition:
     )
 
 
-def _clear_row_denominators(M) -> IntMatrix:
-    """Scale each row by the lcm of its denominators (kernel-preserving).
+def sparse_rows(M) -> tuple[list[dict], int]:
+    """A dense matrix as sparse rows ``{column: nonzero entry}`` and its
+    column count: the one way a dense matrix enters the kernel.
+
+    >>> sparse_rows([[0, 2], [0, 0]])
+    ([{1: 2}, {}], 2)
+    """
+    rows = [{j: x for j, x in enumerate(row) if x} for row in M]
+    return rows, len(M[0]) if M else 0
+
+
+def _clear_denominators(row: dict) -> dict[int, int]:
+    """Scale a sparse row by the lcm of its denominators (kernel-preserving).
 
     Entries are ints or Fractions, which both carry ``numerator`` and
     ``denominator``; no Fraction is built.
     """
-    out = []
-    for row in M:
-        scale = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-    return out
+    scale = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+
+
+def _dense(rows: list[dict], columns) -> IntMatrix:
+    return [[row.get(j, 0) for j in columns] for row in rows]
+
+
+def _row_blocks(rows: list[dict], cols: int) -> list[tuple[list[int], list[int]]]:
+    """:func:`column_blocks` of a matrix given as sparse rows."""
+    parent = list(range(cols))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for row in rows:
+        if not row:
+            continue
+        support = iter(row)
+        root = find(next(support))
+        for j in support:
+            r = find(j)
+            if r != root:
+                parent[r] = root
+    by_root: dict[int, tuple[list[int], list[int]]] = {}
+    for j in range(cols):
+        by_root.setdefault(find(j), ([], []))[1].append(j)
+    for i, row in enumerate(rows):
+        if row:
+            by_root[find(next(iter(row)))][0].append(i)
+    return list(by_root.values())
 
 
 def column_blocks(M) -> list[tuple[list[int], list[int]]]:
@@ -250,32 +292,7 @@ def column_blocks(M) -> list[tuple[list[int], list[int]]]:
     >>> column_blocks([[1, 1, 0], [0, 0, 0], [0, 0, 3]])
     [([0], [0, 1]), ([2], [2])]
     """
-    cols = len(M[0]) if M else 0
-    parent = list(range(cols))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    supports = []
-    for row in M:
-        support = [j for j, x in enumerate(row) if x]
-        supports.append(support)
-        if support:
-            root = find(support[0])
-            for j in support[1:]:
-                r = find(j)
-                if r != root:
-                    parent[r] = root
-    by_root: dict[int, tuple[list[int], list[int]]] = {}
-    for j in range(cols):
-        by_root.setdefault(find(j), ([], []))[1].append(j)
-    for i, support in enumerate(supports):
-        if support:
-            by_root[find(support[0])][0].append(i)
-    return list(by_root.values())
+    return _row_blocks(*sparse_rows(M))
 
 
 def _snf_kernel(Mi: IntMatrix) -> IntMatrix:
@@ -289,33 +306,42 @@ def kernel_saturated(M) -> IntMatrix:
     """Basis of the saturated integer kernel of a rational matrix.
 
     Returns a matrix whose columns form a basis of
-    ``{x in Z^cols : M x = 0}``.  Each connected block of the support
-    graph (:func:`column_blocks`) gets its own Smith decomposition, and
-    its kernel basis is read off the unimodular right transform, so it
-    spans a direct summand of the block's coordinates.  The direct sum of
-    these summands is a direct summand of ``Z^cols`` (no saturation step
-    is needed).  Kernel columns come block by block, in block order.  A
-    connected matrix is one block and gets exactly the basis of
-    :func:`kernel_saturated_reference`.
+    ``{x in Z^cols : M x = 0}``; :func:`kernel_saturated_sparse` of
+    :func:`sparse_rows`, where the blocks are split.
 
     >>> kernel_saturated([[2, -2]])
     [[1], [1]]
     >>> kernel_saturated([[1, -1, 0, 0], [0, 0, 2, -2]])
     [[1, 0], [1, 0], [0, 1], [0, 1]]
     """
-    Mi = _clear_row_denominators(M)
-    cols = len(Mi[0]) if Mi else 0
+    return kernel_saturated_sparse(*sparse_rows(M))
+
+
+def kernel_saturated_sparse(rows: list[dict], cols: int) -> IntMatrix:
+    """:func:`kernel_saturated` of a matrix given as sparse rows.
+
+    ``rows[i]`` maps the columns of row i to its nonzero int or Fraction
+    entries.  Each connected block of the support graph
+    (:func:`column_blocks`) gets its own Smith decomposition, and its
+    kernel basis is read off the unimodular right transform, so it spans
+    a direct summand of the block's coordinates.  The direct sum of these
+    summands is a direct summand of ``Z^cols`` (no saturation step is
+    needed).  Kernel columns come block by block, in block order.  A
+    connected matrix is one block and gets exactly the basis of
+    :func:`kernel_saturated_reference`.  Only the blocks are made dense.
+    """
     if cols == 0:
         return []
-    blocks = column_blocks(Mi)
+    rows = [_clear_denominators(row) for row in rows]
+    blocks = _row_blocks(rows, cols)
     if len(blocks) == 1:
-        return _snf_kernel(Mi)
+        return _snf_kernel(_dense(rows, range(cols)))
     vectors = []
-    for rows, bcols in blocks:
-        if not rows:
+    for brows, bcols in blocks:
+        if not brows:
             vectors.append([(bcols[0], 1)])
             continue
-        Kb = _snf_kernel([[Mi[i][j] for j in bcols] for i in rows])
+        Kb = _snf_kernel(_dense([rows[i] for i in brows], bcols))
         for t in range(len(Kb[0])):
             vectors.append([(j, Kb[s][t]) for s, j in enumerate(bcols) if Kb[s][t]])
     K = [[0] * len(vectors) for _ in range(cols)]
@@ -331,9 +357,10 @@ def kernel_saturated_reference(M) -> IntMatrix:
     >>> kernel_saturated_reference([[1, -1, 0, 0], [0, 0, 2, -2]])
     [[1, 0], [1, 0], [0, 1], [0, 1]]
     """
-    Mi = _clear_row_denominators(M)
-    cols = len(Mi[0]) if Mi else 0
-    return _snf_kernel(Mi) if cols else []
+    rows, cols = sparse_rows(M)
+    if cols == 0:
+        return []
+    return _snf_kernel(_dense([_clear_denominators(row) for row in rows], range(cols)))
 
 
 @dataclass(frozen=True)

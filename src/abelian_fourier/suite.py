@@ -43,6 +43,7 @@ from .errors import (
 from .exterior import Multivector
 from .fourier import (
     beta_from_divisor,
+    beta_from_divisor_reference,
     context,
     correspondence_action,
     fourier,
@@ -134,12 +135,17 @@ def _check_beauville_exp(A, params):
     return _equal_or_witness(lhs, rhs)
 
 
+# Up to this genus the checks that rest on a closed form (the star checks
+# and beta_surjectivity) also run its definition, so that they do not only
+# test the closed form against itself; above it they rest on the closed form.
+_REFERENCE_GENUS = 2
+
+
 def _star_products(A):
     # The products the star checks take star powers from: None is the star
     # functions' default, the fast pontryagin, which is the exchange law
-    # itself.  Up to genus 2 the m_* definition is used as well, so the star
-    # claims are tested against it and not only through that law.
-    return (None, pontryagin_reference) if A.genus <= 2 else (None,)
+    # itself; the m_* definition is used as well up to _REFERENCE_GENUS.
+    return (None, pontryagin_reference) if A.genus <= _REFERENCE_GENUS else (None,)
 
 
 def _check_star_exp_of_R(A, params):
@@ -320,13 +326,22 @@ def _beta_certificate(A, lat2):
 
 
 def _check_beta_surjectivity(A, params):
+    # beta_from_divisor is the closed form lambda^* F(D); up to
+    # _REFERENCE_GENUS it is compared with the triple sum that defines it
     g = A.genus
+    lat2 = hodge_lattice(A, 1)
+    if g <= _REFERENCE_GENUS:
+        named = [("theta", A.theta_class())]
+        named += [(f"divisor basis class {i}", D) for i, D in enumerate(lat2.basis_classes())]
+        for what, D in named:
+            fast, ref = beta_from_divisor(A, D), beta_from_divisor_reference(A, D)
+            if fast != ref:
+                return False, fast - ref, f"beta({what}) differs from the triple sum"
     gamma = named_class(A, "gamma_theta")
     beta_theta = beta_from_divisor(A, A.theta_class())
     want = gamma if (g - 1) % 2 == 0 else -gamma
     if beta_theta != want:
         return False, beta_theta - want, "beta(theta) has the wrong sign against the minimal class"
-    lat2 = hodge_lattice(A, 1)
     ok, witness, detail = _beta_certificate(A, lat2)
     return ok, witness, detail or f"{lat2.rank} divisor classes generate the curve-class lattice"
 

@@ -119,13 +119,17 @@ def _exact_matrix(J):
 
     Integral J (every shipped model) then runs in int arithmetic wherever
     it is read: the ``J^2`` and Riemann checks, the intertwining check of
-    holomorphic homomorphisms and the Hodge operator.
+    holomorphic homomorphisms and the Hodge operator.  Int entries are
+    kept as they are; only the others go through Fraction.
     """
-    out = []
-    for row in J:
-        fracs = map(Fraction, row)
-        out.append(tuple(int(f) if f.denominator == 1 else f for f in fracs))
-    return tuple(out)
+    return tuple(tuple(map(_exact_entry, row)) for row in J)
+
+
+def _exact_entry(x):
+    if type(x) is int:
+        return x
+    f = Fraction(x)
+    return int(f) if f.denominator == 1 else f
 
 
 def _paired_type(E) -> tuple[int, ...]:

@@ -16,6 +16,7 @@ from abelian_fourier.errors import NonDivisible, UnsupportedParams
 from abelian_fourier.exterior import Multivector, degree_basis_masks
 from abelian_fourier.fourier import (
     beta_from_divisor,
+    beta_from_divisor_reference,
     context,
     correspondence_action,
     fourier,
@@ -34,11 +35,12 @@ from abelian_fourier.fourier import (
     star_power,
 )
 from abelian_fourier.hodge import is_hodge
-from abelian_fourier.intlinalg import det_bareiss
+from abelian_fourier.intlinalg import det_bareiss, mat_mul
 from abelian_fourier.varieties import (
     dual,
     elliptic_product,
     gaussian_elliptic_curve,
+    make_variety,
     polarization_isogeny,
     product,
     standard_ppav,
@@ -351,6 +353,81 @@ def test_beta_linearity_and_sign():
         beta_from_divisor(elliptic_product((1, 2)), Multivector(4, {0b0101: 1}))
     with pytest.raises(UnsupportedParams):
         beta_from_divisor(A, Multivector(4, {0b0111: 1}))
+
+
+def other_basis(A, rng, ops):
+    """A rewritten in the basis U of ``ops`` random elementary column
+    operations ``col_i += s col_j``, ``s = +-1``: ``E' = U^T E U`` and
+    ``J' = U^{-1} J U``."""
+    n = A.rank
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    U_inv = [row[:] for row in U]
+    for _ in range(ops):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        for row in U:
+            row[i] += s * row[j]
+        U_inv[j] = [b - s * a for a, b in zip(U_inv[i], U_inv[j])]
+    Ut = [list(col) for col in zip(*U)]
+    E = mat_mul(mat_mul(Ut, [list(r) for r in A.E]), U)
+    J = mat_mul(mat_mul(U_inv, [list(r) for r in A.J]), U)
+    return make_variety(E, J, name=f"{A.name} in another basis")
+
+
+def hermitian_variety(H, name):
+    """``C^g / Z[i]^g`` with ``J = i`` and ``E = -Im H`` for a positive
+    definite Hermitian Z[i]-matrix H, given as (real, imaginary) parts; in
+    the x-then-y basis ``E = [[-B, A], [-A, -B]]`` with ``H = A + iB``."""
+    g = len(H)
+    A = [[H[a][b][0] for b in range(g)] for a in range(g)]
+    B = [[H[a][b][1] for b in range(g)] for a in range(g)]
+    E = [[-x for x in B[a]] + A[a] for a in range(g)]
+    E += [[-x for x in A[a]] + [-x for x in B[a]] for a in range(g)]
+    J = [[0] * (2 * g) for _ in range(2 * g)]
+    for a in range(g):
+        J[a][g + a] = -1
+        J[g + a][a] = 1
+    return make_variety(E, J, name=name)
+
+
+# an even unimodular Hermitian Z[i]-form of rank 4, found by a seeded search;
+# its real form is E8, so it is principal and not a product polarization
+E8_HERMITIAN = hermitian_variety(
+    [
+        [(2, 0), (0, 1), (-1, 0), (0, -1)],
+        [(0, -1), (2, 0), (0, 1), (-1, 0)],
+        [(-1, 0), (0, -1), (2, 0), (1, 0)],
+        [(0, 1), (-1, 0), (1, 0), (2, 0)],
+    ],
+    "E8 over Z[i]",
+)
+
+BETA_MODELS = [
+    V for A in (standard_ppav(g) for g in (1, 2, 3, 4)) for V in (A, dual(A))
+] + [
+    elliptic_product((1, 1)),
+    other_basis(standard_ppav(2), random.Random(16), 16),
+    other_basis(standard_ppav(3), random.Random(16), 16),
+]
+
+
+@pytest.mark.parametrize("A", BETA_MODELS, ids=lambda A: A.name)
+def test_beta_closed_form_matches_triple_sum(A):
+    # lambda^* F(D) against the triple sum, on every degree-2 monomial
+    for m in degree_basis_masks(A.rank, 2):
+        D = Multivector(A.rank, {m: 1})
+        assert beta_from_divisor(A, D) == beta_from_divisor_reference(A, D)
+
+
+def test_beta_closed_form_on_the_hermitian_e8_model():
+    A = E8_HERMITIAN
+    assert A.is_principal and len(A.theta_class()) == 16
+    rng = random.Random(8)
+    divisors = [A.theta_class()] + [
+        Multivector(A.rank, {m: 1}) for m in rng.sample(degree_basis_masks(A.rank, 2), 3)
+    ]
+    for D in divisors:
+        assert beta_from_divisor(A, D) == beta_from_divisor_reference(A, D)
 
 
 def test_kunneth_decomposition_sign():

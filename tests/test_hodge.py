@@ -17,11 +17,15 @@ from abelian_fourier.errors import (
     RiemannRelationViolated,
     UnsupportedParams,
 )
-from abelian_fourier.exterior import Multivector, degree_basis_masks
+from abelian_fourier.exterior import (
+    Multivector,
+    _apply_generator_images,
+    degree_basis_masks,
+)
 from abelian_fourier.fourier import beta_from_divisor, poincare_class
 from abelian_fourier.hodge import (
     HodgeLattice,
-    _operator_matrix,
+    _hodge_rows,
     fourier_hodge_matrix,
     hodge_lattice,
     is_hodge,
@@ -371,6 +375,25 @@ ORACLE_MODELS = [standard_ppav(g) for g in (1, 2, 3, 4)] + [
 ]
 
 
+def operator_matrix(V, k, ab=(1, 2)):
+    """Dense oracle of the operator ``hodge_lattice`` builds as sparse
+    rows: the matrix of ``T - p^k`` on the degree-2k monomial basis, T the
+    (a + bJ)-action, one generator-image column at a time."""
+    rows_op = _hodge_rows(V.J, *ab)
+    masks = degree_basis_masks(V.rank, 2 * k)
+    index = {m: i for i, m in enumerate(masks)}
+    n = len(masks)
+    M = [[0] * n for _ in range(n)]
+    for j, mask in enumerate(masks):
+        image = _apply_generator_images(Multivector(V.rank, {mask: 1}), rows_op)
+        for m, c in image.items():
+            M[index[m]][j] = c
+    p = ab[0] ** 2 + ab[1] ** 2
+    for i in range(n):
+        M[i][i] -= p**k
+    return M
+
+
 @pytest.mark.parametrize(
     "V",
     ORACLE_MODELS + [dual(A) for A in ORACLE_MODELS],
@@ -379,17 +402,29 @@ ORACLE_MODELS = [standard_ppav(g) for g in (1, 2, 3, 4)] + [
 def test_hodge_lattice_spans_oracle_lattice(V):
     # the block kernel and the whole-matrix Smith-form kernel of T - p^k
     # span the same lattice
-    p = 5
     for k in range(V.genus + 1):
         lat = hodge_lattice(V, k)
-        M = _operator_matrix(V, k, (1, 2))
-        for i in range(len(M)):
-            M[i][i] -= p**k
-        ref = kernel_saturated_reference(M)
+        ref = kernel_saturated_reference(operator_matrix(V, k))
         assert lat.rank == len(ref[0])
         for j in range(lat.rank):
             assert in_span(ref, [row[j] for row in lat.basis])
             assert in_span(lat.basis, [row[j] for row in ref])
+
+
+DENSE_MODELS = [standard_ppav(g) for g in (1, 2, 3, 4, 5)] + [elliptic_product((1, 1, 1, 2, 2))]
+
+
+@pytest.mark.parametrize(
+    "V",
+    DENSE_MODELS + [dual(A) for A in DENSE_MODELS],
+    ids=lambda V: V.name,
+)
+def test_sparse_operator_rows_give_the_dense_kernel_basis(V):
+    # the sparse rows built from the generator images and the dense matrix
+    # through kernel_saturated give the same basis, not only the same lattice
+    for k in range(V.genus + 1):
+        basis = kernel_saturated(operator_matrix(V, k))
+        assert hodge_lattice(V, k).basis == tuple(tuple(row) for row in basis)
 
 
 def reference_coordinates(lat, x):

@@ -18,6 +18,7 @@ from abelian_fourier.intlinalg import (
     is_positive_definite,
     kernel_saturated,
     kernel_saturated_reference,
+    kernel_saturated_sparse,
     mat_mul,
     rational_solve,
     scaled_inverse,
@@ -241,6 +242,19 @@ def test_connected_kernel_is_the_oracle_basis(M):
     # zero rows keep a matrix connected and the basis unchanged
     padded = [[0] * len(M[0])] + M + [[0] * len(M[0])]
     assert kernel_saturated(padded) == kernel_saturated_reference(padded)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_matrices, permuted_block_diagonal()), st.randoms(use_true_random=False))
+def test_sparse_row_kernel_is_the_dense_kernel(M, rng):
+    # sparse rows filled in any column order, as hodge_lattice fills them
+    # from generator images, give the basis of the dense entry point
+    rows = []
+    for row in M:
+        support = [j for j, x in enumerate(row) if x]
+        rng.shuffle(support)
+        rows.append({j: row[j] for j in support})
+    assert kernel_saturated_sparse(rows, len(M[0])) == kernel_saturated(M)
 
 
 def test_column_blocks_examples():

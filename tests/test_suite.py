@@ -230,3 +230,27 @@ def test_default_grid_passes():
     failed = [(r.descriptor.name, r.descriptor.params, r.status) for r in results
               if r.status != "pass"]
     assert failed == []
+
+
+def test_beta_surjectivity_compares_the_closed_form_with_the_triple_sum(monkeypatch):
+    # up to genus 2 beta_surjectivity also runs the triple sum that defines
+    # beta, so a wrong closed form fails it with the difference as witness
+    fast = suite.beta_from_divisor
+    monkeypatch.setattr(suite, "beta_from_divisor", lambda A, D: -fast(A, D))
+    r = run_check("beta_surjectivity", genus=2)
+    assert r.status == "fail"
+    A = standard_ppav(2)
+    assert r.witness == fast(A, A.theta_class()) * -2
+    assert r.detail == "beta(theta) differs from the triple sum"
+
+    # negating every class but theta keeps the sign test and the trivial
+    # cokernel: only the triple sum sees it, so genus 3 still passes
+    def negated_off_theta(A, D):
+        return fast(A, D) if D == A.theta_class() else -fast(A, D)
+
+    monkeypatch.setattr(suite, "beta_from_divisor", negated_off_theta)
+    r = run_check("beta_surjectivity", genus=2)
+    assert r.status == "fail"
+    assert r.detail == "beta(divisor basis class 0) differs from the triple sum"
+    assert r.witness is not None and not r.witness.is_zero()
+    assert run_check("beta_surjectivity", genus=3).status == "pass"

@@ -140,6 +140,19 @@ def test_integral_J_is_int_on_every_construction():
         assert all(type(c) is int for row in _hodge_rows(V.J, 1, 2) for _, c in row)
 
 
+def test_integral_J_builds_no_fraction(monkeypatch):
+    # int entries of J are kept as they are, not sent through Fraction
+    import abelian_fourier.varieties as varieties
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built for an integral J")
+
+    monkeypatch.setattr(varieties, "Fraction", no_fraction)
+    A = elliptic_product((1, 1, 2))
+    assert all(type(x) is int for row in A.J for x in row)
+    assert make_variety(A.E, [list(r) for r in A.J]).J == A.J
+
+
 def test_theta_class_examples():
     A = gaussian_elliptic_curve()
     assert A.theta_class() == Multivector(2, {0b11: 1})
