@@ -13,17 +13,22 @@ popcounts rather than permutation sorting.
 
 Multivectors are immutable values; every operation returns a fresh one.
 
-One kernel, :func:`_apply_generator_images`, extends generator images to
-an algebra map.  Its coefficients are exact ``int`` or ``Fraction``
-values: integral homomorphism matrices stay in integer arithmetic, and
-the rational Hodge operator built from a complex structure runs through
-the same loop.
+One kernel, :class:`ExteriorPower`, extends generator images to an
+algebra map: it is the compound-matrix table of a set of rows, filled
+lazily by mask as ``image(S) = image(S without its top bit) ^ row(top)``,
+so monomials that share a prefix share its product.  Pullback and
+pushforward along a homomorphism and the Hodge operator all run through
+it.  Its coefficients are exact ``int`` or ``Fraction`` values: integral
+homomorphism matrices stay in integer arithmetic, and the rational Hodge
+operator built from a complex structure runs through the same table.
+:func:`complement_sign` gives the Poincare-duality sign of ``e_S ^
+e_{S^c}`` in constant time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .errors import NonDivisible, NonIntegralResult, RankMismatch
 
@@ -52,6 +57,28 @@ def wedge_sign(a: int, b: int) -> int:
         inv += (a >> low.bit_length()).bit_count()
         t ^= low
     return -1 if inv & 1 else 1
+
+
+# the generators at odd positions, for every rank up to MAX_RANK
+_ODD_BITS = int("10" * (MAX_RANK // 2), 2)
+
+
+def complement_sign(s: int) -> int:
+    """Sign of ``e_S ^ e_{S^c}``, that is ``wedge_sign(S, full ^ S)``.
+
+    Each generator i of S passes the ``i - (generators of S below i)``
+    generators of the complement below it, so the inversion count is the
+    sum of the positions of S minus ``C(|S|, 2)``: its parity is the
+    number of generators of S at odd positions plus ``C(|S|, 2)``.  The
+    sign does not depend on the rank.
+
+    >>> [complement_sign(s) for s in (0b00, 0b01, 0b10, 0b11)]
+    [1, 1, -1, 1]
+    >>> complement_sign(0b0110) == wedge_sign(0b0110, 0b1001)
+    True
+    """
+    k = s.bit_count()
+    return -1 if ((s & _ODD_BITS).bit_count() + k * (k - 1) // 2) & 1 else 1
 
 
 class Multivector:
@@ -253,31 +280,6 @@ class Multivector:
                 return out
             out = out + power.divide_exact(factorial(k))
 
-    # -- linear maps on generators ---------------------------------------
-
-    def apply_linear(self, matrix) -> "Multivector":
-        """Algebra map sending generator ``i`` to ``sum_j matrix[i][j] e_j``.
-
-        The matrix must be square of size ``rank``; entries may be
-        rational.  The result must be integral, otherwise
-        :class:`NonIntegralResult` is raised (an integral class with a
-        non-integral image is not a pullback of lattice classes).
-
-        >>> x = Multivector.monomial(2, [0, 1])
-        >>> x.apply_linear([[2, 0], [0, 2]]).items() == {0b11: 4}.items()
-        True
-        """
-        if len(matrix) != self.rank or any(len(row) != self.rank for row in matrix):
-            raise RankMismatch(
-                f"matrix is {len(matrix)} rows for an algebra of rank {self.rank}"
-            )
-        rows = [
-            [(j, entry if isinstance(entry, int) else Fraction(entry))
-             for j, entry in enumerate(row) if entry]
-            for row in matrix
-        ]
-        return _integral_image(self, rows, self.rank)
-
     # -- value semantics and display ----------------------------------
 
     def __eq__(self, other) -> bool:
@@ -347,26 +349,54 @@ def integrate(x: Multivector, orientation: int):
     return orientation * x.coefficient(full)
 
 
-def _apply_generator_images(x: Multivector, rows) -> dict[int, int | Fraction]:
-    """Extend generator images to an algebra map, exactly.
+class ExteriorPower:
+    """Exterior powers of a matrix given by rows, one monomial at a time.
 
-    ``rows[i]`` is the image of generator ``i`` of ``x`` as a sparse list
-    of ``(target_index, coefficient)`` pairs with ``int`` or ``Fraction``
-    coefficients.  Returns the image as a map from target masks to
-    nonzero coefficients, which stay ``int`` when every row entry is.
-    The sign of appending generator ``j`` to a monomial ``pmask`` is the
+    ``rows[i]`` is the image of generator ``i`` as a sparse list of
+    ``(target_index, coefficient)`` pairs with ``int`` or ``Fraction``
+    coefficients.  :meth:`image` gives the image of the monomial ``e_S``
+    as a map from target masks to nonzero coefficients, which are the
+    minors ``det(rows[S, T])`` (the compound matrices).  Each image is
+    built from the image of S without its top generator, appending that
+    generator's row; every prefix built on the way is kept, so the table
+    fills lazily with the masks asked for and their prefixes.  The sign
+    of appending target generator ``j`` to a monomial ``pmask`` is the
     parity of the generators of ``pmask`` above ``j``.
+
+    The returned maps are the table's own entries: read them, never
+    change them.
+
+    >>> power = ExteriorPower([[(0, 2)], [(1, 2)]])
+    >>> power.image(0b11)
+    {3: 4}
+    >>> power.apply(Multivector(2, {0b01: 1, 0b11: -1}).items()) == {0b01: 2, 0b11: -4}
+    True
     """
-    acc: dict[int, int | Fraction] = {}
-    for mask, coeff in x.items():
-        partial = {0: coeff}
+
+    __slots__ = ("_rows", "_images")
+
+    def __init__(self, rows):
+        self._rows = rows
+        self._images: dict[int, dict[int, int | Fraction]] = {0: {0: 1}}
+
+    def image(self, mask: int) -> dict[int, int | Fraction]:
+        """The image of ``e_mask``, from its longest prefix in the table."""
+        images = self._images
+        img = images.get(mask)
+        if img is not None:
+            return img
+        tops = []
         m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            row = rows[low.bit_length() - 1]
+        while m not in images:
+            top = m.bit_length() - 1
+            tops.append(top)
+            m ^= 1 << top
+        img = images[m]
+        for top in reversed(tops):
+            m |= 1 << top
+            row = self._rows[top]
             nxt: dict[int, int | Fraction] = {}
-            for pmask, pc in partial.items():
+            for pmask, pc in img.items():
                 for j, cj in row:
                     bit = 1 << j
                     if pmask & bit:
@@ -376,32 +406,39 @@ def _apply_generator_images(x: Multivector, rows) -> dict[int, int | Fraction]:
                         nxt[key] = nxt.get(key, 0) - pc * cj
                     else:
                         nxt[key] = nxt.get(key, 0) + pc * cj
-            partial = {k: v for k, v in nxt.items() if v}
-            if not partial:
-                break
-        for k, v in partial.items():
-            nv = acc.get(k, 0) + v
-            if nv:
-                acc[k] = nv
-            elif k in acc:
-                del acc[k]
-    return acc
+            img = {k: v for k, v in nxt.items() if v}
+            images[m] = img
+        return img
+
+    def apply(self, terms) -> dict[int, int | Fraction]:
+        """The image of the class with ``(mask, coefficient)`` pairs
+        ``terms``: its coefficients times the monomial images."""
+        acc: dict[int, int | Fraction] = {}
+        for mask, coeff in terms:
+            for k, v in self.image(mask).items():
+                nv = acc.get(k, 0) + coeff * v
+                if nv:
+                    acc[k] = nv
+                elif k in acc:
+                    del acc[k]
+        return acc
 
 
-def _integral_image(x: Multivector, rows, target_rank: int) -> Multivector:
-    """The image under :func:`_apply_generator_images`, which must be integral.
+def _integral_image(x: Multivector, power: ExteriorPower, target_rank: int) -> Multivector:
+    """The image of ``x`` under ``power``, which must be integral.
 
     A non-integer coefficient raises :class:`NonIntegralResult`, whose
     witness is its numerator on its monomial.
     """
-    terms = {}
-    for mask, val in _apply_generator_images(x, rows).items():
-        if val.denominator != 1:
-            raise NonIntegralResult(
-                f"coefficient {val} of monomial mask {mask:#x} is not an integer",
-                Multivector(target_rank, {mask: val.numerator}),
-            )
-        terms[mask] = int(val)
+    terms = power.apply(x.items())
+    for mask, val in terms.items():
+        if type(val) is not int:
+            if val.denominator != 1:
+                raise NonIntegralResult(
+                    f"coefficient {val} of monomial mask {mask:#x} is not an integer",
+                    Multivector(target_rank, {mask: val.numerator}),
+                )
+            terms[mask] = int(val)
     return Multivector(target_rank, terms)
 
 

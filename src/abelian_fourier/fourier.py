@@ -26,7 +26,7 @@ leaves with sign -1, the sign collects
 * ``(-1)^{m(m-1)/2}``, sorting ``e_k1 f_k1 ... e_km f_km`` into
   ``e_K f_K``;
 * ``(-1)^{(n-m) m}``, moving ``e_I`` past ``f_K``;
-* ``wedge_sign(K, I)``, sorting ``e_K e_I`` into the full monomial;
+* ``complement_sign(K)``, sorting ``e_K e_I`` into the full monomial;
 * ``orientation(A)``, integrating the full monomial over the fibre.
 
 So :func:`fourier` costs one signed term per input term and builds
@@ -93,7 +93,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import NonTerminatingSeries, RankMismatch, UnsupportedParams
-from .exterior import Multivector, wedge_sign
+from .exterior import Multivector, complement_sign
 from .varieties import (
     AbelianVariety,
     Homomorphism,
@@ -172,7 +172,7 @@ def fourier(A: AbelianVariety, x: Multivector) -> Multivector:
         m = k.bit_count()
         if ((k & negative).bit_count() + m * (m - 1) // 2 + (n - m) * m) & 1:
             c = -c
-        terms[k] = A.orientation * wedge_sign(k, mask) * c
+        terms[k] = A.orientation * complement_sign(k) * c
     return Multivector(n, terms)
 
 

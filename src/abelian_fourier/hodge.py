@@ -10,8 +10,9 @@ lattice is precisely the lattice of integral (k, k)-classes.  No
 eigenvalue is ever approximated: the operator is exact, in ints wherever J
 is integral (every shipped model) and in Fractions otherwise.
 
-The rows of ``T - p^k`` are built sparse, straight from the generator
-images, and :func:`intlinalg.kernel_saturated_sparse` reads their
+The rows of ``T - p^k`` are built sparse, straight from the monomial
+images in one :class:`~abelian_fourier.exterior.ExteriorPower` table of
+the operator, and :func:`intlinalg.kernel_saturated_sparse` reads their
 supports.  On the shipped models J splits over the elliptic factors, so
 the operator is block diagonal up to a permutation of the monomials (at
 genus 5, degree 4, 210 monomials in blocks of side at most 16, about 4%
@@ -45,7 +46,7 @@ from .errors import (
     RankMismatch,
     UnsupportedParams,
 )
-from .exterior import Multivector, _apply_generator_images, degree_basis_masks
+from .exterior import ExteriorPower, Multivector, degree_basis_masks
 from .fourier import fourier
 from .varieties import AbelianVariety, dual
 
@@ -182,12 +183,12 @@ def hodge_lattice(V: AbelianVariety, k: int, ab=HODGE_DEFAULT_AB) -> HodgeLattic
     if not 0 <= k <= V.genus:
         raise UnsupportedParams(f"half-degree {k} out of range for genus {V.genus}")
     p = _validate_parameter(ab)
-    rows_op = _hodge_rows(V.J, *ab)
+    power = ExteriorPower(_hodge_rows(V.J, *ab))
     masks = degree_basis_masks(V.rank, 2 * k)
     index = {m: i for i, m in enumerate(masks)}
     rows = [{i: -(p**k)} for i in range(len(masks))]
     for j, mask in enumerate(masks):
-        for m, c in _apply_generator_images(Multivector(V.rank, {mask: 1}), rows_op).items():
+        for m, c in power.image(mask).items():
             row = rows[index[m]]
             c += row.get(j, 0)
             if c:
@@ -221,8 +222,7 @@ def is_hodge(V: AbelianVariety, x: Multivector, ab=HODGE_DEFAULT_AB) -> bool:
     if deg % 2:
         return False
     p = _validate_parameter(ab)
-    rows_op = _hodge_rows(V.J, *ab)
-    image = _apply_generator_images(x, rows_op)
+    image = ExteriorPower(_hodge_rows(V.J, *ab)).apply(x.items())
     lam = p ** (deg // 2)
     return image == {m: lam * c for m, c in x.items()}
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 from . import intlinalg
@@ -44,11 +44,11 @@ from .errors import (
     SingularPolarization,
 )
 from .exterior import (
+    ExteriorPower,
     Multivector,
-    _apply_generator_images,
     _integral_image,
+    complement_sign,
     integrate,
-    wedge_sign,
 )
 
 @dataclass(frozen=True)
@@ -356,24 +356,36 @@ class Homomorphism:
                     "homomorphism flagged holomorphic does not intertwine J"
                 )
 
+    @cached_property
+    def _pullback_power(self) -> ExteriorPower:
+        """Exterior powers of the rows: target generator i goes to row i."""
+        return ExteriorPower([[(j, e) for j, e in enumerate(row) if e] for row in self.matrix])
+
+    @cached_property
+    def _pushforward_power(self) -> ExteriorPower:
+        """Exterior powers of the columns: source homology generator j goes
+        to column j."""
+        return ExteriorPower(
+            [[(i, e) for i, e in enumerate(col) if e] for col in zip(*self.matrix)]
+        )
+
     def pullback(self, x: Multivector) -> Multivector:
         """Ring map on cohomology: generator i of the target pulls back to
         row i of the matrix, read as a 1-form on the source."""
         if x.rank != self.target.rank:
             raise RankMismatch(f"class lives on rank {x.rank}, target is {self.target.rank}")
-        rows = [[(j, e) for j, e in enumerate(row) if e] for row in self.matrix]
-        return _integral_image(x, rows, self.source.rank)
+        return _integral_image(x, self._pullback_power, self.source.rank)
 
     def pushforward(self, x: Multivector) -> Multivector:
         """Poincare duality, then the exterior power of M on homology, then
         Poincare duality back.
 
-        A source term ``c e_S`` is dual to ``wedge_sign(S, S^c) c`` times the
-        homology monomial on ``S^c``; its image under ``Lambda(M)`` (source
-        generator j goes to column j of M) has coefficient
+        A source term ``c e_S`` is dual to ``complement_sign(S) c`` times
+        the homology monomial on ``S^c``; its image under ``Lambda(M)``
+        (source generator j goes to column j of M) has coefficient
         ``det(M[U, S^c])`` on each target monomial U by Cauchy-Binet, and U
-        is dual to ``oA oB wedge_sign(w, U) e_w`` with ``w = U^c``.  This is
-        the adjoint of the pullback:
+        is dual to ``oA oB complement_sign(w) e_w`` with ``w = U^c``.  This
+        is the adjoint of the pullback:
         ``integrate_target(f_*(x) ^ y) = integrate_source(x ^ f^*(y))``
         for every y.  Raises the class degree by ``2(g_target - g_source)``.
         """
@@ -383,17 +395,11 @@ class Homomorphism:
         sign = self.source.orientation * self.target.orientation
         full_A = (1 << nA) - 1
         full_B = (1 << nB) - 1
-        homology = Multivector(
-            nA, {full_A ^ m: wedge_sign(m, full_A ^ m) * c for m, c in x.items()}
-        )
-        cols = [
-            [(i, row[j]) for i, row in enumerate(self.matrix) if row[j]]
-            for j in range(nA)
-        ]
+        homology = ((full_A ^ m, complement_sign(m) * c) for m, c in x.items())
         out = {}
-        for u, c in _apply_generator_images(homology, cols).items():
+        for u, c in self._pushforward_power.apply(homology).items():
             w = full_B ^ u
-            out[w] = sign * wedge_sign(w, u) * c
+            out[w] = sign * complement_sign(w) * c
         return Multivector(nB, out)
 
     def compose(self, other: "Homomorphism") -> "Homomorphism":

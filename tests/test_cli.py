@@ -279,14 +279,16 @@ def test_verify_reports_non_hodge_generator_as_check_failure(tmp_path, monkeypat
 def test_verify_reports_non_integral_image_as_check_failure(tmp_path, monkeypatch):
     # a pullback with a fractional coefficient is a mathematical failure:
     # the check fails with the offending monomial as witness and verify
-    # exits 1, not 2 (input error)
-    import abelian_fourier.exterior as exterior
+    # exits 1, not 2 (input error).  The halving is applied to the
+    # exterior-power table's output, not to its stored entries, so the
+    # tables the cached homomorphisms keep stay correct for later tests.
+    from abelian_fourier.exterior import ExteriorPower
 
-    apply = exterior._apply_generator_images
+    apply = ExteriorPower.apply
     monkeypatch.setattr(
-        exterior,
-        "_apply_generator_images",
-        lambda x, rows: {m: Fraction(c, 2) for m, c in apply(x, rows).items()},
+        ExteriorPower,
+        "apply",
+        lambda self, terms: {m: Fraction(c, 2) for m, c in apply(self, terms).items()},
     )
     out = tmp_path / "report.json"
     code = run_cli(

@@ -1,4 +1,8 @@
-"""Exterior algebra: signs, grading, exact division, linear functoriality."""
+"""Exterior algebra: signs, grading, exact division, linear functoriality.
+
+The exterior-power table is tested against :func:`apply_generator_images`,
+the per-monomial loop it replaced, and against the minors of the rows.
+"""
 
 import random
 from fractions import Fraction
@@ -15,15 +19,71 @@ from abelian_fourier.errors import (
     RankMismatch,
 )
 from abelian_fourier.exterior import (
+    MAX_RANK,
+    ExteriorPower,
     Multivector,
-    _apply_generator_images,
     _integral_image,
     bits_of,
+    complement_sign,
     degree_basis_masks,
     integrate,
     wedge_sign,
 )
 from abelian_fourier.intlinalg import det_bareiss, mat_mul
+
+
+def apply_generator_images(x: Multivector, rows) -> dict:
+    """Oracle of :class:`ExteriorPower`: each monomial of x on its own.
+
+    ``rows[i]`` is the image of generator ``i`` as sparse
+    ``(target_index, coefficient)`` pairs.  Every monomial is rebuilt one
+    generator at a time, lowest first, with no table shared between
+    monomials; the sign of appending generator ``j`` to ``pmask`` is the
+    parity of the generators of ``pmask`` above ``j``.
+    """
+    acc = {}
+    for mask, coeff in x.items():
+        partial = {0: coeff}
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            row = rows[low.bit_length() - 1]
+            nxt = {}
+            for pmask, pc in partial.items():
+                for j, cj in row:
+                    bit = 1 << j
+                    if pmask & bit:
+                        continue
+                    key = pmask | bit
+                    if (pmask >> j).bit_count() & 1:
+                        nxt[key] = nxt.get(key, 0) - pc * cj
+                    else:
+                        nxt[key] = nxt.get(key, 0) + pc * cj
+            partial = {k: v for k, v in nxt.items() if v}
+            if not partial:
+                break
+        for k, v in partial.items():
+            nv = acc.get(k, 0) + v
+            if nv:
+                acc[k] = nv
+            elif k in acc:
+                del acc[k]
+    return acc
+
+
+def generator_rows(matrix):
+    """Row i of ``matrix`` as the image of generator i, exact entries."""
+    return [
+        [(j, e if isinstance(e, int) else Fraction(e)) for j, e in enumerate(row) if e]
+        for row in matrix
+    ]
+
+
+def apply_linear(x: Multivector, matrix) -> Multivector:
+    """Algebra map sending generator i to ``sum_j matrix[i][j] e_j``,
+    which must be integral."""
+    return _integral_image(x, ExteriorPower(generator_rows(matrix)), len(matrix[0]))
 
 
 def permutation_sign_oracle(a_bits, b_bits):
@@ -166,14 +226,14 @@ def test_cup_exponential():
 
 def test_apply_linear_examples():
     x = Multivector(2, {0b11: 1})
-    assert x.apply_linear([[2, 0], [0, 2]]) == x * 4
+    assert apply_linear(x, [[2, 0], [0, 2]]) == x * 4
     e1 = Multivector.generator(2, 0)
-    assert e1.apply_linear([[-1, 0], [0, -1]]) == -e1
+    assert apply_linear(e1, [[-1, 0], [0, -1]]) == -e1
     rng = random.Random(23)
     for _ in range(20):
         M = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
         det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-        assert x.apply_linear(M) == x * det
+        assert apply_linear(x, M) == x * det
 
 
 def test_apply_linear_functoriality_and_ring_map():
@@ -187,19 +247,19 @@ def test_apply_linear_functoriality_and_ring_map():
         # generator images compose through the matrix product N*M:
         # applying M-rows first then N-rows equals applying (N then M) rows
         MN = mat_mul(M, N)
-        assert x.apply_linear(MN) == x.apply_linear(M).apply_linear(N)
-        assert x.wedge(y).apply_linear(M) == x.apply_linear(M).wedge(y.apply_linear(M))
+        assert apply_linear(x, MN) == apply_linear(apply_linear(x, M), N)
+        assert apply_linear(x.wedge(y), M) == apply_linear(x, M).wedge(apply_linear(y, M))
 
 
 def test_apply_linear_integrality_guard():
     x = Multivector.generator(2, 0)
     with pytest.raises(NonIntegralResult) as exc:
-        x.apply_linear([[Fraction(1, 2), 0], [0, 1]])
+        apply_linear(x, [[Fraction(1, 2), 0], [0, 1]])
     assert exc.value.witness == Multivector(2, {0b01: 1})
     # rational entries that cancel to integers are fine
     y = Multivector(2, {0b11: 4})
     half = [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
-    assert y.apply_linear(half) == Multivector(2, {0b11: 1})
+    assert apply_linear(y, half) == Multivector(2, {0b11: 1})
 
 
 def test_constructor_validation():
@@ -237,21 +297,47 @@ def test_kernel_coefficients_are_minors(data):
     # the algebra map sending generator i to row i of M has the minors of M
     # as coefficients: e_S goes to sum_T det(M[S, T]) e_T.  Integer rows
     # stay integral; halved Fraction rows run through the same kernel and
-    # give the minors over 2^|S|.
+    # give the minors over 2^|S|.  One table per row set answers a list of
+    # masks and then the same masks again in shuffled order, so that later
+    # queries hit entries and prefixes stored by earlier ones; every answer
+    # is also the per-monomial oracle's.
     r = data.draw(st.integers(0, 8), label="rows")
     c = data.draw(st.integers(0, 8), label="columns")
     entry = st.integers(-3, 3)
     M = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
-    S = data.draw(st.integers(0, (1 << r) - 1), label="mask")
-    x = Multivector(r, {S: 1})
-    rows = [[(j, e) for j, e in enumerate(row) if e] for row in M]
+    masks = data.draw(st.lists(st.integers(0, (1 << r) - 1), min_size=1, max_size=6), label="masks")
+    masks += data.draw(st.permutations(masks), label="again")
+    rows = generator_rows(M)
     halves = [[(j, Fraction(e, 2)) for j, e in row] for row in rows]
-    image = _integral_image(x, rows, c)
-    rational = _apply_generator_images(x, halves)
-    src = bits_of(S)
-    k = len(src)
-    assert image.degrees() <= {k}
-    for T in degree_basis_masks(c, k):
-        minor = det_bareiss([[M[i][j] for j in bits_of(T)] for i in src])
-        assert image.coefficient(T) == minor
-        assert rational.get(T, 0) == Fraction(minor, 2**k)
+    power, half_power = ExteriorPower(rows), ExteriorPower(halves)
+    minors = {}
+    for S in masks:
+        x = Multivector(r, {S: 1})
+        image = _integral_image(x, power, c)
+        rational = half_power.image(S)
+        assert image == Multivector(c, apply_generator_images(x, rows))
+        assert rational == apply_generator_images(x, halves)
+        src = bits_of(S)
+        k = len(src)
+        assert image.degrees() <= {k}
+        if S not in minors:
+            minors[S] = {
+                T: det_bareiss([[M[i][j] for j in bits_of(T)] for i in src])
+                for T in degree_basis_masks(c, k)
+            }
+        for T, minor in minors[S].items():
+            assert image.coefficient(T) == minor
+            assert rational.get(T, 0) == Fraction(minor, 2**k)
+    x = Multivector(r, dict(data.draw(st.lists(st.tuples(st.integers(0, (1 << r) - 1), entry)))))
+    assert power.apply(x.items()) == apply_generator_images(x, rows)
+    assert half_power.apply(x.items()) == apply_generator_images(x, halves)
+
+
+def test_complement_sign_is_the_poincare_duality_sign():
+    for rank in range(13):
+        full = (1 << rank) - 1
+        for s in range(1 << rank):
+            assert complement_sign(s) == wedge_sign(s, full ^ s), (rank, s)
+    # bits up to MAX_RANK count by their positions alone
+    top = 1 << (MAX_RANK - 1)
+    assert complement_sign(top) == wedge_sign(top, top - 1) == -1

@@ -17,11 +17,7 @@ from abelian_fourier.errors import (
     RiemannRelationViolated,
     UnsupportedParams,
 )
-from abelian_fourier.exterior import (
-    Multivector,
-    _apply_generator_images,
-    degree_basis_masks,
-)
+from abelian_fourier.exterior import Multivector, degree_basis_masks
 from abelian_fourier.fourier import beta_from_divisor, poincare_class
 from abelian_fourier.hodge import (
     HodgeLattice,
@@ -45,6 +41,7 @@ from abelian_fourier.varieties import (
     product,
     standard_ppav,
 )
+from test_exterior import apply_generator_images
 from test_intlinalg import rational_inverse
 
 
@@ -385,7 +382,7 @@ def operator_matrix(V, k, ab=(1, 2)):
     n = len(masks)
     M = [[0] * n for _ in range(n)]
     for j, mask in enumerate(masks):
-        image = _apply_generator_images(Multivector(V.rank, {mask: 1}), rows_op)
+        image = apply_generator_images(Multivector(V.rank, {mask: 1}), rows_op)
         for m, c in image.items():
             M[index[m]][j] = c
     p = ab[0] ** 2 + ab[1] ** 2

@@ -22,6 +22,7 @@ from abelian_fourier.exterior import Multivector, wedge_sign
 from abelian_fourier.fourier import graph_of_polarization
 from abelian_fourier.hodge import _hodge_rows
 from abelian_fourier.intlinalg import mat_mul
+from abelian_fourier.suite import _gaussian_hom
 from abelian_fourier.varieties import (
     Homomorphism,
     _pfaffian,
@@ -36,6 +37,7 @@ from abelian_fourier.varieties import (
     standard_ppav,
     structure_homs,
 )
+from test_exterior import apply_generator_images
 
 STD_E = [[0, 1], [-1, 0]]
 STD_J = [[0, -1], [1, 0]]
@@ -65,6 +67,27 @@ def adjoint_pushforward(f, x):
                 w = full_B ^ u
                 sign = f.source.orientation * f.target.orientation * wedge_sign(w, u)
                 out[w] = out.get(w, 0) + sign * top
+    return Multivector(nB, out)
+
+
+def oracle_pullback(f, y):
+    """The pullback by the per-monomial loop, sharing nothing with f."""
+    rows = [[(j, e) for j, e in enumerate(row) if e] for row in f.matrix]
+    return Multivector(f.source.rank, apply_generator_images(y, rows))
+
+
+def oracle_pushforward(f, x):
+    """The pushforward by the per-monomial loop on the columns, with the
+    Poincare-duality signs taken from ``wedge_sign``."""
+    nA, nB = f.source.rank, f.target.rank
+    full_A, full_B = (1 << nA) - 1, (1 << nB) - 1
+    homology = Multivector(nA, {full_A ^ m: wedge_sign(m, full_A ^ m) * c for m, c in x.items()})
+    cols = [[(i, row[j]) for i, row in enumerate(f.matrix) if row[j]] for j in range(nA)]
+    sign = f.source.orientation * f.target.orientation
+    out = {}
+    for u, c in apply_generator_images(homology, cols).items():
+        w = full_B ^ u
+        out[w] = sign * wedge_sign(w, u) * c
     return Multivector(nB, out)
 
 
@@ -408,3 +431,26 @@ def test_pfaffian_matches_theta_power(data):
         for i in range(n):
             E[k][i] = E[i][k] = 0
     assert _pfaffian(E) == theta_top_coefficient(E)
+
+
+def test_reused_hom_tables_keep_their_entries():
+    # one Gaussian hom keeps its exterior-power tables across calls: every
+    # mask is pulled back and pushed forward twice, with random classes
+    # sent through the same tables in between, and every answer must be
+    # the oracle's, so an entry changed after it was stored shows up
+    rng = random.Random(41)
+    X, Y = standard_ppav(2), standard_ppav(3)
+    f = Homomorphism(X, Y, tuple(map(tuple, _gaussian_hom(rng, 2, 3))), True)
+    for _ in range(2):
+        for mask in range(1 << Y.rank):
+            y = Multivector(Y.rank, {mask: 1})
+            assert f.pullback(y) == oracle_pullback(f, y)
+            x = rand_mv(rng, X.rank, terms=4)
+            assert f.pushforward(x) == oracle_pushforward(f, x)
+        for mask in range(1 << X.rank):
+            x = Multivector(X.rank, {mask: 1})
+            pushed = f.pushforward(x)
+            assert pushed == oracle_pushforward(f, x)
+            assert pushed == adjoint_pushforward(f, x)
+            y = rand_mv(rng, Y.rank, terms=4)
+            assert f.pullback(y) == oracle_pullback(f, y)
