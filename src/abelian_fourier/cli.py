@@ -59,16 +59,13 @@ def _write(text: str, out_path: str | None):
 
 
 def _load_variety_arg(args):
-    if getattr(args, "variety", None):
+    if args.variety:
         with open(args.variety, encoding="utf-8") as fh:
             return parse_variety(fh.read())
-    genus = getattr(args, "genus", None)
-    ptype = getattr(args, "type", None)
-    if ptype:
-        delta = tuple(int(d) for d in ptype.split(","))
-        return elliptic_product(delta)
-    if genus is not None:
-        return standard_ppav(genus)
+    if args.type:
+        return elliptic_product(tuple(int(d) for d in args.type.split(",")))
+    if args.genus is not None:
+        return standard_ppav(args.genus)
     return None
 
 
@@ -178,9 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the identity verification suite")
-    p_verify.add_argument("--genus", type=int, help="run every check at this genus")
-    p_verify.add_argument("--variety", help="variety spec file (JSON)")
-    p_verify.add_argument("--type", help="polarization type, e.g. 1,2")
+    model = p_verify.add_mutually_exclusive_group()
+    model.add_argument("--genus", type=int, help="run every check at this genus")
+    model.add_argument("--variety", help="variety spec file (JSON)")
+    model.add_argument("--type", help="polarization type, e.g. 1,2")
     p_verify.add_argument("--checks", default="all", help="comma list of check names, or 'all'")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -188,9 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_fourier = sub.add_parser("fourier", help="transform a class file")
-    p_fourier.add_argument("--variety", help="variety spec file (JSON)")
-    p_fourier.add_argument("--genus", type=int, help="use the built-in principal model")
-    p_fourier.add_argument("--type", help="use the built-in model of this type")
+    model = p_fourier.add_mutually_exclusive_group()
+    model.add_argument("--variety", help="variety spec file (JSON)")
+    model.add_argument("--genus", type=int, help="use the built-in principal model")
+    model.add_argument("--type", help="use the built-in model of this type")
     p_fourier.add_argument("--class", dest="class_file", required=True, help="class file (JSON)")
     p_fourier.add_argument(
         "--inverse",
@@ -201,9 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fourier.set_defaults(fn=_cmd_fourier)
 
     p_hodge = sub.add_parser("hodge", help="compute a Hodge-class lattice")
-    p_hodge.add_argument("--variety", help="variety spec file (JSON)")
-    p_hodge.add_argument("--genus", type=int, help="use the built-in principal model")
-    p_hodge.add_argument("--type", help="use the built-in model of this type")
+    model = p_hodge.add_mutually_exclusive_group()
+    model.add_argument("--variety", help="variety spec file (JSON)")
+    model.add_argument("--genus", type=int, help="use the built-in principal model")
+    model.add_argument("--type", help="use the built-in model of this type")
     p_hodge.add_argument("--degree", type=int, required=True, help="cohomological degree 2k")
     p_hodge.add_argument(
         "--certify-generators",

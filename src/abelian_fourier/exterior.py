@@ -99,9 +99,7 @@ class Multivector:
                 if coeff:
                     if not isinstance(coeff, int):
                         raise TypeError(f"coefficient {coeff!r} is not an integer")
-                    clean[mask] = clean.get(mask, 0) + coeff
-                    if not clean[mask]:
-                        del clean[mask]
+                    clean[mask] = coeff
         self._terms = clean
 
     # -- constructors -------------------------------------------------
@@ -120,17 +118,6 @@ class Multivector:
         if not 0 <= i < rank:
             raise ValueError(f"generator index {i} out of range for rank {rank}")
         return cls(rank, {1 << i: 1})
-
-    @classmethod
-    def monomial(cls, rank: int, indices, coeff: int = 1) -> "Multivector":
-        """Monomial on distinct generator indices, in increasing order."""
-        mask = 0
-        for i in indices:
-            bit = 1 << i
-            if mask & bit:
-                raise ValueError(f"repeated generator index {i}")
-            mask |= bit
-        return cls(rank, {mask: coeff})
 
     # -- inspection ----------------------------------------------------
 
@@ -264,7 +251,7 @@ class Multivector:
         Each term is divided exactly and :class:`NonDivisible` propagates
         from any term that fails.
 
-        >>> theta = Multivector.monomial(2, [0, 1])
+        >>> theta = Multivector(2, {0b11: 1})
         >>> sorted(theta.cup_exponential().items())
         [(0, 1), (3, 1)]
         """

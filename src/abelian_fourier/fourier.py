@@ -15,12 +15,12 @@ This is the exchange law (Beauville 1983, Mukai 1981):
 
 Closed form.  In the factor-major basis ``ell = sum_i s_i e_i f_i``
 pairs generator ``e_i`` of A with generator ``f_i`` of the dual, with the
-sign ``s_i`` of the leaf holding i.  The 2-forms ``e_i f_i`` commute, so
-``exp(ell)`` is the product of the ``1 + s_i e_i f_i`` and its terms are
-``prod_{i in S} s_i e_i f_i`` over all subsets S.  Against ``e_I`` only
-``S = K = I^c`` fills the first factor, so F sends ``c e_I`` to one signed
-monomial ``f_K``.  With ``m = |K|``, ``n = 2g`` and N the generators of the
-leaves with sign -1, the sign collects
+sign ``s_i = -1`` exactly when bit i of ``A.negative`` is set.  The 2-forms
+``e_i f_i`` commute, so ``exp(ell)`` is the product of the
+``1 + s_i e_i f_i`` and its terms are ``prod_{i in S} s_i e_i f_i`` over
+all subsets S.  Against ``e_I`` only ``S = K = I^c`` fills the first
+factor, so F sends ``c e_I`` to one signed monomial ``f_K``.  With ``m = |K|``, ``n = 2g`` and ``N = A.negative``,
+the sign collects
 
 * ``(-1)^{|K & N|}``, the product of the ``s_i`` over K;
 * ``(-1)^{m(m-1)/2}``, sorting ``e_k1 f_k1 ... e_km f_km`` into
@@ -72,12 +72,14 @@ So :func:`beta_from_divisor` is one transform and one pullback along
 
 Sign conventions (pinned once, consumed everywhere):
 
-* ``ell`` on ``A x A^`` pairs generator i with dual generator i, with a
-  recorded per-factor sign; freshly constructed varieties carry +1 and
-  dualizing a factor flips its sign.  A single global sign cannot work:
-  the inversion identity ``F . F = (-1)^g [-1]^*`` on odd-degree classes
-  forces the pairing class of the dual to be the pullback of the primal
-  one under the swap map, which in coordinates is the sign flip.  Even
+* ``ell`` on ``A x A^`` pairs generator i with dual generator i, with
+  sign -1 on the generators of the mask ``A.negative``; freshly
+  constructed varieties have the empty mask, dualizing complements it and
+  a product concatenates the factors' masks.  A single global sign
+  cannot work: the inversion identity ``F . F = (-1)^g [-1]^*`` on
+  odd-degree classes forces the pairing class of the dual to be the
+  pullback of the primal one under the swap map, which in coordinates is
+  the sign flip.  Even
   cohomology only meets even powers of ``ell``, so no even-degree
   identity can detect the flip; exactness on all 2^{2g} monomials does.
 * The polarization isogeny has matrix E itself, pinned by the identity
@@ -109,14 +111,10 @@ def poincare_class(A: AbelianVariety) -> Multivector:
     """First Chern class of the Poincare bundle, on ``A x A^``.
 
     The mixed Kunneth element pairing each generator with its dual
-    generator, one block per indecomposable factor, each block carrying
-    the factor's recorded sign.
+    generator, with sign -1 on the generators of ``A.negative``.
     """
     n = A.rank
-    terms = {}
-    for lf in A.leaves:
-        for i in range(lf.offset, lf.offset + 2 * lf.genus):
-            terms[(1 << i) | (1 << (n + i))] = lf.sign
+    terms = {(1 << i) | (1 << (n + i)): -1 if A.negative >> i & 1 else 1 for i in range(n)}
     return Multivector(2 * n, terms)
 
 
@@ -162,15 +160,11 @@ def fourier(A: AbelianVariety, x: Multivector) -> Multivector:
     _require_rank(A, x)
     n = A.rank
     full = (1 << n) - 1
-    negative = 0
-    for lf in A.leaves:
-        if lf.sign < 0:
-            negative |= ((1 << (2 * lf.genus)) - 1) << lf.offset
     terms = {}
     for mask, c in x.items():
         k = full ^ mask
         m = k.bit_count()
-        if ((k & negative).bit_count() + m * (m - 1) // 2 + (n - m) * m) & 1:
+        if ((k & A.negative).bit_count() + m * (m - 1) // 2 + (n - m) * m) & 1:
             c = -c
         terms[k] = A.orientation * complement_sign(k) * c
     return Multivector(n, terms)
@@ -390,37 +384,27 @@ def beta_from_divisor_reference(A: AbelianVariety, D: Multivector) -> Multivecto
     return out
 
 
-def _remap_generators(x: Multivector, mapping: list[int], target_rank: int) -> Multivector:
-    """Relabel generators along a strictly increasing index map (signless)."""
-    for a, b in zip(mapping, mapping[1:]):
-        if b <= a:
-            raise ValueError("generator remap must be strictly increasing")
-    terms = {}
-    for mask, c in x.items():
-        new_mask = 0
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            new_mask |= 1 << mapping[low.bit_length() - 1]
-        terms[new_mask] = c
-    return Multivector(target_rank, terms)
-
-
 def _four_fold_maps(A: AbelianVariety, B: AbelianVariety):
     """The two block-pair projections of ``(A x B) x (A x B)^``.
 
-    Returns the 4-fold product structure together with the increasing
-    index maps realizing the pullbacks from ``A x A^`` (blocks 1, 3) and
-    ``B x B^`` (blocks 2, 4).
+    Returns the 4-fold product structure together with the projections
+    ``p13`` onto ``A x A^`` (blocks 1, 3) and ``p24`` onto ``B x B^``
+    (blocks 2, 4).  Each sends its target's generators, in order, to
+    increasing generators of the 4-fold, so its pullback relabels
+    monomials without a sign.
     """
     X = product(A, B)
     XP = product(X.variety, dual(X.variety))
-    nA, nB = A.rank, B.rank
-    n = nA + nB
-    map13 = list(range(nA)) + [n + i for i in range(nA)]
-    map24 = [nA + i for i in range(nB)] + [n + nA + i for i in range(nB)]
-    return XP, map13, map24
+    nA, n = A.rank, X.variety.rank
+    n4 = 2 * n
+
+    def projection(target, columns):
+        rows = tuple(tuple(1 if j == c else 0 for j in range(n4)) for c in columns)
+        return Homomorphism(XP.variety, target, rows, True)
+
+    p13 = projection(product(A, dual(A)).variety, [*range(nA), *range(n, n + nA)])
+    p24 = projection(product(B, dual(B)).variety, [*range(nA, n), *range(n + nA, n4)])
+    return XP, p13, p24
 
 
 def kunneth_R_decomposition(A: AbelianVariety):
@@ -434,21 +418,15 @@ def kunneth_R_decomposition(A: AbelianVariety):
     """
     g = A.genus
     Ahat = dual(A)
-    XP, map13, map24 = _four_fold_maps(A, Ahat)
+    XP, p13, p24 = _four_fold_maps(A, Ahat)
     ell_X = poincare_class(XP.factors[0])
     lhs = ell_X.wedge_power_divided(4 * g - 1)
 
-    R_A = named_class(A, "R")
-    R_hat = named_class(Ahat, "R")
-    pt_13 = product(A, Ahat).variety.point_class()
-    pt_24 = product(Ahat, dual(Ahat)).variety.point_class()
-    n4 = XP.variety.rank
-    rhs = _remap_generators(R_A, map13, n4).wedge(
-        _remap_generators(pt_24, map24, n4)
-    ) + _remap_generators(pt_13, map13, n4).wedge(
-        _remap_generators(R_hat, map24, n4)
-    )
-    return lhs, rhs
+    R_A = p13.pullback(named_class(A, "R"))
+    R_hat = p24.pullback(named_class(Ahat, "R"))
+    pt_13 = p13.pullback(p13.target.point_class())
+    pt_24 = p24.pullback(p24.target.point_class())
+    return lhs, R_A.wedge(pt_24) + pt_13.wedge(R_hat)
 
 
 def prop45_pushforward_check(A: AbelianVariety, B: AbelianVariety):
@@ -465,27 +443,21 @@ def prop45_pushforward_check(A: AbelianVariety, B: AbelianVariety):
     """
     gA, gB = A.genus, B.genus
     h = gA + gB
-    XP, map13, map24 = _four_fold_maps(A, B)
-    n4 = XP.variety.rank
+    XP, p13, p24 = _four_fold_maps(A, B)
     ell_X = poincare_class(XP.factors[0])
     R_X = ell_X.wedge_power_divided(2 * h - 1)
 
     mu = poincare_class(A)
     nu = poincare_class(B)
-    term1 = _remap_generators(mu.wedge_power_divided(2 * gA - 1), map13, n4).wedge(
-        _remap_generators(nu.wedge_power_divided(2 * gB), map24, n4)
+    term1 = p13.pullback(mu.wedge_power_divided(2 * gA - 1)).wedge(
+        p24.pullback(nu.wedge_power_divided(2 * gB))
     )
-    term2 = _remap_generators(mu.wedge_power_divided(2 * gA), map13, n4).wedge(
-        _remap_generators(nu.wedge_power_divided(2 * gB - 1), map24, n4)
+    term2 = p13.pullback(mu.wedge_power_divided(2 * gA)).wedge(
+        p24.pullback(nu.wedge_power_divided(2 * gB - 1))
     )
     split_ok = R_X == term1 + term2
 
-    pairA = product(A, dual(A)).variety
-    proj_rows = []
-    for i in map13:
-        proj_rows.append(tuple(1 if j == i else 0 for j in range(n4)))
-    f = Homomorphism(XP.variety, pairA, tuple(proj_rows), XP.variety.J is not None)
-    pushed = f.pushforward(R_X)
+    pushed = p13.pushforward(R_X)
     expected = mu.wedge_power_divided(2 * gA - 1)
     if gB % 2:
         expected = -expected

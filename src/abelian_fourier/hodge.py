@@ -21,9 +21,10 @@ block, and :meth:`HodgeLattice.coordinates` solves one small system per
 connected block of the basis.  A model whose J does not split is one block
 and takes the whole-matrix path.
 
-The default parameter is ``(a, b) = (1, 2)`` of norm 5, the smallest odd
-prime norm; independence of the lattice from the admissible parameter is
-part of the verification suite.
+The parameter is fixed at ``(a, b) = (1, 2)``, of norm 5, the smallest odd
+prime norm.  Any admissible parameter gives the same lattice; the tier-1
+test ``test_parameter_independence`` checks this against the kernels for
+``(2, 3)`` and the conjugate ``(2, 1)``.
 
 This module owns the operator: :func:`_hodge_rows` gives the action of
 ``a + bJ`` on 1-forms, and every Hodge computation of the package (the
@@ -50,18 +51,20 @@ from .exterior import ExteriorPower, Multivector, degree_basis_masks
 from .fourier import fourier
 from .varieties import AbelianVariety, dual
 
-# Default Gaussian-prime parameter (a, b): the Hodge projector uses the
-# group element a + bJ, whose norm a^2 + b^2 must be an odd prime.
-HODGE_DEFAULT_AB = (1, 2)
+# The Gaussian-prime parameter (a, b) of the projector element a + bJ; its
+# norm a^2 + b^2 must be an odd prime.
+_PARAMETER = (1, 2)
+_NORM = _PARAMETER[0] ** 2 + _PARAMETER[1] ** 2
 
 
-def _hodge_rows(J, a: int, b: int):
+def _hodge_rows(J):
     """Generator images of the projector element a + bJ on 1-forms.
 
     The induced action on the dual basis sends generator i to
     ``a e_i + b sum_j J[i][j] e_j``, i.e. row i of ``a I + b J``.  The
     entries are ints wherever J's are (see ``varieties._exact_matrix``).
     """
+    a, b = _PARAMETER
     n = len(J)
     rows = []
     for i in range(n):
@@ -69,22 +72,6 @@ def _hodge_rows(J, a: int, b: int):
         row.append((i, a))
         rows.append(row)
     return rows
-
-
-def _validate_parameter(ab):
-    a, b = ab
-    p = a * a + b * b
-    if b == 0 or p % 2 == 0:
-        raise UnsupportedParams(f"parameter {ab} must have odd norm with b != 0")
-    if p < 3:
-        # a unit, not a prime: every eigenvalue with p = q mod 4 has norm 1
-        raise UnsupportedParams(f"norm {p} of parameter {ab} is a unit, not a prime")
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            raise UnsupportedParams(f"norm {p} of parameter {ab} is not prime")
-        d += 2
-    return p
 
 
 @dataclass(frozen=True)
@@ -167,7 +154,7 @@ class HodgeLattice:
         return [int(c) for c in sol]
 
 
-def hodge_lattice(V: AbelianVariety, k: int, ab=HODGE_DEFAULT_AB) -> HodgeLattice:
+def hodge_lattice(V: AbelianVariety, k: int) -> HodgeLattice:
     """Saturated basis of the integral Hodge classes in degree 2k.
 
     The rows of ``T - p^k`` are kept sparse, as ``{column: entry}``:
@@ -182,11 +169,10 @@ def hodge_lattice(V: AbelianVariety, k: int, ab=HODGE_DEFAULT_AB) -> HodgeLattic
         raise NoComplexStructure(f"{V.name} has no complex structure")
     if not 0 <= k <= V.genus:
         raise UnsupportedParams(f"half-degree {k} out of range for genus {V.genus}")
-    p = _validate_parameter(ab)
-    power = ExteriorPower(_hodge_rows(V.J, *ab))
+    power = ExteriorPower(_hodge_rows(V.J))
     masks = degree_basis_masks(V.rank, 2 * k)
     index = {m: i for i, m in enumerate(masks)}
-    rows = [{i: -(p**k)} for i in range(len(masks))]
+    rows = [{i: -(_NORM**k)} for i in range(len(masks))]
     for j, mask in enumerate(masks):
         for m, c in power.image(mask).items():
             row = rows[index[m]]
@@ -204,7 +190,7 @@ def hodge_lattice(V: AbelianVariety, k: int, ab=HODGE_DEFAULT_AB) -> HodgeLattic
     )
 
 
-def is_hodge(V: AbelianVariety, x: Multivector, ab=HODGE_DEFAULT_AB) -> bool:
+def is_hodge(V: AbelianVariety, x: Multivector) -> bool:
     """Exact membership test for the Hodge lattice.
 
     The class must be homogeneous; odd degrees are never Hodge.  Zero is
@@ -221,15 +207,12 @@ def is_hodge(V: AbelianVariety, x: Multivector, ab=HODGE_DEFAULT_AB) -> bool:
     deg = x.degree()
     if deg % 2:
         return False
-    p = _validate_parameter(ab)
-    image = ExteriorPower(_hodge_rows(V.J, *ab)).apply(x.items())
-    lam = p ** (deg // 2)
+    image = ExteriorPower(_hodge_rows(V.J)).apply(x.items())
+    lam = _NORM ** (deg // 2)
     return image == {m: lam * c for m, c in x.items()}
 
 
-def voisin_certificate(
-    V: AbelianVariety, k: int, generators, ab=HODGE_DEFAULT_AB
-) -> intlinalg.CokernelInvariants:
+def voisin_certificate(V: AbelianVariety, k: int, generators) -> intlinalg.CokernelInvariants:
     """Elementary divisors of the Hodge lattice modulo supplied generators.
 
     Each generator must be a Hodge class of degree 2k (``NotHodge``
@@ -238,11 +221,11 @@ def voisin_certificate(
     desk-scale form of the one-cycle algebraicity statement relative to
     those generators.
     """
-    lat = hodge_lattice(V, k, ab)
+    lat = hodge_lattice(V, k)
     columns = []
     for idx, gen in enumerate(generators):
         try:
-            ok = is_hodge(V, gen, ab) and (gen.is_zero() or gen.degree() == 2 * k)
+            ok = is_hodge(V, gen) and (gen.is_zero() or gen.degree() == 2 * k)
         except NotHomogeneous:
             ok = False
         if not ok:
@@ -265,7 +248,7 @@ class FourierHodgeMatrix:
     unimodular: bool
 
 
-def fourier_hodge_matrix(A: AbelianVariety, i: int, ab=HODGE_DEFAULT_AB) -> FourierHodgeMatrix:
+def fourier_hodge_matrix(A: AbelianVariety, i: int) -> FourierHodgeMatrix:
     """Matrix of the transform from degree-2i Hodge classes to the dual side.
 
     The image of every basis class must itself be a Hodge class on the
@@ -274,12 +257,12 @@ def fourier_hodge_matrix(A: AbelianVariety, i: int, ab=HODGE_DEFAULT_AB) -> Four
     expressed in the dual Hodge basis and flagged unimodular when square
     with determinant +-1.
     """
-    lat_src = hodge_lattice(A, i, ab)
-    lat_dst = hodge_lattice(dual(A), A.genus - i, ab)
+    lat_src = hodge_lattice(A, i)
+    lat_dst = hodge_lattice(dual(A), A.genus - i)
     cols = []
     for idx, u in enumerate(lat_src.basis_classes()):
         image = fourier(A, u)
-        if not is_hodge(dual(A), image, ab):
+        if not is_hodge(dual(A), image):
             raise ImageNotInHodge(
                 f"transform of Hodge basis class {idx} in degree {2 * i} left the Hodge lattice",
                 image,

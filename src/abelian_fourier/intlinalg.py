@@ -384,6 +384,11 @@ class CokernelInvariants:
 def cokernel_invariants(generators, ambient_rank: int) -> CokernelInvariants:
     """Invariants of ``Z^ambient_rank`` modulo the span of the given columns.
 
+    A square matrix of determinant +-1 spans everything: its Smith form is
+    the identity, so the answer is read off :func:`det_bareiss` without
+    one.  Any other matrix takes the Smith form, the oracle of that
+    shortcut.
+
     >>> cokernel_invariants([[2], [0]], 2)
     CokernelInvariants(divisors=(2,), free_rank=1)
     >>> cokernel_invariants(identity_matrix(3), 3).is_trivial
@@ -393,6 +398,8 @@ def cokernel_invariants(generators, ambient_rank: int) -> CokernelInvariants:
         raise ValueError(
             f"generator matrix has {len(generators)} rows, expected {ambient_rank}"
         )
+    if all(len(row) == ambient_rank for row in generators) and abs(det_bareiss(generators)) == 1:
+        return CokernelInvariants((1,) * ambient_rank, 0)
     snf = smith_normal_form(generators)
     finite = tuple(d for d in snf.divisors if d != 0)
     return CokernelInvariants(divisors=finite, free_rank=ambient_rank - len(finite))

@@ -10,7 +10,7 @@ a report can be interpreted without the producing configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import __version__
@@ -189,22 +189,7 @@ def parse_report(text: str) -> ReportDocument:
 
 def strip_runtimes(doc: ReportDocument) -> ReportDocument:
     """Zero the runtime stamps; everything else is run-to-run identical."""
-    results = tuple(
-        CheckResult(
-            descriptor=r.descriptor,
-            status=r.status,
-            witness=r.witness,
-            detail=r.detail,
-            runtime_ms=0,
-        )
-        for r in doc.results
-    )
-    return ReportDocument(
-        version=doc.version,
-        conventions=doc.conventions,
-        results=results,
-        exit_status=doc.exit_status,
-    )
+    return replace(doc, results=tuple(replace(r, runtime_ms=0) for r in doc.results))
 
 
 def emit_text(doc: ReportDocument) -> str:

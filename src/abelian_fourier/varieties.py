@@ -19,15 +19,18 @@ The dual variety is modeled on the dual lattice, with complex structure
 ``-J^T``.  That sign makes the pairing class on ``A x A^`` a Hodge class:
 the projector element ``a + bJ`` acts on it as ``(aI + bJ)(aI - bJ) =
 (a^2 + b^2) I``, while ``+J^T`` would give ``(aI + bJ)^2``, which is not
-``(a^2 + b^2) I`` when ``ab != 0``.  Duality also flips a
-recorded sign that the Fourier machinery attaches to the pairing class of
-each factor; see :mod:`abelian_fourier.fourier` for why a single global
-sign cannot satisfy the transform inversion identity on odd cohomology.
+``(a^2 + b^2) I`` when ``ab != 0``.
+
+Each variety also carries the mask ``negative`` of the generators whose
+term in the pairing class on ``A x A^`` has sign -1: zero as constructed,
+complemented by dualization and concatenated by products.  See
+:mod:`abelian_fourier.fourier` for why a single global sign cannot satisfy
+the transform inversion identity on odd cohomology.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import prod
@@ -51,18 +54,6 @@ from .exterior import (
     integrate,
 )
 
-@dataclass(frozen=True)
-class Leaf:
-    """One indecomposable block of generators inside a product.
-
-    ``sign`` is the recorded pairing-class sign of this block: +1 for a
-    variety as originally constructed, flipped by dualization.
-    """
-
-    offset: int
-    genus: int
-    sign: int
-
 
 @dataclass(frozen=True)
 class AbelianVariety:
@@ -72,7 +63,8 @@ class AbelianVariety:
     J: tuple[tuple[int | Fraction, ...], ...] | None
     orientation: int
     polarization_type: tuple[int, ...]
-    leaves: tuple[Leaf, ...]
+    # generators whose pairing-class term has sign -1 (bit i: generator i)
+    negative: int = 0
 
     @property
     def rank(self) -> int:
@@ -206,7 +198,7 @@ def _theta_orientation(E, g, delta) -> int:
     return 1 if coeff > 0 else -1
 
 
-def make_variety(E, J=None, name: str = "A", leaves=None) -> AbelianVariety:
+def make_variety(E, J=None, name: str = "A") -> AbelianVariety:
     """Validated abelian variety from a polarization and optional J.
 
     Raises :class:`NotAlternating`, :class:`SingularPolarization`,
@@ -237,17 +229,13 @@ def make_variety(E, J=None, name: str = "A", leaves=None) -> AbelianVariety:
                 raise RiemannRelationViolated("E(x, Jx) is not positive definite")
         except NotSymmetric as exc:
             raise RiemannRelationViolated(f"E(Jx, Jy) != E(x, y): {exc}") from exc
-    orientation = _theta_orientation(Et, g, delta)
-    if leaves is None:
-        leaves = (Leaf(offset=0, genus=g, sign=1),)
     return AbelianVariety(
         name=name,
         genus=g,
         E=Et,
         J=Jt,
-        orientation=orientation,
+        orientation=_theta_orientation(Et, g, delta),
         polarization_type=delta,
-        leaves=tuple(leaves),
     )
 
 
@@ -308,6 +296,7 @@ def dual(A: AbelianVariety) -> AbelianVariety:
     the dual's ``E^ J^`` is ``c S^{-1}``, positive definite, and the
     pairing class is a Hodge class (see the module docstring).
     ``+J^T`` would give ``-c S^{-1}``, which the Riemann check rejects.
+    Every generator's pairing-class sign flips.
     """
     c = A.polarization_type[0] * A.polarization_type[-1]
     try:
@@ -315,11 +304,11 @@ def dual(A: AbelianVariety) -> AbelianVariety:
     except ValueError as exc:
         raise SingularPolarization(f"dual polarization is not integral: {exc}") from exc
     J_hat = None if A.J is None else [[-x for x in col] for col in zip(*A.J)]
-    hatted = tuple(Leaf(lf.offset, lf.genus, -lf.sign) for lf in A.leaves)
     # Strip rather than stack dual markers so the double dual is A on the
     # nose (every other field already reproduces exactly).
     hat_name = A.name[:-1] if A.name.endswith("^") else A.name + "^"
-    return make_variety(E_hat, J_hat, name=hat_name, leaves=hatted)
+    A_hat = make_variety(E_hat, J_hat, name=hat_name)
+    return replace(A_hat, negative=A.negative ^ ((1 << A.rank) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -520,17 +509,15 @@ def _block_diagonal(X, Y) -> list[list]:
 def product(A: AbelianVariety, B: AbelianVariety) -> ProductStructure:
     """Product variety with block-diagonal polarization and complex structure.
 
-    Generators are factor-major: all of A's first, then B's.  The leaf
-    record concatenates both factor decompositions so the pairing class
-    of a product is the sum of the factor pairing classes.
+    Generators are factor-major: all of A's first, then B's.  The
+    ``negative`` mask concatenates the factors' masks the same way, so the
+    pairing class of a product is the sum of the factor pairing classes.
     """
     nA, nB = A.rank, B.rank
     E = _block_diagonal(A.E, B.E)
     J = None if A.J is None or B.J is None else _block_diagonal(A.J, B.J)
-    leaves = tuple(A.leaves) + tuple(
-        Leaf(lf.offset + nA, lf.genus, lf.sign) for lf in B.leaves
-    )
-    V = make_variety(E, J, name=f"{A.name} x {B.name}", leaves=leaves)
+    V = make_variety(E, J, name=f"{A.name} x {B.name}")
+    V = replace(V, negative=A.negative | B.negative << nA)
 
     def hom(src, tgt, rows):
         return Homomorphism(src, tgt, tuple(tuple(r) for r in rows), True)

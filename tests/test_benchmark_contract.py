@@ -7,6 +7,7 @@ then fails here instead of in the benchmark run.  The benchmark files are
 read, never imported, so no bytecode is written next to them.
 """
 
+import json
 import re
 import sys
 import types
@@ -43,6 +44,10 @@ def test_every_traced_name_resolves():
     metrics = tracer.metrics()
     assert metrics["fourier.fourier.calls"] > 0
     assert metrics["suite.check.fourier_involution.ms"] > 0
+    # one metric per traced name and per registered check, and the tracer's
+    # own overhead: exactly the per-layer metrics the benchmark declares
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert set(metrics) | {"trace.overhead_frac"} == {m["name"] for m in declared["per_layer"]}
     # every wrapper was taken off again
     assert not hasattr(abelian_fourier.fourier, "__wrapped__")
 

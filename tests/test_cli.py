@@ -62,6 +62,15 @@ def test_verify_unknown_check(capsys):
     assert run_cli(["verify", "--genus", "1", "--checks", "nope"]) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "fourier", "hodge"])
+def test_one_variety_flag(command, capsys):
+    # --genus, --type and --variety exclude each other: a second one is a
+    # usage error, not silently dropped
+    extra = {"verify": [], "fourier": ["--class", "x.json"], "hodge": ["--degree", "2"]}
+    assert run_cli([command, "--type", "1,2", "--genus", "5", *extra[command]]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_verify_variety_file_runs_suite(tmp_path):
     spec = tmp_path / "surface.json"
     write_json(spec, {"name": "S", "genus": 2, "polarization_type": [1, 2]})
@@ -244,7 +253,7 @@ def test_verify_reports_hodge_image_failure_as_check_failure(tmp_path, monkeypat
     # 1, not 2 (input error)
     import abelian_fourier.hodge as hodge
 
-    monkeypatch.setattr(hodge, "is_hodge", lambda V, x, ab=None: False)
+    monkeypatch.setattr(hodge, "is_hodge", lambda V, x: False)
     out = tmp_path / "report.json"
     code = run_cli(
         ["verify", "--genus", "1", "--checks", "hodge_fourier_unimodular",
@@ -264,7 +273,7 @@ def test_verify_reports_non_hodge_generator_as_check_failure(tmp_path, monkeypat
     # 1, not 2 (input error)
     import abelian_fourier.hodge as hodge
 
-    monkeypatch.setattr(hodge, "is_hodge", lambda V, x, ab=None: False)
+    monkeypatch.setattr(hodge, "is_hodge", lambda V, x: False)
     out = tmp_path / "report.json"
     code = run_cli(
         ["verify", "--genus", "2", "--checks", check, "--format", "json", "--out", str(out)]

@@ -52,8 +52,8 @@ def rand_mv(rng, rank, terms=3):
     return Multivector(rank, {rng.randrange(1 << rank): rng.randint(-3, 3) for _ in range(terms)})
 
 
-# principal and non-principal models, their duals (every leaf sign -1) and
-# a product whose leaves carry both signs
+# principal and non-principal models, their duals (every generator in the
+# negative mask) and a product whose mask covers only its second factor
 ORACLE_MODELS = [
     V
     for A in (

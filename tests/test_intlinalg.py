@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from abelian_fourier.errors import NotSymmetric
 from abelian_fourier.intlinalg import (
+    CokernelInvariants,
     column_blocks,
     cokernel_invariants,
     det_bareiss,
@@ -399,3 +400,35 @@ def test_scaled_inverse_examples():
         scaled_inverse([[1, 1], [1, 1]], 1)
     with pytest.raises(ZeroDivisionError):
         scaled_inverse([[1, 0, 0], [0, 1, 0]], 1)
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """The identity of side up to 5 after up to 12 elementary row
+    operations: ``row_i += s row_j`` with ``|s| <= 3``, or negating a row."""
+    n = draw(st.integers(1, 5))
+    M = identity_matrix(n)
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            M[i] = [-x for x in M[i]]
+        else:
+            s = draw(st.integers(-3, 3))
+            M[i] = [a + s * b for a, b in zip(M[i], M[j])]
+    return M
+
+
+def smith_cokernel(M, n):
+    """Oracle of ``cokernel_invariants``: the invariants read off the Smith
+    form alone."""
+    finite = tuple(d for d in smith_normal_form(M).divisors if d != 0)
+    return CokernelInvariants(finite, n - len(finite))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(square_matrices(), unimodular_matrices()))
+def test_cokernel_determinant_shortcut_matches_smith(M):
+    n = len(M)
+    cok = cokernel_invariants(M, n)
+    assert cok == smith_cokernel(M, n)
+    assert cok.is_trivial == is_unimodular(M)

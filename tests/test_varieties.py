@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from dataclasses import replace
 from itertools import combinations
 from math import factorial
 
@@ -153,14 +154,14 @@ def test_rational_J_accepted():
     # integral entries are read as ints, the rest stay exact Fractions
     assert A.J == ((0, Fraction(-1, 2)), (2, 0))
     assert [type(x) for x in A.J[1]] == [int, int]
-    assert _hodge_rows(A.J, 1, 2) == [[(1, Fraction(-1)), (0, 1)], [(0, 4), (1, 1)]]
+    assert _hodge_rows(A.J) == [[(1, Fraction(-1)), (0, 1)], [(0, 4), (1, 1)]]
 
 
 def test_integral_J_is_int_on_every_construction():
     A = elliptic_product((1, 2))
     for V in (A, dual(A), product(A, dual(A)).variety):
         assert all(type(x) is int for row in V.J for x in row)
-        assert all(type(c) is int for row in _hodge_rows(V.J, 1, 2) for _, c in row)
+        assert all(type(c) is int for row in _hodge_rows(V.J) for _, c in row)
 
 
 def test_integral_J_builds_no_fraction(monkeypatch):
@@ -207,7 +208,19 @@ def test_dual_involution_and_structure():
         J2 = mat_mul([list(r) for r in Ah.J], [list(r) for r in Ah.J])
         assert all(J2[i][i] == -1 for i in range(A.rank))
         assert dual(Ah) == A
-        assert all(lf.sign == -1 for lf in Ah.leaves)
+        assert A.negative == 0 and Ah.negative == (1 << A.rank) - 1
+
+
+@pytest.mark.parametrize("gA, gB", [(1, 2), (2, 1)])
+def test_dual_of_product_is_product_of_duals(gA, gB):
+    # every field but the name agrees, the negative mask included
+    A, B = standard_ppav(gA), standard_ppav(gB)
+    lhs = dual(product(A, B).variety)
+    rhs = product(dual(A), dual(B)).variety
+    assert lhs.name != rhs.name
+    assert replace(lhs, name=rhs.name) == rhs
+    # a product mixing a variety and a dual carries the dual's mask, shifted
+    assert product(A, dual(B)).variety.negative == ((1 << B.rank) - 1) << A.rank
 
 
 def test_dual_type():
