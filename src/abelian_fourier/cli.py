@@ -75,6 +75,8 @@ def _cmd_verify(args) -> int:
         names = None
     else:
         names = [n.strip() for n in args.checks.split(",") if n.strip()]
+        if not names:
+            raise UnsupportedParams(f"--checks {args.checks!r} names no check")
         for n in names:
             if n not in REGISTRY:
                 raise UnknownCheck(n)

@@ -7,9 +7,23 @@ structure carries every cohomology class this package manipulates.
 A :class:`Multivector` stores a map from basis masks to integer
 coefficients: bit ``i`` of a mask is set exactly when generator ``i``
 occurs in the monomial, and the monomial is read in increasing index
-order.  The wedge sign between two disjoint masks is the parity of the
-number of inversions between their set bits, computed with shifted
-popcounts rather than permutation sorting.
+order.  The wedge sign of two disjoint masks a and b is the parity of the
+inversions between their set bits, the pairs of bit i of a above bit j of
+b.  Bit i of a meets as many inversions as b has bits below i, so with
+``s_b`` the prefix parity of b (bit i set when an odd number of bits of b
+lie below i) the sign is the parity of ``popcount(a & s_b)``.
+:meth:`Multivector.wedge` computes ``s_b`` once per right-hand term, by
+six shift-XOR steps that cover :data:`MAX_RANK` = 64 generators, and
+:func:`wedge_sign`, a loop over the bits of b, stays as its oracle.
+
+Divided powers.  Even monomials commute and square to zero, so for a
+class x whose terms all have even, nonzero degree, ``x^k`` is ``k!``
+times the k-th elementary symmetric sum ``e_k`` of its terms: the sum of
+the products of its k-subsets.  :meth:`Multivector.wedge_power_divided`
+builds ``e_k`` by one dynamic program over the terms, with no division,
+so the minimal classes ``ell^{2g-1}/(2g-1)!`` and ``theta^{g-1}/(g-1)!``
+cost one pass over their terms.  Any other class, and the oracle, take
+``x^k`` by repeated wedges and divide it exactly.
 
 Multivectors are immutable values; every operation returns a fresh one.
 
@@ -59,6 +73,25 @@ def wedge_sign(a: int, b: int) -> int:
     return -1 if inv & 1 else 1
 
 
+def _below_parity(b: int) -> int:
+    """Prefix parity of b: bit i is the parity of the bits of b below i.
+
+    Bits above :data:`MAX_RANK` are left over from the shifts; a mask of
+    the same rank never reads them.
+
+    >>> bin(_below_parity(0b0101) & 0b1111)
+    '0b110'
+    """
+    s = b << 1
+    s ^= s << 1
+    s ^= s << 2
+    s ^= s << 4
+    s ^= s << 8
+    s ^= s << 16
+    s ^= s << 32
+    return s
+
+
 # the generators at odd positions, for every rank up to MAX_RANK
 _ODD_BITS = int("10" * (MAX_RANK // 2), 2)
 
@@ -103,6 +136,16 @@ class Multivector:
         self._terms = clean
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, rank: int, terms: dict[int, int]) -> "Multivector":
+        """A class on terms a kernel built from validated classes: masks
+        within ``rank``, ``int`` coefficients, no zero among them.  Nothing
+        is checked, and the dict is taken over, not copied."""
+        out = object.__new__(cls)
+        out.rank = rank
+        out._terms = terms
+        return out
 
     @classmethod
     def zero(cls, rank: int) -> "Multivector":
@@ -173,17 +216,17 @@ class Multivector:
         terms = dict(self._terms)
         for m, c in other._terms.items():
             terms[m] = terms.get(m, 0) + c
-        return Multivector(self.rank, terms)
+        return Multivector._trusted(self.rank, {m: c for m, c in terms.items() if c})
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         self._check_rank(other)
         terms = dict(self._terms)
         for m, c in other._terms.items():
             terms[m] = terms.get(m, 0) - c
-        return Multivector(self.rank, terms)
+        return Multivector._trusted(self.rank, {m: c for m, c in terms.items() if c})
 
     def __neg__(self) -> "Multivector":
-        return Multivector(self.rank, {m: -c for m, c in self._terms.items()})
+        return Multivector._trusted(self.rank, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, n: int) -> "Multivector":
         if not isinstance(n, int):
@@ -193,7 +236,8 @@ class Multivector:
     __rmul__ = __mul__
 
     def wedge(self, other: "Multivector") -> "Multivector":
-        """Exterior product; bilinear with the inversion-count sign rule.
+        """Exterior product; bilinear with the inversion-count sign rule,
+        read off the prefix parity of each right-hand term.
 
         >>> a = Multivector.generator(2, 0)
         >>> b = Multivector.generator(2, 1)
@@ -204,15 +248,17 @@ class Multivector:
         """
         self._check_rank(other)
         terms: dict[int, int] = {}
-        right = list(other._terms.items())
+        right = [(mb, cb, _below_parity(mb)) for mb, cb in other._terms.items()]
         for ma, ca in self._terms.items():
-            for mb, cb in right:
+            for mb, cb, sb in right:
                 if ma & mb:
                     continue
-                s = wedge_sign(ma, mb)
                 m = ma | mb
-                terms[m] = terms.get(m, 0) + s * ca * cb
-        return Multivector(self.rank, terms)
+                if (ma & sb).bit_count() & 1:
+                    terms[m] = terms.get(m, 0) - ca * cb
+                else:
+                    terms[m] = terms.get(m, 0) + ca * cb
+        return Multivector._trusted(self.rank, {m: c for m, c in terms.items() if c})
 
     __xor__ = wedge
 
@@ -239,11 +285,26 @@ class Multivector:
             if r:
                 raise NonDivisible(m, c, n, self.rank)
             terms[m] = q
-        return Multivector(self.rank, terms)
+        return Multivector._trusted(self.rank, terms)
 
     def wedge_power_divided(self, k: int) -> "Multivector":
-        """``self^k / k!`` with the division performed exactly."""
-        return self.wedge_power(k).divide_exact(factorial(k))
+        """``self^k / k!``, exact.
+
+        When every term has even, nonzero degree this is the elementary
+        symmetric sum ``e_k`` of the terms (module docstring), built with
+        no division.  Any other class takes ``wedge_power(k)`` and divides
+        it exactly by ``k!``, raising :class:`NonDivisible` as
+        :meth:`divide_exact` does; that path is also the oracle.
+
+        >>> ell = Multivector(4, {0b0101: 1, 0b1010: -1})
+        >>> ell.wedge_power_divided(2) == ell.wedge_power(2).divide_exact(2)
+        True
+        """
+        if k < 0:
+            raise ValueError("negative wedge power")
+        if any(m.bit_count() & 1 or not m for m in self._terms):
+            return self.wedge_power(k).divide_exact(factorial(k))
+        return Multivector._trusted(self.rank, _elementary_symmetric(self._terms, k))
 
     def cup_exponential(self) -> "Multivector":
         """``sum_k self^k / k!``; requires no degree-0 component.
@@ -312,6 +373,34 @@ class Multivector:
                 mask |= bit
             terms[mask] = terms.get(mask, 0) + int(rec["coeff"])
         return cls(rank, terms)
+
+
+def _elementary_symmetric(terms: dict[int, int], k: int) -> dict[int, int]:
+    """``e_k`` of commuting monomials ``c e_m``, each of even nonzero degree.
+
+    One pass over the terms keeps, for each level j, the sum of the
+    products of the j-subsets seen so far; a level that the terms left
+    can no longer lift to k is not extended.  Zero coefficients are
+    dropped from the result.
+    """
+    n = len(terms)
+    if k > n:
+        return {}
+    levels: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
+    for i, (mb, cb) in enumerate(terms.items()):
+        sb = _below_parity(mb)
+        left = n - i - 1
+        for j in range(min(k, i + 1), max(1, k - left) - 1, -1):
+            dst = levels[j]
+            for ma, ca in levels[j - 1].items():
+                if ma & mb:
+                    continue
+                m = ma | mb
+                if (ma & sb).bit_count() & 1:
+                    dst[m] = dst.get(m, 0) - ca * cb
+                else:
+                    dst[m] = dst.get(m, 0) + ca * cb
+    return {m: c for m, c in levels[k].items() if c}
 
 
 def bits_of(mask: int) -> list[int]:
@@ -426,7 +515,7 @@ def _integral_image(x: Multivector, power: ExteriorPower, target_rank: int) -> M
                     Multivector(target_rank, {mask: val.numerator}),
                 )
             terms[mask] = int(val)
-    return Multivector(target_rank, terms)
+    return Multivector._trusted(target_rank, terms)
 
 
 def degree_basis_masks(rank: int, k: int) -> list[int]:

@@ -476,10 +476,12 @@ def _check_poincare_normalization(A, params):
 
 
 def _check_ell_integrality(A, params):
+    # wedge_power_divided builds ell^k/k! with no division, so it would
+    # be integral by construction: the check divides the product itself
     ell = poincare_class(A)
     for k in range(2 * A.genus + 1):
         try:
-            ell.wedge_power_divided(k)
+            ell.wedge_power(k).divide_exact(factorial(k))
         except NonDivisible as nd:
             return (
                 False,

@@ -389,7 +389,7 @@ class Homomorphism:
         for u, c in self._pushforward_power.apply(homology).items():
             w = full_B ^ u
             out[w] = sign * complement_sign(w) * c
-        return Multivector(nB, out)
+        return Multivector._trusted(nB, out)
 
     def compose(self, other: "Homomorphism") -> "Homomorphism":
         """self after other (``self . other``)."""

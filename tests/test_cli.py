@@ -62,6 +62,15 @@ def test_verify_unknown_check(capsys):
     assert run_cli(["verify", "--genus", "1", "--checks", "nope"]) == 2
 
 
+@pytest.mark.parametrize("checks", ["", ",", " , "])
+def test_verify_empty_check_list_is_an_input_error(checks, capsys):
+    # a list that names no check would run nothing and report "0 passed"
+    assert run_cli(["verify", "--genus", "1", "--checks", checks]) == 2
+    captured = capsys.readouterr()
+    assert "names no check" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["verify", "fourier", "hodge"])
 def test_one_variety_flag(command, capsys):
     # --genus, --type and --variety exclude each other: a second one is a

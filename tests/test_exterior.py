@@ -2,14 +2,17 @@
 
 The exterior-power table is tested against :func:`apply_generator_images`,
 the per-monomial loop it replaced, and against the minors of the rows.
+The prefix-parity signs of ``wedge`` are tested against
+:func:`wedge_by_signs`, which calls ``wedge_sign`` on every pair, and the
+elementary symmetric divided powers against ``x^k`` divided by ``k!``.
 """
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abelian_fourier.errors import (
@@ -105,6 +108,101 @@ def permutation_sign_oracle(a_bits, b_bits):
 @given(st.integers(0, 255), st.integers(0, 255))
 def test_wedge_sign_against_permutation_oracle(a, b):
     assert wedge_sign(a, b) == permutation_sign_oracle(bits_of(a), bits_of(b))
+
+
+def wedge_by_signs(x: Multivector, y: Multivector) -> Multivector:
+    """Oracle of :meth:`Multivector.wedge`: ``wedge_sign`` on every pair."""
+    terms = {}
+    for ma, ca in x.items():
+        for mb, cb in y.items():
+            s = wedge_sign(ma, mb)
+            if s:
+                terms[ma | mb] = terms.get(ma | mb, 0) + s * ca * cb
+    return Multivector(x.rank, terms)
+
+
+def divided_power_oracle(x: Multivector, k: int) -> Multivector:
+    """``x^k`` by repeated wedges, divided exactly by ``k!``."""
+    return x.wedge_power(k).divide_exact(factorial(k))
+
+
+@st.composite
+def classes_of_rank(draw, max_rank=MAX_RANK, max_terms=6):
+    rank = draw(st.integers(0, max_rank), label="rank")
+    term = st.tuples(st.integers(0, (1 << rank) - 1), st.integers(-3, 3))
+    x = Multivector(rank, dict(draw(st.lists(term, max_size=max_terms))))
+    y = Multivector(rank, dict(draw(st.lists(term, max_size=max_terms))))
+    return x, y
+
+
+TOP = 1 << (MAX_RANK - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(classes_of_rank())
+@example((Multivector(64, {TOP: 1}), Multivector(64, {1: 1})))
+@example((Multivector(64, {1: 1}), Multivector(64, {TOP: 1})))
+@example((Multivector(64, {TOP: 2, 1 << 40: 1}), Multivector(64, {1 | 1 << 33: 3, 1 << 5: -1})))
+@example((Multivector(64, {TOP | 1 << 31: 1}), Multivector(64, {1 | 1 << 32 | 1 << 62: 1})))
+def test_wedge_matches_the_pairwise_sign_oracle(xy):
+    # bits 0 and 63 pinned: a sign that misses the far end of the prefix
+    # parity (its last shift, by 32) is wrong only there
+    x, y = xy
+    assert x.wedge(y) == wedge_by_signs(x, y)
+    assert y.wedge(x) == wedge_by_signs(y, x)
+
+
+def test_wedge_of_the_end_generators():
+    e0, e63 = Multivector.generator(64, 0), Multivector.generator(64, 63)
+    assert e63.wedge(e0) == Multivector(64, {TOP | 1: -1})
+    assert e0.wedge(e63) == Multivector(64, {TOP | 1: 1})
+
+
+@st.composite
+def even_classes(draw):
+    """Classes whose terms have even nonzero degree, masks free to overlap."""
+    rank = draw(st.integers(0, 10), label="rank")
+    masks = st.integers(0, (1 << rank) - 1).filter(lambda m: m and m.bit_count() % 2 == 0)
+    if rank < 2:
+        return Multivector(rank)
+    term = st.tuples(masks, st.integers(-3, 3))
+    return Multivector(rank, dict(draw(st.lists(term, max_size=6))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(even_classes())
+@example(Multivector(4, {0b0101: 1, 0b1010: -1, 0b0011: 2, 0b1100: 1}))
+@example(Multivector(6, {0b000011: 1, 0b001100: 1, 0b110000: 1, 0b001111: 1}))
+def test_even_divided_powers_match_the_product_oracle(x):
+    for k in range(len(x) + 2):
+        assert x.wedge_power_divided(k) == divided_power_oracle(x, k), k
+
+
+def test_divided_powers_of_other_classes_take_the_product_path(monkeypatch):
+    calls = []
+    product = Multivector.wedge_power
+
+    def spy(self, k):
+        calls.append(k)
+        return product(self, k)
+
+    monkeypatch.setattr(Multivector, "wedge_power", spy)
+    ell = Multivector(4, {0b0101: 1, 0b1010: 1})
+    assert ell.wedge_power_divided(2) == Multivector(4, {0b1111: -1})
+    assert calls == []
+    # an odd-degree term or a degree-0 term sends the class to x^k / k!
+    odd = Multivector(4, {0b0001: 1, 0b0110: 2})
+    assert odd.wedge_power_divided(2) == divided_power_oracle(odd, 2)
+    assert calls == [2, 2]
+    with pytest.raises(NonDivisible) as exc:
+        Multivector(4, {0: 1, 0b11: 1}).wedge_power_divided(2)
+    assert (exc.value.mask, exc.value.coefficient, exc.value.divisor) == (0, 1, 2)
+    with pytest.raises(NonDivisible) as exc:
+        Multivector(4, {0: 2, 0b1: 1}).wedge_power_divided(3)
+    assert (exc.value.mask, exc.value.coefficient, exc.value.divisor) == (0, 8, 6)
+    for x in (ell, odd, Multivector(4, {0: 1})):
+        with pytest.raises(ValueError):
+            x.wedge_power_divided(-1)
 
 
 def rand_mv(rng, rank, terms=3, bound=3):

@@ -1,5 +1,7 @@
 """Check registry and runner: statuses, witnesses, determinism."""
 
+import signal
+
 import pytest
 
 import abelian_fourier
@@ -13,6 +15,7 @@ from abelian_fourier.suite import (
     run_suite,
 )
 from abelian_fourier.exterior import Multivector
+from abelian_fourier.fourier import kunneth_R_decomposition, poincare_class
 from abelian_fourier.varieties import elliptic_product, make_variety, standard_ppav
 
 
@@ -254,3 +257,69 @@ def test_beta_surjectivity_compares_the_closed_form_with_the_triple_sum(monkeypa
     assert r.detail == "beta(divisor basis class 0) differs from the triple sum"
     assert r.witness is not None and not r.witness.is_zero()
     assert run_check("beta_surjectivity", genus=3).status == "pass"
+
+
+def test_ell_integrality_divides_the_product(monkeypatch):
+    # ell^k/k! by elementary symmetric sums is integral by construction, so
+    # the check must divide the product ell^k itself: a product off by one
+    # fails it, a wrong closed form does not reach it
+    product = Multivector.wedge_power
+
+    def off_by_one(self, k):
+        out = product(self, k)
+        if k < 2 or out.is_zero():
+            return out
+        terms = dict(out.items())
+        terms[min(terms)] += 1
+        return Multivector(self.rank, terms)
+
+    monkeypatch.setattr(Multivector, "wedge_power", off_by_one)
+    r = run_check("ell_integrality", genus=2)
+    assert r.status == "fail"
+    ell2 = product(poincare_class(standard_ppav(2)), 2)
+    low = min(mask for mask, _ in ell2.items())
+    assert r.witness == Multivector(8, {low: ell2.coefficient(low) + 1})
+    assert r.detail.startswith("ell^2/2! is not integral")
+
+    monkeypatch.setattr(Multivector, "wedge_power", product)
+    divided = Multivector.wedge_power_divided
+    monkeypatch.setattr(Multivector, "wedge_power_divided", lambda self, k: -divided(self, k))
+    assert run_check("ell_integrality", genus=2).status == "pass"
+
+
+def test_suite_catches_a_wrong_divided_power(monkeypatch):
+    # the minimal classes come from wedge_power_divided; negating every
+    # divided power of order 2 or more must fail several checks, each with
+    # a witness
+    divided = Multivector.wedge_power_divided
+
+    def negated(self, k):
+        out = divided(self, k)
+        return -out if k >= 2 else out
+
+    abelian_fourier.clear_caches()
+    monkeypatch.setattr(Multivector, "wedge_power_divided", negated)
+    try:
+        results = run_suite(default_suite(genus=2))
+    finally:
+        monkeypatch.undo()
+        abelian_fourier.clear_caches()
+    failed = [r for r in results if r.status == "fail"]
+    assert len(failed) >= 2
+    assert all(r.witness is not None and not r.witness.is_zero() for r in failed)
+    assert {"theta_divided", "tau_equals_R"} <= {r.descriptor.name for r in failed}
+
+
+def test_kunneth_R_at_genus_5_within_seconds():
+    def timeout(signum, frame):
+        raise TimeoutError("kunneth_R_decomposition at genus 5 took over 10 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        lhs, rhs = kunneth_R_decomposition(standard_ppav(5))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert lhs == -rhs
+    assert not lhs.is_zero()

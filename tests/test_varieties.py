@@ -20,7 +20,7 @@ from abelian_fourier.errors import (
     SingularPolarization,
 )
 from abelian_fourier.exterior import Multivector, wedge_sign
-from abelian_fourier.fourier import graph_of_polarization
+from abelian_fourier.fourier import fourier, graph_of_polarization
 from abelian_fourier.hodge import _hodge_rows
 from abelian_fourier.intlinalg import mat_mul
 from abelian_fourier.suite import _gaussian_hom
@@ -467,3 +467,33 @@ def test_reused_hom_tables_keep_their_entries():
             assert pushed == adjoint_pushforward(f, x)
             y = rand_mv(rng, Y.rank, terms=4)
             assert f.pullback(y) == oracle_pullback(f, y)
+
+
+def assert_clean(out: Multivector):
+    # what a kernel hands back is what the public constructor would build
+    assert all(type(c) is int and c for _, c in out.items())
+    assert out == Multivector(out.rank, dict(out.items()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_outputs_are_valid_classes(data):
+    # the kernels build their results without validation; each result must
+    # still have int coefficients, none of them zero
+    f = data.draw(homs())
+    x, y = data.draw(classes(f.source.rank)), data.draw(classes(f.source.rank))
+    even = Multivector(x.rank, {m: c for m, c in x.items() if m and m.bit_count() % 2 == 0})
+    k = data.draw(st.integers(0, 4), label="k")
+    for out in (
+        x + y,
+        x - y,
+        -x,
+        x.wedge(y),
+        even.wedge_power_divided(k),
+        fourier(f.source, x),
+        f.pushforward(x),
+        f.pullback(data.draw(classes(f.target.rank))),
+    ):
+        assert_clean(out)
+    # equal to the empty class only if no zero coefficient was kept
+    assert x - x == Multivector.zero(x.rank) == x + -x
