@@ -296,7 +296,8 @@ def graph_of_polarization(A: AbelianVariety) -> Homomorphism:
         rows.append(tuple(1 if j == i else 0 for j in range(n)))
     for i in range(n):
         rows.append(tuple(A.E[i]))
-    return Homomorphism(A, P.variety, tuple(rows), A.J is not None)
+    # holomorphic by the Riemann relation E J = -J^T E
+    return Homomorphism._trusted(A, P.variety, tuple(rows), A.J is not None)
 
 
 def named_class(A: AbelianVariety, tag: str) -> Multivector:
@@ -408,7 +409,7 @@ def _four_fold_maps(A: AbelianVariety, B: AbelianVariety):
 
     def projection(target, columns):
         rows = tuple(tuple(1 if j == c else 0 for j in range(n4)) for c in columns)
-        return Homomorphism(XP.variety, target, rows, True)
+        return Homomorphism._trusted(XP.variety, target, rows, True)
 
     p13 = projection(product(A, dual(A)).variety, [*range(nA), *range(n, n + nA)])
     p24 = projection(product(B, dual(B)).variety, [*range(nA, n), *range(n + nA, n4)])

@@ -26,11 +26,26 @@ term in the pairing class on ``A x A^`` has sign -1: zero as constructed,
 complemented by dualization and concatenated by products.  See
 :mod:`abelian_fourier.fourier` for why a single global sign cannot satisfy
 the transform inversion identity on odd cohomology.
+
+Public construction validates: :func:`make_variety` checks E and J in
+full, and ``Homomorphism(...)`` checks the shape and, for a holomorphic
+map, ``M J == J M``.  Models and maps that are built in closed form from
+validated parts skip those checks through two private constructors.
+``_variety`` only orients (it keeps the Pfaffian check) and serves
+:func:`elliptic_product`, :func:`dual` and :func:`product`.
+``Homomorphism._trusted`` checks nothing and serves ``dual_hom``,
+``compose``, :func:`identity_hom`, :func:`scalar_hom`,
+:func:`polarization_isogeny`, the maps of :func:`product` and
+:func:`structure_homs`, and in :mod:`abelian_fourier.fourier` the graph of
+the polarization and the projections of the 4-fold product.  The public
+constructors are their oracles: ``tests/test_varieties.py`` rebuilds each
+trusted model through ``make_variety`` and each trusted map of a suite
+run through ``Homomorphism(...)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import prod
@@ -209,7 +224,6 @@ def make_variety(E, J=None, name: str = "A") -> AbelianVariety:
     n = len(Et)
     if n % 2 or any(len(row) != n for row in Et):
         raise NotAlternating(f"polarization matrix must be square of even size, got {n}")
-    g = n // 2
     for i in range(n):
         for j in range(n):
             if Et[i][j] != -Et[j][i]:
@@ -229,13 +243,22 @@ def make_variety(E, J=None, name: str = "A") -> AbelianVariety:
                 raise RiemannRelationViolated("E(x, Jx) is not positive definite")
         except NotSymmetric as exc:
             raise RiemannRelationViolated(f"E(Jx, Jy) != E(x, y): {exc}") from exc
+    return _variety(Et, Jt, name, delta)
+
+
+def _variety(E, J, name: str, delta, negative: int = 0) -> AbelianVariety:
+    """A variety whose E, J and type a caller built in closed form from
+    validated parts: E an alternating int matrix of type ``delta``, J exact
+    (see _exact_matrix) or None, both tuples of rows.  Only the orientation
+    is computed, with its Pfaffian check; ``make_variety`` is the oracle."""
     return AbelianVariety(
         name=name,
-        genus=g,
-        E=Et,
-        J=Jt,
-        orientation=_theta_orientation(Et, g, delta),
+        genus=len(delta),
+        E=E,
+        J=J,
+        orientation=_theta_orientation(E, len(delta), delta),
         polarization_type=delta,
+        negative=negative,
     )
 
 
@@ -273,11 +296,13 @@ def elliptic_product(delta, name: str | None = None) -> AbelianVariety:
         Jm[g + i][i] = 1
     if name is None:
         name = f"E_i^{g}" if all(d == 1 for d in delta) else f"E_i^{g}{delta}"
-    return make_variety(E=E, J=Jm, name=name)
+    return _variety(tuple(map(tuple, E)), tuple(map(tuple, Jm)), name, delta)
 
 
 def standard_ppav(g: int, name: str | None = None) -> AbelianVariety:
     """Principally polarized power of the Gaussian elliptic curve."""
+    if g <= 0:
+        raise InvalidType(f"genus must be positive, got {g}")
     return elliptic_product((1,) * g, name=name or f"E_i^{g}")
 
 
@@ -298,17 +323,21 @@ def dual(A: AbelianVariety) -> AbelianVariety:
     ``+J^T`` would give ``-c S^{-1}``, which the Riemann check rejects.
     Every generator's pairing-class sign flips.
     """
-    c = A.polarization_type[0] * A.polarization_type[-1]
+    delta = A.polarization_type
+    c = delta[0] * delta[-1]
     try:
-        E_hat = [[-x for x in row] for row in intlinalg.scaled_inverse(A.E, c)]
+        inverse = intlinalg.scaled_inverse(A.E, c)
     except ValueError as exc:
         raise SingularPolarization(f"dual polarization is not integral: {exc}") from exc
-    J_hat = None if A.J is None else [[-x for x in col] for col in zip(*A.J)]
+    E_hat = tuple(tuple(-x for x in row) for row in inverse)
+    J_hat = None if A.J is None else tuple(tuple(-x for x in col) for col in zip(*A.J))
     # Strip rather than stack dual markers so the double dual is A on the
     # nose (every other field already reproduces exactly).
     hat_name = A.name[:-1] if A.name.endswith("^") else A.name + "^"
-    A_hat = make_variety(E_hat, J_hat, name=hat_name)
-    return replace(A_hat, negative=A.negative ^ ((1 << A.rank) - 1))
+    # c E^{-1} has elementary divisors c / d_i, so the dual type is the
+    # reversed chain c / d_g | ... | c / d_1
+    hat_type = tuple(c // d for d in reversed(delta))
+    return _variety(E_hat, J_hat, hat_name, hat_type, A.negative ^ ((1 << A.rank) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +373,18 @@ class Homomorphism:
                 raise ComplexStructureInvalid(
                     "homomorphism flagged holomorphic does not intertwine J"
                 )
+
+    @classmethod
+    def _trusted(cls, source, target, matrix, holomorphic: bool) -> "Homomorphism":
+        """A map a caller built from validated parts: ``matrix`` a tuple of
+        int rows of the right shape, intertwining J when ``holomorphic``.
+        Nothing is checked; the public constructor is the oracle."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "source", source)
+        object.__setattr__(out, "target", target)
+        object.__setattr__(out, "matrix", matrix)
+        object.__setattr__(out, "holomorphic", holomorphic)
+        return out
 
     @cached_property
     def _pullback_power(self) -> ExteriorPower:
@@ -395,13 +436,12 @@ class Homomorphism:
         """self after other (``self . other``)."""
         if other.target != self.source:
             raise RankMismatch("composition mismatch: inner target != outer source")
-        M = intlinalg.mat_mul([list(r) for r in self.matrix], [list(r) for r in other.matrix])
-        return Homomorphism(
-            source=other.source,
-            target=self.target,
-            matrix=tuple(tuple(row) for row in M),
-            holomorphic=self.holomorphic and other.holomorphic,
-        )
+        M = tuple(map(tuple, intlinalg.mat_mul(self.matrix, other.matrix)))
+        holomorphic = self.holomorphic and other.holomorphic
+        # two checked intertwiners compose to one through the middle J; with
+        # no J in the middle neither was checked, so the composite is
+        build = Homomorphism if holomorphic and self.source.J is None else Homomorphism._trusted
+        return build(other.source, self.target, M, holomorphic)
 
     def degree(self) -> int:
         """Degree of an isogeny: absolute determinant on homology."""
@@ -414,21 +454,21 @@ class Homomorphism:
 
     def dual_hom(self) -> "Homomorphism":
         """Dual homomorphism between the dual varieties (transposed matrix)."""
-        return Homomorphism(
-            source=dual(self.target),
-            target=dual(self.source),
-            matrix=tuple(tuple(row) for row in zip(*self.matrix)),
-            holomorphic=self.holomorphic,
+        return Homomorphism._trusted(
+            dual(self.target),
+            dual(self.source),
+            tuple(zip(*self.matrix)),
+            self.holomorphic,
         )
 
 
 def identity_hom(A: AbelianVariety) -> Homomorphism:
-    return Homomorphism(A, A, tuple(tuple(r) for r in intlinalg.identity_matrix(A.rank)), True)
+    return scalar_hom(A, 1)
 
 
 def scalar_hom(A: AbelianVariety, n: int) -> Homomorphism:
     """Multiplication by n on the variety (n * identity on homology)."""
-    return Homomorphism(
+    return Homomorphism._trusted(
         A, A, tuple(tuple(n if i == j else 0 for j in range(A.rank)) for i in range(A.rank)), True
     )
 
@@ -439,14 +479,10 @@ def polarization_isogeny(A: AbelianVariety) -> Homomorphism:
     On homology it sends v to the functional ``E(. , v)``, i.e. the
     matrix is E itself; the convention is pinned by the requirement that
     the pairing class on the product pulls back along ``(id, lambda)`` to
-    twice the polarization class.
+    twice the polarization class.  It is holomorphic by the Riemann
+    relation ``E J = -J^T E``.
     """
-    return Homomorphism(
-        source=A,
-        target=dual(A),
-        matrix=tuple(tuple(row) for row in A.E),
-        holomorphic=A.J is not None,
-    )
+    return Homomorphism._trusted(A, dual(A), A.E, A.J is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +505,7 @@ class ProductStructure:
         A = self.factors[0]
         if x.rank != A.rank:
             raise RankMismatch(f"class rank {x.rank} != first factor rank {A.rank}")
-        return Multivector(self.variety.rank, dict(x.items()))
+        return Multivector._trusted(self.variety.rank, dict(x.items()))
 
     def pull_second(self, x: Multivector) -> Multivector:
         """Fast pullback along the second projection (masks shifted up)."""
@@ -477,7 +513,7 @@ class ProductStructure:
         if x.rank != B.rank:
             raise RankMismatch(f"class rank {x.rank} != second factor rank {B.rank}")
         s = A.rank
-        return Multivector(self.variety.rank, {m << s: c for m, c in x.items()})
+        return Multivector._trusted(self.variety.rank, {m << s: c for m, c in x.items()})
 
     def push_second(self, z: Multivector) -> Multivector:
         """Fiber integration over the first factor.
@@ -499,10 +535,10 @@ class ProductStructure:
         return Multivector(B.rank, out)
 
 
-def _block_diagonal(X, Y) -> list[list]:
+def _block_diagonal(X, Y) -> tuple[tuple, ...]:
     """The square matrix with X and Y on its diagonal and zeros elsewhere."""
     nX, nY = len(X), len(Y)
-    return [list(row) + [0] * nY for row in X] + [[0] * nX + list(row) for row in Y]
+    return tuple(tuple(row) + (0,) * nY for row in X) + tuple((0,) * nX + tuple(row) for row in Y)
 
 
 @lru_cache(maxsize=None)
@@ -516,11 +552,12 @@ def product(A: AbelianVariety, B: AbelianVariety) -> ProductStructure:
     nA, nB = A.rank, B.rank
     E = _block_diagonal(A.E, B.E)
     J = None if A.J is None or B.J is None else _block_diagonal(A.J, B.J)
-    V = make_variety(E, J, name=f"{A.name} x {B.name}")
-    V = replace(V, negative=A.negative | B.negative << nA)
+    # J^2 = -1 and the Riemann relations hold block by block; the type is
+    # not the sorted union of the factor types ((2) x (3) has type (1, 6))
+    V = _variety(E, J, f"{A.name} x {B.name}", _paired_type(E), A.negative | B.negative << nA)
 
     def hom(src, tgt, rows):
-        return Homomorphism(src, tgt, tuple(tuple(r) for r in rows), True)
+        return Homomorphism._trusted(src, tgt, tuple(tuple(r) for r in rows), True)
 
     I_A = intlinalg.identity_matrix(nA)
     I_B = intlinalg.identity_matrix(nB)
@@ -550,10 +587,6 @@ def structure_homs(A: AbelianVariety) -> StructureMaps:
     sq = product(A, A)
     n = A.rank
     I = intlinalg.identity_matrix(n)
-    m = Homomorphism(
-        sq.variety, A, tuple(tuple(I[i] + I[i]) for i in range(n)), True
-    )
-    diag = Homomorphism(
-        A, sq.variety, tuple(tuple(row) for row in (I + I)), True
-    )
+    m = Homomorphism._trusted(sq.variety, A, tuple(tuple(I[i] + I[i]) for i in range(n)), True)
+    diag = Homomorphism._trusted(A, sq.variety, tuple(tuple(row) for row in (I + I)), True)
     return StructureMaps(square=sq, m=m, diagonal=diag)

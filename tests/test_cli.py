@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import abelian_fourier.intlinalg as intlinalg
+import abelian_fourier.varieties as varieties
+from abelian_fourier import clear_caches
 from abelian_fourier.cli import main
 from abelian_fourier.exterior import Multivector
 from abelian_fourier.fourier import fourier
@@ -69,6 +72,41 @@ def test_verify_empty_check_list_is_an_input_error(checks, capsys):
     captured = capsys.readouterr()
     assert "names no check" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("genus", ["0", "-3"])
+@pytest.mark.parametrize("command", ["verify", "fourier", "hodge"])
+def test_nonpositive_genus_is_an_input_error(command, genus, capsys):
+    # named as a genus, not as the empty polarization type it would build
+    extra = {"verify": [], "fourier": ["--class", "x.json"], "hodge": ["--degree", "2"]}
+    assert run_cli([command, "--genus", genus, *extra[command]]) == 2
+    captured = capsys.readouterr()
+    assert f"error [InvalidType]: genus must be positive, got {genus}" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_builds_every_model_without_revalidating(monkeypatch, capsys):
+    # the models, duals and products of a verify run are built in closed
+    # form from validated parts: a count, not a time
+    calls = {"make_variety": 0, "is_positive_definite": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(varieties, "make_variety")
+    count(intlinalg, "is_positive_definite")
+    clear_caches()
+    assert run_cli(["verify", "--genus", "2"]) == 0
+    assert calls == {"make_variety": 0, "is_positive_definite": 0}
+    # the counters are live: the public constructor still validates
+    varieties.make_variety([[0, 1], [-1, 0]], [[0, -1], [1, 0]])
+    assert calls == {"make_variety": 1, "is_positive_definite": 1}
 
 
 @pytest.mark.parametrize("command", ["verify", "fourier", "hodge"])

@@ -1,6 +1,7 @@
 """Variety model: validation, duality, products, functorial maps."""
 
 import random
+import sys
 from fractions import Fraction
 from dataclasses import replace
 from itertools import combinations
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abelian_fourier import clear_caches
 from abelian_fourier.errors import (
     ComplexStructureInvalid,
     InvalidType,
@@ -23,7 +25,7 @@ from abelian_fourier.exterior import Multivector, wedge_sign
 from abelian_fourier.fourier import fourier, graph_of_polarization
 from abelian_fourier.hodge import _hodge_rows
 from abelian_fourier.intlinalg import mat_mul
-from abelian_fourier.suite import _gaussian_hom
+from abelian_fourier.suite import _gaussian_hom, default_suite, run_suite
 from abelian_fourier.varieties import (
     Homomorphism,
     _pfaffian,
@@ -39,6 +41,7 @@ from abelian_fourier.varieties import (
     structure_homs,
 )
 from test_exterior import apply_generator_images
+from test_fourier import E8_HERMITIAN, other_basis
 
 STD_E = [[0, 1], [-1, 0]]
 STD_J = [[0, -1], [1, 0]]
@@ -229,6 +232,90 @@ def test_dual_type():
     assert dual(dual(elliptic_product((1, 1, 2)))).polarization_type == (1, 1, 2)
 
 
+# a rational conjugate of the Gaussian structure (see test_rational_J_accepted)
+RATIONAL_J = make_variety(STD_E, [[0, Fraction(-1, 2)], [2, 0]], name="E_rational")
+
+TRUSTED_BASES = (
+    [standard_ppav(g) for g in range(1, 6)]
+    + [elliptic_product(t) for t in ((1, 2), (1, 1, 2), (1, 1, 3), (1, 2, 4))]
+    + [
+        other_basis(standard_ppav(2), random.Random(16), 16),
+        other_basis(standard_ppav(3), random.Random(16), 16),
+        E8_HERMITIAN,
+        RATIONAL_J,
+    ]
+)
+
+
+def assert_matches_make_variety(X):
+    # make_variety runs every check again (Smith form, J^2, Riemann
+    # relations, positivity, Pfaffian); the mask is not its to set
+    assert X == replace(make_variety(X.E, X.J, X.name), negative=X.negative)
+
+
+@pytest.mark.parametrize("A", TRUSTED_BASES, ids=lambda A: A.name)
+def test_trusted_varieties_match_make_variety(A):
+    # elliptic_product, dual and product build their models without
+    # validation; each must be the model the validating constructor builds
+    for X in (A, dual(A), dual(dual(A)), product(A, dual(A)).variety):
+        assert_matches_make_variety(X)
+    assert dual(dual(A)) == A
+
+
+def test_product_type_is_not_the_union_of_factor_types():
+    P = product(elliptic_product((2,)), elliptic_product((3,))).variety
+    assert P.polarization_type == (1, 6)
+    assert_matches_make_variety(P)
+    assert_matches_make_variety(dual(P))
+    assert dual(P).polarization_type == (1, 6)
+
+
+def test_trusted_homomorphisms_pass_the_public_checks(monkeypatch):
+    # record every map built without the intertwining check, with the
+    # function that built it, over a whole suite run and a few direct calls
+    built = []
+    trusted = Homomorphism._trusted.__func__
+
+    def recording(cls, *args):
+        h = trusted(cls, *args)
+        built.append((sys._getframe(1).f_code.co_name, h))
+        return h
+
+    monkeypatch.setattr(Homomorphism, "_trusted", classmethod(recording))
+    clear_caches()
+    run_suite(default_suite(genus=2))
+    for A in (elliptic_product((1, 2)), RATIONAL_J, E8_HERMITIAN):
+        polarization_isogeny(A).dual_hom()
+        graph_of_polarization(A)
+        identity_hom(A).compose(scalar_hom(A, -2))
+    assert {name for name, _ in built} == {
+        "compose",
+        "dual_hom",
+        "graph_of_polarization",
+        "hom",  # the projections and inclusions of product
+        "polarization_isogeny",
+        "projection",  # p13 and p24 of the 4-fold product
+        "scalar_hom",
+        "structure_homs",
+    }
+    for _, h in built:
+        assert all(type(x) is int for row in h.matrix for x in row)
+        # raises RankMismatch or ComplexStructureInvalid on a bad map
+        assert Homomorphism(h.source, h.target, h.matrix, h.holomorphic) == h
+
+
+def test_compose_through_a_variety_without_J_is_checked():
+    # neither factor's flag can be checked against a missing J, so the
+    # composite of two such maps goes through the public constructor
+    E1 = gaussian_elliptic_curve()
+    bare = make_variety(STD_E, name="no J")
+    conj = Homomorphism(E1, bare, ((1, 0), (0, -1)), True)
+    ident = Homomorphism(bare, E1, ((1, 0), (0, 1)), True)
+    with pytest.raises(ComplexStructureInvalid):
+        ident.compose(conj)
+    assert ident.compose(Homomorphism(E1, bare, ((1, 0), (0, 1)), True)) == identity_hom(E1)
+
+
 def test_polarization_isogeny():
     A = standard_ppav(2)
     lam = polarization_isogeny(A)
@@ -366,6 +453,11 @@ def test_holomorphic_flag_validation():
     M = ((1, 0), (0, -1))
     with pytest.raises(ComplexStructureInvalid):
         Homomorphism(E1, E1, M, True)
+    # nor is a shear inside one factor of a product
+    P = product(E1, E1).variety
+    shear = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    with pytest.raises(ComplexStructureInvalid):
+        Homomorphism(P, P, shear, True)
     h = Homomorphism(E1, E1, M, False)
     assert h.degree() == 1
 
@@ -482,6 +574,8 @@ def test_kernel_outputs_are_valid_classes(data):
     # still have int coefficients, none of them zero
     f = data.draw(homs())
     x, y = data.draw(classes(f.source.rank)), data.draw(classes(f.source.rank))
+    z = data.draw(classes(f.target.rank))
+    P = product(f.source, f.target)
     even = Multivector(x.rank, {m: c for m, c in x.items() if m and m.bit_count() % 2 == 0})
     k = data.draw(st.integers(0, 4), label="k")
     for out in (
@@ -492,7 +586,9 @@ def test_kernel_outputs_are_valid_classes(data):
         even.wedge_power_divided(k),
         fourier(f.source, x),
         f.pushforward(x),
-        f.pullback(data.draw(classes(f.target.rank))),
+        f.pullback(z),
+        P.pull_first(x),
+        P.pull_second(z),
     ):
         assert_clean(out)
     # equal to the empty class only if no zero coefficient was kept
