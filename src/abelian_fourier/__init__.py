@@ -85,10 +85,15 @@ from .suite import CheckDescriptor, CheckResult, REGISTRY, default_suite, run_ch
 
 
 def clear_caches():
-    """Drop all internal memoization (duals, products, contexts).
+    """Drop all internal memoization.
 
-    The caches are semantically invisible; this exists for tests that
-    deliberately corrupt a convention and need fresh constructions.
+    The memos are ``varieties.dual``, ``varieties.product``,
+    ``varieties.structure_homs``, ``fourier.context``, and in
+    ``hodge`` the operator table per complex structure
+    (``_operator_power``) and the lattice per complex structure and degree
+    (``_lattice_tables``).  The caches are semantically invisible; this
+    exists for tests that deliberately corrupt a convention and need fresh
+    constructions, and for timing a pass from cold.
     """
     import sys
 
@@ -96,7 +101,10 @@ def clear_caches():
     # resolve the modules through sys.modules
     _varieties = sys.modules["abelian_fourier.varieties"]
     _fourier = sys.modules["abelian_fourier.fourier"]
+    _hodge = sys.modules["abelian_fourier.hodge"]
     _varieties.dual.cache_clear()
     _varieties.product.cache_clear()
     _varieties.structure_homs.cache_clear()
     _fourier.context.cache_clear()
+    _hodge._operator_power.cache_clear()
+    _hodge._lattice_tables.cache_clear()

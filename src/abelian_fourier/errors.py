@@ -86,12 +86,13 @@ class NotHomogeneous(ValueError):
 class NotHodge(ValueError):
     """A supplied generator is not a Hodge class.
 
-    ``index`` locates the offending generator in the caller's list.
+    ``index`` locates the offending generator in the caller's list;
+    ``message``, when given, says more than the default text.
     """
 
-    def __init__(self, index):
+    def __init__(self, index, message=None):
         self.index = index
-        super().__init__(f"generator {index} is not a Hodge class")
+        super().__init__(message or f"generator {index} is not a Hodge class")
 
 
 class ImageNotInHodge(ArithmeticError):

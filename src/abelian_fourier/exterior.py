@@ -92,6 +92,25 @@ def _below_parity(b: int) -> int:
     return s
 
 
+def _above_parity(p: int) -> int:
+    """Suffix parity of p: bit j is the parity of the bits of p above j.
+
+    The mirror of :func:`_below_parity`, by right shifts, so no bit is
+    left over; six steps cover :data:`MAX_RANK` generators.
+
+    >>> bin(_above_parity(0b1010))
+    '0b110'
+    """
+    s = p >> 1
+    s ^= s >> 1
+    s ^= s >> 2
+    s ^= s >> 4
+    s ^= s >> 8
+    s ^= s >> 16
+    s ^= s >> 32
+    return s
+
+
 # the generators at odd positions, for every rank up to MAX_RANK
 _ODD_BITS = int("10" * (MAX_RANK // 2), 2)
 
@@ -437,7 +456,8 @@ class ExteriorPower:
     generator's row; every prefix built on the way is kept, so the table
     fills lazily with the masks asked for and their prefixes.  The sign
     of appending target generator ``j`` to a monomial ``pmask`` is the
-    parity of the generators of ``pmask`` above ``j``.
+    parity of the generators of ``pmask`` above ``j``: bit j of
+    ``_above_parity(pmask)``, computed once per prefix monomial.
 
     The returned maps are the table's own entries: read them, never
     change them.
@@ -473,12 +493,13 @@ class ExteriorPower:
             row = self._rows[top]
             nxt: dict[int, int | Fraction] = {}
             for pmask, pc in img.items():
+                above = _above_parity(pmask)
                 for j, cj in row:
                     bit = 1 << j
                     if pmask & bit:
                         continue
                     key = pmask | bit
-                    if (pmask >> j).bit_count() & 1:
+                    if above >> j & 1:
                         nxt[key] = nxt.get(key, 0) - pc * cj
                     else:
                         nxt[key] = nxt.get(key, 0) + pc * cj

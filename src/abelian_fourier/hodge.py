@@ -30,12 +30,20 @@ This module owns the operator: :func:`_hodge_rows` gives the action of
 ``a + bJ`` on 1-forms, and every Hodge computation of the package (the
 lattices, the membership test and the certificates) extends it to forms of
 higher degree.
+
+Both the operator and the lattices depend on the complex structure alone,
+so they are memoized per complex structure: one operator table per J
+(:func:`_operator_power`), which :func:`hodge_lattice` and :func:`is_hodge`
+share, and one saturated kernel per ``(J, k)`` (:func:`_lattice_tables`).
+A variety and its dual with the same J, or two models with different
+polarizations on the same J, compute each lattice once.
+``abelian_fourier.clear_caches`` empties both memos.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import intlinalg
 from .errors import (
@@ -72,6 +80,37 @@ def _hodge_rows(J):
         row.append((i, a))
         rows.append(row)
     return rows
+
+
+@lru_cache(maxsize=None)
+def _operator_power(J) -> ExteriorPower:
+    """The exterior powers of ``a + bJ``, one lazily filled table per J."""
+    return ExteriorPower(_hodge_rows(J))
+
+
+@lru_cache(maxsize=None)
+def _lattice_tables(J, k: int):
+    """``(masks, basis)`` of the saturated kernel of ``T - p^k`` in degree
+    2k, for the complex structure J.
+
+    The rows of ``T - p^k`` are kept sparse, as ``{column: entry}``:
+    column j is the image of the j-th monomial under the (a + bJ)-action,
+    in ints where J is integral and Fractions otherwise.
+    """
+    power = _operator_power(J)
+    masks = degree_basis_masks(len(J), 2 * k)
+    index = {m: i for i, m in enumerate(masks)}
+    rows = [{i: -(_NORM**k)} for i in range(len(masks))]
+    for j, mask in enumerate(masks):
+        for m, c in power.image(mask).items():
+            row = rows[index[m]]
+            c += row.get(j, 0)
+            if c:
+                row[j] = c
+            else:
+                del row[j]
+    basis = intlinalg.kernel_saturated_sparse(rows, len(masks))
+    return tuple(masks), tuple(tuple(row) for row in basis)
 
 
 @dataclass(frozen=True)
@@ -157,9 +196,8 @@ class HodgeLattice:
 def hodge_lattice(V: AbelianVariety, k: int) -> HodgeLattice:
     """Saturated basis of the integral Hodge classes in degree 2k.
 
-    The rows of ``T - p^k`` are kept sparse, as ``{column: entry}``:
-    column j is the image of the j-th monomial under the (a + bJ)-action,
-    in ints where J is integral and Fractions otherwise.
+    The basis depends on J and k alone and is computed once per pair
+    (:func:`_lattice_tables`); each call wraps it for V.
 
     >>> from .varieties import standard_ppav
     >>> hodge_lattice(standard_ppav(2), 1).rank
@@ -169,25 +207,8 @@ def hodge_lattice(V: AbelianVariety, k: int) -> HodgeLattice:
         raise NoComplexStructure(f"{V.name} has no complex structure")
     if not 0 <= k <= V.genus:
         raise UnsupportedParams(f"half-degree {k} out of range for genus {V.genus}")
-    power = ExteriorPower(_hodge_rows(V.J))
-    masks = degree_basis_masks(V.rank, 2 * k)
-    index = {m: i for i, m in enumerate(masks)}
-    rows = [{i: -(_NORM**k)} for i in range(len(masks))]
-    for j, mask in enumerate(masks):
-        for m, c in power.image(mask).items():
-            row = rows[index[m]]
-            c += row.get(j, 0)
-            if c:
-                row[j] = c
-            else:
-                del row[j]
-    basis = intlinalg.kernel_saturated_sparse(rows, len(masks))
-    return HodgeLattice(
-        A=V,
-        k=k,
-        masks=tuple(masks),
-        basis=tuple(tuple(row) for row in basis),
-    )
+    masks, basis = _lattice_tables(V.J, k)
+    return HodgeLattice(A=V, k=k, masks=masks, basis=basis)
 
 
 def is_hodge(V: AbelianVariety, x: Multivector) -> bool:
@@ -207,7 +228,7 @@ def is_hodge(V: AbelianVariety, x: Multivector) -> bool:
     deg = x.degree()
     if deg % 2:
         return False
-    image = ExteriorPower(_hodge_rows(V.J)).apply(x.items())
+    image = _operator_power(V.J).apply(x.items())
     lam = _NORM ** (deg // 2)
     return image == {m: lam * c for m, c in x.items()}
 
@@ -216,19 +237,22 @@ def voisin_certificate(V: AbelianVariety, k: int, generators) -> intlinalg.Coker
     """Elementary divisors of the Hodge lattice modulo supplied generators.
 
     Each generator must be a Hodge class of degree 2k (``NotHodge``
-    carries the offending index).  An all-ones answer with free rank zero
-    certifies that the generators span the full lattice, which is the
-    desk-scale form of the one-cycle algebraicity statement relative to
-    those generators.
+    carries the offending index, and for a class of another degree names
+    both degrees).  An all-ones answer with free rank zero certifies that
+    the generators span the full lattice, which is the desk-scale form of
+    the one-cycle algebraicity statement relative to those generators.
     """
     lat = hodge_lattice(V, k)
     columns = []
     for idx, gen in enumerate(generators):
-        try:
-            ok = is_hodge(V, gen) and (gen.is_zero() or gen.degree() == 2 * k)
-        except NotHomogeneous:
-            ok = False
-        if not ok:
+        if gen.rank != V.rank:
+            raise RankMismatch(f"generator {idx} has rank {gen.rank}, variety rank {V.rank}")
+        if not gen.is_homogeneous():
+            raise NotHodge(idx)
+        if gen and gen.degree() != 2 * k:
+            message = f"generator {idx} has degree {gen.degree()}, expected degree {2 * k}"
+            raise NotHodge(idx, message)
+        if not is_hodge(V, gen):
             raise NotHodge(idx)
         coords = lat.coordinates(gen)
         if coords is None:

@@ -32,6 +32,7 @@ from math import factorial
 from . import intlinalg
 from .errors import (
     ImageNotInHodge,
+    InvalidType,
     NoComplexStructure,
     NonDivisible,
     NonIntegralResult,
@@ -695,7 +696,8 @@ def _variety(spec: _CheckSpec, injected, params) -> AbelianVariety | None:
         return injected
     g = int(params.get("genus", 1))
     if g < 1:
-        raise UnsupportedParams(f"genus must be positive, got {g}")
+        # an input error, raised as standard_ppav raises it
+        raise InvalidType(f"genus must be positive, got {g}")
     if spec.own_models:
         return None
     ptype = params.get("type")

@@ -453,13 +453,22 @@ class Homomorphism:
         return abs(d)
 
     def dual_hom(self) -> "Homomorphism":
-        """Dual homomorphism between the dual varieties (transposed matrix)."""
-        return Homomorphism._trusted(
+        """Dual homomorphism between the dual varieties (transposed matrix).
+
+        The two maps share their exterior-power tables: the rows of the
+        transpose are the columns of this matrix, so the dual pulls back
+        through this map's pushforward table and pushes forward through its
+        pullback table, and a table filled by one serves the other.
+        """
+        out = Homomorphism._trusted(
             dual(self.target),
             dual(self.source),
             tuple(zip(*self.matrix)),
             self.holomorphic,
         )
+        out.__dict__["_pullback_power"] = self._pushforward_power
+        out.__dict__["_pushforward_power"] = self._pullback_power
+        return out
 
 
 def identity_hom(A: AbelianVariety) -> Homomorphism:

@@ -233,6 +233,21 @@ def test_hodge_rank_and_certificate(tmp_path, capsys):
     assert cert["trivial"] is False
 
 
+def test_hodge_certificate_names_a_wrong_generator_degree(tmp_path, capsys):
+    # theta is a Hodge class, but of degree 2 where the lattice has degree 4
+    A = standard_ppav(2)
+    gens = tmp_path / "gens.json"
+    gens.write_text(
+        json.dumps([json.loads(emit_class(x)) for x in (A.point_class() * 2, A.theta_class())]),
+        encoding="utf-8",
+    )
+    code = run_cli(["hodge", "--genus", "2", "--degree", "4", "--certify-generators", str(gens)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error [NotHodge]: generator 1 has degree 2, expected degree 4" in captured.err
+    assert captured.out == ""
+
+
 def test_hodge_curve_lattice_genus4_is_saturated(tmp_path):
     # degree 4 on E_i^4: rank C(4,2)^2 = 36 in the C(8,4) = 70 monomials,
     # reported through the block kernel; the basis spans a direct summand

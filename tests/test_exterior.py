@@ -9,6 +9,7 @@ elementary symmetric divided powers against ``x^k`` divided by ``k!``.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -429,6 +430,40 @@ def test_kernel_coefficients_are_minors(data):
     x = Multivector(r, dict(data.draw(st.lists(st.tuples(st.integers(0, (1 << r) - 1), entry)))))
     assert power.apply(x.items()) == apply_generator_images(x, rows)
     assert half_power.apply(x.items()) == apply_generator_images(x, halves)
+
+
+# target generators where the above-prefix parity of ExteriorPower.image
+# needs every shift: from 0, bits 33 and 63 lie past the first 32 above it
+PINNED = (0, 31, 32, 33, 63)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1, 2, -1, 3, 1], [2, -1, 1, 1, -2], [1, 1, 3, -1, 1], [-2, 1, 1, 2, 1], [1, -3, 2, 1, 2]],
+        [[0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]],
+        [[1, 0, 0, 0, 1], [0, 1, 0, 1, 0], [1, 1, 1, 0, 0], [0, 1, 0, 1, 1], [1, 0, 0, 1, 1]],
+    ],
+    ids=["dense", "reversal", "sparse"],
+)
+def test_image_sign_at_the_far_generators(matrix):
+    # rank-64 rows whose entries sit at generators 0, 31, 32, 33 and 63,
+    # from sources at the same generators: every image of every subset is
+    # the per-monomial oracle's and the minor of the 5 x 5 matrix, since
+    # the pinned generators keep their order
+    rows = [[] for _ in range(MAX_RANK)]
+    for i, src in enumerate(PINNED):
+        rows[src] = [(PINNED[j], e) for j, e in enumerate(matrix[i]) if e]
+    power = ExteriorPower(rows)
+    for k in range(len(PINNED) + 1):
+        for sel in combinations(range(len(PINNED)), k):
+            S = sum(1 << PINNED[i] for i in sel)
+            image = power.image(S)
+            assert image == apply_generator_images(Multivector(MAX_RANK, {S: 1}), rows)
+            for cols in combinations(range(len(PINNED)), k):
+                T = sum(1 << PINNED[j] for j in cols)
+                minor = det_bareiss([[matrix[i][j] for j in cols] for i in sel])
+                assert image.get(T, 0) == minor
 
 
 def test_complement_sign_is_the_poincare_duality_sign():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abelian_fourier import clear_caches
 from abelian_fourier.errors import (
     ImageNotInHodge,
     NoComplexStructure,
@@ -22,6 +23,8 @@ from abelian_fourier.exterior import Multivector, degree_basis_masks
 from abelian_fourier.fourier import beta_from_divisor, poincare_class
 from abelian_fourier.hodge import (
     HodgeLattice,
+    _lattice_tables,
+    _operator_power,
     fourier_hodge_matrix,
     hodge_lattice,
     is_hodge,
@@ -42,7 +45,7 @@ from abelian_fourier.varieties import (
     standard_ppav,
 )
 from test_exterior import apply_generator_images
-from test_fourier import E8_HERMITIAN
+from test_fourier import E8_HERMITIAN, other_basis
 from test_intlinalg import rational_inverse
 
 
@@ -278,9 +281,12 @@ def test_voisin_certificate_rejects_non_hodge():
     with pytest.raises(NotHodge) as exc:
         voisin_certificate(A, 1, [A.theta_class(), Multivector(4, {0b0011: 1})])
     assert exc.value.index == 1
-    with pytest.raises(NotHodge):
+    with pytest.raises(NotHodge, match="generator 0 has degree 2, expected degree 4"):
         # right type, wrong degree
         voisin_certificate(A, 2, [A.theta_class()])
+    with pytest.raises(NotHodge, match="generator 1 has degree 2, expected degree 4") as exc:
+        voisin_certificate(A, 2, [A.point_class() * 2, A.theta_class()])
+    assert exc.value.index == 1
 
 
 def test_beta_classes_certify_curve_lattice():
@@ -502,3 +508,54 @@ def test_coordinates_match_full_basis_solve(data):
         assert got == expected
     if lat is saturated:
         assert lat.coordinates(member) == coeffs
+
+
+def test_lattice_memo_is_keyed_by_the_complex_structure():
+    # two polarizations on one J: each computed from cold gives the same
+    # lattice, so the (J, k) memo may serve one with the other's basis
+    A, B = standard_ppav(5), elliptic_product((1, 1, 1, 2, 2))
+    assert A.J == B.J and A.E != B.E
+    for k in range(A.genus + 1):
+        clear_caches()
+        fresh = hodge_lattice(A, k)
+        clear_caches()
+        other = hodge_lattice(B, k)
+        assert (other.masks, other.basis) == (fresh.masks, fresh.basis)
+        served = hodge_lattice(A, k)
+        assert (served.A, served.basis) == (A, fresh.basis)
+        assert other.A is B
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        other_basis(standard_ppav(2), random.Random(16), 16),
+        other_basis(standard_ppav(3), random.Random(16), 16),
+    ],
+    ids=lambda A: f"genus {A.genus}",
+)
+def test_memoized_lattices_of_a_model_and_its_dual_match_the_dense_oracle(A):
+    # in another basis -J^T != J, so A and its dual key different entries;
+    # both stay in the memos while the other is computed
+    Ah = dual(A)
+    assert Ah.J != A.J
+    clear_caches()
+    for k in range(A.genus + 1):
+        for V in (A, Ah, A):
+            basis = kernel_saturated(operator_matrix(V, k))
+            assert hodge_lattice(V, k).basis == tuple(tuple(row) for row in basis)
+    # the shared operator tables answer is_hodge for either side
+    for V in (A, Ah):
+        assert all(is_hodge(V, u) for u in hodge_lattice(V, 1).basis_classes())
+        assert not is_hodge(V, Multivector(V.rank, {0b11: 1}))
+
+
+def test_clear_caches_empties_the_hodge_memos():
+    A = standard_ppav(2)
+    hodge_lattice(A, 1)
+    assert is_hodge(dual(A), dual(A).theta_class())
+    assert _operator_power.cache_info().currsize > 0
+    assert _lattice_tables.cache_info().currsize > 0
+    clear_caches()
+    assert _operator_power.cache_info().currsize == 0
+    assert _lattice_tables.cache_info().currsize == 0

@@ -6,7 +6,7 @@ import pytest
 
 import abelian_fourier
 import abelian_fourier.suite as suite
-from abelian_fourier.errors import UnknownCheck, UnsupportedParams
+from abelian_fourier.errors import InvalidType, UnknownCheck, UnsupportedParams
 from abelian_fourier.suite import (
     REGISTRY,
     default_suite,
@@ -60,14 +60,25 @@ def test_run_check_records_descriptor():
     assert r.runtime_ms >= 0
 
 
+@pytest.mark.parametrize("genus", [0, -3])
+@pytest.mark.parametrize("name", ["beauville_exp", "theta_divided", "functoriality"])
+def test_nonpositive_genus_is_invalid_type(name, genus):
+    # the error the CLI gets from standard_ppav, also for the checks that
+    # build their own models; an input error, so the lenient runner does
+    # not turn it into a skip
+    message = f"genus must be positive, got {genus}"
+    with pytest.raises(InvalidType, match=message):
+        run_check(name, genus=genus)
+    with pytest.raises(InvalidType, match=message):
+        run_check_lenient(name, genus=genus)
+
+
 def test_unknown_check():
     with pytest.raises(UnknownCheck):
         run_check("no_such_check")
 
 
 def test_unsupported_params():
-    with pytest.raises(UnsupportedParams):
-        run_check("beauville_exp", genus=0)
     with pytest.raises(UnsupportedParams):
         run_check("beauville_exp", genus=2, type=(1, 2))
     r = run_check_lenient("beauville_exp", genus=2, type=(1, 2))

@@ -561,6 +561,36 @@ def test_reused_hom_tables_keep_their_entries():
             assert f.pullback(y) == oracle_pullback(f, y)
 
 
+@pytest.mark.parametrize("h_src, h_tgt", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("dual_first", [False, True], ids=["map first", "dual first"])
+def test_dual_hom_shares_tables_with_the_map(h_src, h_tgt, dual_first):
+    # the dual pulls back through the map's pushforward table and pushes
+    # forward through its pullback table; on every mask its answers are
+    # those of the same dual rebuilt through the public constructor, whose
+    # tables are its own, whichever side fills the shared tables first
+    rng = random.Random(10 * h_src + h_tgt)
+    X, Y = standard_ppav(h_src), elliptic_product((1,) * (h_tgt - 1) + (2,))
+    f = Homomorphism(X, Y, tuple(map(tuple, _gaussian_hom(rng, h_src, h_tgt))), True)
+    fhat = f.dual_hom()
+    assert fhat._pullback_power is f._pushforward_power
+    assert fhat._pushforward_power is f._pullback_power
+    assert fhat.dual_hom()._pullback_power is f._pullback_power
+    rebuilt = Homomorphism(fhat.source, fhat.target, fhat.matrix, fhat.holomorphic)
+    assert rebuilt == fhat and rebuilt._pullback_power is not fhat._pullback_power
+    for side in ((fhat, f) if dual_first else (f, fhat)):
+        # the map's own calls only fill the shared tables
+        for mask in range(1 << side.target.rank):
+            y = Multivector(side.target.rank, {mask: 1})
+            got = side.pullback(y)
+            if side is fhat:
+                assert got == rebuilt.pullback(y)
+        for mask in range(1 << side.source.rank):
+            x = Multivector(side.source.rank, {mask: 1})
+            got = side.pushforward(x)
+            if side is fhat:
+                assert got == rebuilt.pushforward(x)
+
+
 def assert_clean(out: Multivector):
     # what a kernel hands back is what the public constructor would build
     assert all(type(c) is int and c for _, c in out.items())
