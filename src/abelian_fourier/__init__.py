@@ -88,12 +88,11 @@ def clear_caches():
     """Drop all internal memoization.
 
     The memos are ``varieties.dual``, ``varieties.product``,
-    ``varieties.structure_homs``, ``fourier.context``, and in
-    ``hodge`` the operator table per complex structure
-    (``_operator_power``) and the lattice per complex structure and degree
-    (``_lattice_tables``).  The caches are semantically invisible; this
-    exists for tests that deliberately corrupt a convention and need fresh
-    constructions, and for timing a pass from cold.
+    ``varieties.structure_homs``, ``fourier.context``, and in ``hodge``
+    the lattice per complex structure and degree (``_lattice_tables``).
+    The caches are semantically invisible; this exists for tests that
+    deliberately corrupt a convention and need fresh constructions, and
+    for timing a pass from cold.
     """
     import sys
 
@@ -106,5 +105,4 @@ def clear_caches():
     _varieties.product.cache_clear()
     _varieties.structure_homs.cache_clear()
     _fourier.context.cache_clear()
-    _hodge._operator_power.cache_clear()
     _hodge._lattice_tables.cache_clear()

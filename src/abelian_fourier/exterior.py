@@ -31,10 +31,9 @@ One kernel, :class:`ExteriorPower`, extends generator images to an
 algebra map: it is the compound-matrix table of a set of rows, filled
 lazily by mask as ``image(S) = image(S without its top bit) ^ row(top)``,
 so monomials that share a prefix share its product.  Pullback and
-pushforward along a homomorphism and the Hodge operator all run through
-it.  Its coefficients are exact ``int`` or ``Fraction`` values: integral
-homomorphism matrices stay in integer arithmetic, and the rational Hodge
-operator built from a complex structure runs through the same table.
+pushforward along a homomorphism run through it.  Its coefficients are
+exact ``int`` or ``Fraction`` values: integral homomorphism matrices stay
+in integer arithmetic.
 :func:`complement_sign` gives the Poincare-duality sign of ``e_S ^
 e_{S^c}`` in constant time.
 """

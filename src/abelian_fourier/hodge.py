@@ -1,43 +1,36 @@
 """Hodge-class lattices computed exactly from a rational complex structure.
 
-A rational class of even degree 2k is a Hodge class exactly when it is
-fixed, up to the scalar ``(a^2+b^2)^k``, by the operator induced on
-2k-forms by the group element ``a + bJ``.  When ``a^2 + b^2`` is an odd
-prime, unique factorization in the Gaussian integers makes the eigenvalue
-``(a+bi)^p (a-bi)^q = (a^2+b^2)^k`` occur only at ``p = q = k``, so the
-saturated integer kernel of ``T - (a^2+b^2)^k`` inside the degree-2k
-lattice is precisely the lattice of integral (k, k)-classes.  No
-eigenvalue is ever approximated: the operator is exact, in ints wherever J
-is integral (every shipped model) and in Fractions otherwise.
+For a model with ``J^2 = -1`` the Lie algebra of the Hodge group is
+spanned by J (Deligne, *Hodge cycles on abelian varieties*, LNM 900;
+Birkenhake-Lange, *Complex Abelian Varieties*, ch. 17).  On forms J acts
+as the derivation
 
-The rows of ``T - p^k`` are built sparse, straight from the monomial
-images in one :class:`~abelian_fourier.exterior.ExteriorPower` table of
-the operator, and :func:`intlinalg.kernel_saturated_sparse` reads their
-supports.  On the shipped models J splits over the elliptic factors, so
-the operator is block diagonal up to a permutation of the monomials (at
-genus 5, degree 4, 210 monomials in blocks of side at most 16, about 4%
-of the entries nonzero).  The kernel takes one Smith form per connected
-block, and :meth:`HodgeLattice.coordinates` solves one small system per
-connected block of the basis.  A model whose J does not split is one block
-and takes the whole-matrix path.
+    D_J(e_S) = sum over i in S of e_S with e_i replaced by row i of J,
 
-The parameter is fixed at ``(a, b) = (1, 2)``, of norm 5, the smallest odd
-prime norm.  Any admissible parameter gives the same lattice; the tier-1
-test ``test_parameter_independence`` checks this against the kernels for
-``(2, 3)`` and the conjugate ``(2, 1)``.
+the same row convention as the pullback tables: generator i goes to row i
+of J.  J has eigenvalues +-i on 1-forms, so D_J acts on ``H^{p,q}`` as the
+scalar ``+-i(p - q)`` and is diagonalizable over C.  In degree 2k its
+kernel is exactly the (k, k) part, and since D_J is rational its saturated
+integer kernel is the lattice of integral Hodge classes.  The arithmetic
+is exact: the entries of D_J are those of J, ints wherever J is integral
+(every shipped model) and Fractions otherwise, and ``D_J(e_S)`` has one
+term per slot i of S and nonzero entry of row i of J.
 
-This module owns the operator: :func:`_hodge_rows` gives the action of
-``a + bJ`` on 1-forms, and every Hodge computation of the package (the
-lattices, the membership test and the certificates) extends it to forms of
-higher degree.
+The rows of ``D_J`` in degree 2k are built sparse, one pass over the slot
+terms of every monomial (:func:`_derive`), and
+:func:`intlinalg.kernel_saturated_sparse` reads their supports.  On the
+shipped models J splits over the elliptic factors, so the derivation is
+block diagonal up to a permutation of the monomials.  The kernel takes one
+Smith form per connected block, and :meth:`HodgeLattice.coordinates`
+solves one small system per connected block of the basis.  A model whose
+J does not split is one block and takes the whole-matrix path.
+:func:`is_hodge` tests ``D_J x = 0`` in one pass over the terms of x.
 
-Both the operator and the lattices depend on the complex structure alone,
-so they are memoized per complex structure: one operator table per J
-(:func:`_operator_power`), which :func:`hodge_lattice` and :func:`is_hodge`
-share, and one saturated kernel per ``(J, k)`` (:func:`_lattice_tables`).
-A variety and its dual with the same J, or two models with different
-polarizations on the same J, compute each lattice once.
-``abelian_fourier.clear_caches`` empties both memos.
+The lattices depend on the complex structure alone, so there is one memo,
+one saturated kernel per ``(J, k)`` (:func:`_lattice_tables`).  A variety
+and its dual with the same J, or two models with different polarizations
+on the same J, compute each lattice once.  ``abelian_fourier.clear_caches``
+empties the memo.
 """
 
 from __future__ import annotations
@@ -55,60 +48,64 @@ from .errors import (
     RankMismatch,
     UnsupportedParams,
 )
-from .exterior import ExteriorPower, Multivector, degree_basis_masks
+from .exterior import Multivector, degree_basis_masks
 from .fourier import fourier
 from .varieties import AbelianVariety, dual
 
-# The Gaussian-prime parameter (a, b) of the projector element a + bJ; its
-# norm a^2 + b^2 must be an odd prime.
-_PARAMETER = (1, 2)
-_NORM = _PARAMETER[0] ** 2 + _PARAMETER[1] ** 2
+
+def _slot_rows(J):
+    """Row i of J as ``(bit of column t, J[i][t])`` pairs, zeros dropped."""
+    return [[(1 << t, c) for t, c in enumerate(row) if c] for row in J]
 
 
-def _hodge_rows(J):
-    """Generator images of the projector element a + bJ on 1-forms.
+def _derive(rows, terms) -> dict:
+    """``D_J`` of the class with ``(mask, coefficient)`` pairs ``terms``.
 
-    The induced action on the dual basis sends generator i to
-    ``a e_i + b sum_j J[i][j] e_j``, i.e. row i of ``a I + b J``.  The
-    entries are ints wherever J's are (see ``varieties._exact_matrix``).
+    ``rows`` is :func:`_slot_rows` of J.  Slot i of ``e_S`` takes row i of
+    J: entry t lands on ``e_{S - i + t}`` (nothing when t is in ``S - i``),
+    with the sign of moving ``e_t`` from the slot of i to its sorted place,
+    the parity of the bits of ``S - i`` between i and t.  Zero
+    coefficients are dropped.
+
+    >>> _derive(_slot_rows([[0, -1], [1, 0]]), [(0b01, 1), (0b11, 5)])
+    {2: -1}
     """
-    a, b = _PARAMETER
-    n = len(J)
-    rows = []
-    for i in range(n):
-        row = [(j, b * J[i][j]) for j in range(n) if J[i][j]]
-        row.append((i, a))
-        rows.append(row)
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _operator_power(J) -> ExteriorPower:
-    """The exterior powers of ``a + bJ``, one lazily filled table per J."""
-    return ExteriorPower(_hodge_rows(J))
+    out: dict = {}
+    for mask, coeff in terms:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            others = mask ^ low
+            for bit, c in rows[low.bit_length() - 1]:
+                if others & bit:
+                    continue
+                key = others | bit
+                if (others & abs(bit - low)).bit_count() & 1:
+                    c = -c
+                v = out.get(key, 0) + c * coeff
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+    return out
 
 
 @lru_cache(maxsize=None)
 def _lattice_tables(J, k: int):
-    """``(masks, basis)`` of the saturated kernel of ``T - p^k`` in degree
-    2k, for the complex structure J.
+    """``(masks, basis)`` of the saturated kernel of ``D_J`` in degree 2k.
 
-    The rows of ``T - p^k`` are kept sparse, as ``{column: entry}``:
-    column j is the image of the j-th monomial under the (a + bJ)-action,
-    in ints where J is integral and Fractions otherwise.
+    The rows of ``D_J`` are kept sparse, as ``{column: entry}``: column j
+    is ``D_J`` of the j-th monomial, in ints where J is integral and
+    Fractions otherwise.
     """
-    power = _operator_power(J)
+    rows_J = _slot_rows(J)
     masks = degree_basis_masks(len(J), 2 * k)
     index = {m: i for i, m in enumerate(masks)}
-    rows = [{i: -(_NORM**k)} for i in range(len(masks))]
+    rows: list[dict] = [{} for _ in masks]
     for j, mask in enumerate(masks):
-        for m, c in power.image(mask).items():
-            row = rows[index[m]]
-            c += row.get(j, 0)
-            if c:
-                row[j] = c
-            else:
-                del row[j]
+        for m, c in _derive(rows_J, ((mask, 1),)).items():
+            rows[index[m]][j] = c
     basis = intlinalg.kernel_saturated_sparse(rows, len(masks))
     return tuple(masks), tuple(tuple(row) for row in basis)
 
@@ -212,7 +209,7 @@ def hodge_lattice(V: AbelianVariety, k: int) -> HodgeLattice:
 
 
 def is_hodge(V: AbelianVariety, x: Multivector) -> bool:
-    """Exact membership test for the Hodge lattice.
+    """Exact membership test for the Hodge lattice: ``D_J x = 0``.
 
     The class must be homogeneous; odd degrees are never Hodge.  Zero is
     a member in every degree.
@@ -225,12 +222,9 @@ def is_hodge(V: AbelianVariety, x: Multivector) -> bool:
         raise NotHomogeneous(f"class mixes degrees {sorted(x.degrees())}")
     if x.is_zero():
         return True
-    deg = x.degree()
-    if deg % 2:
+    if x.degree() % 2:
         return False
-    image = _operator_power(V.J).apply(x.items())
-    lam = _NORM ** (deg // 2)
-    return image == {m: lam * c for m, c in x.items()}
+    return not _derive(_slot_rows(V.J), x.items())
 
 
 def voisin_certificate(V: AbelianVariety, k: int, generators) -> intlinalg.CokernelInvariants:

@@ -75,7 +75,6 @@ CONVENTIONS = {
         "flips its recorded sign"
     ),
     "orientation": "integrate(theta^g / g!) = product of the polarization divisors",
-    "hodge_parameter": "(a, b) = (1, 2), norm 5",
     "dual_complex_structure": (
         "the sign of +-J^T chosen so the pairing class is a Hodge class "
         "(-J^T for all shipped models)"

@@ -263,6 +263,21 @@ def test_hodge_curve_lattice_genus4_is_saturated(tmp_path):
     assert data["saturation_free_rank"] == data["ambient_dimension"] - data["rank"]
 
 
+def test_hodge_curve_lattice_genus6_finishes(tmp_path):
+    # degree 6 on E_i^6: rank C(6,3)^2 = 400 in the C(12,6) = 924
+    # monomials, a saturated sublattice
+    out = tmp_path / "h6.json"
+    code = run_cli(
+        ["hodge", "--genus", "6", "--degree", "6", "--format", "json", "--out", str(out)]
+    )
+    assert code == 0
+    data = json.loads(out.read_text())
+    assert data["rank"] == 400
+    assert data["ambient_dimension"] == 924
+    assert data["saturation_divisors"] == ["1"] * 400
+    assert data["saturation_free_rank"] == 524
+
+
 def test_hodge_requires_complex_structure(tmp_path, capsys):
     spec = tmp_path / "bare.json"
     write_json(spec, {"name": "bare", "polarization_matrix": [[0, 1], [-1, 0]]})
@@ -375,7 +390,7 @@ def test_verify_reports_non_integral_image_as_check_failure(tmp_path, monkeypatc
 
 # sha256 of the default ``verify`` JSON report after ``strip_runtimes``; a
 # change that keeps every result keeps this digest
-DEFAULT_REPORT_SHA256 = "83ae67a2e971ce49ee8104c8f7e25d9a4e87be3d3227054770a48eb0ab1c0b6e"
+DEFAULT_REPORT_SHA256 = "98c000b63d268930bcaa547eac3c672930006a47c46a1169edc41de22c5df0d1"
 
 
 def test_default_verify_report_digest(tmp_path):

@@ -23,7 +23,7 @@ from abelian_fourier.errors import (
 )
 from abelian_fourier.exterior import Multivector, wedge_sign
 from abelian_fourier.fourier import fourier, graph_of_polarization
-from abelian_fourier.hodge import _hodge_rows
+from abelian_fourier.hodge import _derive, _slot_rows
 from abelian_fourier.intlinalg import mat_mul
 from abelian_fourier.suite import _gaussian_hom, default_suite, run_suite
 from abelian_fourier.varieties import (
@@ -157,14 +157,18 @@ def test_rational_J_accepted():
     # integral entries are read as ints, the rest stay exact Fractions
     assert A.J == ((0, Fraction(-1, 2)), (2, 0))
     assert [type(x) for x in A.J[1]] == [int, int]
-    assert _hodge_rows(A.J) == [[(1, Fraction(-1)), (0, 1)], [(0, 4), (1, 1)]]
+    # D_J(e_0 + e_1) is the sum of the rows of J
+    image = _derive(_slot_rows(A.J), [(0b01, 1), (0b10, 1)])
+    assert image == {0b10: Fraction(-1, 2), 0b01: 2}
+    assert type(image[0b01]) is int
 
 
 def test_integral_J_is_int_on_every_construction():
     A = elliptic_product((1, 2))
     for V in (A, dual(A), product(A, dual(A)).variety):
         assert all(type(x) is int for row in V.J for x in row)
-        assert all(type(c) is int for row in _hodge_rows(V.J) for _, c in row)
+        terms = [(1 << i, 1) for i in range(V.rank)] + [(0b11, 1), (0b101, 1)]
+        assert all(type(c) is int for c in _derive(_slot_rows(V.J), terms).values())
 
 
 def test_integral_J_builds_no_fraction(monkeypatch):
