@@ -12,6 +12,7 @@ one-cycle Hodge lattice on the shipped models.
 __version__ = "0.1.0"
 
 from .errors import (
+    CheckFailure,
     ComplexStructureInvalid,
     ImageNotInHodge,
     InvalidType,

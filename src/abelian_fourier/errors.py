@@ -10,16 +10,13 @@ class RankMismatch(ValueError):
     """Operands live in exterior algebras on different generator counts."""
 
 
-class NonIntegralResult(ArithmeticError):
-    """A rational linear map produced a non-integer coefficient.
+class CheckFailure(ArithmeticError):
+    """A mathematical identity or integrality statement failed.
 
-    Raised when pulling back an integral class along a rational matrix
-    leaves a fractional term, which signals that the map does not act on
-    the integral lattice, and when a class has a fractional coordinate in
-    a lattice basis that should be saturated.  ``witness`` is a nonzero
-    integral class locating the failure: the numerator of the offending
-    coefficient on its monomial, or of the offending coordinate times its
-    lattice basis class.
+    ``witness`` is a nonzero integral class locating the failure.  The
+    suite reports every subclass raised in a check body as a ``fail``
+    carrying that witness, and the CLI exits 1 on one, never 2: these are
+    findings about the mathematics, not input errors.
     """
 
     def __init__(self, message, witness):
@@ -27,23 +24,38 @@ class NonIntegralResult(ArithmeticError):
         super().__init__(message)
 
 
-class NonDivisible(ArithmeticError):
+class NonIntegralResult(CheckFailure):
+    """A rational linear map produced a non-integer coefficient.
+
+    Raised when pulling back an integral class along a rational matrix
+    leaves a fractional term, which signals that the map does not act on
+    the integral lattice, and when a class has a fractional coordinate in
+    a lattice basis that should be saturated.  The witness is the
+    numerator of the offending coefficient on its monomial, or of the
+    offending coordinate times its lattice basis class.
+    """
+
+
+class NonDivisible(CheckFailure):
     """Exact division of a class by an integer failed.
 
-    Carries the first offending term as an integrality witness: ``mask``
-    is the basis monomial (bitmask over generators), ``coefficient`` the
-    integer that is not divisible by ``divisor``, and ``rank`` the
-    generator count of the class it belongs to.
+    Carries the first offending term: ``mask`` is the basis monomial
+    (bitmask over generators), ``coefficient`` the integer that is not
+    divisible by ``divisor``, and ``rank`` the generator count of the
+    class it belongs to.  The witness is that term as a class.
     """
 
     def __init__(self, mask, coefficient, divisor, rank):
+        from .exterior import Multivector  # exterior raises this error
+
         self.mask = mask
         self.coefficient = coefficient
         self.divisor = divisor
         self.rank = rank
         super().__init__(
-            f"coefficient {coefficient} of monomial mask {mask:#x} "
-            f"is not divisible by {divisor}"
+            f"exact division failed: coefficient {coefficient} of monomial "
+            f"mask {mask:#x} is not divisible by {divisor}",
+            Multivector(rank, {mask: coefficient}),
         )
 
 
@@ -75,7 +87,11 @@ class NotIsogeny(ValueError):
     """A homomorphism expected to be an isogeny has singular matrix."""
 
 
-class NoComplexStructure(ValueError):
+class UnsupportedParams(ValueError):
+    """Check parameters lie outside the mathematically supported range."""
+
+
+class NoComplexStructure(UnsupportedParams):
     """A Hodge-theoretic operation was requested on a variety without J."""
 
 
@@ -95,33 +111,21 @@ class NotHodge(ValueError):
         super().__init__(message or f"generator {index} is not a Hodge class")
 
 
-class ImageNotInHodge(ArithmeticError):
+class ImageNotInHodge(CheckFailure):
     """The transform of a Hodge class left the Hodge lattice.
 
     This would contradict the transform being a morphism of Hodge
-    structures, so it is a check failure; ``witness`` is the offending
-    image.
+    structures; the witness is the offending image.
     """
 
-    def __init__(self, message, witness):
-        self.witness = witness
-        super().__init__(message)
 
-
-class NonTerminatingSeries(ArithmeticError):
+class NonTerminatingSeries(CheckFailure):
     """A nilpotent series kept producing nonzero terms past its degree bound.
 
-    ``witness`` is the last nonzero term, which should have vanished.
+    The witness is the last nonzero term, which should have vanished.
     """
-
-    def __init__(self, message, witness):
-        self.witness = witness
-        super().__init__(message)
 
 
 class UnknownCheck(KeyError):
     """A check name is not registered in the verification suite."""
 
-
-class UnsupportedParams(ValueError):
-    """Check parameters lie outside the mathematically supported range."""

@@ -8,16 +8,15 @@ result parameters.
 
 Each check is described by data, its :class:`_CheckSpec`: a desk-scale
 genus ceiling, whether it needs a principal polarization, whether it
-builds its own ``standard_ppav`` models, its default-grid entries and
-how one ``--genus`` maps to its parameters.  :func:`run_check` enforces
-these fields in one place and :func:`default_suite` derives both grids
-from them.  Beyond its ceiling a check reports status ``skipped`` with a
-budget note rather than running unbounded work.  The
-``poincare_normalization`` check is a sign audit: it asserts the derived
-normalization ``integrate(ell^{2g}) = (-1)^g (2g)!`` and its result notes
-that a displayed-positive normalization of the top self-pairing would
-differ by exactly ``(-1)^g``; the related Kunneth split check inserts
-that recorded sign.
+builds its own ``standard_ppav`` models and its default-grid entries.
+:func:`run_check` enforces these fields in one place and
+:func:`default_suite` derives both grids from them.  Beyond its ceiling a
+check reports status ``skipped`` with a budget note rather than running
+unbounded work.  The ``poincare_normalization`` check is a sign audit: it
+asserts the derived normalization ``integrate(ell^{2g}) = (-1)^g (2g)!``
+and its result notes that a displayed-positive normalization of the top
+self-pairing would differ by exactly ``(-1)^g``; the related Kunneth
+split check inserts that recorded sign.
 """
 
 from __future__ import annotations
@@ -31,12 +30,9 @@ from math import factorial
 
 from . import intlinalg
 from .errors import (
-    ImageNotInHodge,
+    CheckFailure,
     InvalidType,
-    NoComplexStructure,
     NonDivisible,
-    NonIntegralResult,
-    NonTerminatingSeries,
     NotHodge,
     UnknownCheck,
     UnsupportedParams,
@@ -101,11 +97,6 @@ class CheckResult:
     witness: Multivector | None
     detail: str | None
     runtime_ms: int
-
-
-class _Skip(Exception):
-    def __init__(self, reason):
-        self.reason = reason
 
 
 def _equal_or_witness(lhs: Multivector, rhs: Multivector):
@@ -391,7 +382,7 @@ def _check_prop45_pushforward(_, params):
     if pairs is None:
         g = int(params.get("genus", 2))
         if g < 2:
-            raise _Skip("needs two factors, so genus at least 2")
+            raise UnsupportedParams("needs two factors, so genus at least 2")
         pairs = [(g - 1, 1)]
     for gA, gB in pairs:
         A, B = standard_ppav(int(gA)), standard_ppav(int(gB))
@@ -483,11 +474,7 @@ def _check_ell_integrality(A, params):
         try:
             ell.wedge_power(k).divide_exact(factorial(k))
         except NonDivisible as nd:
-            return (
-                False,
-                Multivector(ell.rank, {nd.mask: nd.coefficient}),
-                f"ell^{k}/{k}! is not integral: {nd}",
-            )
+            return False, nd.witness, f"ell^{k}/{k}! is not integral: {nd}"
     return True, None, None
 
 
@@ -495,20 +482,14 @@ def _genera(lo: int, hi: int) -> tuple[dict, ...]:
     return tuple({"genus": g} for g in range(lo, hi + 1))
 
 
-def _genus_only(g: int) -> dict | None:
-    return {"genus": g}
-
-
-def _two_factors(g: int) -> dict | None:
-    return {"pairs": ((g - 1, 1),)} if g >= 2 else None
-
-
 @dataclass(frozen=True)
 class _CheckSpec:
     """One check and how the runner and the default grids treat it.
 
     ``fn(A, params)`` returns ``(ok, witness, detail)``; ``A`` is the
-    variety the parameters name, or None when ``own_models`` is set.
+    variety the parameters name, or None when ``own_models`` is set.  It
+    may raise :class:`UnsupportedParams` to skip and a
+    :class:`CheckFailure` to fail.
     """
 
     fn: Callable
@@ -523,8 +504,6 @@ class _CheckSpec:
     randomized: bool = False
     # default-grid entries; None runs genus 1 to the ceiling
     grid: tuple[dict, ...] | None = None
-    # the parameters for one --genus, or None to leave the check out
-    at_genus: Callable[[int], dict | None] = _genus_only
 
 
 REGISTRY: dict[str, _CheckSpec] = {
@@ -616,7 +595,6 @@ REGISTRY: dict[str, _CheckSpec] = {
         ceiling=3,
         own_models=True,
         grid=({"pairs": ((1, 1), (2, 1))},),
-        at_genus=_two_factors,
     ),
     "isogeny_degree": _CheckSpec(
         _check_isogeny_degree,
@@ -682,7 +660,9 @@ def _check_budget(spec: _CheckSpec, params: dict):
     else:
         what, size = "total dimension", max((a + b for a, b in pairs), default=0)
     if size > spec.ceiling:
-        raise _Skip(f"{what} {size} beyond the desk-scale ceiling {spec.ceiling} (budget)")
+        raise UnsupportedParams(
+            f"{what} {size} beyond the desk-scale ceiling {spec.ceiling} (budget)"
+        )
 
 
 def _variety(spec: _CheckSpec, injected, params) -> AbelianVariety | None:
@@ -714,12 +694,16 @@ def run_check(name: str, **params) -> CheckResult:
     A concrete variety may be injected with ``variety=A``; its name and
     genus are recorded in the descriptor and the check runs on it instead
     of the built-in model.  The spec is enforced in this order: the
-    budget skip, the variety, the principal hypothesis, then the check.
-    A hypothesis that does not hold raises :class:`UnsupportedParams`.
-    A mathematical failure (an inexact division, a non-integral image or
-    lattice coordinate, a transform image outside the Hodge lattice, a
-    star series that does not terminate) is a ``fail`` carrying the class
-    that witnesses it.
+    budget, the variety, the principal hypothesis, then the check body.
+    A hypothesis that does not hold, there or in the body, raises
+    :class:`UnsupportedParams` (or its subclass
+    :class:`NoComplexStructure`) and the check is ``skipped`` with the
+    reason.  A mathematical failure (an inexact division, a non-integral
+    image or lattice coordinate, a transform image outside the Hodge
+    lattice, a star series that does not terminate) raises a
+    :class:`CheckFailure` and is a ``fail`` carrying the class that
+    witnesses it.  An unknown name and a non-positive genus are input
+    errors and raise.
     """
     descriptor = _descriptor(name, params)
     spec = REGISTRY[name]
@@ -732,15 +716,9 @@ def run_check(name: str, **params) -> CheckResult:
             raise UnsupportedParams(spec.principal)
         ok, witness, detail = spec.fn(A, params)
         status = "pass" if ok else "fail"
-    except _Skip as skip:
-        status, witness, detail = "skipped", None, skip.reason
-    except NoComplexStructure as exc:
+    except UnsupportedParams as exc:
         status, witness, detail = "skipped", None, str(exc)
-    except NonDivisible as nd:
-        status = "fail"
-        witness = Multivector(nd.rank, {nd.mask: nd.coefficient})
-        detail = f"exact division failed: {nd}"
-    except (ImageNotInHodge, NonIntegralResult, NonTerminatingSeries) as exc:
+    except CheckFailure as exc:
         status, witness, detail = "fail", exc.witness, str(exc)
     runtime_ms = int((time.perf_counter() - start) * 1000)
     return CheckResult(
@@ -752,34 +730,19 @@ def run_check(name: str, **params) -> CheckResult:
     )
 
 
-def run_check_lenient(name: str, **params) -> CheckResult:
-    """Like :func:`run_check` but mapping unsupported parameters to a skip.
-
-    Suites assembled over arbitrary user varieties hit checks whose
-    hypotheses (a principal polarization, or no variety at all for a check
-    that builds its own models) simply do not apply; those report as
-    skipped with the reason instead of erroring out.
-    """
-    try:
-        return run_check(name, **params)
-    except UnsupportedParams as exc:
-        return CheckResult(_descriptor(name, params), "skipped", None, str(exc), 0)
-
-
 def default_suite(genus: int | None = None, seed: int = 0):
     """Parameter grid for a full run, derived from the check specs.
 
-    With ``genus`` given, every check runs once as its ``at_genus`` maps
-    that genus; otherwise each check runs over its default grid.
-    Randomized checks also take ``seed``.
+    With ``genus`` given, every check runs once at that genus (a
+    randomized check at most at its ceiling); otherwise each check runs
+    over its default grid.  Randomized checks also take ``seed``.
     """
     grid = []
     for name, spec in REGISTRY.items():
         if genus is None:
             entries = spec.grid or _genera(1, spec.ceiling)
         else:
-            entry = spec.at_genus(min(genus, spec.ceiling) if spec.randomized else genus)
-            entries = () if entry is None else (entry,)
+            entries = ({"genus": min(genus, spec.ceiling) if spec.randomized else genus},)
         for params in entries:
             grid.append((name, dict(params, seed=seed) if spec.randomized else dict(params)))
     return grid

@@ -16,10 +16,13 @@ Cohomology is the exterior algebra on the dual lattice, carried by
 lattice basis vector.
 
 The dual variety is modeled on the dual lattice, with complex structure
-``-J^T``.  That sign makes the pairing class on ``A x A^`` a Hodge class:
-the projector element ``a + bJ`` acts on it as ``(aI + bJ)(aI - bJ) =
-(a^2 + b^2) I``, while ``+J^T`` would give ``(aI + bJ)^2``, which is not
-``(a^2 + b^2) I`` when ``ab != 0``.
+``-J^T``.  That sign makes the pairing class on ``A x A^`` a Hodge class,
+that is a class killed by the derivation ``D_J`` of
+:mod:`abelian_fourier.hodge`.  With ``e_i`` the generators of A, ``f_i``
+those of the dual and ``J^`` its complex structure, the coefficient of
+``e_t f_i`` in ``D(sum_i e_i f_i)`` is ``J[i][t] + J^[t][i]``, which
+vanishes for every i and t exactly when ``J^ = -J^T``; ``+J^T`` would
+leave ``2 J[i][t]``.
 
 Each variety also carries the mask ``negative`` of the generators whose
 term in the pairing class on ``A x A^`` has sign -1: zero as constructed,

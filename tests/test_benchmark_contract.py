@@ -70,3 +70,16 @@ def test_verify_runs_each_check_through_run_check_lenient(monkeypatch):
     monkeypatch.setattr(cli, "run_check_lenient", recording)
     assert cli.main(["verify", "--genus", "1", "--checks", "claim_star,eq35_minclass"]) == 0
     assert sorted(seen) == ["claim_star", "eq35_minclass"]
+
+
+def test_the_verify_hook_taken_before_tracing_is_traced():
+    # the verify workload keeps cli.run_check_lenient before the tracer
+    # wraps run_check and calls the kept function inside the tracer, so the
+    # hook must look run_check up when called, not hold the unwrapped one
+    lt = load_perfbench("layertrace")
+    hook = cli.run_check_lenient
+    with lt.LayerTracer() as tracer:
+        assert hook("fourier_involution", genus=1).status == "pass"
+    metrics = tracer.metrics()
+    assert metrics["suite.check.fourier_involution.ms"] > 0
+    assert metrics["suite.run_check.self_ms"] > 0

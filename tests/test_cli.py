@@ -53,6 +53,19 @@ def test_verify_single_check_text(capsys):
     assert "PASS" in captured
 
 
+def test_verify_genus_1_skips_prop45_pushforward(tmp_path):
+    # one factor cannot be split in two: a skipped result, not an empty report
+    out = tmp_path / "report.json"
+    code = run_cli(
+        ["verify", "--genus", "1", "--checks", "prop45_pushforward", "--format", "json",
+         "--out", str(out)]
+    )
+    assert code == 0
+    [check] = json.loads(out.read_text())["checks"]
+    assert (check["name"], check["status"]) == ("prop45_pushforward", "skipped")
+    assert "needs two factors" in check["detail"]
+
+
 def test_verify_rejects_bad_variety_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     write_json(bad, {"polarization_matrix": [[1, 0], [0, 1]]})
@@ -132,6 +145,9 @@ def test_verify_variety_file_runs_suite(tmp_path):
     # principal-only checks are skipped on the (1,2) surface
     skipped = [c["name"] for c in data["checks"] if c["status"] == "skipped"]
     assert "beauville_exp" in skipped
+    # only the randomized checks record the seed
+    seeded = {c["name"] for c in data["checks"] if "seed" in c["params"]}
+    assert seeded == {"functoriality", "product_exchange", "isogeny_degree"}
 
 
 def test_fourier_exp_theta(tmp_path):

@@ -1,19 +1,23 @@
 """Check registry and runner: statuses, witnesses, determinism."""
 
+import dataclasses
 import signal
 
 import pytest
 
 import abelian_fourier
 import abelian_fourier.suite as suite
-from abelian_fourier.errors import InvalidType, UnknownCheck, UnsupportedParams
-from abelian_fourier.suite import (
-    REGISTRY,
-    default_suite,
-    run_check,
-    run_check_lenient,
-    run_suite,
+from abelian_fourier.errors import (
+    ImageNotInHodge,
+    InvalidType,
+    NoComplexStructure,
+    NonDivisible,
+    NonIntegralResult,
+    NonTerminatingSeries,
+    UnknownCheck,
+    UnsupportedParams,
 )
+from abelian_fourier.suite import REGISTRY, default_suite, run_check, run_suite
 from abelian_fourier.exterior import Multivector
 from abelian_fourier.fourier import kunneth_R_decomposition, poincare_class
 from abelian_fourier.varieties import elliptic_product, make_variety, standard_ppav
@@ -64,13 +68,11 @@ def test_run_check_records_descriptor():
 @pytest.mark.parametrize("name", ["beauville_exp", "theta_divided", "functoriality"])
 def test_nonpositive_genus_is_invalid_type(name, genus):
     # the error the CLI gets from standard_ppav, also for the checks that
-    # build their own models; an input error, so the lenient runner does
-    # not turn it into a skip
+    # build their own models; an input error, so the runner does not turn
+    # it into a skip
     message = f"genus must be positive, got {genus}"
     with pytest.raises(InvalidType, match=message):
         run_check(name, genus=genus)
-    with pytest.raises(InvalidType, match=message):
-        run_check_lenient(name, genus=genus)
 
 
 def test_unknown_check():
@@ -79,10 +81,9 @@ def test_unknown_check():
 
 
 def test_unsupported_params():
-    with pytest.raises(UnsupportedParams):
-        run_check("beauville_exp", genus=2, type=(1, 2))
-    r = run_check_lenient("beauville_exp", genus=2, type=(1, 2))
+    r = run_check("beauville_exp", genus=2, type=(1, 2))
     assert r.status == "skipped"
+    assert r.detail == "the exponential identity needs a principal polarization"
 
 
 def test_budget_skip():
@@ -159,12 +160,13 @@ def test_seed_changes_randomized_checks():
 
 def test_default_suite_sizes():
     assert len(default_suite()) == 62
-    # prop45_pushforward needs two factors, so genus 1 leaves it out
-    assert [len(default_suite(genus=g)) for g in range(1, 6)] == [19, 20, 20, 20, 20]
+    # one entry per check at every genus; prop45_pushforward maps the
+    # genus to two factors itself and skips genus 1
+    assert [len(default_suite(genus=g)) for g in range(1, 6)] == [20] * 5
     # randomized checks take the seed and run at most at their ceiling
     grid = dict(default_suite(genus=5, seed=7))
     assert grid["functoriality"] == {"genus": 3, "seed": 7}
-    assert grid["prop45_pushforward"] == {"pairs": ((4, 1),)}
+    assert grid["prop45_pushforward"] == {"genus": 5}
 
 
 def test_own_model_checks_take_no_variety_or_type():
@@ -175,13 +177,66 @@ def test_own_model_checks_take_no_variety_or_type():
         "prop45_pushforward",
         "ihc_certificate_elliptic_products",
     ):
-        with pytest.raises(UnsupportedParams):
-            run_check(name, genus=2, type=(1, 2))
-        with pytest.raises(UnsupportedParams):
-            run_check(name, variety=standard_ppav(2))
-        r = run_check_lenient(name, genus=2, type=(1, 2))
-        assert r.status == "skipped"
+        refused = "the check builds its own principal models and takes no variety or type"
+        r = run_check(name, genus=2, type=(1, 2))
+        assert (r.status, r.detail) == ("skipped", refused)
         assert dict(r.descriptor.params) == {"genus": 2, "type": (1, 2)}
+        r = run_check(name, variety=standard_ppav(2))
+        assert (r.status, r.detail) == ("skipped", refused)
+
+
+def with_body(monkeypatch, name, body):
+    """Replace the body of the registered check ``name`` for one test."""
+    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(REGISTRY[name], fn=body))
+
+
+WITNESS = Multivector(2, {0b01: 3})
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        NonDivisible(0b01, 3, 2, 2),
+        NonIntegralResult("a non-integral coefficient", WITNESS),
+        ImageNotInHodge("an image outside the Hodge lattice", WITNESS),
+        NonTerminatingSeries("a series that does not vanish", WITNESS),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_every_check_failure_from_a_body_is_a_fail(monkeypatch, failure):
+    def body(A, params):
+        raise failure
+
+    with_body(monkeypatch, "fourier_involution", body)
+    r = run_check("fourier_involution", genus=1)
+    assert r.status == "fail"
+    assert r.witness == failure.witness == WITNESS
+    assert r.detail == str(failure)
+
+
+@pytest.mark.parametrize("skip", [UnsupportedParams, NoComplexStructure])
+def test_an_unmet_hypothesis_in_a_body_is_a_skip(monkeypatch, skip):
+    def body(A, params):
+        raise skip("a hypothesis the body found unmet")
+
+    with_body(monkeypatch, "fourier_involution", body)
+    r = run_check("fourier_involution", genus=1)
+    assert (r.status, r.witness, r.detail) == (
+        "skipped",
+        None,
+        "a hypothesis the body found unmet",
+    )
+
+
+def test_other_input_errors_escape_a_body(monkeypatch):
+    # like a non-positive genus and an unknown name (the tests above), an
+    # input error other than UnsupportedParams raises and is not a skip
+    def body(A, params):
+        raise InvalidType("not a divisor chain")
+
+    with_body(monkeypatch, "fourier_involution", body)
+    with pytest.raises(InvalidType, match="not a divisor chain"):
+        run_check("fourier_involution", genus=1)
 
 
 def test_division_failure_witness_has_the_class_rank(monkeypatch):
