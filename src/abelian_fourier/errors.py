@@ -29,10 +29,9 @@ class NonIntegralResult(CheckFailure):
 
     Raised when pulling back an integral class along a rational matrix
     leaves a fractional term, which signals that the map does not act on
-    the integral lattice, and when a class has a fractional coordinate in
-    a lattice basis that should be saturated.  The witness is the
-    numerator of the offending coefficient on its monomial, or of the
-    offending coordinate times its lattice basis class.
+    the integral lattice.  The witness is the numerator of the offending
+    coefficient on its monomial.  (Lattice coordinates never raise it:
+    they come from an integer left inverse and are checked exactly.)
     """
 
 

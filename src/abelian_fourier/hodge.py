@@ -21,28 +21,29 @@ terms of every monomial (:func:`_derive`), and
 :func:`intlinalg.kernel_saturated_sparse` reads their supports.  On the
 shipped models J splits over the elliptic factors, so the derivation is
 block diagonal up to a permutation of the monomials.  The kernel takes one
-Smith form per connected block, and :meth:`HodgeLattice.coordinates`
-solves one small system per connected block of the basis.  A model whose
-J does not split is one block and takes the whole-matrix path.
-:func:`is_hodge` tests ``D_J x = 0`` in one pass over the terms of x.
+Smith form per connected block, which also gives an integer left inverse
+L of the kernel basis B, ``L B = I``: the proof that B is saturated.
+:meth:`HodgeLattice.coordinates` of x is ``L x``, checked against x.  A
+model whose J does not split is one block and takes the whole-matrix
+path.  :func:`is_hodge` tests ``D_J x = 0`` in one pass over the terms of x.
 
 The lattices depend on the complex structure alone, so there is one memo,
-one saturated kernel per ``(J, k)`` (:func:`_lattice_tables`).  A variety
-and its dual with the same J, or two models with different polarizations
-on the same J, compute each lattice once.  ``abelian_fourier.clear_caches``
-empties the memo.
+one saturated kernel and its inverse per ``(J, k)`` (:func:`_lattice_tables`).
+A variety and its dual with the same J, or two models with different
+polarizations on the same J, compute each lattice once.
+``abelian_fourier.clear_caches`` empties the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import intlinalg
 from .errors import (
+    CheckFailure,
     ImageNotInHodge,
     NoComplexStructure,
-    NonIntegralResult,
     NotHodge,
     NotHomogeneous,
     RankMismatch,
@@ -93,7 +94,8 @@ def _derive(rows, terms) -> dict:
 
 @lru_cache(maxsize=None)
 def _lattice_tables(J, k: int):
-    """``(masks, basis)`` of the saturated kernel of ``D_J`` in degree 2k.
+    """``(masks, basis, inverse)``: the saturated kernel of ``D_J`` in
+    degree 2k and its left inverse.
 
     The rows of ``D_J`` are kept sparse, as ``{column: entry}``: column j
     is ``D_J`` of the j-th monomial, in ints where J is integral and
@@ -106,24 +108,26 @@ def _lattice_tables(J, k: int):
     for j, mask in enumerate(masks):
         for m, c in _derive(rows_J, ((mask, 1),)).items():
             rows[index[m]][j] = c
-    basis = intlinalg.kernel_saturated_sparse(rows, len(masks))
-    return tuple(masks), tuple(tuple(row) for row in basis)
+    basis, inverse = intlinalg.kernel_saturated_sparse(rows, len(masks))
+    return tuple(masks), tuple(map(tuple, basis)), tuple(inverse)
 
 
 @dataclass(frozen=True)
 class HodgeLattice:
     """Saturated lattice of integral (k, k)-classes in degree 2k.
 
-    ``masks`` orders the ambient monomial basis; ``basis`` has one column
-    per lattice generator, in those coordinates.  Saturation means the
-    lattice is a direct summand of the full degree-2k lattice, so
-    membership over the rationals and over the integers coincide.
+    ``masks`` orders the ambient monomial basis; ``basis`` (B) has one
+    column per lattice generator, in those coordinates, and ``inverse``
+    (L) one sparse row of ``(ambient index, entry)`` pairs per generator.
+    ``L B = I`` proves saturation: the lattice is a direct summand of the
+    full degree-2k lattice.
     """
 
     A: AbelianVariety
     k: int
     masks: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
+    inverse: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def rank(self) -> int:
@@ -133,61 +137,37 @@ class HodgeLattice:
         return len(self.masks)
 
     def basis_classes(self) -> list[Multivector]:
-        out = []
-        for j in range(self.rank):
-            terms = {self.masks[i]: self.basis[i][j] for i in range(len(self.masks))}
-            out.append(Multivector(self.A.rank, terms))
-        return out
+        return [Multivector(self.A.rank, dict(zip(self.masks, b))) for b in zip(*self.basis)]
 
     def ambient_vector(self, x: Multivector) -> list[int]:
         return [x.coefficient(m) for m in self.masks]
 
-    @cached_property
-    def _blocks(self):
-        """Connected blocks of the basis columns' supports, as
-        ``(ambient rows, lattice columns, block matrix)``, and the ambient
-        rows outside every support."""
-        blocks = [
-            (rows, cols, [[self.basis[i][j] for j in cols] for i in rows])
-            for rows, cols in intlinalg.column_blocks(self.basis)
-        ]
-        covered = {i for rows, _, _ in blocks for i in rows}
-        free = [i for i in range(len(self.masks)) if i not in covered]
-        return blocks, free
-
     def coordinates(self, x: Multivector):
         """Integer coordinates of x in the lattice basis, or None.
 
-        Each connected block of the basis is solved on its own rows; a
-        block whose rows x misses has coordinates zero, and x is not in
-        the span if it is nonzero outside every block.  Saturation makes
-        rational membership integral membership, so a fractional
-        coordinate means the basis is not saturated and raises
-        :class:`NonIntegralResult`, whose witness is the coordinate's
-        numerator times its basis class.  ``intlinalg.rational_solve`` on
-        the whole basis is the oracle.
+        The candidate ``c = L x`` is returned only if ``sum_j c_j b_j == x``
+        exactly, so a non-member (a term of another degree included) and a
+        wrong L both give None.  ``intlinalg.rational_solve`` on the whole
+        basis is the oracle.
         """
         v = self.ambient_vector(x)
-        blocks, free = self._blocks
-        if any(v[i] for i in free):
-            return None
-        sol = [0] * self.rank
-        for rows, cols, block in blocks:
-            rhs = [v[i] for i in rows]
-            if not any(rhs):
-                continue
-            part = intlinalg.rational_solve(block, rhs)
-            if part is None:
-                return None
-            for j, c in zip(cols, part):
-                sol[j] = c
-        for j, c in enumerate(sol):
-            if c.denominator != 1:
-                raise NonIntegralResult(
-                    f"coordinate {j} = {c} in a lattice basis that is not saturated",
-                    self.basis_classes()[j] * c.numerator,
+        c = [sum(e * v[i] for i, e in row) for row in self.inverse]
+        support = [(j, cj) for j, cj in enumerate(c) if cj]
+        Bc = {m: sum(row[j] * cj for j, cj in support) for m, row in zip(self.masks, self.basis)}
+        return c if Multivector(self.A.rank, Bc) == x else None
+
+    def check_saturated(self) -> None:
+        """Check ``L B = I``, which proves the basis saturated, one basis
+        class ``b_t`` at a time over the nonzero entries of L.  The first
+        with ``L b_t != e_t`` raises :class:`CheckFailure`, witness ``b_t``.
+        """
+        for t, b in enumerate(zip(*self.basis)):
+            Lb = [sum(e * b[i] for i, e in row) for row in self.inverse]
+            if Lb != [int(j == t) for j in range(self.rank)]:
+                raise CheckFailure(
+                    f"the lattice's left inverse does not invert basis class {t}",
+                    self.basis_classes()[t],
                 )
-        return [int(c) for c in sol]
 
 
 def hodge_lattice(V: AbelianVariety, k: int) -> HodgeLattice:
@@ -204,8 +184,8 @@ def hodge_lattice(V: AbelianVariety, k: int) -> HodgeLattice:
         raise NoComplexStructure(f"{V.name} has no complex structure")
     if not 0 <= k <= V.genus:
         raise UnsupportedParams(f"half-degree {k} out of range for genus {V.genus}")
-    masks, basis = _lattice_tables(V.J, k)
-    return HodgeLattice(A=V, k=k, masks=masks, basis=basis)
+    masks, basis, inverse = _lattice_tables(V.J, k)
+    return HodgeLattice(A=V, k=k, masks=masks, basis=basis, inverse=inverse)
 
 
 def is_hodge(V: AbelianVariety, x: Multivector) -> bool:

@@ -5,17 +5,20 @@ Python ints, rational matrices mix ints and :class:`fractions.Fraction`.
 There is no floating point.  Matrices are dense lists of rows, except
 for the kernel: :func:`kernel_saturated_sparse` takes sparse rows
 ``{column: entry}``, splits the matrix into the connected blocks of its
-row/column support graph (:func:`column_blocks`) and makes only each
-block dense, so a 210x210 operator whose blocks have side at most 16
-costs Smith forms of side 16, not one of side 210, and is never stored
-dense.  A dense matrix enters it through :func:`sparse_rows`.
+row/column support graph and makes only each block dense, so a 210x210
+operator whose blocks have side at most 16 costs Smith forms of side 16,
+not one of side 210, and is never stored dense.  A dense matrix enters
+it through :func:`sparse_rows`.
 
 The central routine is :func:`smith_normal_form`, which returns the full
 decomposition ``U * M * V = diag(divisors)`` with unimodular ``U`` and
-``V``.  Saturated kernels, cokernel invariants and the integral scaled
-inverses ``c M^{-1}`` of :func:`scaled_inverse` are derived from it.
-:func:`kernel_saturated_reference`, the whole-matrix Smith-form kernel,
-stays as the oracle of the block kernel.
+``V``, and the integer inverse of ``V`` alongside.  Saturated kernels,
+cokernel invariants and the integral scaled inverses ``c M^{-1}`` of
+:func:`scaled_inverse` are derived from it.  A kernel basis comes with
+an integer left inverse, the last rows of ``V^{-1}``, which proves it
+saturated.  :func:`kernel_saturated_reference`, the whole-matrix
+Smith-form kernel, stays as the oracle of the block kernel, and
+:func:`rational_solve` as the oracle of lattice coordinates.
 """
 
 from __future__ import annotations
@@ -61,13 +64,15 @@ def scalar_matrix(n: int, c) -> list[list]:
 class SmithDecomposition:
     """Smith normal form ``U * M * V = diag(divisors)``.
 
-    ``U`` and ``V`` are unimodular; ``divisors`` is the full diagonal of
-    length ``min(rows, cols)``, nonnegative, each entry dividing the next
-    (with trailing zeros, since every integer divides 0).
+    ``U`` and ``V`` are unimodular, and ``V_inverse`` is the integer
+    inverse of ``V``; ``divisors`` is the full diagonal of length
+    ``min(rows, cols)``, nonnegative, each entry dividing the next (with
+    trailing zeros, since every integer divides 0).
     """
 
     U: tuple[tuple[int, ...], ...]
     V: tuple[tuple[int, ...], ...]
+    V_inverse: tuple[tuple[int, ...], ...]
     divisors: tuple[int, ...]
     rows: int
     cols: int
@@ -117,9 +122,11 @@ def smith_normal_form(M) -> SmithDecomposition:
     column by Euclidean steps.  Then each pair of diagonal entries is
     replaced by their gcd and lcm, which gives the divisor chain without
     ever adding one row of the remaining block to another, so a block
-    diagonal matrix is diagonalized block by block.  Entries stay small on
-    the lattice matrices that occur here; on dense random matrices of side
-    ten and more they can still grow to thousands of digits.
+    diagonal matrix is diagonalized block by block.  Each column operation
+    on ``V`` is matched by its inverse row operation on ``V_inverse``, so
+    the inverse costs no solve.  Entries stay small on the lattice
+    matrices that occur here; on dense random matrices of side ten and
+    more they can still grow to thousands of digits.
 
     >>> smith_normal_form([[2, 0], [0, 3]]).divisors
     (1, 6)
@@ -135,6 +142,7 @@ def smith_normal_form(M) -> SmithDecomposition:
     cols = len(A[0]) if A else 0
     U = identity_matrix(rows)
     V = identity_matrix(cols)
+    Vi = identity_matrix(cols)
 
     def pivot_search(t):
         best = None
@@ -161,6 +169,7 @@ def smith_normal_form(M) -> SmithDecomposition:
         if j != t:
             _swap_cols(A, t, j)
             _swap_cols(V, t, j)
+            _swap_rows(Vi, t, j)
 
         while True:
             p = A[t][t]
@@ -181,9 +190,11 @@ def smith_normal_form(M) -> SmithDecomposition:
                     q = A[t][j] // p
                     _add_col(A, j, t, -q)
                     _add_col(V, j, t, -q)
+                    _add_row(Vi, t, j, q)
                     if A[t][j]:
                         _swap_cols(A, t, j)
                         _swap_cols(V, t, j)
+                        _swap_rows(Vi, t, j)
                         dirty = True
                         p = A[t][t]
             if not dirty:
@@ -205,6 +216,10 @@ def smith_normal_form(M) -> SmithDecomposition:
                 for row in X:
                     ci, cj = row[i], row[j]
                     row[i], row[j] = x * ci + y * cj, (a * cj - b * ci) // g
+            # the inverse of that column step [[x, -b/g], [y, a/g]]
+            ri, rj = Vi[i], Vi[j]
+            Vi[i] = [(a * p + b * q) // g for p, q in zip(ri, rj)]
+            Vi[j] = [x * q - y * p for p, q in zip(ri, rj)]
             c = b * y // g
             _add_row(A, j, i, -c)
             _add_row(U, j, i, -c)
@@ -220,6 +235,7 @@ def smith_normal_form(M) -> SmithDecomposition:
     return SmithDecomposition(
         U=tuple(tuple(r) for r in U),
         V=tuple(tuple(r) for r in V),
+        V_inverse=tuple(tuple(r) for r in Vi),
         divisors=divisors,
         rows=rows,
         cols=cols,
@@ -252,7 +268,19 @@ def _dense(rows: list[dict], columns) -> IntMatrix:
 
 
 def _row_blocks(rows: list[dict], cols: int) -> list[tuple[list[int], list[int]]]:
-    """:func:`column_blocks` of a matrix given as sparse rows."""
+    """Connected components of the row/column support graph of a matrix
+    given as sparse rows.
+
+    Two columns are linked when some row is nonzero in both.  Each block is
+    a pair ``(rows, cols)`` of sorted indices: the rows nonzero somewhere in
+    the block, and its columns.  A zero row lies in no block; a zero column
+    is a block of its own with no rows.  Blocks come in the order of their
+    first column, and permuting rows and columns by them makes the matrix
+    block diagonal.
+
+    >>> _row_blocks(*sparse_rows([[1, 1, 0], [0, 0, 0], [0, 0, 3]]))
+    [([0], [0, 1]), ([2], [2])]
+    """
     parent = list(range(cols))
 
     def find(c):
@@ -279,76 +307,67 @@ def _row_blocks(rows: list[dict], cols: int) -> list[tuple[list[int], list[int]]
     return list(by_root.values())
 
 
-def column_blocks(M) -> list[tuple[list[int], list[int]]]:
-    """Connected components of the row/column support graph of ``M``.
-
-    Two columns are linked when some row is nonzero in both.  Each block is
-    a pair ``(rows, cols)`` of sorted indices: the rows nonzero somewhere in
-    the block, and its columns.  A zero row lies in no block; a zero column
-    is a block of its own with no rows.  Blocks come in the order of their
-    first column, and permuting rows and columns by them makes ``M`` block
-    diagonal.
-
-    >>> column_blocks([[1, 1, 0], [0, 0, 0], [0, 0, 3]])
-    [([0], [0, 1]), ([2], [2])]
-    """
-    return _row_blocks(*sparse_rows(M))
-
-
-def _snf_kernel(Mi: IntMatrix) -> IntMatrix:
-    """Kernel columns read off the right transform of one Smith form."""
+def _snf_kernel(Mi: IntMatrix) -> tuple[IntMatrix, tuple]:
+    """Kernel columns ``V[:, r:]`` and their left inverse ``V_inverse[r:]``,
+    read off the right transform of one Smith form of rank r."""
     snf = smith_normal_form(Mi)
-    cols = snf.cols
-    return [[snf.V[i][j] for j in range(snf.rank, cols)] for i in range(cols)]
+    r = snf.rank
+    return [list(row[r:]) for row in snf.V], snf.V_inverse[r:]
 
 
 def kernel_saturated(M) -> IntMatrix:
     """Basis of the saturated integer kernel of a rational matrix.
 
     Returns a matrix whose columns form a basis of
-    ``{x in Z^cols : M x = 0}``; :func:`kernel_saturated_sparse` of
-    :func:`sparse_rows`, where the blocks are split.
+    ``{x in Z^cols : M x = 0}``; the basis of :func:`kernel_saturated_sparse`
+    of :func:`sparse_rows`, where the blocks are split.
 
     >>> kernel_saturated([[2, -2]])
     [[1], [1]]
     >>> kernel_saturated([[1, -1, 0, 0], [0, 0, 2, -2]])
     [[1, 0], [1, 0], [0, 1], [0, 1]]
     """
-    return kernel_saturated_sparse(*sparse_rows(M))
+    return kernel_saturated_sparse(*sparse_rows(M))[0]
 
 
-def kernel_saturated_sparse(rows: list[dict], cols: int) -> IntMatrix:
-    """:func:`kernel_saturated` of a matrix given as sparse rows.
+def kernel_saturated_sparse(rows: list[dict], cols: int) -> tuple[IntMatrix, list[tuple]]:
+    """The saturated kernel basis K of a matrix given as sparse rows, and
+    an integer left inverse L of it, ``L K = I``, one tuple of nonzero
+    ``(column, entry)`` pairs per row.
 
     ``rows[i]`` maps the columns of row i to its nonzero int or Fraction
     entries.  Each connected block of the support graph
-    (:func:`column_blocks`) gets its own Smith decomposition, and its
-    kernel basis is read off the unimodular right transform, so it spans
-    a direct summand of the block's coordinates.  The direct sum of these
-    summands is a direct summand of ``Z^cols`` (no saturation step is
-    needed).  Kernel columns come block by block, in block order.  A
-    connected matrix is one block and gets exactly the basis of
-    :func:`kernel_saturated_reference`.  Only the blocks are made dense.
+    (:func:`_row_blocks`) is made dense and gets its own Smith form
+    ``U M_b V = D`` of rank r: ``V[:, r:]`` is its kernel basis and
+    ``V_inverse[r:]`` a left inverse of it, so the basis spans a direct
+    summand, and so does the direct sum over the blocks (no saturation
+    step is needed).  Kernel columns come block by block, in block order.
+    A connected matrix is one block and gets exactly the basis of
+    :func:`kernel_saturated_reference`.
+
+    >>> kernel_saturated_sparse([{0: 2, 1: -2}], 2)
+    ([[1], [1]], [((1, 1),)])
     """
-    if cols == 0:
-        return []
     rows = [_clear_denominators(row) for row in rows]
     blocks = _row_blocks(rows, cols)
     if len(blocks) == 1:
-        return _snf_kernel(_dense(rows, range(cols)))
-    vectors = []
+        # with its zero rows, as the oracle takes it
+        blocks = [(range(len(rows)), range(cols))]
+    kernel, inverse = [], []  # the columns of K and the rows of L, sparse
     for brows, bcols in blocks:
         if not brows:
-            vectors.append([(bcols[0], 1)])
+            kernel.append(((bcols[0], 1),))
+            inverse.append(((bcols[0], 1),))
             continue
-        Kb = _snf_kernel(_dense([rows[i] for i in brows], bcols))
-        for t in range(len(Kb[0])):
-            vectors.append([(j, Kb[s][t]) for s, j in enumerate(bcols) if Kb[s][t]])
-    K = [[0] * len(vectors) for _ in range(cols)]
-    for t, vec in enumerate(vectors):
-        for j, v in vec:
-            K[j][t] = v
-    return K
+        Kb, Lb = _snf_kernel(_dense([rows[i] for i in brows], bcols))
+        for column, row in zip(zip(*Kb), Lb):
+            kernel.append([(j, x) for j, x in zip(bcols, column) if x])
+            inverse.append(tuple((j, x) for j, x in zip(bcols, row) if x))
+    K = [[0] * len(kernel) for _ in range(cols)]
+    for t, column in enumerate(kernel):
+        for j, x in column:
+            K[j][t] = x
+    return K, inverse
 
 
 def kernel_saturated_reference(M) -> IntMatrix:
@@ -360,7 +379,7 @@ def kernel_saturated_reference(M) -> IntMatrix:
     rows, cols = sparse_rows(M)
     if cols == 0:
         return []
-    return _snf_kernel(_dense([_clear_denominators(row) for row in rows], range(cols)))
+    return _snf_kernel(_dense([_clear_denominators(row) for row in rows], range(cols)))[0]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file flows, byte-exact round trips."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -292,6 +293,25 @@ def test_hodge_curve_lattice_genus6_finishes(tmp_path):
     assert data["ambient_dimension"] == 924
     assert data["saturation_divisors"] == ["1"] * 400
     assert data["saturation_free_rank"] == 524
+
+
+def test_hodge_fails_when_the_inverse_does_not_invert_the_basis(monkeypatch, capsys):
+    # the saturation that hodge reports rests on L B = I: a lattice whose
+    # inverse fails it is a mathematical failure (exit 1), not an input
+    # error, and prints no lattice
+    import abelian_fourier.cli as cli
+
+    lattice = cli.hodge_lattice
+
+    def reversed_inverse(V, k):
+        lat = lattice(V, k)
+        return dataclasses.replace(lat, inverse=lat.inverse[::-1])
+
+    monkeypatch.setattr(cli, "hodge_lattice", reversed_inverse)
+    assert run_cli(["hodge", "--genus", "2", "--degree", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "does not invert basis class 0" in captured.err
+    assert captured.out == ""
 
 
 def test_hodge_requires_complex_structure(tmp_path, capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from abelian_fourier import clear_caches
 from abelian_fourier.errors import (
+    CheckFailure,
     ImageNotInHodge,
     NoComplexStructure,
     NonIntegralResult,
@@ -336,36 +337,59 @@ def test_fourier_hodge_matrix():
 
 
 def test_coordinates_reject_unsaturated_basis():
-    # 2 e0e1 spans a non-saturated lattice: e0e1 has coordinate 1/2, which
-    # must raise rather than be truncated, also when asserts are stripped
-    lat = HodgeLattice(A=standard_ppav(1), k=1, masks=(0b11,), basis=((2,),))
-    assert lat.coordinates(Multivector(2, {0b11: 2})) == [1]
-    with pytest.raises(NonIntegralResult) as exc:
-        lat.coordinates(Multivector(2, {0b11: 1}))
-    # coordinate 1/2: its numerator times the basis class 2 e0e1
-    assert exc.value.witness == Multivector(2, {0b11: 2})
+    # 2 e0e1 spans a non-saturated lattice, which has no integer left
+    # inverse: whatever integer L it is given, e0e1 (coordinate 1/2) and
+    # 2 e0e1 (coordinate 1) get None, never a truncated or wrong vector
+    for entry in (1, 0, -1, 2):
+        lat = HodgeLattice(
+            A=standard_ppav(1), k=1, masks=(0b11,), basis=((2,),), inverse=(((0, entry),),)
+        )
+        assert lat.coordinates(Multivector(2, {0b11: 1})) is None
+        assert lat.coordinates(Multivector(2, {0b11: 2})) is None
 
-    # two blocks, both unsaturated: coordinates (1/2, 1/3); the witness is
-    # still the first fractional coordinate's, as in one full-basis solve
+    # a saturated basis, e0e1 + e0e2 and e2e3, with wrong inverses and
+    # with right ones (any L with L B = I, also one reading e1e2, where B
+    # is zero): an answer is the true coordinate vector or None
     A = standard_ppav(2)
     masks = (0b0011, 0b0101, 0b0110, 0b1100)
-    two = HodgeLattice(A=A, k=1, masks=masks, basis=((2, 0), (2, 0), (0, 0), (0, 3)))
-    assert two._blocks == ([([0, 1], [0], [[2], [2]]), ([3], [1], [[3]])], [2])
-    assert two.coordinates(Multivector(4, {0b0011: 4, 0b0101: 4, 0b1100: -3})) == [2, -1]
-    x = Multivector(4, {0b0011: 1, 0b0101: 1, 0b1100: 1})
-    with pytest.raises(NonIntegralResult) as exc:
-        two.coordinates(x)
-    assert exc.value.witness == Multivector(4, {0b0011: 2, 0b0101: 2})
-    assert exc.value.witness == _outcome(reference_coordinates, two, x)[1]
-    # saturated in its first block only: the second block's 1/3 is reported
-    half = HodgeLattice(A=A, k=1, masks=masks, basis=((1, 0), (1, 0), (0, 0), (0, 3)))
-    with pytest.raises(NonIntegralResult) as exc:
-        half.coordinates(x)
-    assert exc.value.witness == Multivector(4, {0b1100: 3})
-    # inconsistent in one block, or nonzero outside every block: not a
-    # member, whatever the other block says
-    assert two.coordinates(Multivector(4, {0b0011: 1, 0b1100: 1})) is None
-    assert two.coordinates(Multivector(4, {0b0110: 1, 0b1100: 1})) is None
+    basis = ((1, 0), (1, 0), (0, 0), (0, 1))
+    right = [(((0, 1),), ((3, 1),)), (((1, 1),), ((3, 1), (2, 5)))]
+    # each wrong L with the first basis class it does not invert
+    wrong = [
+        ((((0, 1), (1, 1)), ((3, 1),)), 0),
+        ((((0, 1),), ((3, 2),)), 1),
+        ((((3, 1),), ((0, 1),)), 0),
+    ]
+    classes = [
+        Multivector(4, {0b0011: 2, 0b0101: 2, 0b1100: -3}),
+        Multivector(4, {0b1100: 1}),
+        Multivector(4, {0b0011: 1, 0b1100: 1}),
+        Multivector(4, {0b0110: 1, 0b1100: 1}),
+        Multivector(4, {0b0011: 1, 0b0101: 1, 0b0110: 4}),
+    ]
+    expected = [[2, -3], [0, 1], None, None, None]
+    for inverse in right:
+        lat = HodgeLattice(A=A, k=1, masks=masks, basis=basis, inverse=inverse)
+        assert [lat.coordinates(x) for x in classes] == expected
+        lat.check_saturated()
+    for inverse, bad in wrong:
+        lat = HodgeLattice(A=A, k=1, masks=masks, basis=basis, inverse=inverse)
+        got = [lat.coordinates(x) for x in classes]
+        assert all(c is None or c == e for c, e in zip(got, expected))
+        assert None in got[:2]
+        with pytest.raises(CheckFailure) as exc:
+            lat.check_saturated()
+        assert exc.value.witness == lat.basis_classes()[bad]
+
+
+def test_coordinates_reject_terms_outside_the_degree():
+    # a class with a term of another degree is not in the lattice, even
+    # when its degree-2k part is
+    assert hodge_lattice(standard_ppav(1), 1).coordinates(Multivector(2, {0b11: 1, 0: 5})) is None
+    lat = hodge_lattice(standard_ppav(2), 1)
+    b0 = lat.basis_classes()[0]
+    assert lat.coordinates(b0) == [1, 0, 0, 0]
+    assert lat.coordinates(b0 + Multivector.generator(4, 0) * 3) is None
 
 
 def in_span(basis, vectors):
@@ -525,7 +549,10 @@ def test_sparse_operator_rows_give_the_dense_kernel_basis(V):
     # give the same basis, not only the same lattice
     for k in range(V.genus + 1):
         basis = kernel_saturated(derivation_matrix(V, k))
-        assert hodge_lattice(V, k).basis == tuple(tuple(row) for row in basis)
+        lat = hodge_lattice(V, k)
+        assert lat.basis == tuple(tuple(row) for row in basis)
+        # and the memoized inverse proves it saturated: L B = I
+        lat.check_saturated()
 
 
 def test_genus_6_lattices_have_rank_c6k_squared():
@@ -603,13 +630,6 @@ def reference_coordinates(lat, x):
     return [int(c) for c in sol]
 
 
-def _scaled(lat, scales):
-    """The same columns multiplied by the given scales: unsaturated when a
-    scale is not 1."""
-    basis = tuple(tuple(v * s for v, s in zip(row, scales)) for row in lat.basis)
-    return HodgeLattice(A=lat.A, k=lat.k, masks=lat.masks, basis=basis)
-
-
 COORDINATE_LATTICES = [
     hodge_lattice(standard_ppav(3), 1),
     hodge_lattice(standard_ppav(3), 2),
@@ -618,21 +638,10 @@ COORDINATE_LATTICES = [
 ]
 
 
-def _outcome(fn, lat, x):
-    try:
-        return fn(lat, x)
-    except NonIntegralResult as exc:
-        return ("NonIntegralResult", exc.witness)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_coordinates_match_full_basis_solve(data):
-    saturated = data.draw(st.sampled_from(COORDINATE_LATTICES))
-    scales = data.draw(
-        st.lists(st.sampled_from((1, 1, 1, 2, -3)), min_size=saturated.rank, max_size=saturated.rank)
-    )
-    lat = data.draw(st.sampled_from((saturated, _scaled(saturated, scales))))
+    lat = data.draw(st.sampled_from(COORDINATE_LATTICES))
     classes = lat.basis_classes()
     coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=lat.rank, max_size=lat.rank))
     member = Multivector.zero(lat.A.rank)
@@ -643,11 +652,8 @@ def test_coordinates_match_full_basis_solve(data):
         st.dictionaries(st.sampled_from(lat.masks), st.integers(-3, 3), max_size=4)
     )
     for x in (member, member + Multivector(lat.A.rank, noise)):
-        expected = _outcome(reference_coordinates, lat, x)
-        got = _outcome(HodgeLattice.coordinates, lat, x)
-        assert got == expected
-    if lat is saturated:
-        assert lat.coordinates(member) == coeffs
+        assert lat.coordinates(x) == reference_coordinates(lat, x)
+    assert lat.coordinates(member) == coeffs
 
 
 def test_lattice_memo_is_keyed_by_the_complex_structure():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from abelian_fourier.errors import NotSymmetric
 from abelian_fourier.intlinalg import (
     CokernelInvariants,
-    column_blocks,
+    _row_blocks,
     cokernel_invariants,
     det_bareiss,
     identity_matrix,
@@ -24,6 +24,7 @@ from abelian_fourier.intlinalg import (
     rational_solve,
     scaled_inverse,
     smith_normal_form,
+    sparse_rows,
 )
 
 small_matrices = st.integers(1, 5).flatmap(
@@ -39,6 +40,11 @@ small_matrices = st.integers(1, 5).flatmap(
 
 def is_unimodular(M):
     return len(M) > 0 and len(M) == len(M[0]) and abs(det_bareiss(M)) == 1
+
+
+def left_inverse_product(L, K):
+    """``L K`` for L given as sparse rows of ``(column, entry)`` pairs."""
+    return [[sum(x * K[i][t] for i, x in row) for t in range(len(K[0]))] for row in L]
 
 
 def diagonal_matrix(snf):
@@ -98,6 +104,8 @@ def test_snf_decomposition_properties(M):
     snf = smith_normal_form(M)
     assert is_unimodular([list(r) for r in snf.U])
     assert is_unimodular([list(r) for r in snf.V])
+    V, V_inverse = [list(r) for r in snf.V], [list(r) for r in snf.V_inverse]
+    assert mat_mul(V, V_inverse) == identity_matrix(len(V))
     UMV = mat_mul(mat_mul([list(r) for r in snf.U], M), [list(r) for r in snf.V])
     assert UMV == diagonal_matrix(snf)
     divisors = snf.divisors
@@ -160,14 +168,18 @@ def test_kernel_saturated_examples():
 @given(small_matrices)
 def test_kernel_saturated_properties(M):
     K = kernel_saturated(M)
+    _, L = kernel_saturated_sparse(*sparse_rows(M))
     cols = len(M[0])
     nullity = len(K[0]) if K and K[0] else 0
     assert len(K) == cols
+    assert len(L) == nullity
     # M K = 0
     if nullity:
         assert all(
             all(v == 0 for v in row) for row in mat_mul(M, K)
         )
+        # L K = I: an integer left inverse, the proof of saturation
+        assert left_inverse_product(L, K) == identity_matrix(nullity)
         # saturated: the basis spans a direct summand, so all divisors are 1
         cok = cokernel_invariants(K, cols)
         assert all(d == 1 for d in cok.divisors)
@@ -238,7 +250,7 @@ def test_block_kernel_matches_whole_matrix_oracle(M):
 @settings(max_examples=100, deadline=None)
 @given(small_matrices)
 def test_connected_kernel_is_the_oracle_basis(M):
-    assume(len(column_blocks(M)) == 1)
+    assume(len(_row_blocks(*sparse_rows(M))) == 1)
     assert kernel_saturated(M) == kernel_saturated_reference(M)
     # zero rows keep a matrix connected and the basis unchanged
     padded = [[0] * len(M[0])] + M + [[0] * len(M[0])]
@@ -255,13 +267,16 @@ def test_sparse_row_kernel_is_the_dense_kernel(M, rng):
         support = [j for j, x in enumerate(row) if x]
         rng.shuffle(support)
         rows.append({j: row[j] for j in support})
-    assert kernel_saturated_sparse(rows, len(M[0])) == kernel_saturated(M)
+    K, L = kernel_saturated_sparse(rows, len(M[0]))
+    assert K == kernel_saturated(M)
+    assert len(L) == len(K[0])
+    assert left_inverse_product(L, K) == identity_matrix(len(L))
 
 
 def test_column_blocks_examples():
-    assert column_blocks([[1, 0], [0, 2]]) == [([0], [0]), ([1], [1])]
+    assert _row_blocks(*sparse_rows([[1, 0], [0, 2]])) == [([0], [0]), ([1], [1])]
     # a zero column is a block without rows; a zero row is in no block
-    assert column_blocks([[0, 5, 0], [0, 0, 0], [0, 1, 1]]) == [
+    assert _row_blocks(*sparse_rows([[0, 5, 0], [0, 0, 0], [0, 1, 1]])) == [
         ([], [0]),
         ([0, 2], [1, 2]),
     ]
