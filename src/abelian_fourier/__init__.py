@@ -18,7 +18,6 @@ from .errors import (
     InvalidType,
     NoComplexStructure,
     NonDivisible,
-    NonIntegralResult,
     NonTerminatingSeries,
     NotAlternating,
     NotHodge,

@@ -3,6 +3,11 @@
 Every mathematically meaningful failure mode gets its own class so that
 callers (in particular the verification suite and the CLI) can turn
 exceptions into reported findings instead of stack traces.
+
+Integrality of a map is checked when it is built: a homomorphism entry or
+a class coefficient that is not an int raises the built-in ``TypeError``,
+an input error, so pullback and pushforward never meet a fraction and no
+check reports one.
 """
 
 
@@ -22,17 +27,6 @@ class CheckFailure(ArithmeticError):
     def __init__(self, message, witness):
         self.witness = witness
         super().__init__(message)
-
-
-class NonIntegralResult(CheckFailure):
-    """A rational linear map produced a non-integer coefficient.
-
-    Raised when pulling back an integral class along a rational matrix
-    leaves a fractional term, which signals that the map does not act on
-    the integral lattice.  The witness is the numerator of the offending
-    coefficient on its monomial.  (Lattice coordinates never raise it:
-    they come from an integer left inverse and are checked exactly.)
-    """
 
 
 class NonDivisible(CheckFailure):

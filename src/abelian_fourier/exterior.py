@@ -28,22 +28,22 @@ cost one pass over their terms.  Any other class, and the oracle, take
 Multivectors are immutable values; every operation returns a fresh one.
 
 One kernel, :class:`ExteriorPower`, extends generator images to an
-algebra map: it is the compound-matrix table of a set of rows, filled
-lazily by mask as ``image(S) = image(S without its top bit) ^ row(top)``,
-so monomials that share a prefix share its product.  Pullback and
-pushforward along a homomorphism run through it.  Its coefficients are
-exact ``int`` or ``Fraction`` values: integral homomorphism matrices stay
-in integer arithmetic.
+algebra map: it is the compound-matrix table of the int rows of a matrix,
+filled lazily by mask as ``image(S) = image(S without its top bit) ^
+row(top)``, so monomials that share a prefix share its product.  Pullback
+and pushforward along a homomorphism run through it, in ints only: the
+minors of an integer matrix are integers.  One loop,
+:func:`_wedge_into`, multiplies two sets of terms with the one sign rule
+above; ``wedge``, the divided powers and the table all call it.
 :func:`complement_sign` gives the Poincare-duality sign of ``e_S ^
 e_{S^c}`` in constant time.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
-from .errors import NonDivisible, NonIntegralResult, RankMismatch
+from .errors import NonDivisible, RankMismatch
 
 MAX_RANK = 64
 
@@ -91,23 +91,28 @@ def _below_parity(b: int) -> int:
     return s
 
 
-def _above_parity(p: int) -> int:
-    """Suffix parity of p: bit j is the parity of the bits of p above j.
+def _wedge_into(out: dict[int, int], left, right) -> None:
+    """Add ``left ^ right`` into ``out``.
 
-    The mirror of :func:`_below_parity`, by right shifts, so no bit is
-    left over; six steps cover :data:`MAX_RANK` generators.
+    ``left`` yields ``(mask, coefficient)`` pairs and ``right`` is a list
+    of ``(mask, coefficient, _below_parity(mask))`` triples; the product of
+    two terms takes the sign of ``popcount(ma & sb)`` (module docstring).
+    Zero sums stay in ``out``.
 
-    >>> bin(_above_parity(0b1010))
-    '0b110'
+    >>> out = {}
+    >>> _wedge_into(out, [(0b10, 3)], [(1 << j, 1, _below_parity(1 << j)) for j in (0, 1, 2)])
+    >>> out
+    {3: -3, 6: 3}
     """
-    s = p >> 1
-    s ^= s >> 1
-    s ^= s >> 2
-    s ^= s >> 4
-    s ^= s >> 8
-    s ^= s >> 16
-    s ^= s >> 32
-    return s
+    for ma, ca in left:
+        for mb, cb, sb in right:
+            if ma & mb:
+                continue
+            m = ma | mb
+            if (ma & sb).bit_count() & 1:
+                out[m] = out.get(m, 0) - ca * cb
+            else:
+                out[m] = out.get(m, 0) + ca * cb
 
 
 # the generators at odd positions, for every rank up to MAX_RANK
@@ -267,15 +272,7 @@ class Multivector:
         self._check_rank(other)
         terms: dict[int, int] = {}
         right = [(mb, cb, _below_parity(mb)) for mb, cb in other._terms.items()]
-        for ma, ca in self._terms.items():
-            for mb, cb, sb in right:
-                if ma & mb:
-                    continue
-                m = ma | mb
-                if (ma & sb).bit_count() & 1:
-                    terms[m] = terms.get(m, 0) - ca * cb
-                else:
-                    terms[m] = terms.get(m, 0) + ca * cb
+        _wedge_into(terms, self._terms.items(), right)
         return Multivector._trusted(self.rank, {m: c for m, c in terms.items() if c})
 
     __xor__ = wedge
@@ -406,18 +403,10 @@ def _elementary_symmetric(terms: dict[int, int], k: int) -> dict[int, int]:
         return {}
     levels: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
     for i, (mb, cb) in enumerate(terms.items()):
-        sb = _below_parity(mb)
-        left = n - i - 1
-        for j in range(min(k, i + 1), max(1, k - left) - 1, -1):
-            dst = levels[j]
-            for ma, ca in levels[j - 1].items():
-                if ma & mb:
-                    continue
-                m = ma | mb
-                if (ma & sb).bit_count() & 1:
-                    dst[m] = dst.get(m, 0) - ca * cb
-                else:
-                    dst[m] = dst.get(m, 0) + ca * cb
+        right = [(mb, cb, _below_parity(mb))]
+        remaining = n - i - 1
+        for j in range(min(k, i + 1), max(1, k - remaining) - 1, -1):
+            _wedge_into(levels[j], levels[j - 1].items(), right)
     return {m: c for m, c in levels[k].items() if c}
 
 
@@ -444,24 +433,21 @@ def integrate(x: Multivector, orientation: int):
 
 
 class ExteriorPower:
-    """Exterior powers of a matrix given by rows, one monomial at a time.
+    """Exterior powers of an integer matrix, one monomial at a time.
 
-    ``rows[i]`` is the image of generator ``i`` as a sparse list of
-    ``(target_index, coefficient)`` pairs with ``int`` or ``Fraction``
-    coefficients.  :meth:`image` gives the image of the monomial ``e_S``
-    as a map from target masks to nonzero coefficients, which are the
-    minors ``det(rows[S, T])`` (the compound matrices).  Each image is
-    built from the image of S without its top generator, appending that
-    generator's row; every prefix built on the way is kept, so the table
-    fills lazily with the masks asked for and their prefixes.  The sign
-    of appending target generator ``j`` to a monomial ``pmask`` is the
-    parity of the generators of ``pmask`` above ``j``: bit j of
-    ``_above_parity(pmask)``, computed once per prefix monomial.
+    Row ``i`` of the matrix is the image of generator ``i``: entry ``j`` is
+    its coefficient on target generator ``j``.  :meth:`image` gives the
+    image of the monomial ``e_S`` as a map from target masks to nonzero
+    coefficients, which are the minors ``det(rows[S, T])`` (the compound
+    matrices).  Each image is built from the image of S without its top
+    generator, wedged on the right by that generator's row through
+    :func:`_wedge_into`; every prefix built on the way is kept, so the
+    table fills lazily with the masks asked for and their prefixes.
 
     The returned maps are the table's own entries: read them, never
     change them.
 
-    >>> power = ExteriorPower([[(0, 2)], [(1, 2)]])
+    >>> power = ExteriorPower([[2, 0], [0, 2]])
     >>> power.image(0b11)
     {3: 4}
     >>> power.apply(Multivector(2, {0b01: 1, 0b11: -1}).items()) == {0b01: 2, 0b11: -4}
@@ -471,10 +457,12 @@ class ExteriorPower:
     __slots__ = ("_rows", "_images")
 
     def __init__(self, rows):
-        self._rows = rows
-        self._images: dict[int, dict[int, int | Fraction]] = {0: {0: 1}}
+        self._rows = [
+            [(1 << j, e, _below_parity(1 << j)) for j, e in enumerate(row) if e] for row in rows
+        ]
+        self._images: dict[int, dict[int, int]] = {0: {0: 1}}
 
-    def image(self, mask: int) -> dict[int, int | Fraction]:
+    def image(self, mask: int) -> dict[int, int]:
         """The image of ``e_mask``, from its longest prefix in the table."""
         images = self._images
         img = images.get(mask)
@@ -489,27 +477,16 @@ class ExteriorPower:
         img = images[m]
         for top in reversed(tops):
             m |= 1 << top
-            row = self._rows[top]
-            nxt: dict[int, int | Fraction] = {}
-            for pmask, pc in img.items():
-                above = _above_parity(pmask)
-                for j, cj in row:
-                    bit = 1 << j
-                    if pmask & bit:
-                        continue
-                    key = pmask | bit
-                    if above >> j & 1:
-                        nxt[key] = nxt.get(key, 0) - pc * cj
-                    else:
-                        nxt[key] = nxt.get(key, 0) + pc * cj
+            nxt: dict[int, int] = {}
+            _wedge_into(nxt, img.items(), self._rows[top])
             img = {k: v for k, v in nxt.items() if v}
             images[m] = img
         return img
 
-    def apply(self, terms) -> dict[int, int | Fraction]:
+    def apply(self, terms) -> dict[int, int]:
         """The image of the class with ``(mask, coefficient)`` pairs
         ``terms``: its coefficients times the monomial images."""
-        acc: dict[int, int | Fraction] = {}
+        acc: dict[int, int] = {}
         for mask, coeff in terms:
             for k, v in self.image(mask).items():
                 nv = acc.get(k, 0) + coeff * v
@@ -518,24 +495,6 @@ class ExteriorPower:
                 elif k in acc:
                     del acc[k]
         return acc
-
-
-def _integral_image(x: Multivector, power: ExteriorPower, target_rank: int) -> Multivector:
-    """The image of ``x`` under ``power``, which must be integral.
-
-    A non-integer coefficient raises :class:`NonIntegralResult`, whose
-    witness is its numerator on its monomial.
-    """
-    terms = power.apply(x.items())
-    for mask, val in terms.items():
-        if type(val) is not int:
-            if val.denominator != 1:
-                raise NonIntegralResult(
-                    f"coefficient {val} of monomial mask {mask:#x} is not an integer",
-                    Multivector(target_rank, {mask: val.numerator}),
-                )
-            terms[mask] = int(val)
-    return Multivector._trusted(target_rank, terms)
 
 
 def degree_basis_masks(rank: int, k: int) -> list[int]:

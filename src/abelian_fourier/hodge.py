@@ -71,6 +71,9 @@ def _derive(rows, terms) -> dict:
     >>> _derive(_slot_rows([[0, -1], [1, 0]]), [(0b01, 1), (0b11, 5)])
     {2: -1}
     """
+    # A slot is replaced, not multiplied, so this keeps its own loop: as one
+    # exterior._wedge_into of row i with e_{S - i} per slot, D_J of every
+    # genus-5 monomial took 1.6 to 3 times as long (2-CPU Xeon, CPython 3.11).
     out: dict = {}
     for mask, coeff in terms:
         rest = mask
@@ -157,17 +160,17 @@ class HodgeLattice:
         return c if Multivector(self.A.rank, Bc) == x else None
 
     def check_saturated(self) -> None:
-        """Check ``L B = I``, which proves the basis saturated, one basis
-        class ``b_t`` at a time over the nonzero entries of L.  The first
-        with ``L b_t != e_t`` raises :class:`CheckFailure`, witness ``b_t``.
-        """
-        for t, b in enumerate(zip(*self.basis)):
-            Lb = [sum(e * b[i] for i, e in row) for row in self.inverse]
-            if Lb != [int(j == t) for j in range(self.rank)]:
-                raise CheckFailure(
-                    f"the lattice's left inverse does not invert basis class {t}",
-                    self.basis_classes()[t],
-                )
+        """Check ``L B = I``, which proves the basis saturated: row s of ``L B``
+        adds up, as lists, the rows of B that row s of L names.  The first b_t
+        with ``L b_t != e_t`` raises :class:`CheckFailure`, witness ``b_t``."""
+        LB = [[0] * self.rank for _ in self.inverse]
+        for s, row in enumerate(self.inverse):
+            for i, e in row:
+                LB[s] = [a + e * x for a, x in zip(LB[s], self.basis[i])]
+        for t, *column in zip(range(self.rank), *LB):
+            if column != [0] * t + [1] + [0] * (self.rank - t - 1):
+                message = f"the lattice's left inverse does not invert basis class {t}"
+                raise CheckFailure(message, self.basis_classes()[t])
 
 
 def hodge_lattice(V: AbelianVariety, k: int) -> HodgeLattice:

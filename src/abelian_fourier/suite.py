@@ -698,9 +698,9 @@ def run_check(name: str, **params) -> CheckResult:
     A hypothesis that does not hold, there or in the body, raises
     :class:`UnsupportedParams` (or its subclass
     :class:`NoComplexStructure`) and the check is ``skipped`` with the
-    reason.  A mathematical failure (an inexact division, a non-integral
-    image or lattice coordinate, a transform image outside the Hodge
-    lattice, a star series that does not terminate) raises a
+    reason.  A mathematical failure (an inexact division, a transform
+    image outside the Hodge lattice, a star series that does not
+    terminate) raises a
     :class:`CheckFailure` and is a ``fail`` carrying the class that
     witnesses it.  An unknown name and a non-positive genus are input
     errors and raise.

@@ -31,7 +31,8 @@ complemented by dualization and concatenated by products.  See
 the transform inversion identity on odd cohomology.
 
 Public construction validates: :func:`make_variety` checks E and J in
-full, and ``Homomorphism(...)`` checks the shape and, for a holomorphic
+full, and ``Homomorphism(...)`` checks the shape, that every entry is an
+int (so pullback and pushforward stay integral), and, for a holomorphic
 map, ``M J == J M``.  Models and maps that are built in closed form from
 validated parts skip those checks through two private constructors.
 ``_variety`` only orients (it keeps the Pfaffian check) and serves
@@ -64,13 +65,7 @@ from .errors import (
     RiemannRelationViolated,
     SingularPolarization,
 )
-from .exterior import (
-    ExteriorPower,
-    Multivector,
-    _integral_image,
-    complement_sign,
-    integrate,
-)
+from .exterior import ExteriorPower, Multivector, complement_sign, integrate
 
 
 @dataclass(frozen=True)
@@ -368,6 +363,8 @@ class Homomorphism:
                 f"matrix shape {len(self.matrix)}x{len(self.matrix[0]) if self.matrix else 0}"
                 f" does not map rank {self.source.rank} to rank {self.target.rank}"
             )
+        if not all(isinstance(e, int) for row in self.matrix for e in row):
+            raise TypeError(f"matrix {self.matrix!r} has an entry that is not an integer")
         if self.holomorphic and self.source.J is not None and self.target.J is not None:
             # in ints for integral J (see _exact_matrix)
             MJ = intlinalg.mat_mul(self.matrix, self.source.J)
@@ -392,22 +389,20 @@ class Homomorphism:
     @cached_property
     def _pullback_power(self) -> ExteriorPower:
         """Exterior powers of the rows: target generator i goes to row i."""
-        return ExteriorPower([[(j, e) for j, e in enumerate(row) if e] for row in self.matrix])
+        return ExteriorPower(self.matrix)
 
     @cached_property
     def _pushforward_power(self) -> ExteriorPower:
         """Exterior powers of the columns: source homology generator j goes
         to column j."""
-        return ExteriorPower(
-            [[(i, e) for i, e in enumerate(col) if e] for col in zip(*self.matrix)]
-        )
+        return ExteriorPower(zip(*self.matrix))
 
     def pullback(self, x: Multivector) -> Multivector:
         """Ring map on cohomology: generator i of the target pulls back to
         row i of the matrix, read as a 1-form on the source."""
         if x.rank != self.target.rank:
             raise RankMismatch(f"class lives on rank {x.rank}, target is {self.target.rank}")
-        return _integral_image(x, self._pullback_power, self.source.rank)
+        return Multivector._trusted(self.source.rank, self._pullback_power.apply(x.items()))
 
     def pushforward(self, x: Multivector) -> Multivector:
         """Poincare duality, then the exterior power of M on homology, then

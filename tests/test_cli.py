@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -396,32 +395,6 @@ def test_verify_reports_non_hodge_generator_as_check_failure(tmp_path, monkeypat
     assert result["status"] == "fail"
     assert result["detail"] == "generator 0 is not a Hodge class"
     assert not class_from_dict(result["witness"]).is_zero()
-
-
-def test_verify_reports_non_integral_image_as_check_failure(tmp_path, monkeypatch):
-    # a pullback with a fractional coefficient is a mathematical failure:
-    # the check fails with the offending monomial as witness and verify
-    # exits 1, not 2 (input error).  The halving is applied to the
-    # exterior-power table's output, not to its stored entries, so the
-    # tables the cached homomorphisms keep stay correct for later tests.
-    from abelian_fourier.exterior import ExteriorPower
-
-    apply = ExteriorPower.apply
-    monkeypatch.setattr(
-        ExteriorPower,
-        "apply",
-        lambda self, terms: {m: Fraction(c, 2) for m, c in apply(self, terms).items()},
-    )
-    out = tmp_path / "report.json"
-    code = run_cli(
-        ["verify", "--genus", "2", "--checks", "sigma_triple_sum",
-         "--format", "json", "--out", str(out)]
-    )
-    assert code == 1
-    (check,) = json.loads(out.read_text())["checks"]
-    assert check["status"] == "fail"
-    assert "is not an integer" in check["detail"]
-    assert not class_from_dict(check["witness"]).is_zero()
 
 
 # sha256 of the default ``verify`` JSON report after ``strip_runtimes``; a

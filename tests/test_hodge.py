@@ -17,7 +17,6 @@ from abelian_fourier.errors import (
     CheckFailure,
     ImageNotInHodge,
     NoComplexStructure,
-    NonIntegralResult,
     NotHodge,
     NotHomogeneous,
     RiemannRelationViolated,
@@ -626,7 +625,7 @@ def reference_coordinates(lat, x):
         return None
     for j, c in enumerate(sol):
         if c.denominator != 1:
-            raise NonIntegralResult(f"coordinate {j} = {c}", lat.basis_classes()[j] * c.numerator)
+            raise CheckFailure(f"coordinate {j} = {c}", lat.basis_classes()[j] * c.numerator)
     return [int(c) for c in sol]
 
 

@@ -12,7 +12,6 @@ from abelian_fourier.errors import (
     InvalidType,
     NoComplexStructure,
     NonDivisible,
-    NonIntegralResult,
     NonTerminatingSeries,
     UnknownCheck,
     UnsupportedParams,
@@ -197,7 +196,6 @@ WITNESS = Multivector(2, {0b01: 3})
     "failure",
     [
         NonDivisible(0b01, 3, 2, 2),
-        NonIntegralResult("a non-integral coefficient", WITNESS),
         ImageNotInHodge("an image outside the Hodge lattice", WITNESS),
         NonTerminatingSeries("a series that does not vanish", WITNESS),
     ],

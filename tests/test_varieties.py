@@ -475,6 +475,15 @@ def test_hom_shape_validation():
         identity_hom(E1).pullback(Multivector.unit(4))
 
 
+@pytest.mark.parametrize("half", [Fraction(1, 2), 0.5], ids=["Fraction", "float"])
+def test_homomorphism_rejects_non_integer_entries(half):
+    # a rational entry gave pushforward a Fraction coefficient and a float
+    # one crashed pullback; both are input errors when the map is built
+    E1 = gaussian_elliptic_curve()
+    with pytest.raises(TypeError):
+        Homomorphism(E1, E1, ((half, 0), (0, 1)), False)
+
+
 def _fixed_homs():
     E1 = gaussian_elliptic_curve()
     P = product(E1, E1)
