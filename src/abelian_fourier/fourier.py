@@ -99,7 +99,7 @@ Sign conventions (pinned once, consumed everywhere):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
@@ -127,15 +127,10 @@ def poincare_class(A: AbelianVariety) -> Multivector:
     return Multivector(2 * n, terms)
 
 
-@dataclass(frozen=True)
-class PoincareContext:
+class PoincareContext(namedtuple("PoincareContext", "A Ahat pair ell ch")):
     """The product ``A x A^`` with its pairing class and Chern character."""
 
-    A: AbelianVariety
-    Ahat: AbelianVariety
-    pair: ProductStructure
-    ell: Multivector
-    ch: Multivector
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

@@ -36,7 +36,7 @@ polarizations on the same J, compute each lattice once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import intlinalg
@@ -115,8 +115,7 @@ def _lattice_tables(J, k: int):
     return tuple(masks), tuple(map(tuple, basis)), tuple(inverse)
 
 
-@dataclass(frozen=True)
-class HodgeLattice:
+class HodgeLattice(namedtuple("HodgeLattice", "A k masks basis inverse")):
     """Saturated lattice of integral (k, k)-classes in degree 2k.
 
     ``masks`` orders the ambient monomial basis; ``basis`` (B) has one
@@ -126,11 +125,7 @@ class HodgeLattice:
     full degree-2k lattice.
     """
 
-    A: AbelianVariety
-    k: int
-    masks: tuple[int, ...]
-    basis: tuple[tuple[int, ...], ...]
-    inverse: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -239,14 +234,12 @@ def voisin_certificate(V: AbelianVariety, k: int, generators) -> intlinalg.Coker
     return intlinalg.cokernel_invariants(G, lat.rank)
 
 
-@dataclass(frozen=True)
-class FourierHodgeMatrix:
+class FourierHodgeMatrix(
+    namedtuple("FourierHodgeMatrix", "source_rank target_rank matrix unimodular")
+):
     """Transform matrix between Hodge lattices, with its unimodularity flag."""
 
-    source_rank: int
-    target_rank: int
-    matrix: tuple[tuple[int, ...], ...]
-    unimodular: bool
+    __slots__ = ()
 
 
 def fourier_hodge_matrix(A: AbelianVariety, i: int) -> FourierHodgeMatrix:

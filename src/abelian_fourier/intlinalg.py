@@ -23,8 +23,7 @@ Smith-form kernel, stays as the oracle of the block kernel, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from math import lcm
 
 IntMatrix = list[list[int]]
@@ -60,8 +59,7 @@ def scalar_matrix(n: int, c) -> list[list]:
     return [[c if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(namedtuple("SmithDecomposition", "U V V_inverse divisors rows cols")):
     """Smith normal form ``U * M * V = diag(divisors)``.
 
     ``U`` and ``V`` are unimodular, and ``V_inverse`` is the integer
@@ -70,12 +68,7 @@ class SmithDecomposition:
     trailing zeros, since every integer divides 0).
     """
 
-    U: tuple[tuple[int, ...], ...]
-    V: tuple[tuple[int, ...], ...]
-    V_inverse: tuple[tuple[int, ...], ...]
-    divisors: tuple[int, ...]
-    rows: int
-    cols: int
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -382,8 +375,7 @@ def kernel_saturated_reference(M) -> IntMatrix:
     return _snf_kernel(_dense([_clear_denominators(row) for row in rows], range(cols)))[0]
 
 
-@dataclass(frozen=True)
-class CokernelInvariants:
+class CokernelInvariants(namedtuple("CokernelInvariants", "divisors free_rank")):
     """Elementary divisors of a quotient ``Z^n / column-span``.
 
     ``divisors`` lists the finite elementary divisors (including trivial
@@ -392,8 +384,7 @@ class CokernelInvariants:
     rank is 0.
     """
 
-    divisors: tuple[int, ...]
-    free_rank: int
+    __slots__ = ()
 
     @property
     def is_trivial(self) -> bool:
@@ -513,6 +504,8 @@ def rational_solve(A, b):
     ``A`` is rows x cols over ints/Fractions, ``b`` a length-rows vector.
     When the columns of ``A`` are independent the solution is unique.
     """
+    from fractions import Fraction
+
     rows = len(A)
     cols = len(A[0]) if rows else 0
     M = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]

@@ -10,8 +10,7 @@ a report can be interpreted without the producing configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from collections import namedtuple
 
 from . import __version__
 from .errors import UnsupportedParams
@@ -65,6 +64,8 @@ def variety_from_dict(data: dict) -> AbelianVariety:
     ``polarization_matrix`` must be present; an explicit
     ``complex_structure`` holds rational entries as ``p/q`` strings.
     """
+    from fractions import Fraction
+
     name = str(data.get("name", "A"))
     has_type = "polarization_type" in data
     has_matrix = "polarization_matrix" in data
@@ -101,14 +102,10 @@ def parse_variety(text: str) -> AbelianVariety:
 # --- verification reports ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(namedtuple("ReportDocument", "version conventions results exit_status")):
     """Machine-readable outcome of a suite run, conventions included."""
 
-    version: str
-    conventions: tuple[tuple[str, str], ...]
-    results: tuple[CheckResult, ...]
-    exit_status: int
+    __slots__ = ()
 
     @classmethod
     def from_results(cls, results) -> "ReportDocument":
@@ -189,7 +186,7 @@ def parse_report(text: str) -> ReportDocument:
 
 def strip_runtimes(doc: ReportDocument) -> ReportDocument:
     """Zero the runtime stamps; everything else is run-to-run identical."""
-    return replace(doc, results=tuple(replace(r, runtime_ms=0) for r in doc.results))
+    return doc._replace(results=tuple(r._replace(runtime_ms=0) for r in doc.results))
 
 
 def emit_text(doc: ReportDocument) -> str:

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import random
 import time
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import factorial
 
@@ -83,20 +82,16 @@ CONVENTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckDescriptor:
-    name: str
-    statement: str
-    params: tuple[tuple[str, object], ...]
+class CheckDescriptor(namedtuple("CheckDescriptor", "name statement params")):
+    """``params`` is a sorted tuple of ``(key, value)`` pairs."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    descriptor: CheckDescriptor
-    status: str  # "pass" | "fail" | "skipped"
-    witness: Multivector | None
-    detail: str | None
-    runtime_ms: int
+class CheckResult(namedtuple("CheckResult", "descriptor status witness detail runtime_ms")):
+    """``status`` is "pass", "fail" or "skipped"; ``witness`` a class or None."""
+
+    __slots__ = ()
 
 
 def _equal_or_witness(lhs: Multivector, rhs: Multivector):
@@ -482,28 +477,28 @@ def _genera(lo: int, hi: int) -> tuple[dict, ...]:
     return tuple({"genus": g} for g in range(lo, hi + 1))
 
 
-@dataclass(frozen=True)
-class _CheckSpec:
+class _CheckSpec(
+    namedtuple(
+        "_CheckSpec",
+        "fn statement ceiling principal own_models randomized grid",
+        defaults=(None, False, False, None),
+    )
+):
     """One check and how the runner and the default grids treat it.
 
     ``fn(A, params)`` returns ``(ok, witness, detail)``; ``A`` is the
     variety the parameters name, or None when ``own_models`` is set.  It
     may raise :class:`UnsupportedParams` to skip and a
-    :class:`CheckFailure` to fail.
+    :class:`CheckFailure` to fail.  ``ceiling`` is the largest genus (for
+    ``pairs``, total dimension) run at desk scale; ``principal`` the
+    reason given when the polarization is not principal; ``own_models``
+    marks a check that builds its own standard_ppav models, so takes no
+    variety or type; ``randomized`` one that takes the suite seed (one
+    --genus beyond the ceiling runs at the ceiling); ``grid`` holds the
+    default-grid entries, and None runs genus 1 to the ceiling.
     """
 
-    fn: Callable
-    statement: str
-    # largest genus (for ``pairs``, total dimension) run at desk scale
-    ceiling: int
-    # the reason given when the polarization is not principal
-    principal: str | None = None
-    # builds its own standard_ppav models, so takes no variety or type
-    own_models: bool = False
-    # takes the suite seed; one --genus beyond the ceiling runs at the ceiling
-    randomized: bool = False
-    # default-grid entries; None runs genus 1 to the ceiling
-    grid: tuple[dict, ...] | None = None
+    __slots__ = ()
 
 
 REGISTRY: dict[str, _CheckSpec] = {

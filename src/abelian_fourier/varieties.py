@@ -49,8 +49,7 @@ run through ``Homomorphism(...)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import prod
 
@@ -68,16 +67,18 @@ from .errors import (
 from .exterior import ExteriorPower, Multivector, complement_sign, integrate
 
 
-@dataclass(frozen=True)
-class AbelianVariety:
-    name: str
-    genus: int
-    E: tuple[tuple[int, ...], ...]
-    J: tuple[tuple[int | Fraction, ...], ...] | None
-    orientation: int
-    polarization_type: tuple[int, ...]
-    # generators whose pairing-class term has sign -1 (bit i: generator i)
-    negative: int = 0
+class AbelianVariety(
+    namedtuple(
+        "AbelianVariety",
+        "name genus E J orientation polarization_type negative",
+        defaults=(0,),
+    )
+):
+    """E a tuple of int rows, J exact (see _exact_matrix) or None, and
+    ``negative`` the generators whose pairing-class term has sign -1 (bit
+    i: generator i)."""
+
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -133,6 +134,8 @@ def _exact_matrix(J):
 def _exact_entry(x):
     if type(x) is int:
         return x
+    from fractions import Fraction
+
     f = Fraction(x)
     return int(f) if f.denominator == 1 else f
 
@@ -342,49 +345,36 @@ def dual(A: AbelianVariety) -> AbelianVariety:
 # homomorphisms
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(namedtuple("Homomorphism", "source target matrix holomorphic")):
     """Integral matrix acting on first homology, source to target.
 
     The matrix is ``2g_target x 2g_source`` in column convention: the
-    image of source basis vector ``j`` is ``sum_i M[i][j] w_i``.
+    image of source basis vector ``j`` is ``sum_i M[i][j] w_i``.  No
+    ``__slots__``: the two exterior-power tables are cached in ``__dict__``.
     """
 
-    source: AbelianVariety
-    target: AbelianVariety
-    matrix: tuple[tuple[int, ...], ...]
-    holomorphic: bool
-
-    def __post_init__(self):
-        if len(self.matrix) != self.target.rank or any(
-            len(row) != self.source.rank for row in self.matrix
-        ):
+    def __new__(cls, source, target, matrix, holomorphic):
+        if len(matrix) != target.rank or any(len(row) != source.rank for row in matrix):
             raise RankMismatch(
-                f"matrix shape {len(self.matrix)}x{len(self.matrix[0]) if self.matrix else 0}"
-                f" does not map rank {self.source.rank} to rank {self.target.rank}"
+                f"matrix shape {len(matrix)}x{len(matrix[0]) if matrix else 0}"
+                f" does not map rank {source.rank} to rank {target.rank}"
             )
-        if not all(isinstance(e, int) for row in self.matrix for e in row):
-            raise TypeError(f"matrix {self.matrix!r} has an entry that is not an integer")
-        if self.holomorphic and self.source.J is not None and self.target.J is not None:
+        if not all(isinstance(e, int) for row in matrix for e in row):
+            raise TypeError(f"matrix {matrix!r} has an entry that is not an integer")
+        if holomorphic and source.J is not None and target.J is not None:
             # in ints for integral J (see _exact_matrix)
-            MJ = intlinalg.mat_mul(self.matrix, self.source.J)
-            JM = intlinalg.mat_mul(self.target.J, self.matrix)
-            if MJ != JM:
+            if intlinalg.mat_mul(matrix, source.J) != intlinalg.mat_mul(target.J, matrix):
                 raise ComplexStructureInvalid(
                     "homomorphism flagged holomorphic does not intertwine J"
                 )
+        return tuple.__new__(cls, (source, target, matrix, holomorphic))
 
     @classmethod
     def _trusted(cls, source, target, matrix, holomorphic: bool) -> "Homomorphism":
         """A map a caller built from validated parts: ``matrix`` a tuple of
         int rows of the right shape, intertwining J when ``holomorphic``.
         Nothing is checked; the public constructor is the oracle."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "source", source)
-        object.__setattr__(out, "target", target)
-        object.__setattr__(out, "matrix", matrix)
-        object.__setattr__(out, "holomorphic", holomorphic)
-        return out
+        return tuple.__new__(cls, (source, target, matrix, holomorphic))
 
     @cached_property
     def _pullback_power(self) -> ExteriorPower:
@@ -496,16 +486,10 @@ def polarization_isogeny(A: AbelianVariety) -> Homomorphism:
 # products
 
 
-@dataclass(frozen=True)
-class ProductStructure:
+class ProductStructure(namedtuple("ProductStructure", "factors variety pi1 pi2 j1 j2")):
     """A product variety with its factor projections and zero-section inclusions."""
 
-    factors: tuple[AbelianVariety, AbelianVariety]
-    variety: AbelianVariety
-    pi1: Homomorphism
-    pi2: Homomorphism
-    j1: Homomorphism
-    j2: Homomorphism
+    __slots__ = ()
 
     def pull_first(self, x: Multivector) -> Multivector:
         """Fast pullback along the first projection (masks unchanged)."""
@@ -575,13 +559,10 @@ def product(A: AbelianVariety, B: AbelianVariety) -> ProductStructure:
     return ProductStructure(factors=(A, B), variety=V, pi1=pi1, pi2=pi2, j1=j1, j2=j2)
 
 
-@dataclass(frozen=True)
-class StructureMaps:
+class StructureMaps(namedtuple("StructureMaps", "square m diagonal")):
     """Group-law morphisms of ``A x A`` over a fixed variety A."""
 
-    square: ProductStructure
-    m: Homomorphism
-    diagonal: Homomorphism
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

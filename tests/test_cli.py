@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, file flows, byte-exact round trips."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -304,7 +303,7 @@ def test_hodge_fails_when_the_inverse_does_not_invert_the_basis(monkeypatch, cap
 
     def reversed_inverse(V, k):
         lat = lattice(V, k)
-        return dataclasses.replace(lat, inverse=lat.inverse[::-1])
+        return lat._replace(inverse=lat.inverse[::-1])
 
     monkeypatch.setattr(cli, "hodge_lattice", reversed_inverse)
     assert run_cli(["hodge", "--genus", "2", "--degree", "2"]) == 1
@@ -400,6 +399,31 @@ def test_verify_reports_non_hodge_generator_as_check_failure(tmp_path, monkeypat
 # sha256 of the default ``verify`` JSON report after ``strip_runtimes``; a
 # change that keeps every result keeps this digest
 DEFAULT_REPORT_SHA256 = "98c000b63d268930bcaa547eac3c672930006a47c46a1169edc41de22c5df0d1"
+
+# the same for ``verify --variety FILE``, where the variety itself rides in
+# the check parameters until the descriptor records its genus and name
+VARIETY_REPORT_SHA256 = {
+    "surface": "dc842f1e726346f16bc543b1d0a675f219a8253a04794dedc9902c79851b94e9",
+    "rational": "a75f73348e29ee45e74eddf7db0c311daf5cd269e173e0184aad1610b2870b8f",
+}
+VARIETY_SPECS = {
+    "surface": {"name": "S", "genus": 2, "polarization_type": [1, 2]},
+    "rational": {
+        "name": "E_rational",
+        "polarization_matrix": [[0, 1], [-1, 0]],
+        "complex_structure": [["0", "-1/2"], ["2", "0"]],
+    },
+}
+
+
+@pytest.mark.parametrize("model", sorted(VARIETY_SPECS))
+def test_verify_variety_file_report_digest(tmp_path, model):
+    spec = tmp_path / "spec.json"
+    write_json(spec, VARIETY_SPECS[model])
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "--variety", str(spec), "--format", "json", "--out", str(out)]) == 0
+    stripped = emit_report(strip_runtimes(parse_report(out.read_text(encoding="utf-8"))))
+    assert hashlib.sha256(stripped.encode("utf-8")).hexdigest() == VARIETY_REPORT_SHA256[model]
 
 
 def test_default_verify_report_digest(tmp_path):

@@ -1,6 +1,5 @@
 """Check registry and runner: statuses, witnesses, determinism."""
 
-import dataclasses
 import signal
 
 import pytest
@@ -108,6 +107,17 @@ def test_injected_variety():
     assert r2.status == "skipped"
 
 
+def test_an_injected_variety_is_recorded_by_genus_and_name():
+    # a variety is a namedtuple, so it must not reach _canonical_params,
+    # which reads every tuple as a tuple of ints
+    from abelian_fourier.report import _params_to_json
+
+    B = elliptic_product((1, 2), name="S")
+    d = suite._descriptor("claim_star", {"variety": B, "seed": 3})
+    assert d.params == (("genus", 2), ("seed", 3), ("variety", "S"))
+    assert _params_to_json(d.params) == {"genus": 2, "seed": 3, "variety": "S"}
+
+
 def test_corrupted_orientation_fails_with_witness(monkeypatch):
     # negating the orientation convention must be caught by the
     # exponential identity, with a nonzero witness class
@@ -186,7 +196,7 @@ def test_own_model_checks_take_no_variety_or_type():
 
 def with_body(monkeypatch, name, body):
     """Replace the body of the registered check ``name`` for one test."""
-    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(REGISTRY[name], fn=body))
+    monkeypatch.setitem(REGISTRY, name, REGISTRY[name]._replace(fn=body))
 
 
 WITNESS = Multivector(2, {0b01: 3})
