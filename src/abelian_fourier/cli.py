@@ -81,10 +81,8 @@ def _cmd_verify(args) -> int:
                 raise UnknownCheck(n)
 
     grid = default_suite(genus=None if variety is None else variety.genus, seed=args.seed)
-    if args.variety:
+    if args.variety or (variety is not None and not variety.is_principal):
         grid = [(n, dict(p, variety=variety)) for n, p in grid]
-    elif variety is not None and not variety.is_principal:
-        grid = [(n, dict(p, type=variety.polarization_type)) for n, p in grid]
     if names is not None:
         grid = [(n, p) for n, p in grid if n in names]
     results = [run_check_lenient(name, **params) for name, params in grid]
@@ -97,8 +95,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fourier(args) -> int:
     variety = _load_variety_arg(args)
-    if variety is None:
-        raise UnsupportedParams("fourier needs --variety (or --genus/--type)")
     with open(args.class_file, encoding="utf-8") as fh:
         x = parse_class(fh.read())
     if x.rank != variety.rank:
@@ -112,8 +108,6 @@ def _cmd_fourier(args) -> int:
 
 def _cmd_hodge(args) -> int:
     variety = _load_variety_arg(args)
-    if variety is None:
-        raise UnsupportedParams("hodge needs --variety (or --genus/--type)")
     if args.degree % 2:
         raise UnsupportedParams(f"--degree must be even, got {args.degree}")
     k = args.degree // 2
@@ -134,6 +128,8 @@ def _cmd_hodge(args) -> int:
     if args.certify_generators:
         with open(args.certify_generators, encoding="utf-8") as fh:
             records = json.load(fh)
+        if not isinstance(records, list):
+            raise ValueError("--certify-generators needs a JSON list of class records")
         gens = [class_from_dict(rec) for rec in records]
         cok = voisin_certificate(variety, k, gens)
         payload["certificate"] = {
@@ -186,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_fourier = sub.add_parser("fourier", help="transform a class file")
-    model = p_fourier.add_mutually_exclusive_group()
+    model = p_fourier.add_mutually_exclusive_group(required=True)
     model.add_argument("--variety", help="variety spec file (JSON)")
     model.add_argument("--genus", type=int, help="use the built-in principal model")
     model.add_argument("--type", help="use the built-in model of this type")
@@ -200,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fourier.set_defaults(fn=_cmd_fourier)
 
     p_hodge = sub.add_parser("hodge", help="compute a Hodge-class lattice")
-    model = p_hodge.add_mutually_exclusive_group()
+    model = p_hodge.add_mutually_exclusive_group(required=True)
     model.add_argument("--variety", help="variety spec file (JSON)")
     model.add_argument("--genus", type=int, help="use the built-in principal model")
     model.add_argument("--type", help="use the built-in model of this type")

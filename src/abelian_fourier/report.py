@@ -10,15 +10,29 @@ a report can be interpreted without the producing configuration.
 from __future__ import annotations
 
 import json
+import re
 from collections import namedtuple
 
 from . import __version__
 from .errors import UnsupportedParams
 from .exterior import Multivector
-from .suite import CONVENTIONS, CheckDescriptor, CheckResult, _canonical_params
+from .suite import CONVENTIONS, CheckDescriptor, CheckResult
 from .varieties import AbelianVariety, elliptic_product, make_variety
 
 TOOL_NAME = "abelian-fourier"
+
+
+def _int(value, what: str) -> int:
+    """An integer field: an int (not a bool) or a decimal string.
+
+    Anything else, a float above all, raises ``ValueError`` rather than
+    being truncated to an int.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"{what} must be an integer or a decimal string, got {value!r}")
 
 
 # --- multivector class files ------------------------------------------------
@@ -29,7 +43,14 @@ def class_to_dict(x: Multivector) -> dict:
 
 
 def class_from_dict(data: dict) -> Multivector:
-    return Multivector.from_records(int(data["rank"]), data.get("terms", []))
+    if not isinstance(data, dict):
+        raise ValueError(f"a class record must be a JSON object, got {data!r}")
+    records = [
+        {"generators": [_int(i, "generator") for i in rec["generators"]],
+         "coeff": _int(rec["coeff"], "coeff")}
+        for rec in data.get("terms", [])
+    ]
+    return Multivector.from_records(_int(data["rank"], "rank"), records)
 
 
 def emit_class(x: Multivector) -> str:
@@ -74,8 +95,8 @@ def variety_from_dict(data: dict) -> AbelianVariety:
             "need exactly one of polarization_type or polarization_matrix"
         )
     if has_type:
-        delta = tuple(int(d) for d in data["polarization_type"])
-        if "genus" in data and int(data["genus"]) != len(delta):
+        delta = tuple(_int(d, "polarization_type entry") for d in data["polarization_type"])
+        if "genus" in data and _int(data["genus"], "genus") != len(delta):
             raise UnsupportedParams(
                 f"genus {data['genus']} does not match type of length {len(delta)}"
             )
@@ -84,8 +105,9 @@ def variety_from_dict(data: dict) -> AbelianVariety:
             J = [[Fraction(str(x)) for x in row] for row in data["complex_structure"]]
             A = make_variety(A.E, J, name=name)
         return A
-    E = [[int(x) for x in row] for row in data["polarization_matrix"]]
-    if "genus" in data and 2 * int(data["genus"]) != len(E):
+    E = [[_int(x, "polarization_matrix entry") for x in row]
+         for row in data["polarization_matrix"]]
+    if "genus" in data and 2 * _int(data["genus"], "genus") != len(E):
         raise UnsupportedParams(
             f"genus {data['genus']} does not match a {len(E)}-row polarization matrix"
         )
@@ -118,16 +140,6 @@ class ReportDocument(namedtuple("ReportDocument", "version conventions results e
         )
 
 
-def _params_to_json(params: tuple) -> dict:
-    out = {}
-    for key, val in params:
-        if isinstance(val, tuple):
-            out[key] = [list(v) if isinstance(v, tuple) else v for v in val]
-        else:
-            out[key] = val
-    return out
-
-
 def report_to_dict(doc: ReportDocument) -> dict:
     checks = []
     for r in doc.results:
@@ -135,7 +147,7 @@ def report_to_dict(doc: ReportDocument) -> dict:
             {
                 "name": r.descriptor.name,
                 "statement": r.descriptor.statement,
-                "params": _params_to_json(r.descriptor.params),
+                "params": dict(r.descriptor.params),
                 "status": r.status,
                 "witness": None if r.witness is None else class_to_dict(r.witness),
                 "detail": r.detail,
@@ -156,7 +168,7 @@ def report_from_dict(data: dict) -> ReportDocument:
         descriptor = CheckDescriptor(
             name=rec["name"],
             statement=rec["statement"],
-            params=_canonical_params(rec.get("params", {})),
+            params=tuple(sorted(rec.get("params", {}).items())),
         )
         witness = rec.get("witness")
         results.append(

@@ -30,7 +30,6 @@ from math import factorial
 from . import intlinalg
 from .errors import (
     CheckFailure,
-    InvalidType,
     NonDivisible,
     NotHodge,
     UnknownCheck,
@@ -103,7 +102,7 @@ def _equal_or_witness(lhs: Multivector, rhs: Multivector):
 # --- individual checks -----------------------------------------------------
 
 
-def _check_fourier_involution(A, params):
+def _check_fourier_involution(A, seed):
     Ah = dual(A)
     g = A.genus
     for mask in range(1 << A.rank):
@@ -115,7 +114,7 @@ def _check_fourier_involution(A, params):
     return True, None, None
 
 
-def _check_beauville_exp(A, params):
+def _check_beauville_exp(A, seed):
     lhs = fourier(A, A.theta_class().cup_exponential())
     rhs = (-dual(A).theta_class()).cup_exponential()
     return _equal_or_witness(lhs, rhs)
@@ -134,7 +133,7 @@ def _star_products(A):
     return (None, pontryagin_reference) if A.genus <= _REFERENCE_GENUS else (None,)
 
 
-def _check_star_exp_of_R(A, params):
+def _check_star_exp_of_R(A, seed):
     g = A.genus
     X = product(A, dual(A)).variety
     R = named_class(A, "R")
@@ -149,7 +148,7 @@ def _check_star_exp_of_R(A, params):
     return True, None, None
 
 
-def _check_claim_star(A, params):
+def _check_claim_star(A, seed):
     g = A.genus
     Ah = dual(A)
     X = product(A, Ah).variety
@@ -160,7 +159,7 @@ def _check_claim_star(A, params):
     return _equal_or_witness(lhs, rhs)
 
 
-def _check_eq35_minclass(A, params):
+def _check_eq35_minclass(A, seed):
     g = A.genus
     Ah = dual(A)
     Y = product(Ah, A).variety
@@ -169,7 +168,7 @@ def _check_eq35_minclass(A, params):
     return _equal_or_witness(fourier(Y, arg), named_class(A, "R"))
 
 
-def _check_tau_equals_R(A, params):
+def _check_tau_equals_R(A, seed):
     g = A.genus
     R = named_class(A, "R")
     want = R if (g + 1) % 2 == 0 else -R
@@ -185,13 +184,11 @@ def _gaussian_hom(rng, h_src: int, h_tgt: int) -> list[list[int]]:
     ]
 
 
-def _check_functoriality(_, params):
-    gmax = int(params.get("genus", 3))
-    count = int(params.get("count", 20))
-    rng = random.Random(int(params.get("seed", 0)))
-    for _ in range(count):
-        h1 = rng.randint(1, gmax)
-        h2 = rng.randint(1, gmax)
+def _check_functoriality(A, seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        h1 = rng.randint(1, A.genus)
+        h2 = rng.randint(1, A.genus)
         X, Y = standard_ppav(h1), standard_ppav(h2)
         f = Homomorphism(X, Y, tuple(tuple(r) for r in _gaussian_hom(rng, h1, h2)), True)
         fhat = f.dual_hom()
@@ -222,33 +219,31 @@ def _random_even_class(rng, rank: int, max_terms: int = 4) -> Multivector:
     return Multivector(rank, terms)
 
 
-def _check_product_exchange(_, params):
+def _check_product_exchange(A, seed):
     # Both laws take the product from its m_* definition: with the fast
     # pontryagin, which is the exchange law itself, the second law would
     # only restate fourier_involution.
-    gmax = int(params.get("genus", 3))
-    count = int(params.get("count", 50))
-    rng = random.Random(int(params.get("seed", 0)))
-    for _ in range(count):
-        g = rng.randint(1, gmax)
-        A = standard_ppav(g)
-        Ah = dual(A)
-        x = _random_even_class(rng, A.rank)
-        y = _random_even_class(rng, A.rank)
-        lhs = fourier(A, x.wedge(y))
-        rhs = pontryagin_reference(Ah, fourier(A, x), fourier(A, y))
+    rng = random.Random(seed)
+    for _ in range(50):
+        g = rng.randint(1, A.genus)
+        X = standard_ppav(g)
+        Xh = dual(X)
+        x = _random_even_class(rng, X.rank)
+        y = _random_even_class(rng, X.rank)
+        lhs = fourier(X, x.wedge(y))
+        rhs = pontryagin_reference(Xh, fourier(X, x), fourier(X, y))
         if g % 2:
             rhs = -rhs
         if lhs != rhs:
             return False, lhs - rhs, f"cup-to-star law at genus {g}"
-        lhs2 = fourier(A, pontryagin_reference(A, x, y))
-        rhs2 = fourier(A, x).wedge(fourier(A, y))
+        lhs2 = fourier(X, pontryagin_reference(X, x, y))
+        rhs2 = fourier(X, x).wedge(fourier(X, y))
         if lhs2 != rhs2:
             return False, lhs2 - rhs2, f"star-to-cup law at genus {g}"
     return True, None, None
 
 
-def _check_theta_divided(A, params):
+def _check_theta_divided(A, seed):
     g = A.genus
     theta = A.theta_class()
     gamma = named_class(A, "gamma_theta")
@@ -261,7 +256,7 @@ def _check_theta_divided(A, params):
     return True, None, None
 
 
-def _check_kunneth_R(A, params):
+def _check_kunneth_R(A, seed):
     lhs, rhs = kunneth_R_decomposition(A)
     if A.genus % 2:
         rhs = -rhs
@@ -270,7 +265,7 @@ def _check_kunneth_R(A, params):
     return ok, witness, detail or note
 
 
-def _check_sigma_triple_sum(A, params):
+def _check_sigma_triple_sum(A, seed):
     g = A.genus
     sh = structure_homs(A)
     theta = A.theta_class()
@@ -311,7 +306,7 @@ def _beta_certificate(A, lat2):
     return True, None, None
 
 
-def _check_beta_surjectivity(A, params):
+def _check_beta_surjectivity(A, seed):
     # beta_from_divisor is the closed form lambda^* F(D); up to
     # _REFERENCE_GENUS it is compared with the triple sum that defines it
     g = A.genus
@@ -332,7 +327,7 @@ def _check_beta_surjectivity(A, params):
     return ok, witness, detail or f"{lat2.rank} divisor classes generate the curve-class lattice"
 
 
-def _check_divided_square(A, params):
+def _check_divided_square(A, seed):
     g = A.genus
     X = product(A, dual(A)).variety
     R = named_class(A, "R")
@@ -346,7 +341,7 @@ def _check_divided_square(A, params):
     return True, None, None
 
 
-def _check_lemma51_diagram(A, params):
+def _check_lemma51_diagram(A, seed):
     # The suite's differential check of the closed-form transform: every
     # comparison has the correspondence on one side.
     Ah = dual(A)
@@ -372,29 +367,25 @@ def _check_lemma51_diagram(A, params):
     return True, None, None
 
 
-def _check_prop45_pushforward(_, params):
-    pairs = params.get("pairs")
-    if pairs is None:
-        g = int(params.get("genus", 2))
-        if g < 2:
-            raise UnsupportedParams("needs two factors, so genus at least 2")
-        pairs = [(g - 1, 1)]
-    for gA, gB in pairs:
-        A, B = standard_ppav(int(gA)), standard_ppav(int(gB))
-        split_ok, push_ok, pushed, expected = prop45_pushforward_check(A, B)
-        if not split_ok:
-            return False, pushed, f"two-term split failed at dims ({gA},{gB})"
-        if not push_ok:
-            return False, pushed - expected, f"pushforward identity failed at dims ({gA},{gB})"
+def _check_prop45_pushforward(A, seed):
+    # genus h splits as the product of E_i^{h-1} and one elliptic curve
+    gA = A.genus - 1
+    if gA < 1:
+        raise UnsupportedParams("needs two factors, so genus at least 2")
+    split_ok, push_ok, pushed, expected = prop45_pushforward_check(
+        standard_ppav(gA), standard_ppav(1)
+    )
+    if not split_ok:
+        return False, pushed, f"two-term split failed at dims ({gA},1)"
+    if not push_ok:
+        return False, pushed - expected, f"pushforward identity failed at dims ({gA},1)"
     return True, None, None
 
 
-def _check_isogeny_degree(_, params):
-    g = int(params.get("genus", 2))
-    count = int(params.get("count", 10))
-    rng = random.Random(int(params.get("seed", 0)))
-    X = standard_ppav(g)
-    for _ in range(count):
+def _check_isogeny_degree(X, seed):
+    g = X.genus
+    rng = random.Random(seed)
+    for _ in range(10):
         while True:
             M = _gaussian_hom(rng, g, g)
             if intlinalg.det_bareiss(M) != 0:
@@ -417,7 +408,7 @@ def _check_isogeny_degree(_, params):
     return True, None, None
 
 
-def _check_hodge_fourier_unimodular(A, params):
+def _check_hodge_fourier_unimodular(A, seed):
     for i in range(A.genus + 1):
         fm = fourier_hodge_matrix(A, i)
         if fm.source_rank != fm.target_rank:
@@ -435,9 +426,8 @@ def _check_hodge_fourier_unimodular(A, params):
     return True, None, None
 
 
-def _check_ihc_certificate(_, params):
-    g = int(params.get("genus", 2))
-    A = standard_ppav(g)
+def _check_ihc_certificate(A, seed):
+    g = A.genus
     lat2 = hodge_lattice(A, 1)
     if lat2.rank != g * g:
         return False, A.theta_class(), f"divisor lattice rank {lat2.rank} != {g * g}"
@@ -446,7 +436,7 @@ def _check_ihc_certificate(_, params):
     return ok, witness, detail or note
 
 
-def _check_poincare_normalization(A, params):
+def _check_poincare_normalization(A, seed):
     g = A.genus
     X = product(A, dual(A)).variety
     value = X.integrate(poincare_class(A).wedge_power(2 * g))
@@ -461,7 +451,7 @@ def _check_poincare_normalization(A, params):
     return True, None, note
 
 
-def _check_ell_integrality(A, params):
+def _check_ell_integrality(A, seed):
     # wedge_power_divided builds ell^k/k! with no division, so it would
     # be integral by construction: the check divides the product itself
     ell = poincare_class(A)
@@ -486,14 +476,14 @@ class _CheckSpec(
 ):
     """One check and how the runner and the default grids treat it.
 
-    ``fn(A, params)`` returns ``(ok, witness, detail)``; ``A`` is the
-    variety the parameters name, or None when ``own_models`` is set.  It
-    may raise :class:`UnsupportedParams` to skip and a
-    :class:`CheckFailure` to fail.  ``ceiling`` is the largest genus (for
-    ``pairs``, total dimension) run at desk scale; ``principal`` the
-    reason given when the polarization is not principal; ``own_models``
-    marks a check that builds its own standard_ppav models, so takes no
-    variety or type; ``randomized`` one that takes the suite seed (one
+    ``fn(A, seed)`` returns ``(ok, witness, detail)``; ``A`` is the
+    injected variety, or else ``standard_ppav(genus)``.  It may raise
+    :class:`UnsupportedParams` to skip and a :class:`CheckFailure` to
+    fail.  ``ceiling`` is the largest genus run at desk scale;
+    ``principal`` the reason given when the polarization is not
+    principal; ``own_models`` marks a check that builds further
+    standard_ppav models from the genus of its ``A``, so refuses an
+    injected variety; ``randomized`` one that takes the suite seed (one
     --genus beyond the ceiling runs at the ceiling); ``grid`` holds the
     default-grid entries, and None runs genus 1 to the ceiling.
     """
@@ -512,7 +502,7 @@ REGISTRY: dict[str, _CheckSpec] = {
         _check_fourier_involution,
         "F_dual . F = (-1)^g [-1]^* on every basis monomial",
         ceiling=4,
-        grid=_genera(1, 3) + ({"genus": 2, "type": (1, 2)},),
+        grid=_genera(1, 3) + ({"variety": elliptic_product((1, 2))},),
     ),
     "star_exp_of_R": _CheckSpec(
         _check_star_exp_of_R,
@@ -541,7 +531,7 @@ REGISTRY: dict[str, _CheckSpec] = {
         ceiling=3,
         own_models=True,
         randomized=True,
-        grid=({"genus": 3, "count": 20},),
+        grid=({"genus": 3},),
     ),
     "product_exchange": _CheckSpec(
         _check_product_exchange,
@@ -549,7 +539,7 @@ REGISTRY: dict[str, _CheckSpec] = {
         ceiling=3,
         own_models=True,
         randomized=True,
-        grid=({"genus": 3, "count": 50},),
+        grid=({"genus": 3},),
     ),
     "theta_divided": _CheckSpec(
         _check_theta_divided,
@@ -589,7 +579,7 @@ REGISTRY: dict[str, _CheckSpec] = {
         "the product minimal class splits and pushes to (-1)^{g_B} mu^{2g_A-1}/(2g_A-1)!",
         ceiling=3,
         own_models=True,
-        grid=({"pairs": ((1, 1), (2, 1))},),
+        grid=_genera(2, 3),
     ),
     "isogeny_degree": _CheckSpec(
         _check_isogeny_degree,
@@ -597,7 +587,7 @@ REGISTRY: dict[str, _CheckSpec] = {
         ceiling=3,
         own_models=True,
         randomized=True,
-        grid=({"genus": 2, "count": 10},),
+        grid=({"genus": 2},),
     ),
     "hodge_fourier_unimodular": _CheckSpec(
         _check_hodge_fourier_unimodular,
@@ -624,92 +614,67 @@ REGISTRY: dict[str, _CheckSpec] = {
 }
 
 
-def _canonical_params(params: dict) -> tuple[tuple[str, object], ...]:
-    out = []
-    for key in sorted(params):
-        val = params[key]
-        if isinstance(val, (list, tuple)):
-            val = tuple(
-                tuple(int(x) for x in v) if isinstance(v, (list, tuple)) else int(v)
-                for v in val
-            )
-        out.append((key, val))
-    return tuple(out)
+# the parameters a check takes and the type each must have
+_PARAM_TYPES = {"genus": int, "seed": int, "variety": AbelianVariety}
 
 
 def _descriptor(name: str, params: dict) -> CheckDescriptor:
-    """What a result records; an injected variety shows as its genus and name."""
+    """What a result records; an injected variety shows as its genus and name.
+
+    An unknown or mistyped parameter (a bool is not an int) is a ``TypeError``.
+    """
     if name not in REGISTRY:
         raise UnknownCheck(name)
+    for key, val in params.items():
+        kind = _PARAM_TYPES.get(key)
+        if kind is None:
+            raise TypeError(f"run_check() got an unexpected keyword argument {key!r}")
+        if not isinstance(val, kind) or isinstance(val, bool):
+            raise TypeError(f"check parameter {key} must be {kind.__name__}, got {val!r}")
     shown = dict(params)
     injected = shown.pop("variety", None)
     if injected is not None:
         shown.update(genus=injected.genus, variety=injected.name)
-    return CheckDescriptor(name, REGISTRY[name].statement, _canonical_params(shown))
-
-
-def _check_budget(spec: _CheckSpec, params: dict):
-    pairs = params.get("pairs")
-    if pairs is None:
-        what, size = "genus", int(params.get("genus", 1))
-    else:
-        what, size = "total dimension", max((a + b for a, b in pairs), default=0)
-    if size > spec.ceiling:
-        raise UnsupportedParams(
-            f"{what} {size} beyond the desk-scale ceiling {spec.ceiling} (budget)"
-        )
-
-
-def _variety(spec: _CheckSpec, injected, params) -> AbelianVariety | None:
-    """The variety a check runs on; None for one that builds its own models."""
-    if spec.own_models and (injected is not None or "type" in params):
-        raise UnsupportedParams(
-            "the check builds its own principal models and takes no variety or type"
-        )
-    if injected is not None:
-        return injected
-    g = int(params.get("genus", 1))
-    if g < 1:
-        # an input error, raised as standard_ppav raises it
-        raise InvalidType(f"genus must be positive, got {g}")
-    if spec.own_models:
-        return None
-    ptype = params.get("type")
-    if ptype is None:
-        return standard_ppav(g)
-    ptype = tuple(int(d) for d in ptype)
-    if len(ptype) != g:
-        raise UnsupportedParams(f"type {ptype} has length {len(ptype)}, genus is {g}")
-    return elliptic_product(ptype)
+    return CheckDescriptor(name, REGISTRY[name].statement, tuple(sorted(shown.items())))
 
 
 def run_check(name: str, **params) -> CheckResult:
     """Run one registered check; deterministic for fixed parameters.
 
-    A concrete variety may be injected with ``variety=A``; its name and
-    genus are recorded in the descriptor and the check runs on it instead
-    of the built-in model.  The spec is enforced in this order: the
-    budget, the variety, the principal hypothesis, then the check body.
-    A hypothesis that does not hold, there or in the body, raises
-    :class:`UnsupportedParams` (or its subclass
+    The parameters are ``genus`` (default 1), the standard model
+    ``E_i^genus``; ``variety``, any model, whose genus and name the
+    descriptor records and which replaces the standard one; and ``seed``
+    (default 0), read by the randomized checks.  The spec is enforced in
+    this order: the budget, the variety, the principal hypothesis, then
+    the check body.  A hypothesis that does not hold, there or in the
+    body, raises :class:`UnsupportedParams` (or its subclass
     :class:`NoComplexStructure`) and the check is ``skipped`` with the
     reason.  A mathematical failure (an inexact division, a transform
     image outside the Hodge lattice, a star series that does not
-    terminate) raises a
-    :class:`CheckFailure` and is a ``fail`` carrying the class that
-    witnesses it.  An unknown name and a non-positive genus are input
-    errors and raise.
+    terminate) raises a :class:`CheckFailure` and is a ``fail`` carrying
+    the class that witnesses it.  An unknown name, an unknown or mistyped
+    parameter and a non-positive genus are input errors and raise.
     """
     descriptor = _descriptor(name, params)
     spec = REGISTRY[name]
-    injected = params.pop("variety", None)
+    genus = dict(descriptor.params).get("genus", 1)
     start = time.perf_counter()
     try:
-        _check_budget(spec, dict(descriptor.params))
-        A = _variety(spec, injected, params)
+        if genus > spec.ceiling:
+            raise UnsupportedParams(
+                f"genus {genus} beyond the desk-scale ceiling {spec.ceiling} (budget)"
+            )
+        A = params.get("variety")
+        if A is None:
+            # a non-positive genus is an input error, which standard_ppav raises
+            A = standard_ppav(genus)
+        elif spec.own_models:
+            raise UnsupportedParams(
+                "the check builds its own principal models and takes no variety or type"
+            )
         if spec.principal and not A.is_principal:
             raise UnsupportedParams(spec.principal)
-        ok, witness, detail = spec.fn(A, params)
+        ok, witness, detail = spec.fn(A, params.get("seed", 0))
         status = "pass" if ok else "fail"
     except UnsupportedParams as exc:
         status, witness, detail = "skipped", None, str(exc)
@@ -728,9 +693,10 @@ def run_check(name: str, **params) -> CheckResult:
 def default_suite(genus: int | None = None, seed: int = 0):
     """Parameter grid for a full run, derived from the check specs.
 
-    With ``genus`` given, every check runs once at that genus (a
-    randomized check at most at its ceiling); otherwise each check runs
-    over its default grid.  Randomized checks also take ``seed``.
+    Each entry holds the :func:`run_check` parameters ``genus`` or
+    ``variety``, and ``seed`` for a randomized check.  With ``genus``
+    given, every check runs once at that genus (a randomized check at
+    most at its ceiling); otherwise each check runs over its default grid.
     """
     grid = []
     for name, spec in REGISTRY.items():

@@ -130,6 +130,77 @@ def test_one_variety_flag(command, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fourier", "hodge"])
+def test_fourier_and_hodge_need_a_model_flag(command, capsys):
+    extra = {"fourier": ["--class", "x.json"], "hodge": ["--degree", "2"]}
+    assert run_cli([command, *extra[command]]) == 2
+    captured = capsys.readouterr()
+    assert "one of the arguments --variety --genus --type is required" in captured.err
+    assert captured.out == ""
+
+
+FLOAT_CLASS = {"rank": 2, "terms": [{"generators": [0], "coeff": 1.5}]}
+FLOAT_RANK = {"rank": 2.9, "terms": [{"generators": [0], "coeff": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("fourier", FLOAT_CLASS, "coeff must be an integer or a decimal string, got 1.5"),
+        ("fourier", FLOAT_RANK, "rank must be an integer or a decimal string, got 2.9"),
+        ("hodge", {"a": 1}, "--certify-generators needs a JSON list of class records"),
+        ("hodge", [1], "a class record must be a JSON object, got 1"),
+        ("hodge", [FLOAT_CLASS], "coeff must be an integer or a decimal string"),
+    ],
+    ids=["float-coeff", "float-rank", "not-a-list", "not-a-record", "float-generator"],
+)
+def test_a_malformed_class_file_is_an_input_error(tmp_path, capsys, command, payload, message):
+    # never truncated to an int, never a traceback with the exit code of
+    # a failed check
+    path = tmp_path / "x.json"
+    write_json(path, payload)
+    flag = {"fourier": ["--class"], "hodge": ["--degree", "2", "--certify-generators"]}
+    assert run_cli([command, "--genus", "1", *flag[command], str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        ("verify", {"polarization_matrix": [[0, 1.9], [-1.9, 0]]}),
+        ("hodge", {"polarization_type": [1.7, 2]}),
+    ],
+)
+def test_a_float_in_a_variety_file_is_an_input_error(tmp_path, capsys, command, spec):
+    path = tmp_path / "spec.json"
+    write_json(path, spec)
+    extra = {"verify": [], "hodge": ["--degree", "2"]}
+    assert run_cli([command, "--variety", str(path), *extra[command]]) == 2
+    captured = capsys.readouterr()
+    assert "entry must be an integer or a decimal string" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_type_runs_the_type_as_an_injected_variety(tmp_path):
+    # --type is the --variety path on the built-in model of that type:
+    # every result agrees but for the variety name in the parameters
+    spec = tmp_path / "surface.json"
+    write_json(spec, {"name": "S", "genus": 2, "polarization_type": [1, 2]})
+    reports = {}
+    for how, flags in (("type", ["--type", "1,2"]), ("variety", ["--variety", str(spec)])):
+        out = tmp_path / f"{how}.json"
+        assert run_cli(["verify", *flags, "--format", "json", "--out", str(out)]) == 0
+        reports[how] = json.loads(out.read_text())["checks"]
+    assert len(reports["type"]) == len(reports["variety"]) == 20
+    for t, v in zip(reports["type"], reports["variety"]):
+        for key in ("name", "status", "detail", "witness"):
+            assert t[key] == v[key]
+        assert t["params"] == {**v["params"], "variety": "E_i^2(1, 2)"}
+        assert v["params"]["variety"] == "S"
+
+
 def test_verify_variety_file_runs_suite(tmp_path):
     spec = tmp_path / "surface.json"
     write_json(spec, {"name": "S", "genus": 2, "polarization_type": [1, 2]})
@@ -398,7 +469,7 @@ def test_verify_reports_non_hodge_generator_as_check_failure(tmp_path, monkeypat
 
 # sha256 of the default ``verify`` JSON report after ``strip_runtimes``; a
 # change that keeps every result keeps this digest
-DEFAULT_REPORT_SHA256 = "98c000b63d268930bcaa547eac3c672930006a47c46a1169edc41de22c5df0d1"
+DEFAULT_REPORT_SHA256 = "fd6f68b6b897dbb92795a17ea99f24493c1f71e09e8c2f525cecfff3b579948c"
 
 # the same for ``verify --variety FILE``, where the variety itself rides in
 # the check parameters until the descriptor records its genus and name

@@ -71,6 +71,41 @@ def test_variety_requires_exactly_one_polarization_field():
         )
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"rank": 2, "terms": [{"generators": [0], "coeff": 1.5}]},
+        {"rank": 2.9, "terms": [{"generators": [0], "coeff": "1"}]},
+        {"rank": 2, "terms": [{"generators": [0.0], "coeff": "1"}]},
+        {"rank": True, "terms": []},
+        {"rank": 2, "terms": [{"generators": [0], "coeff": "1.0"}]},
+    ],
+)
+def test_class_fields_must_be_integers(data):
+    # a float is rejected, not truncated
+    with pytest.raises(ValueError, match="must be an integer or a decimal string"):
+        parse_class(json.dumps(data))
+
+
+def test_class_integer_fields_take_ints_or_decimal_strings():
+    data = {"rank": "2", "terms": [{"generators": ["1"], "coeff": -3}]}
+    assert parse_class(json.dumps(data)) == Multivector(2, {0b10: -3})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"polarization_matrix": [[0, 1.9], [-1.9, 0]]},
+        {"polarization_matrix": [[0, 1], [-1, 0]], "genus": 1.0},
+        {"polarization_type": [1.7, 2]},
+        {"polarization_type": [1, 2], "genus": "2.0"},
+    ],
+)
+def test_variety_fields_must_be_integers(data):
+    with pytest.raises(ValueError, match="must be an integer or a decimal string"):
+        variety_from_dict(data)
+
+
 def test_variety_rational_strings():
     A = parse_variety(
         json.dumps(
@@ -114,7 +149,7 @@ def test_report_roundtrip_and_verdict_parity():
 
 
 def test_report_determinism_modulo_runtime():
-    grid = [("product_exchange", {"genus": 2, "count": 4, "seed": 5})]
+    grid = [("product_exchange", {"genus": 2, "seed": 5})]
     doc1 = strip_runtimes(ReportDocument.from_results(run_suite(grid)))
     doc2 = strip_runtimes(ReportDocument.from_results(run_suite(grid)))
     assert emit_report(doc1) == emit_report(doc2)

@@ -55,9 +55,9 @@ def test_run_check_examples():
 
 
 def test_run_check_records_descriptor():
-    r = run_check("fourier_involution", genus=2, type=(1, 2))
+    r = run_check("fourier_involution", variety=elliptic_product((1, 2)))
     assert r.descriptor.name == "fourier_involution"
-    assert dict(r.descriptor.params) == {"genus": 2, "type": (1, 2)}
+    assert dict(r.descriptor.params) == {"genus": 2, "variety": "E_i^2(1, 2)"}
     assert r.status == "pass"
     assert r.runtime_ms >= 0
 
@@ -78,8 +78,30 @@ def test_unknown_check():
         run_check("no_such_check")
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"gneus": 3}, "unexpected keyword argument 'gneus'"),
+        ({"genus": 2, "type": (1, 2)}, "unexpected keyword argument 'type'"),
+        ({"pairs": ((1, 1),)}, "unexpected keyword argument 'pairs'"),
+        ({"genus": 3, "count": 5}, "unexpected keyword argument 'count'"),
+        ({"genus": "2"}, "genus must be int, got '2'"),
+        ({"genus": True}, "genus must be int, got True"),
+        ({"genus": 2, "seed": 1.5}, "seed must be int, got 1.5"),
+        ({"variety": "S"}, "variety must be AbelianVariety, got 'S'"),
+    ],
+    ids=["gneus", "type", "pairs", "count", "str-genus", "bool-genus", "float-seed",
+         "str-variety"],
+)
+def test_an_unknown_or_mistyped_parameter_is_a_type_error(params, message):
+    # an input error, raised before the check runs: never recorded, never
+    # a skipped result
+    with pytest.raises(TypeError, match=message):
+        run_check("fourier_involution", **params)
+
+
 def test_unsupported_params():
-    r = run_check("beauville_exp", genus=2, type=(1, 2))
+    r = run_check("beauville_exp", variety=elliptic_product((1, 2)))
     assert r.status == "skipped"
     assert r.detail == "the exponential identity needs a principal polarization"
 
@@ -92,8 +114,11 @@ def test_budget_skip():
 
 
 def test_prop45_needs_two_factors():
-    assert run_check("prop45_pushforward", genus=1).status == "skipped"
-    assert run_check("prop45_pushforward", pairs=((1, 1), (2, 1))).status == "pass"
+    r = run_check("prop45_pushforward", genus=1)
+    assert (r.status, r.detail) == ("skipped", "needs two factors, so genus at least 2")
+    # genus h is split as the pair (h - 1, 1)
+    assert run_check("prop45_pushforward", genus=2).status == "pass"
+    assert run_check("prop45_pushforward", genus=3).status == "pass"
 
 
 def test_injected_variety():
@@ -108,14 +133,14 @@ def test_injected_variety():
 
 
 def test_an_injected_variety_is_recorded_by_genus_and_name():
-    # a variety is a namedtuple, so it must not reach _canonical_params,
-    # which reads every tuple as a tuple of ints
-    from abelian_fourier.report import _params_to_json
+    # the report records the variety's name, never the variety itself
+    from abelian_fourier.report import ReportDocument, report_to_dict
 
     B = elliptic_product((1, 2), name="S")
-    d = suite._descriptor("claim_star", {"variety": B, "seed": 3})
-    assert d.params == (("genus", 2), ("seed", 3), ("variety", "S"))
-    assert _params_to_json(d.params) == {"genus": 2, "seed": 3, "variety": "S"}
+    r = run_check("claim_star", variety=B, seed=3)
+    assert r.descriptor.params == (("genus", 2), ("seed", 3), ("variety", "S"))
+    [check] = report_to_dict(ReportDocument.from_results([r]))["checks"]
+    assert check["params"] == {"genus": 2, "seed": 3, "variety": "S"}
 
 
 def test_corrupted_orientation_fails_with_witness(monkeypatch):
@@ -143,8 +168,8 @@ def test_corrupted_orientation_fails_with_witness(monkeypatch):
 def test_suite_determinism():
     grid = [
         ("fourier_involution", {"genus": 2}),
-        ("product_exchange", {"genus": 2, "count": 5, "seed": 11}),
-        ("isogeny_degree", {"genus": 1, "count": 3, "seed": 11}),
+        ("product_exchange", {"genus": 2, "seed": 11}),
+        ("isogeny_degree", {"genus": 1, "seed": 11}),
     ]
     a = run_suite(grid)
     b = run_suite(grid)
@@ -161,14 +186,18 @@ def test_default_suite_full_grid_names():
 
 
 def test_seed_changes_randomized_checks():
-    a = run_check("product_exchange", genus=2, count=3, seed=1)
-    b = run_check("product_exchange", genus=2, count=3, seed=2)
+    a = run_check("product_exchange", genus=2, seed=1)
+    b = run_check("product_exchange", genus=2, seed=2)
     assert a.status == b.status == "pass"
     assert dict(a.descriptor.params)["seed"] != dict(b.descriptor.params)["seed"]
 
 
 def test_default_suite_sizes():
-    assert len(default_suite()) == 62
+    assert len(default_suite()) == 63
+    assert [p for n, p in default_suite() if n == "prop45_pushforward"] == [
+        {"genus": 2},
+        {"genus": 3},
+    ]
     # one entry per check at every genus; prop45_pushforward maps the
     # genus to two factors itself and skips genus 1
     assert [len(default_suite(genus=g)) for g in range(1, 6)] == [20] * 5
@@ -187,9 +216,9 @@ def test_own_model_checks_take_no_variety_or_type():
         "ihc_certificate_elliptic_products",
     ):
         refused = "the check builds its own principal models and takes no variety or type"
-        r = run_check(name, genus=2, type=(1, 2))
+        r = run_check(name, variety=elliptic_product((1, 2)))
         assert (r.status, r.detail) == ("skipped", refused)
-        assert dict(r.descriptor.params) == {"genus": 2, "type": (1, 2)}
+        assert dict(r.descriptor.params) == {"genus": 2, "variety": "E_i^2(1, 2)"}
         r = run_check(name, variety=standard_ppav(2))
         assert (r.status, r.detail) == ("skipped", refused)
 
@@ -303,7 +332,7 @@ def test_star_checks_use_the_addition_pushforward(monkeypatch, name):
 
 def test_default_grid_passes():
     results = run_suite(default_suite())
-    assert len(results) == 62
+    assert len(results) == 63
     failed = [(r.descriptor.name, r.descriptor.params, r.status) for r in results
               if r.status != "pass"]
     assert failed == []
