@@ -367,28 +367,6 @@ class Multivector:
             bits.append(f"{c}*{mono}")
         return f"Multivector({self.rank}, {' + '.join(bits)})"
 
-    # -- serialization ---------------------------------------------------
-
-    def to_records(self) -> list[dict]:
-        """Shared wire format: sorted generator lists, decimal coefficients."""
-        return [
-            {"generators": bits_of(mask), "coeff": str(self._terms[mask])}
-            for mask in sorted(self._terms)
-        ]
-
-    @classmethod
-    def from_records(cls, rank: int, records) -> "Multivector":
-        terms: dict[int, int] = {}
-        for rec in records:
-            mask = 0
-            for i in rec["generators"]:
-                bit = 1 << int(i)
-                if mask & bit:
-                    raise ValueError(f"repeated generator in record {rec!r}")
-                mask |= bit
-            terms[mask] = terms.get(mask, 0) + int(rec["coeff"])
-        return cls(rank, terms)
-
 
 def _elementary_symmetric(terms: dict[int, int], k: int) -> dict[int, int]:
     """``e_k`` of commuting monomials ``c e_m``, each of even nonzero degree.

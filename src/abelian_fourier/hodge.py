@@ -27,6 +27,12 @@ L of the kernel basis B, ``L B = I``: the proof that B is saturated.
 model whose J does not split is one block and takes the whole-matrix
 path.  :func:`is_hodge` tests ``D_J x = 0`` in one pass over the terms of x.
 
+Every certificate is a :func:`voisin_certificate`: the coordinates of
+Hodge generators, whose cokernel :func:`intlinalg.cokernel_invariants`
+reads off one determinant when it is trivial and square, else off the
+Smith form.  :func:`fourier_hodge_matrix` certifies the transforms of the
+basis classes on the dual.
+
 The lattices depend on the complex structure alone, so there is one memo,
 one saturated kernel and its inverse per ``(J, k)`` (:func:`_lattice_tables`).
 A variety and its dual with the same J, or two models with different
@@ -234,47 +240,27 @@ def voisin_certificate(V: AbelianVariety, k: int, generators) -> intlinalg.Coker
     return intlinalg.cokernel_invariants(G, lat.rank)
 
 
-class FourierHodgeMatrix(
-    namedtuple("FourierHodgeMatrix", "source_rank target_rank matrix unimodular")
-):
-    """Transform matrix between Hodge lattices, with its unimodularity flag."""
+class FourierHodgeMatrix(namedtuple("FourierHodgeMatrix", "source_rank target_rank unimodular")):
+    """Ranks of the Hodge lattices that the transform maps between, and
+    whether it maps the source lattice onto the target one."""
 
     __slots__ = ()
 
 
 def fourier_hodge_matrix(A: AbelianVariety, i: int) -> FourierHodgeMatrix:
-    """Matrix of the transform from degree-2i Hodge classes to the dual side.
-
-    The image of every basis class must itself be a Hodge class on the
-    dual (:class:`ImageNotInHodge` otherwise, which would contradict the
-    transform being a morphism of Hodge structures); the matrix is
-    expressed in the dual Hodge basis and flagged unimodular when square
-    with determinant +-1.
-    """
-    lat_src = hodge_lattice(A, i)
-    lat_dst = hodge_lattice(dual(A), A.genus - i)
-    cols = []
-    for idx, u in enumerate(lat_src.basis_classes()):
-        image = fourier(A, u)
-        if not is_hodge(dual(A), image):
-            raise ImageNotInHodge(
-                f"transform of Hodge basis class {idx} in degree {2 * i} left the Hodge lattice",
-                image,
-            )
-        coords = lat_dst.coordinates(image)
-        if coords is None:
-            raise ImageNotInHodge(
-                f"transform of Hodge basis class {idx} is not in the dual Hodge span",
-                image,
-            )
-        cols.append(coords)
-    matrix = [[col[r] for col in cols] for r in range(lat_dst.rank)]
-    square = lat_dst.rank == lat_src.rank
-    # det_bareiss([]) == 1: an empty square matrix is unimodular
-    unimodular = square and abs(intlinalg.det_bareiss(matrix)) == 1
-    return FourierHodgeMatrix(
-        source_rank=lat_src.rank,
-        target_rank=lat_dst.rank,
-        matrix=tuple(tuple(r) for r in matrix),
-        unimodular=unimodular,
-    )
+    """The transform from the degree-2i Hodge lattice to the dual's, as the
+    :func:`voisin_certificate` of the images of the basis classes: unimodular
+    when both lattices have the same rank and the cokernel is trivial.  An
+    image that is not a Hodge class of the dual, which would contradict the
+    transform being a morphism of Hodge structures, raises
+    :class:`ImageNotInHodge` with that image as witness."""
+    source, target = hodge_lattice(A, i), hodge_lattice(dual(A), A.genus - i)
+    images = [fourier(A, u) for u in source.basis_classes()]
+    try:
+        cok = voisin_certificate(target.A, target.k, images)
+    except NotHodge as exc:
+        idx = exc.index
+        message = f"transform of Hodge basis class {idx} in degree {2 * i} left the Hodge lattice"
+        raise ImageNotInHodge(message, images[idx]) from exc
+    unimodular = source.rank == target.rank and cok.is_trivial
+    return FourierHodgeMatrix(source.rank, target.rank, unimodular)

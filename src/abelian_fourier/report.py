@@ -15,42 +15,78 @@ from collections import namedtuple
 
 from . import __version__
 from .errors import UnsupportedParams
-from .exterior import Multivector
+from .exterior import Multivector, bits_of
 from .suite import CONVENTIONS, CheckDescriptor, CheckResult
 from .varieties import AbelianVariety, elliptic_product, make_variety
 
 TOOL_NAME = "abelian-fourier"
 
 
-def _int(value, what: str) -> int:
+def _int(value, what: str, other: str = "") -> int:
     """An integer field: an int (not a bool) or a decimal string.
 
     Anything else, a float above all, raises ``ValueError`` rather than
-    being truncated to an int.
+    being truncated to an int; ``other`` names the field's other forms.
     """
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
         return int(value)
-    raise ValueError(f"{what} must be an integer or a decimal string, got {value!r}")
+    raise ValueError(f"{what} must be an integer or a decimal string{other}, got {value!r}")
+
+
+def _rational(value, what: str):
+    """A ``"p/q"`` string with ``q > 0``, read as a Fraction, or an integer
+    field (:func:`_int`): a float or ``"1/0"`` raises ``ValueError``."""
+    m = isinstance(value, str) and re.fullmatch(r"(-?[0-9]+)/(0*[1-9][0-9]*)", value)
+    if not m:
+        return _int(value, what, ", or 'p/q' with q > 0")
+    from fractions import Fraction
+
+    return Fraction(int(m[1]), int(m[2]))
+
+
+def _json(value, kind: type, what: str):
+    if isinstance(value, kind):
+        return value
+    name = "list" if kind is list else "object"
+    raise ValueError(f"{what} must be a JSON {name}, got {value!r}")
+
+
+def _matrix(value, what: str, entry) -> list[list]:
+    """A JSON list of rows, each a list, every entry read by ``entry``."""
+    return [[entry(x, f"{what} entry") for x in _json(row, list, f"{what} row")]
+            for row in _json(value, list, what)]
 
 
 # --- multivector class files ------------------------------------------------
 
 
 def class_to_dict(x: Multivector) -> dict:
-    return {"rank": x.rank, "terms": x.to_records()}
+    terms = [{"generators": bits_of(m), "coeff": str(c)} for m, c in sorted(x.items())]
+    return {"rank": x.rank, "terms": terms}
 
 
 def class_from_dict(data: dict) -> Multivector:
-    if not isinstance(data, dict):
-        raise ValueError(f"a class record must be a JSON object, got {data!r}")
-    records = [
-        {"generators": [_int(i, "generator") for i in rec["generators"]],
-         "coeff": _int(rec["coeff"], "coeff")}
-        for rec in data.get("terms", [])
-    ]
-    return Multivector.from_records(_int(data["rank"], "rank"), records)
+    """The class of a record of :func:`class_to_dict`, every JSON shape
+    checked; a generator must be in range and not repeated within its term,
+    and terms on one monomial add up."""
+    data = _json(data, dict, "a class record")
+    rank = _int(data["rank"], "rank")
+    Multivector(rank)  # a rank out of range fails before any generator is read
+    terms: dict[int, int] = {}
+    for rec in _json(data.get("terms", []), list, "terms"):
+        rec = _json(rec, dict, "a term")
+        mask = 0
+        for i in _json(rec["generators"], list, "generators"):
+            i = _int(i, "generator")
+            if not 0 <= i < rank:
+                raise ValueError(f"generator {i} out of range for rank {rank}")
+            if mask >> i & 1:
+                raise ValueError(f"repeated generator {i} in term {rec!r}")
+            mask |= 1 << i
+        terms[mask] = terms.get(mask, 0) + _int(rec["coeff"], "coeff")
+    return Multivector(rank, terms)
 
 
 def emit_class(x: Multivector) -> str:
@@ -83,37 +119,33 @@ def variety_from_dict(data: dict) -> AbelianVariety:
     Exactly one of ``polarization_type`` (a divisor chain, which also
     fixes the standard Gaussian complex structure) or
     ``polarization_matrix`` must be present; an explicit
-    ``complex_structure`` holds rational entries as ``p/q`` strings.
+    ``complex_structure`` holds rational entries as ``p/q`` strings
+    (:func:`_rational`).  A field of the wrong JSON shape is a
+    ``ValueError``.
     """
-    from fractions import Fraction
-
+    data = _json(data, dict, "a variety spec")
     name = str(data.get("name", "A"))
     has_type = "polarization_type" in data
     has_matrix = "polarization_matrix" in data
     if has_type == has_matrix:
-        raise UnsupportedParams(
-            "need exactly one of polarization_type or polarization_matrix"
-        )
+        raise UnsupportedParams("need exactly one of polarization_type or polarization_matrix")
+    J = None
+    if "complex_structure" in data:
+        J = _matrix(data["complex_structure"], "complex_structure", _rational)
     if has_type:
-        delta = tuple(_int(d, "polarization_type entry") for d in data["polarization_type"])
+        delta = [_int(d, "polarization_type entry")
+                 for d in _json(data["polarization_type"], list, "polarization_type")]
         if "genus" in data and _int(data["genus"], "genus") != len(delta):
             raise UnsupportedParams(
                 f"genus {data['genus']} does not match type of length {len(delta)}"
             )
         A = elliptic_product(delta, name=name)
-        if "complex_structure" in data:
-            J = [[Fraction(str(x)) for x in row] for row in data["complex_structure"]]
-            A = make_variety(A.E, J, name=name)
-        return A
-    E = [[_int(x, "polarization_matrix entry") for x in row]
-         for row in data["polarization_matrix"]]
+        return A if J is None else make_variety(A.E, J, name=name)
+    E = _matrix(data["polarization_matrix"], "polarization_matrix", _int)
     if "genus" in data and 2 * _int(data["genus"], "genus") != len(E):
         raise UnsupportedParams(
             f"genus {data['genus']} does not match a {len(E)}-row polarization matrix"
         )
-    J = None
-    if "complex_structure" in data:
-        J = [[Fraction(str(x)) for x in row] for row in data["complex_structure"]]
     return make_variety(E, J, name=name)
 
 

@@ -151,8 +151,29 @@ FLOAT_RANK = {"rank": 2.9, "terms": [{"generators": [0], "coeff": "1"}]}
         ("hodge", {"a": 1}, "--certify-generators needs a JSON list of class records"),
         ("hodge", [1], "a class record must be a JSON object, got 1"),
         ("hodge", [FLOAT_CLASS], "coeff must be an integer or a decimal string"),
+        ("fourier", {"rank": 2, "terms": [1]}, "a term must be a JSON object, got 1"),
+        ("fourier", {"rank": 2, "terms": {"a": 1}}, "terms must be a JSON list, got {'a': 1}"),
+        (
+            "fourier",
+            {"rank": 2, "terms": [{"generators": 0, "coeff": "1"}]},
+            "generators must be a JSON list, got 0",
+        ),
+        (
+            "fourier",
+            {"rank": 2, "terms": [{"generators": [0, 0], "coeff": "1"}]},
+            "repeated generator 0 in term",
+        ),
+        (
+            "fourier",
+            {"rank": 2, "terms": [{"generators": [2], "coeff": "1"}]},
+            "generator 2 out of range for rank 2",
+        ),
     ],
-    ids=["float-coeff", "float-rank", "not-a-list", "not-a-record", "float-generator"],
+    ids=[
+        "float-coeff", "float-rank", "not-a-list", "not-a-record", "float-generator",
+        "term-not-a-record", "terms-not-a-list", "generators-not-a-list",
+        "repeated-generator", "generator-out-of-range",
+    ],
 )
 def test_a_malformed_class_file_is_an_input_error(tmp_path, capsys, command, payload, message):
     # never truncated to an int, never a traceback with the exit code of
@@ -171,6 +192,8 @@ def test_a_malformed_class_file_is_an_input_error(tmp_path, capsys, command, pay
     [
         ("verify", {"polarization_matrix": [[0, 1.9], [-1.9, 0]]}),
         ("hodge", {"polarization_type": [1.7, 2]}),
+        ("hodge", {"polarization_matrix": [[0, 1], [-1, 0]],
+                   "complex_structure": [[0, -0.5], [2, 0]]}),
     ],
 )
 def test_a_float_in_a_variety_file_is_an_input_error(tmp_path, capsys, command, spec):
@@ -180,6 +203,26 @@ def test_a_float_in_a_variety_file_is_an_input_error(tmp_path, capsys, command, 
     assert run_cli([command, "--variety", str(path), *extra[command]]) == 2
     captured = capsys.readouterr()
     assert "entry must be an integer or a decimal string" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"polarization_type": [1], "complex_structure": [["0", "-1/0"], ["1", "0"]]},
+         "complex_structure entry must be an integer or a decimal string, or 'p/q' with q > 0"),
+        ({"polarization_type": 5}, "polarization_type must be a JSON list, got 5"),
+        ({"polarization_matrix": 3}, "polarization_matrix must be a JSON list, got 3"),
+        ([1, 2], "a variety spec must be a JSON object, got [1, 2]"),
+    ],
+    ids=["zero-denominator", "type-not-a-list", "matrix-not-a-list", "not-an-object"],
+)
+def test_a_malformed_variety_file_is_an_input_error(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    write_json(path, spec)
+    assert run_cli(["hodge", "--variety", str(path), "--degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
     assert captured.out == ""
 
 
@@ -446,6 +489,26 @@ def test_verify_reports_hodge_image_failure_as_check_failure(tmp_path, monkeypat
     assert check["status"] == "fail"
     assert "left the Hodge lattice" in check["detail"]
     assert not class_from_dict(check["witness"]).is_zero()
+
+
+def test_verify_reports_a_non_unimodular_transform_as_check_failure(tmp_path, monkeypatch):
+    # doubling the transform keeps every image a Hodge class but leaves a
+    # cokernel: each genus of the grid fails at half-degree 0 with a witness
+    import abelian_fourier.hodge as hodge
+
+    fourier = hodge.fourier
+    monkeypatch.setattr(hodge, "fourier", lambda A, x: 2 * fourier(A, x))
+    out = tmp_path / "report.json"
+    code = run_cli(
+        ["verify", "--checks", "hodge_fourier_unimodular", "--format", "json", "--out", str(out)]
+    )
+    assert code == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["params"]["genus"] for c in checks] == [1, 2, 3]
+    for check in checks:
+        assert check["status"] == "fail"
+        assert check["detail"] == "transform matrix not unimodular at half-degree 0"
+        assert not class_from_dict(check["witness"]).is_zero()
 
 
 @pytest.mark.parametrize("check", ["beta_surjectivity", "ihc_certificate_elliptic_products"])

@@ -203,10 +203,10 @@ def test_divided_powers_of_other_classes_take_the_product_path(monkeypatch):
             x.wedge_power_divided(-1)
 
 
-def rand_mv(rng, rank, terms=3, bound=3):
+def rand_mv(rng, rank, terms=3):
     out = {}
     for _ in range(terms):
-        out[rng.randrange(1 << rank)] = rng.randint(-bound, bound)
+        out[rng.randrange(1 << rank)] = rng.randint(-3, 3)
     return Multivector(rank, out)
 
 
@@ -355,18 +355,6 @@ def test_constructor_validation():
     with pytest.raises(TypeError):
         Multivector(2, {0b01: 1.5})
     assert Multivector(2, {0b01: 0}).is_zero()
-
-
-def test_serialization_roundtrip():
-    rng = random.Random(31)
-    for _ in range(25):
-        x = rand_mv(rng, 6, terms=5, bound=10**12)
-        records = x.to_records()
-        masks = [sum(1 << i for i in rec["generators"]) for rec in records]
-        assert masks == sorted(masks)
-        assert Multivector.from_records(6, records) == x
-        for rec in records:
-            assert isinstance(rec["coeff"], str)
 
 
 def test_degree_basis_masks():

@@ -10,6 +10,8 @@ from abelian_fourier.errors import NotAlternating, UnsupportedParams
 from abelian_fourier.exterior import Multivector
 from abelian_fourier.report import (
     ReportDocument,
+    class_from_dict,
+    class_to_dict,
     emit_class,
     emit_report,
     emit_text,
@@ -35,6 +37,18 @@ def test_class_roundtrip_bytes():
         assert parse_class(text) == x
         # canonical writer: emitting the parse reproduces the bytes
         assert emit_class(parse_class(text)) == text
+
+
+def test_class_serialization_roundtrip():
+    # one term per monomial, in increasing mask order, coefficients as strings
+    rng = random.Random(31)
+    for _ in range(25):
+        x = Multivector(6, {rng.randrange(64): rng.randint(-(10**12), 10**12) for _ in range(5)})
+        data = class_to_dict(x)
+        masks = [sum(1 << i for i in rec["generators"]) for rec in data["terms"]]
+        assert masks == sorted(masks)
+        assert all(isinstance(rec["coeff"], str) for rec in data["terms"])
+        assert class_from_dict(data) == x
 
 
 def test_class_format_uses_decimal_strings():
@@ -99,11 +113,35 @@ def test_class_integer_fields_take_ints_or_decimal_strings():
         {"polarization_matrix": [[0, 1], [-1, 0]], "genus": 1.0},
         {"polarization_type": [1.7, 2]},
         {"polarization_type": [1, 2], "genus": "2.0"},
+        {"polarization_matrix": [[0, 1], [-1, 0]], "complex_structure": [[0, -0.5], [2, 0]]},
+        {"polarization_type": [1], "complex_structure": [["0", "-1/0"], ["1", "0"]]},
+        {"polarization_type": [1], "complex_structure": [["0", "-1.0"], ["1", "0"]]},
+        {"polarization_type": [1], "complex_structure": [[False, -1], [True, 0]]},
     ],
 )
 def test_variety_fields_must_be_integers(data):
     with pytest.raises(ValueError, match="must be an integer or a decimal string"):
         variety_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([1, 2], "a variety spec must be a JSON object, got [1, 2]"),
+        ({"polarization_type": 5}, "polarization_type must be a JSON list, got 5"),
+        ({"polarization_matrix": 3}, "polarization_matrix must be a JSON list, got 3"),
+        ({"polarization_matrix": [3]}, "polarization_matrix row must be a JSON list, got 3"),
+        (
+            {"polarization_type": [1], "complex_structure": "J"},
+            "complex_structure must be a JSON list, got 'J'",
+        ),
+    ],
+    ids=["not-an-object", "type-not-a-list", "matrix-not-a-list", "row-not-a-list", "J-not-a-list"],
+)
+def test_variety_fields_must_have_their_json_shape(data, message):
+    with pytest.raises(ValueError) as exc:
+        variety_from_dict(data)
+    assert str(exc.value) == message
 
 
 def test_variety_rational_strings():
