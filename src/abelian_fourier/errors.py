@@ -4,10 +4,11 @@ Every mathematically meaningful failure mode gets its own class so that
 callers (in particular the verification suite and the CLI) can turn
 exceptions into reported findings instead of stack traces.
 
-Integrality of a map is checked when it is built: a homomorphism entry or
-a class coefficient that is not an int raises the built-in ``TypeError``,
-an input error, so pullback and pushforward never meet a fraction and no
-check reports one.
+Integrality is checked where integers enter: a homomorphism entry, a
+class coefficient, a polarization entry or type entry, or an entry of
+an integer matrix (``intlinalg.int_matrix``) that is not an int raises
+the built-in ``TypeError``, an input error, so pullback and pushforward
+never meet a fraction and no check reports one.
 """
 
 

@@ -31,7 +31,7 @@ Every certificate is a :func:`voisin_certificate`: the coordinates of
 Hodge generators, whose cokernel :func:`intlinalg.cokernel_invariants`
 reads off one determinant when it is trivial and square, else off the
 Smith form.  :func:`fourier_hodge_matrix` certifies the transforms of the
-basis classes on the dual.
+basis classes on the dual and keeps the cokernel they leave.
 
 The lattices depend on the complex structure alone, so there is one memo,
 one saturated kernel and its inverse per ``(J, k)`` (:func:`_lattice_tables`).
@@ -240,11 +240,16 @@ def voisin_certificate(V: AbelianVariety, k: int, generators) -> intlinalg.Coker
     return intlinalg.cokernel_invariants(G, lat.rank)
 
 
-class FourierHodgeMatrix(namedtuple("FourierHodgeMatrix", "source_rank target_rank unimodular")):
-    """Ranks of the Hodge lattices that the transform maps between, and
-    whether it maps the source lattice onto the target one."""
+class FourierHodgeMatrix(namedtuple("FourierHodgeMatrix", "source_rank target_rank cokernel")):
+    """Ranks of the Hodge lattices that the transform maps between, and the
+    :class:`~abelian_fourier.intlinalg.CokernelInvariants` of the target
+    lattice modulo the transforms of the source basis classes."""
 
     __slots__ = ()
+
+    @property
+    def unimodular(self) -> bool:
+        return self.source_rank == self.target_rank and self.cokernel.is_trivial
 
 
 def fourier_hodge_matrix(A: AbelianVariety, i: int) -> FourierHodgeMatrix:
@@ -262,5 +267,4 @@ def fourier_hodge_matrix(A: AbelianVariety, i: int) -> FourierHodgeMatrix:
         idx = exc.index
         message = f"transform of Hodge basis class {idx} in degree {2 * i} left the Hodge lattice"
         raise ImageNotInHodge(message, images[idx]) from exc
-    unimodular = source.rank == target.rank and cok.is_trivial
-    return FourierHodgeMatrix(source.rank, target.rank, unimodular)
+    return FourierHodgeMatrix(source.rank, target.rank, cok)

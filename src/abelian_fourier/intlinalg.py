@@ -2,29 +2,29 @@
 
 Everything in this module is exact: integer matrices are lists of rows of
 Python ints, rational matrices mix ints and :class:`fractions.Fraction`.
-There is no floating point.  Matrices are dense lists of rows, except
-for the kernel: :func:`kernel_saturated_sparse` takes sparse rows
-``{column: entry}``, splits the matrix into the connected blocks of its
-row/column support graph and makes only each block dense, so a 210x210
-operator whose blocks have side at most 16 costs Smith forms of side 16,
-not one of side 210, and is never stored dense.  A dense matrix enters
-it through :func:`sparse_rows`.
+There is no floating point, and an integer-matrix entry point raises
+:class:`TypeError` on an entry that is not an int (:func:`int_matrix`).
+Matrices are dense lists of rows, except for the kernel:
+:func:`kernel_saturated_sparse` takes sparse rows ``{column: entry}``,
+splits the matrix into the connected blocks of its row/column support
+graph and makes only each block dense, so a 210x210 operator whose blocks
+have side at most 16 costs Smith forms of side 16, not one of side 210.
+A dense matrix enters it through :func:`sparse_rows`.
 
-The central routine is :func:`smith_normal_form`, which returns the full
-decomposition ``U * M * V = diag(divisors)`` with unimodular ``U`` and
-``V``, and the integer inverse of ``V`` alongside.  Saturated kernels,
-cokernel invariants and the integral scaled inverses ``c M^{-1}`` of
-:func:`scaled_inverse` are derived from it.  A kernel basis comes with
-an integer left inverse, the last rows of ``V^{-1}``, which proves it
-saturated.  :func:`kernel_saturated_reference`, the whole-matrix
-Smith-form kernel, stays as the oracle of the block kernel, and
-:func:`rational_solve` as the oracle of lattice coordinates.
+Two eliminations serve everything.  :func:`smith_normal_form` gives the
+divisors, the right transform ``V`` of ``U * M * V = diag(divisors)`` and
+its integer inverse, from which kernels come with an integer left inverse
+(the last rows of ``V^{-1}``, a proof of saturation) and cokernels their
+invariants.  The fraction-free elimination :func:`_bareiss` gives
+:func:`det_bareiss` and the adjugate behind :func:`scaled_inverse`.
+:func:`kernel_saturated_reference` stays as the oracle of the block
+kernel, and :func:`rational_solve` as the oracle of lattice coordinates.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import lcm
+from math import gcd, lcm
 
 IntMatrix = list[list[int]]
 
@@ -59,14 +59,11 @@ def scalar_matrix(n: int, c) -> list[list]:
     return [[c if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-class SmithDecomposition(namedtuple("SmithDecomposition", "U V V_inverse divisors rows cols")):
-    """Smith normal form ``U * M * V = diag(divisors)``.
-
-    ``U`` and ``V`` are unimodular, and ``V_inverse`` is the integer
-    inverse of ``V``; ``divisors`` is the full diagonal of length
-    ``min(rows, cols)``, nonnegative, each entry dividing the next (with
-    trailing zeros, since every integer divides 0).
-    """
+class SmithDecomposition(namedtuple("SmithDecomposition", "V V_inverse divisors")):
+    """Smith normal form ``U * M * V = diag(divisors)`` for a unimodular U
+    that is not kept.  ``V_inverse`` is the integer inverse of ``V``;
+    ``divisors`` is the full diagonal of length ``min(rows, cols)``,
+    nonnegative, each entry dividing the next (zeros last)."""
 
     __slots__ = ()
 
@@ -75,8 +72,13 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "U V V_inverse divisor
         return sum(1 for d in self.divisors if d != 0)
 
 
-def _swap_rows(A, i, j):
-    A[i], A[j] = A[j], A[i]
+def int_matrix(M) -> IntMatrix:
+    """A fresh list-of-rows copy of an integer matrix; :class:`TypeError`
+    on an entry that is not an int, which ``int()`` would truncate."""
+    A = [list(row) for row in M]
+    if not all(isinstance(x, int) for row in A for x in row):
+        raise TypeError(f"matrix {M!r} has an entry that is not an integer")
+    return A
 
 
 def _swap_cols(A, i, j):
@@ -108,7 +110,7 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def smith_normal_form(M) -> SmithDecomposition:
-    """Smith normal form of an integer matrix with transform matrices.
+    """Smith normal form of an integer matrix with its right transform.
 
     First the matrix is diagonalized: pivoting picks the entry of smallest
     nonzero absolute value in the remaining block and clears its row and
@@ -117,23 +119,20 @@ def smith_normal_form(M) -> SmithDecomposition:
     ever adding one row of the remaining block to another, so a block
     diagonal matrix is diagonalized block by block.  Each column operation
     on ``V`` is matched by its inverse row operation on ``V_inverse``, so
-    the inverse costs no solve.  Entries stay small on the lattice
-    matrices that occur here; on dense random matrices of side ten and
-    more they can still grow to thousands of digits.
+    the inverse costs no solve; row operations are not recorded.  Entries
+    stay small on the lattice matrices that occur here; on dense random
+    matrices of side six and more they can grow to thousands of digits.
 
     >>> smith_normal_form([[2, 0], [0, 3]]).divisors
     (1, 6)
-    >>> snf = smith_normal_form([[2, 4], [6, 8]])
-    >>> snf.divisors
+    >>> smith_normal_form([[2, 4], [6, 8]]).divisors
     (2, 4)
-    >>> snf = smith_normal_form([[3, 0], [0, 6]])
-    >>> snf.divisors
+    >>> smith_normal_form([[3, 0], [0, -6]]).divisors
     (3, 6)
     """
-    A = [[int(x) for x in row] for row in M]
+    A = int_matrix(M)
     rows = len(A)
     cols = len(A[0]) if A else 0
-    U = identity_matrix(rows)
     V = identity_matrix(cols)
     Vi = identity_matrix(cols)
 
@@ -157,25 +156,21 @@ def smith_normal_form(M) -> SmithDecomposition:
             break
         i, j = pos
         if i != t:
-            _swap_rows(A, t, i)
-            _swap_rows(U, t, i)
+            A[t], A[i] = A[i], A[t]
         if j != t:
             _swap_cols(A, t, j)
             _swap_cols(V, t, j)
-            _swap_rows(Vi, t, j)
+            Vi[t], Vi[j] = Vi[j], Vi[t]
 
         while True:
             p = A[t][t]
             dirty = False
             for i in range(t + 1, rows):
                 if A[i][t]:
-                    q = A[i][t] // p
-                    _add_row(A, i, t, -q)
-                    _add_row(U, i, t, -q)
+                    _add_row(A, i, t, -(A[i][t] // p))
                     if A[i][t]:
                         # Remainder is smaller than the pivot; promote it.
-                        _swap_rows(A, t, i)
-                        _swap_rows(U, t, i)
+                        A[t], A[i] = A[i], A[t]
                         dirty = True
                         p = A[t][t]
             for j in range(t + 1, cols):
@@ -187,52 +182,34 @@ def smith_normal_form(M) -> SmithDecomposition:
                     if A[t][j]:
                         _swap_cols(A, t, j)
                         _swap_cols(V, t, j)
-                        _swap_rows(Vi, t, j)
+                        Vi[t], Vi[j] = Vi[j], Vi[t]
                         dirty = True
                         p = A[t][t]
             if not dirty:
                 break
         t += 1
 
-    # Divisor chain on the diagonal: each pair (a, b) with b % a becomes
-    # (gcd, lcm) by two row and two column operations, so the elimination
-    # above never mixes rows of different blocks.
+    # Divisor chain on the diagonal, all of A that is nonzero: each pair
+    # (a, b) with b % a becomes (gcd, lcm) by two row and two column
+    # operations, of which only the columns [[x, -b/g], [y, a/g]] reach V.
+    diagonal = [A[i][i] for i in range(t)]
     for i in range(t):
         for j in range(i + 1, t):
-            a, b = A[i][i], A[j][j]
+            a, b = diagonal[i], diagonal[j]
             if b % a == 0:
                 continue
             g, x, y = _extended_gcd(a, b)
-            _add_row(A, i, j, 1)
-            _add_row(U, i, j, 1)
-            for X in (A, V):
-                for row in X:
-                    ci, cj = row[i], row[j]
-                    row[i], row[j] = x * ci + y * cj, (a * cj - b * ci) // g
-            # the inverse of that column step [[x, -b/g], [y, a/g]]
+            diagonal[i], diagonal[j] = g, a * b // g
+            for row in V:
+                ci, cj = row[i], row[j]
+                row[i], row[j] = x * ci + y * cj, (a * cj - b * ci) // g
+            # the inverse of that column step
             ri, rj = Vi[i], Vi[j]
             Vi[i] = [(a * p + b * q) // g for p, q in zip(ri, rj)]
             Vi[j] = [x * q - y * p for p, q in zip(ri, rj)]
-            c = b * y // g
-            _add_row(A, j, i, -c)
-            _add_row(U, j, i, -c)
 
-    for i in range(min(rows, cols)):
-        if A[i][i] < 0:
-            for k in range(cols):
-                A[i][k] = -A[i][k]
-            for k in range(rows):
-                U[i][k] = -U[i][k]
-
-    divisors = tuple(A[i][i] for i in range(min(rows, cols)))
-    return SmithDecomposition(
-        U=tuple(tuple(r) for r in U),
-        V=tuple(tuple(r) for r in V),
-        V_inverse=tuple(tuple(r) for r in Vi),
-        divisors=divisors,
-        rows=rows,
-        cols=cols,
-    )
+    divisors = tuple(abs(d) for d in diagonal) + (0,) * (min(rows, cols) - t)
+    return SmithDecomposition(tuple(map(tuple, V)), tuple(map(tuple, Vi)), divisors)
 
 
 def sparse_rows(M) -> tuple[list[dict], int]:
@@ -415,29 +392,43 @@ def cokernel_invariants(generators, ambient_rank: int) -> CokernelInvariants:
     return CokernelInvariants(divisors=finite, free_rank=ambient_rank - len(finite))
 
 
-def det_bareiss(M) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = [[int(x) for x in row] for row in M]
-    sign = 1
+def _bareiss(A, jordan: bool = False) -> int:
+    """Fraction-free (Bareiss 1968) elimination of an n-row integer matrix
+    in place; returns the determinant of its leading n x n block.
+
+    Each step is ``a_ij <- (a_ij p - a_ik a_kj) / prev``, exact, on every
+    row below the pivot p, or with ``jordan`` on every other row, so a
+    nonsingular ``[M | I]`` ends as ``[d I | d M^{-1}]``, ``d = det M``.
+    A zero pivot is swapped with a lower row, one of the two negated to
+    keep d and to give p the sign of prev: a row with ``a_ik = 0`` is
+    skipped while ``p == prev``, since the step keeps it.
+    """
+    n = len(A)
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if i is None:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+            s = 1 if (A[i][k] > 0) == (prev > 0) else -1
+            A[k], A[i] = [s * x for x in A[i]], [-s * x for x in A[k]]
+        p, tail = A[k][k], A[k][k + 1:]
+        for i in range(n) if jordan else range(k + 1, n):
+            Ai = A[i]
+            a = Ai[k]
+            if i == k or (a == 0 and p == prev):
+                continue
+            Ai[k + 1:] = [(x * p - a * y) // prev for x, y in zip(Ai[k + 1:], tail)]
+            Ai[k] = 0
+            if i < k:
+                Ai[i] = p
+        prev = p
+    return prev
+
+
+def det_bareiss(M) -> int:
+    """Determinant of a square integer matrix by :func:`_bareiss`."""
+    return _bareiss(int_matrix(M))
 
 
 def is_positive_definite(S) -> bool:
@@ -480,22 +471,28 @@ def is_positive_definite(S) -> bool:
 def scaled_inverse(M, c: int) -> IntMatrix:
     """The integer matrix ``c M^{-1}`` of a nonsingular square integer matrix.
 
-    From the Smith form ``U M V = D``, ``c M^{-1} = V (c D^{-1}) U``.  As
-    ``U`` and ``V`` are unimodular, it is integral exactly when every
-    divisor divides ``c``; :class:`ValueError` otherwise, and
-    :class:`ZeroDivisionError` when ``M`` is not invertible.
+    One Gauss-Jordan :func:`_bareiss` of ``[M | I]`` gives ``d = det M``
+    and the adjugate ``d M^{-1}``, whose entries x give ``c x / d``.  That
+    is integral exactly when the largest elementary divisor of M, ``|d|``
+    over the gcd of d and the adjugate, divides c; :class:`ValueError`
+    otherwise, and :class:`ZeroDivisionError` when M is not invertible.
 
     >>> scaled_inverse([[2, 1], [1, 1]], 1)
     [[1, -1], [-1, 2]]
     >>> scaled_inverse([[0, 2], [-2, 0]], 2)
     [[0, -1], [1, 0]]
     """
-    snf = smith_normal_form(M)
-    if snf.rows != snf.cols or 0 in snf.divisors:
+    n = len(M)
+    if any(len(row) != n for row in M):
+        raise ZeroDivisionError("matrix is not invertible: not square")
+    A = [row + e for row, e in zip(int_matrix(M), identity_matrix(n))]
+    d = _bareiss(A, jordan=True)
+    if d == 0:
         raise ZeroDivisionError("matrix is not invertible")
-    if any(c % d for d in snf.divisors):
-        raise ValueError(f"{c} M^-1 is not integral: divisors {snf.divisors}")
-    return mat_mul(snf.V, [[c // d * x for x in row] for d, row in zip(snf.divisors, snf.U)])
+    largest = abs(d) // gcd(d, *(x for row in A for x in row[n:]))
+    if c % largest:
+        raise ValueError(f"{c} M^-1 is not integral: largest divisor {largest}")
+    return [[c * x // d for x in row[n:]] for row in A]
 
 
 def rational_solve(A, b):

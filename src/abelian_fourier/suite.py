@@ -409,20 +409,19 @@ def _check_isogeny_degree(X, seed):
 
 
 def _check_hodge_fourier_unimodular(A, seed):
+    # a failure is witnessed by the transform of the first basis class,
+    # as a failed _beta_certificate is by its first generator
     for i in range(A.genus + 1):
         fm = fourier_hodge_matrix(A, i)
-        if fm.source_rank != fm.target_rank:
-            return (
-                False,
-                A.fundamental_class(),
-                f"rank mismatch {fm.source_rank} -> {fm.target_rank} at half-degree {i}",
-            )
         if not fm.unimodular:
-            return (
-                False,
-                A.fundamental_class(),
-                f"transform matrix not unimodular at half-degree {i}",
-            )
+            witness = fourier(A, hodge_lattice(A, i).basis_classes()[0])
+            if fm.source_rank != fm.target_rank:
+                what = f"rank mismatch {fm.source_rank} -> {fm.target_rank}"
+            else:
+                what = "transform matrix not unimodular"
+            cok = fm.cokernel
+            detail = f"cokernel invariants {cok.divisors}, free rank {cok.free_rank}"
+            return False, witness, f"{what} at half-degree {i}: {detail}"
     return True, None, None
 
 

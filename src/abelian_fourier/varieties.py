@@ -113,13 +113,6 @@ class AbelianVariety(
         return f"AbelianVariety({self.name!r}, g={self.genus}, type={self.polarization_type})"
 
 
-def _as_int_matrix(E):
-    out = []
-    for row in E:
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
-
-
 def _exact_matrix(J):
     """Exact entries: an int where the entry is integral, else a Fraction.
 
@@ -142,7 +135,7 @@ def _exact_entry(x):
 
 def _paired_type(E) -> tuple[int, ...]:
     """Polarization type from the elementary divisors of E, paired off."""
-    divisors = intlinalg.smith_normal_form([list(r) for r in E]).divisors
+    divisors = intlinalg.smith_normal_form(E).divisors
     if any(d == 0 for d in divisors):
         raise SingularPolarization("polarization form is degenerate")
     paired = []
@@ -217,11 +210,12 @@ def _theta_orientation(E, g, delta) -> int:
 def make_variety(E, J=None, name: str = "A") -> AbelianVariety:
     """Validated abelian variety from a polarization and optional J.
 
-    Raises :class:`NotAlternating`, :class:`SingularPolarization`,
+    Raises :class:`TypeError` on an entry of E that is not an int, and
+    :class:`NotAlternating`, :class:`SingularPolarization`,
     :class:`ComplexStructureInvalid` (``J^2 != -1``) or
     :class:`RiemannRelationViolated` (compatibility or positivity).
     """
-    Et = _as_int_matrix(E)
+    Et = tuple(map(tuple, intlinalg.int_matrix(E)))
     n = len(Et)
     if n % 2 or any(len(row) != n for row in Et):
         raise NotAlternating(f"polarization matrix must be square of even size, got {n}")
@@ -278,9 +272,12 @@ def elliptic_product(delta, name: str | None = None) -> AbelianVariety:
     The polarization is written in Frobenius form (x-generators first,
     then y-generators) with ``E = [[0, D], [-D, 0]]``; the compatible
     complex structure ``J = [[0, -I], [I, 0]]`` gives every factor
-    complex multiplication by the Gaussian integers.
+    complex multiplication by the Gaussian integers.  An entry of
+    ``delta`` that is not an int is a :class:`TypeError`.
     """
-    delta = tuple(int(d) for d in delta)
+    delta = tuple(delta)
+    if not all(isinstance(d, int) for d in delta):
+        raise TypeError(f"polarization type {delta} has an entry that is not an integer")
     g = len(delta)
     if g == 0 or any(d <= 0 for d in delta):
         raise InvalidType(f"polarization type must be positive, got {delta}")
@@ -435,7 +432,7 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix holomorphic"
         """Degree of an isogeny: absolute determinant on homology."""
         if self.source.rank != self.target.rank:
             raise NotIsogeny("source and target have different dimension")
-        d = intlinalg.det_bareiss([list(r) for r in self.matrix])
+        d = intlinalg.det_bareiss(self.matrix)
         if d == 0:
             raise NotIsogeny("matrix is singular")
         return abs(d)

@@ -493,10 +493,11 @@ def test_verify_reports_hodge_image_failure_as_check_failure(tmp_path, monkeypat
 
 def test_verify_reports_a_non_unimodular_transform_as_check_failure(tmp_path, monkeypatch):
     # doubling the transform keeps every image a Hodge class but leaves a
-    # cokernel: each genus of the grid fails at half-degree 0 with a witness
+    # cokernel Z/2: each genus of the grid fails at half-degree 0, with the
+    # divisors in the detail and the transform of the first basis class,
+    # the unit, as witness
     import abelian_fourier.hodge as hodge
 
-    fourier = hodge.fourier
     monkeypatch.setattr(hodge, "fourier", lambda A, x: 2 * fourier(A, x))
     out = tmp_path / "report.json"
     code = run_cli(
@@ -506,9 +507,13 @@ def test_verify_reports_a_non_unimodular_transform_as_check_failure(tmp_path, mo
     checks = json.loads(out.read_text())["checks"]
     assert [c["params"]["genus"] for c in checks] == [1, 2, 3]
     for check in checks:
+        A = standard_ppav(check["params"]["genus"])
         assert check["status"] == "fail"
-        assert check["detail"] == "transform matrix not unimodular at half-degree 0"
-        assert not class_from_dict(check["witness"]).is_zero()
+        assert check["detail"] == (
+            "transform matrix not unimodular at half-degree 0:"
+            " cokernel invariants (2,), free rank 0"
+        )
+        assert class_from_dict(check["witness"]) == fourier(A, Multivector.unit(A.rank))
 
 
 @pytest.mark.parametrize("check", ["beta_surjectivity", "ihc_certificate_elliptic_products"])

@@ -47,14 +47,6 @@ def left_inverse_product(L, K):
     return [[sum(x * K[i][t] for i, x in row) for t in range(len(K[0]))] for row in L]
 
 
-def diagonal_matrix(snf):
-    """The rows x cols matrix with the Smith divisors on its diagonal."""
-    D = [[0] * snf.cols for _ in range(snf.rows)]
-    for i, d in enumerate(snf.divisors):
-        D[i][i] = d
-    return D
-
-
 def rational_inverse(M):
     """Oracle of ``scaled_inverse``: the exact inverse by Fraction Gauss-Jordan."""
     n = len(M)
@@ -85,11 +77,39 @@ def minors_gcd(M, k):
     return g
 
 
+def assert_smith_decomposition(M, snf):
+    """``U M V = diag(divisors)`` for some unimodular U, proved without U.
+
+    V is unimodular by its integer inverse.  With r the rank, ``M V`` is
+    zero from column r on, and its column j < r is ``d_j`` times column j
+    of an integer matrix W.  Then ``U M V = D`` for a unimodular U exactly
+    when the r x r minors of W are coprime: W is then the first r columns
+    of a unimodular matrix, whose inverse is U.
+    """
+    V, V_inverse = [list(r) for r in snf.V], [list(r) for r in snf.V_inverse]
+    assert mat_mul(V, V_inverse) == identity_matrix(len(V))
+    r, divisors = snf.rank, snf.divisors
+    assert len(divisors) == min(len(M), len(M[0]))
+    assert all(d > 0 for d in divisors[:r]) and not any(divisors[r:])
+    MV = mat_mul(M, V)
+    assert all(x == 0 for row in MV for x in row[r:])
+    assert all(row[j] % divisors[j] == 0 for row in MV for j in range(r))
+    W = [[row[j] // divisors[j] for j in range(r)] for row in MV]
+    assert minors_gcd(W, r) == 1
+
+
 def test_snf_examples():
     assert smith_normal_form([[3, 0], [0, 6]]).divisors == (3, 6)
     assert smith_normal_form(identity_matrix(2)).divisors == (1, 1)
     # d1 = gcd of entries = 2, d1*d2 = |det| = 8
     assert smith_normal_form([[2, 4], [6, 8]]).divisors == (2, 4)
+
+
+@pytest.mark.parametrize("x", [1.5, 2.0, Fraction(1, 2), Fraction(4)])
+def test_snf_rejects_an_entry_that_is_not_an_int(x):
+    # int() truncated [[1/2, 0], [0, 3]] to divisors (3, 0)
+    with pytest.raises(TypeError):
+        smith_normal_form([[x, 0], [0, 3]])
 
 
 def test_snf_rectangular_and_zero():
@@ -102,12 +122,7 @@ def test_snf_rectangular_and_zero():
 @given(small_matrices)
 def test_snf_decomposition_properties(M):
     snf = smith_normal_form(M)
-    assert is_unimodular([list(r) for r in snf.U])
-    assert is_unimodular([list(r) for r in snf.V])
-    V, V_inverse = [list(r) for r in snf.V], [list(r) for r in snf.V_inverse]
-    assert mat_mul(V, V_inverse) == identity_matrix(len(V))
-    UMV = mat_mul(mat_mul([list(r) for r in snf.U], M), [list(r) for r in snf.V])
-    assert UMV == diagonal_matrix(snf)
+    assert_smith_decomposition(M, snf)
     divisors = snf.divisors
     for a, b in zip(divisors, divisors[1:]):
         if a == 0:
@@ -136,11 +151,9 @@ def test_snf_of_block_diagonal_stays_small():
             M[r + i][c:c + len(row)] = row
         r, c = r + len(B), c + len(B[0])
     snf = smith_normal_form(M)
-    U, V = [list(row) for row in snf.U], [list(row) for row in snf.V]
-    assert mat_mul(mat_mul(U, M), V) == diagonal_matrix(snf)
-    assert is_unimodular(U) and is_unimodular(V)
+    assert_smith_decomposition(M, snf)
     assert snf.divisors == (1, 1, 1, 1, 1, 1, 1, 1, 3, 24, 1512)
-    assert max(abs(x) for row in U + V for x in row) < 10**9
+    assert max(abs(x) for row in snf.V for x in row) < 10**9
 
 
 def test_snf_roundtrip_seeded_100():
@@ -149,12 +162,7 @@ def test_snf_roundtrip_seeded_100():
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         snf = smith_normal_form(M)
-        Uinv = rational_inverse([list(r) for r in snf.U])
-        Vinv = rational_inverse([list(r) for r in snf.V])
-        back = mat_mul(mat_mul(Uinv, diagonal_matrix(snf)), Vinv)
-        assert [[Fraction(x) for x in row] for row in M] == [
-            [Fraction(x) for x in row] for row in back
-        ]
+        assert_smith_decomposition(M, snf)
 
 
 def test_kernel_saturated_examples():
@@ -361,11 +369,12 @@ def test_rational_inverse():
 
 
 @st.composite
-def square_matrices(draw):
-    """Dense square matrices of side up to 5, or permuted block-diagonal
-    ones of side up to 8 with dense blocks of side up to 4.
+def square_matrices(draw, dense_side=5):
+    """Dense square matrices of side up to ``dense_side``, or permuted
+    block-diagonal ones of side up to 8 with dense blocks of side up to 4.
 
-    Dense matrices stop at side 5: from side 6 on, the elimination of
+    Dense matrices stop at side 5 by default only for the Smith-form
+    oracle of the cokernel test: from side 6 on, the elimination of
     ``smith_normal_form`` can grow the entries of a dense matrix without
     bound.
     """
@@ -375,7 +384,7 @@ def square_matrices(draw):
         return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
 
     if draw(st.booleans(), label="dense"):
-        return draw(dense(draw(st.integers(1, 5))))
+        return draw(dense(draw(st.integers(1, dense_side))))
     sides = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda s: sum(s) <= 8))
     n = sum(sides)
     M = [[0] * n for _ in range(n)]
@@ -389,7 +398,7 @@ def square_matrices(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(square_matrices())
+@given(square_matrices(dense_side=8))
 def test_scaled_inverse_matches_fraction_inverse(M):
     det = det_bareiss(M)
     if det == 0:
@@ -399,12 +408,25 @@ def test_scaled_inverse_matches_fraction_inverse(M):
     c = abs(det)
     inverse = rational_inverse(M)
     assert scaled_inverse(M, c) == [[c * x for x in row] for row in inverse]
-    # below the largest divisor d, c = d - 1 leaves a fraction in c M^{-1}
-    d = smith_normal_form(M).divisors[-1]
+    # the largest elementary divisor d is the lcm of the denominators of
+    # M^{-1}: c M^{-1} is integral at c = d, and not at c = d - 1
+    d = lcm(*(x.denominator for row in inverse for x in row))
+    assert scaled_inverse(M, d) == [[d * x for x in row] for row in inverse]
     if d > 1:
-        assert any(((d - 1) * x).denominator != 1 for row in inverse for x in row)
         with pytest.raises(ValueError):
             scaled_inverse(M, d - 1)
+
+
+@pytest.mark.parametrize("x", [1.5, 2.0, Fraction(1, 2), Fraction(4)])
+def test_det_bareiss_rejects_an_entry_that_is_not_an_int(x):
+    with pytest.raises(TypeError):
+        det_bareiss([[x, 1], [0, 3]])
+
+
+@pytest.mark.parametrize("x", [1.5, 2.0, Fraction(1, 2), Fraction(4)])
+def test_scaled_inverse_rejects_an_entry_that_is_not_an_int(x):
+    with pytest.raises(TypeError):
+        scaled_inverse([[x, 1], [0, 3]], 6)
 
 
 def test_scaled_inverse_examples():

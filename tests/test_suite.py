@@ -426,3 +426,21 @@ def test_kunneth_R_at_genus_5_within_seconds():
         signal.signal(signal.SIGALRM, previous)
     assert lhs == -rhs
     assert not lhs.is_zero()
+
+
+@pytest.mark.parametrize("g", [5, 6])
+def test_isogeny_degree_above_its_ceiling_within_seconds(g):
+    # beta = m alpha^{-1} is one Bareiss adjugate; through a Smith form,
+    # 8 of the 10 seed-0 maps at genus 5 did not finish in 5 s each
+    def timeout(signum, frame):
+        raise TimeoutError(f"isogeny_degree at genus {g} took over 10 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        ok, witness, detail = suite._check_isogeny_degree(standard_ppav(g), 0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert ok, detail
+    assert witness is None

@@ -208,6 +208,20 @@ def test_elliptic_product_type_validation():
     assert elliptic_product((1, 2, 4)).polarization_type == (1, 2, 4)
 
 
+@pytest.mark.parametrize("delta", [(1.9, 2.2), (1.0, 2), (Fraction(1), 2), ("1",)])
+def test_elliptic_product_rejects_a_type_entry_that_is_not_an_int(delta):
+    # int() truncated (1.9, 2.2) to the valid type (1, 2)
+    with pytest.raises(TypeError):
+        elliptic_product(delta)
+
+
+@pytest.mark.parametrize("x", [1.5, 1.0, Fraction(1), Fraction(3, 2)])
+def test_make_variety_rejects_a_polarization_entry_that_is_not_an_int(x):
+    # int() truncated [[0, 1.5], [-1.5, 0]] to a principal E
+    with pytest.raises(TypeError):
+        make_variety([[0, x], [-x, 0]], [[0, -1], [1, 0]])
+
+
 def test_dual_involution_and_structure():
     for A in (gaussian_elliptic_curve(), standard_ppav(2), elliptic_product((1, 2))):
         Ah = dual(A)
