@@ -4,9 +4,9 @@ The package models integral cohomology rings of abelian varieties as
 exterior algebras over the integers, implements the Fourier transform and
 the Pontryagin convolution calculus exactly, computes lattices of Hodge
 classes for models with rational complex multiplication, and machine
-verifies a battery of identities of the calculus, producing determinant
-or Smith-form certificates that distinguished curve classes generate the
-full one-cycle Hodge lattice on the shipped models.
+verifies a battery of identities of the calculus, producing Smith-form
+certificates that distinguished curve classes generate the full one-cycle
+Hodge lattice on the shipped models.
 """
 
 __version__ = "0.1.0"

@@ -21,17 +21,17 @@ terms of every monomial (:func:`_derive`), and
 :func:`intlinalg.kernel_saturated_sparse` reads their supports.  On the
 shipped models J splits over the elliptic factors, so the derivation is
 block diagonal up to a permutation of the monomials.  The kernel takes one
-Smith form per connected block, which also gives an integer left inverse
-L of the kernel basis B, ``L B = I``: the proof that B is saturated.
-:meth:`HodgeLattice.coordinates` of x is ``L x``, checked against x.  A
-model whose J does not split is one block and takes the whole-matrix
-path.  :func:`is_hodge` tests ``D_J x = 0`` in one pass over the terms of x.
+column echelon form per connected block, which also gives an integer left
+inverse L of the kernel basis B, ``L B = I``: the proof that B is
+saturated.  :meth:`HodgeLattice.coordinates` of x is ``L x``, checked
+against x.  A model whose J does not split is one block.  :func:`is_hodge`
+tests ``D_J x = 0`` in one pass over the terms of x.
 
 Every certificate is a :func:`voisin_certificate`: the coordinates of
 Hodge generators, whose cokernel :func:`intlinalg.cokernel_invariants`
-reads off one determinant when it is trivial and square, else off the
-Smith form.  :func:`fourier_hodge_matrix` certifies the transforms of the
-basis classes on the dual and keeps the cokernel they leave.
+reads off the Smith divisors.  :func:`fourier_hodge_matrix` certifies the
+transforms of the basis classes on the dual and keeps the cokernel they
+leave.
 
 The lattices depend on the complex structure alone, so there is one memo,
 one saturated kernel and its inverse per ``(J, k)`` (:func:`_lattice_tables`).
@@ -216,9 +216,11 @@ def voisin_certificate(V: AbelianVariety, k: int, generators) -> intlinalg.Coker
 
     Each generator must be a Hodge class of degree 2k (``NotHodge``
     carries the offending index, and for a class of another degree names
-    both degrees).  An all-ones answer with free rank zero certifies that
-    the generators span the full lattice, which is the desk-scale form of
-    the one-cycle algebraicity statement relative to those generators.
+    both degrees): :meth:`HodgeLattice.coordinates` is the membership
+    test, and its coordinates are the columns of the cokernel matrix.  An
+    all-ones answer with free rank zero certifies that the generators span
+    the full lattice, which is the desk-scale form of the one-cycle
+    algebraicity statement relative to those generators.
     """
     lat = hodge_lattice(V, k)
     columns = []
@@ -230,8 +232,6 @@ def voisin_certificate(V: AbelianVariety, k: int, generators) -> intlinalg.Coker
         if gen and gen.degree() != 2 * k:
             message = f"generator {idx} has degree {gen.degree()}, expected degree {2 * k}"
             raise NotHodge(idx, message)
-        if not is_hodge(V, gen):
-            raise NotHodge(idx)
         coords = lat.coordinates(gen)
         if coords is None:
             raise NotHodge(idx)

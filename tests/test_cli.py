@@ -472,16 +472,24 @@ def test_verify_own_model_checks_skip_a_given_variety(tmp_path, how):
     }
 
 
+# e0 ^ e1 on E_i^2 (and on its dual, with the same J) is not a Hodge class
+NON_HODGE_E2 = Multivector(4, {0b0011: 1})
+
+
 def test_verify_reports_hodge_image_failure_as_check_failure(tmp_path, monkeypatch):
     # a transform image outside the Hodge lattice is a mathematical
     # failure: the check fails with the image as witness and verify exits
     # 1, not 2 (input error)
     import abelian_fourier.hodge as hodge
 
-    monkeypatch.setattr(hodge, "is_hodge", lambda V, x: False)
+    # the degree-2 basis classes of E_i^2 go to a class of the right
+    # degree outside the dual's lattice
+    monkeypatch.setattr(
+        hodge, "fourier", lambda A, x: NON_HODGE_E2 if x.degree() == 2 else fourier(A, x)
+    )
     out = tmp_path / "report.json"
     code = run_cli(
-        ["verify", "--genus", "1", "--checks", "hodge_fourier_unimodular",
+        ["verify", "--genus", "2", "--checks", "hodge_fourier_unimodular",
          "--format", "json", "--out", str(out)]
     )
     assert code == 1
@@ -522,8 +530,16 @@ def test_verify_reports_non_hodge_generator_as_check_failure(tmp_path, monkeypat
     # failure: the check fails with that class as witness and verify exits
     # 1, not 2 (input error)
     import abelian_fourier.hodge as hodge
+    import abelian_fourier.suite as suite
 
-    monkeypatch.setattr(hodge, "is_hodge", lambda V, x: False)
+    # the check's first divisor becomes e0 ^ e1, whose curve class (itself,
+    # at genus 2) the certificate's own lattice does not contain
+    def hodge_lattice(A, k):
+        lat = hodge.hodge_lattice(A, k)
+        first = [int(m == 0b0011) for m in lat.masks]
+        return lat._replace(basis=tuple((x, *row[1:]) for x, row in zip(first, lat.basis)))
+
+    monkeypatch.setattr(suite, "hodge_lattice", hodge_lattice)
     out = tmp_path / "report.json"
     code = run_cli(
         ["verify", "--genus", "2", "--checks", check, "--format", "json", "--out", str(out)]

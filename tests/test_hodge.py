@@ -48,7 +48,7 @@ from abelian_fourier.varieties import (
 )
 from test_exterior import apply_generator_images
 from test_fourier import E8_HERMITIAN, other_basis
-from test_intlinalg import rational_inverse
+from test_intlinalg import assert_smith_divisors, rational_inverse, time_limit
 
 
 def brute_force_hodge_rank(A, k, ab=(1, 2)):
@@ -304,8 +304,8 @@ def test_beta_classes_certify_curve_lattice():
 
 def test_beta_classes_certify_curve_lattice_on_the_hermitian_e8_model():
     # the coordinate matrix of these 16 curve classes has determinant +-1,
-    # and the Smith form of its transpose does not finish in 15 s: the
-    # alarm fails the test if the certificate stops taking the determinant
+    # and a Smith form with row and column pivoting of its transpose did
+    # not finish in 15 s: the alarm guards the Smith divisors
     A = E8_HERMITIAN
     gens = [beta_from_divisor(A, D) for D in hodge_lattice(A, 1).basis_classes()]
     assert len(gens) == 16
@@ -320,6 +320,51 @@ def test_beta_classes_certify_curve_lattice_on_the_hermitian_e8_model():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_certificates_of_random_generator_sets_finish():
+    # each generator set is randint(1, rank + 2) Z-combinations of the
+    # basis classes, coefficients in [-3, 3]; a Smith form with row and
+    # column pivoting did not finish some of these in 2 s.  The
+    # coordinates of the generators are the coefficient matrix C, so the
+    # certificate's divisors are C's
+    cases = []
+    for g in (2, 3):
+        A = standard_ppav(g)
+        for k in range(1, g):
+            rng = random.Random(10 * g + k)
+            lat = hodge_lattice(A, k)
+            basis = lat.basis_classes()
+            for _ in range(20):
+                count = rng.randint(1, lat.rank + 2)
+                C = [[rng.randint(-3, 3) for _ in range(count)] for _ in range(lat.rank)]
+                gens = [Multivector.zero(A.rank) for _ in range(count)]
+                for row, b in zip(C, basis):
+                    gens = [x + b * c for x, c in zip(gens, row)]
+                cases.append((A, k, C, gens))
+    assert len(cases) == 60
+    with time_limit(10, "60 certificates at genus 2 and 3"):
+        cokernels = [voisin_certificate(A, k, gens) for A, k, _, gens in cases]
+    for (_, _, C, _), cok in zip(cases, cokernels):
+        rank = len(cok.divisors)
+        assert cok.free_rank == len(C) - rank
+        assert_smith_divisors(C, cok.divisors + (0,) * (min(len(C), len(C[0])) - rank))
+
+
+def test_other_basis_lattices_finish_with_small_entries():
+    # E^4 and E^2 in another Z-basis of H^1: a Smith form with row and
+    # column pivoting did not finish the genus-4 lattice at k = 2 in 5 s,
+    # and gave the genus-2 lattice at k = 1 entries of 64 digits
+    A = other_basis(standard_ppav(4), random.Random(16), 16)
+    clear_caches()
+    with time_limit(10, "the genus-4 Hodge lattices in another basis"):
+        lattices = [hodge_lattice(A, k) for k in range(5)]
+    for k, lat in enumerate(lattices):
+        assert lat.rank == comb(4, k) ** 2
+        assert all(is_hodge(A, u) for u in lat.basis_classes())
+        lat.check_saturated()
+    lat = hodge_lattice(other_basis(standard_ppav(2), random.Random(16), 40), 1)
+    assert max(abs(x) for row in lat.basis for x in row) < 10**4
 
 
 def test_fourier_hodge_matrix():

@@ -1,17 +1,18 @@
 """Exact linear algebra: normal forms, kernels, cokernels, definiteness."""
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from abelian_fourier.errors import NotSymmetric
 from abelian_fourier.intlinalg import (
-    CokernelInvariants,
     _row_blocks,
     cokernel_invariants,
     det_bareiss,
@@ -74,28 +75,37 @@ def minors_gcd(M, k):
         for csel in combinations(range(cols), k):
             sub = [[M[i][j] for j in csel] for i in rsel]
             g = gcd(g, det_bareiss(sub))
+            if g == 1:
+                return g
     return g
 
 
-def assert_smith_decomposition(M, snf):
-    """``U M V = diag(divisors)`` for some unimodular U, proved without U.
-
-    V is unimodular by its integer inverse.  With r the rank, ``M V`` is
-    zero from column r on, and its column j < r is ``d_j`` times column j
-    of an integer matrix W.  Then ``U M V = D`` for a unimodular U exactly
-    when the r x r minors of W are coprime: W is then the first r columns
-    of a unimodular matrix, whose inverse is U.
-    """
-    V, V_inverse = [list(r) for r in snf.V], [list(r) for r in snf.V_inverse]
-    assert mat_mul(V, V_inverse) == identity_matrix(len(V))
-    r, divisors = snf.rank, snf.divisors
+def assert_smith_divisors(M, divisors):
+    """``divisors`` is the Smith diagonal of M: ``min(rows, cols)``
+    nonnegative entries, each dividing the next, whose first k multiply to
+    the gcd of the k x k minors of M (the determinantal divisor, 0 above
+    the rank)."""
     assert len(divisors) == min(len(M), len(M[0]))
-    assert all(d > 0 for d in divisors[:r]) and not any(divisors[r:])
-    MV = mat_mul(M, V)
-    assert all(x == 0 for row in MV for x in row[r:])
-    assert all(row[j] % divisors[j] == 0 for row in MV for j in range(r))
-    W = [[row[j] // divisors[j] for j in range(r)] for row in MV]
-    assert minors_gcd(W, r) == 1
+    for a, b in zip(divisors, divisors[1:]):
+        assert b % a == 0 if a else b == 0
+    for k in range(1, len(divisors) + 1):
+        assert prod(divisors[:k]) == minors_gcd(M, k)
+
+
+@contextmanager
+def time_limit(seconds, what):
+    """Fail the block with :class:`TimeoutError` after ``seconds``."""
+
+    def timeout(signum, frame):
+        raise TimeoutError(f"{what} took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_snf_examples():
@@ -121,23 +131,13 @@ def test_snf_rectangular_and_zero():
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
 def test_snf_decomposition_properties(M):
-    snf = smith_normal_form(M)
-    assert_smith_decomposition(M, snf)
-    divisors = snf.divisors
-    for a, b in zip(divisors, divisors[1:]):
-        if a == 0:
-            assert b == 0
-        else:
-            assert b % a == 0
-    # invariant-factor products against the minors-gcd oracle
-    for k in range(1, min(len(M), len(M[0])) + 1):
-        expected = abs(minors_gcd(M, k))
-        assert prod(divisors[:k]) == expected
+    assert_smith_divisors(M, smith_normal_form(M).divisors)
 
 
 def test_snf_of_block_diagonal_stays_small():
     # four blocks; a divisor-chain step that adds a row of one block to
-    # the pivot row of another grew this matrix's entries past 4300 digits
+    # the pivot row of another grew the right transform of this matrix's
+    # Smith form past 4300 digits
     M = [[0] * 15 for _ in range(11)]
     blocks = [
         [[-8, 0], [-7, -7]],
@@ -150,10 +150,12 @@ def test_snf_of_block_diagonal_stays_small():
         for i, row in enumerate(B):
             M[r + i][c:c + len(row)] = row
         r, c = r + len(B), c + len(B[0])
-    snf = smith_normal_form(M)
-    assert_smith_decomposition(M, snf)
-    assert snf.divisors == (1, 1, 1, 1, 1, 1, 1, 1, 3, 24, 1512)
-    assert max(abs(x) for row in snf.V for x in row) < 10**9
+    assert smith_normal_form(M).divisors == (1, 1, 1, 1, 1, 1, 1, 1, 3, 24, 1512)
+    K, L = kernel_saturated_sparse(*sparse_rows(M))
+    assert all(x == 0 for row in mat_mul(M, K) for x in row)
+    assert left_inverse_product(L, K) == identity_matrix(4)
+    assert max(abs(x) for row in K for x in row) < 10**9
+    assert max(abs(x) for row in L for _, x in row) < 10**9
 
 
 def test_snf_roundtrip_seeded_100():
@@ -161,8 +163,39 @@ def test_snf_roundtrip_seeded_100():
     for _ in range(100):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        snf = smith_normal_form(M)
-        assert_smith_decomposition(M, snf)
+        assert_smith_divisors(M, smith_normal_form(M).divisors)
+
+
+def test_snf_of_a_dense_6x5_matrix_finishes():
+    # a Smith form with row and column pivoting did not finish on this
+    # matrix in 10 s
+    M = [[8, 6, 8, 1, 6], [-4, -7, 7, -5, 4], [-8, -8, 0, 7, -3],
+         [-3, 8, -2, -8, 1], [6, -5, 2, 7, -1], [-8, 4, 6, 7, -1]]
+    with time_limit(10, "the Smith form of a 6x5 matrix"):
+        divisors = smith_normal_form(M).divisors
+    assert_smith_divisors(M, divisors)
+
+
+def test_dense_20x20_divisors_and_18x20_kernels_finish():
+    # entries in [-9, 9]; a Smith form with row and column pivoting did not
+    # finish one of these in 2 s, from side 8 on.  The divisors are proved
+    # by the chain, the gcd of the entries and the determinant, the kernels
+    # by M K = 0, L K = I and a nonzero 18 x 18 minor (rank 18)
+    rng = random.Random(20)
+    squares = [[[rng.randint(-9, 9) for _ in range(20)] for _ in range(20)] for _ in range(10)]
+    wide = [[[rng.randint(-9, 9) for _ in range(20)] for _ in range(18)] for _ in range(10)]
+    with time_limit(10, "ten 20x20 Smith forms and ten 18x20 kernels"):
+        divisors = [smith_normal_form(M).divisors for M in squares]
+        kernels = [kernel_saturated_sparse(*sparse_rows(M)) for M in wide]
+    for M, d in zip(squares, divisors):
+        assert all(b % a == 0 for a, b in zip(d, d[1:]))
+        assert d[0] == minors_gcd(M, 1)
+        assert prod(d) == abs(det_bareiss(M))
+    for M, (K, L) in zip(wide, kernels):
+        assert det_bareiss([row[:18] for row in M]) != 0
+        assert len(L) == 2
+        assert all(x == 0 for row in mat_mul(M, K) for x in row)
+        assert left_inverse_product(L, K) == identity_matrix(2)
 
 
 def test_kernel_saturated_examples():
@@ -174,26 +207,30 @@ def test_kernel_saturated_examples():
 
 @settings(max_examples=100, deadline=None)
 @given(small_matrices)
+# a Smith form with row and column pivoting could hang on the cokernel of
+# this matrix's kernel
+@example([[4, -6, -6, 8, 7], [-9, -5, 7, 7, -8]])
 def test_kernel_saturated_properties(M):
-    K = kernel_saturated(M)
-    _, L = kernel_saturated_sparse(*sparse_rows(M))
-    cols = len(M[0])
-    nullity = len(K[0]) if K and K[0] else 0
-    assert len(K) == cols
-    assert len(L) == nullity
-    # M K = 0
-    if nullity:
-        assert all(
-            all(v == 0 for v in row) for row in mat_mul(M, K)
-        )
-        # L K = I: an integer left inverse, the proof of saturation
-        assert left_inverse_product(L, K) == identity_matrix(nullity)
-        # saturated: the basis spans a direct summand, so all divisors are 1
-        cok = cokernel_invariants(K, cols)
-        assert all(d == 1 for d in cok.divisors)
-        assert cok.free_rank == cols - nullity
-    rank = smith_normal_form(M).rank
-    assert nullity == cols - rank
+    with time_limit(10, "a kernel and the cokernel of it"):
+        K = kernel_saturated(M)
+        _, L = kernel_saturated_sparse(*sparse_rows(M))
+        cols = len(M[0])
+        nullity = len(K[0]) if K and K[0] else 0
+        assert len(K) == cols
+        assert len(L) == nullity
+        # M K = 0
+        if nullity:
+            assert all(
+                all(v == 0 for v in row) for row in mat_mul(M, K)
+            )
+            # L K = I: an integer left inverse, the proof of saturation
+            assert left_inverse_product(L, K) == identity_matrix(nullity)
+            # saturated: the basis spans a direct summand, so all divisors are 1
+            cok = cokernel_invariants(K, cols)
+            assert all(d == 1 for d in cok.divisors)
+            assert cok.free_rank == cols - nullity
+        rank = smith_normal_form(M).rank
+        assert nullity == cols - rank
 
 
 def test_kernel_saturated_rational_entries():
@@ -369,22 +406,16 @@ def test_rational_inverse():
 
 
 @st.composite
-def square_matrices(draw, dense_side=5):
-    """Dense square matrices of side up to ``dense_side``, or permuted
-    block-diagonal ones of side up to 8 with dense blocks of side up to 4.
-
-    Dense matrices stop at side 5 by default only for the Smith-form
-    oracle of the cokernel test: from side 6 on, the elimination of
-    ``smith_normal_form`` can grow the entries of a dense matrix without
-    bound.
-    """
+def square_matrices(draw):
+    """Dense square matrices of side up to 8, or permuted block-diagonal
+    ones of side up to 8 with dense blocks of side up to 4."""
     entries = st.integers(-5, 5)
 
     def dense(n):
         return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
 
     if draw(st.booleans(), label="dense"):
-        return draw(dense(draw(st.integers(1, dense_side))))
+        return draw(dense(draw(st.integers(1, 8))))
     sides = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda s: sum(s) <= 8))
     n = sum(sides)
     M = [[0] * n for _ in range(n)]
@@ -398,7 +429,7 @@ def square_matrices(draw, dense_side=5):
 
 
 @settings(max_examples=200, deadline=None)
-@given(square_matrices(dense_side=8))
+@given(square_matrices())
 def test_scaled_inverse_matches_fraction_inverse(M):
     det = det_bareiss(M)
     if det == 0:
@@ -421,6 +452,14 @@ def test_scaled_inverse_matches_fraction_inverse(M):
 def test_det_bareiss_rejects_an_entry_that_is_not_an_int(x):
     with pytest.raises(TypeError):
         det_bareiss([[x, 1], [0, 3]])
+
+
+@pytest.mark.parametrize("M", [[[1, 2, 3], [4, 5, 6]], [[1], [2]]])
+def test_det_bareiss_rejects_a_matrix_that_is_not_square(M):
+    # the first read -3, the determinant of its leading 2x2 block, and the
+    # second raised IndexError
+    with pytest.raises(ValueError):
+        det_bareiss(M)
 
 
 @pytest.mark.parametrize("x", [1.5, 2.0, Fraction(1, 2), Fraction(4)])
@@ -455,17 +494,11 @@ def unimodular_matrices(draw):
     return M
 
 
-def smith_cokernel(M, n):
-    """Oracle of ``cokernel_invariants``: the invariants read off the Smith
-    form alone."""
-    finite = tuple(d for d in smith_normal_form(M).divisors if d != 0)
-    return CokernelInvariants(finite, n - len(finite))
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(square_matrices(), unimodular_matrices()))
-def test_cokernel_determinant_shortcut_matches_smith(M):
+def test_cokernel_matches_minors_gcd(M):
     n = len(M)
     cok = cokernel_invariants(M, n)
-    assert cok == smith_cokernel(M, n)
+    assert all(d > 0 for d in cok.divisors)
+    assert_smith_divisors(M, cok.divisors + (0,) * cok.free_rank)
     assert cok.is_trivial == is_unimodular(M)
