@@ -6,9 +6,9 @@ exceptions into reported findings instead of stack traces.
 
 Integrality is checked where integers enter: a homomorphism entry, a
 class coefficient, a polarization entry or type entry, or an entry of
-an integer matrix (``intlinalg.int_matrix``) that is not an int raises
-the built-in ``TypeError``, an input error, so pullback and pushforward
-never meet a fraction and no check reports one.
+an integer matrix (``intlinalg.int_matrix``) that is not an int (a bool
+is not one) raises the built-in ``TypeError``, an input error, so
+pullback and pushforward never meet a fraction and no check reports one.
 """
 
 

@@ -152,9 +152,9 @@ class Multivector:
             for mask, coeff in terms.items():
                 if mask & ~full:
                     raise ValueError(f"mask {mask:#x} uses generators beyond rank {rank}")
+                if type(coeff) is not int:
+                    raise TypeError(f"coefficient {coeff!r} is not an integer")
                 if coeff:
-                    if not isinstance(coeff, int):
-                        raise TypeError(f"coefficient {coeff!r} is not an integer")
                     clean[mask] = coeff
         self._terms = clean
 

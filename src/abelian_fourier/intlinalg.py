@@ -79,7 +79,7 @@ def int_matrix(M) -> IntMatrix:
     """A fresh list-of-rows copy of an integer matrix; :class:`TypeError`
     on an entry that is not an int, which ``int()`` would truncate."""
     A = [list(row) for row in M]
-    if not all(isinstance(x, int) for row in A for x in row):
+    if not all(type(x) is int for row in A for x in row):
         raise TypeError(f"matrix {M!r} has an entry that is not an integer")
     return A
 

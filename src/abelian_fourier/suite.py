@@ -1,8 +1,9 @@
 """Named executable checks over the operator calculus, with witnesses.
 
 Every check evaluates one exact identity (or lattice certificate) on
-concretely constructed varieties and reports pass/fail together with a
-witness class on failure.  Checks are pure and deterministic: randomized
+concretely constructed varieties.  A check fails one way: its body
+raises :class:`CheckFailure` with a detail and the witness class; else
+it returns its pass note.  Checks are pure and deterministic: randomized
 ones derive all choices from an explicit seed that is recorded in the
 result parameters.
 
@@ -93,10 +94,9 @@ class CheckResult(namedtuple("CheckResult", "descriptor status witness detail ru
     __slots__ = ()
 
 
-def _equal_or_witness(lhs: Multivector, rhs: Multivector):
-    if lhs == rhs:
-        return True, None, None
-    return False, lhs - rhs, "left and right sides differ"
+def _require_equal(lhs: Multivector, rhs: Multivector) -> None:
+    if lhs != rhs:
+        raise CheckFailure("left and right sides differ", lhs - rhs)
 
 
 # --- individual checks -----------------------------------------------------
@@ -110,14 +110,13 @@ def _check_fourier_involution(A, seed):
         got = fourier(Ah, fourier(A, x))
         want = x * ((-1) ** (g + mask.bit_count()))
         if got != want:
-            return False, got - want, f"monomial mask {mask:#x}"
-    return True, None, None
+            raise CheckFailure(f"monomial mask {mask:#x}", got - want)
 
 
 def _check_beauville_exp(A, seed):
     lhs = fourier(A, A.theta_class().cup_exponential())
     rhs = (-dual(A).theta_class()).cup_exponential()
-    return _equal_or_witness(lhs, rhs)
+    _require_equal(lhs, rhs)
 
 
 # Up to this genus the checks that rest on a closed form (the star checks
@@ -143,9 +142,7 @@ def _check_star_exp_of_R(A, seed):
         rhs = star_exponential(X, arg, star)
         if g % 2:
             rhs = -rhs
-        if rhs != ch:
-            return _equal_or_witness(ch, rhs)
-    return True, None, None
+        _require_equal(ch, rhs)
 
 
 def _check_claim_star(A, seed):
@@ -156,7 +153,7 @@ def _check_claim_star(A, seed):
     rhs = (-poincare_class(Ah)).cup_exponential()
     if g % 2:
         rhs = -rhs
-    return _equal_or_witness(lhs, rhs)
+    _require_equal(lhs, rhs)
 
 
 def _check_eq35_minclass(A, seed):
@@ -165,14 +162,14 @@ def _check_eq35_minclass(A, seed):
     Y = product(Ah, A).variety
     ell_hat = poincare_class(Ah)
     arg = ell_hat if (g + 1) % 2 == 0 else -ell_hat
-    return _equal_or_witness(fourier(Y, arg), named_class(A, "R"))
+    _require_equal(fourier(Y, arg), named_class(A, "R"))
 
 
 def _check_tau_equals_R(A, seed):
     g = A.genus
     R = named_class(A, "R")
     want = R if (g + 1) % 2 == 0 else -R
-    return _equal_or_witness(named_class(A, "tau"), want)
+    _require_equal(named_class(A, "tau"), want)
 
 
 def _gaussian_hom(rng, h_src: int, h_tgt: int) -> list[list[int]]:
@@ -198,7 +195,7 @@ def _check_functoriality(A, seed):
             lhs = fhat.pullback(fourier(X, x))
             rhs = fourier(Y, f.pushforward(x))
             if lhs != rhs:
-                return False, lhs - rhs, f"pushforward law, dims ({h1},{h2}), mask {mask:#x}"
+                raise CheckFailure(f"pushforward law, dims ({h1},{h2}), mask {mask:#x}", lhs - rhs)
         for mask in range(1 << Y.rank):
             y = Multivector(Y.rank, {mask: 1})
             lhs = fourier(X, f.pullback(y))
@@ -206,8 +203,7 @@ def _check_functoriality(A, seed):
             if sign < 0:
                 rhs = -rhs
             if lhs != rhs:
-                return False, lhs - rhs, f"pullback law, dims ({h1},{h2}), mask {mask:#x}"
-    return True, None, None
+                raise CheckFailure(f"pullback law, dims ({h1},{h2}), mask {mask:#x}", lhs - rhs)
 
 
 def _random_even_class(rng, rank: int, max_terms: int = 4) -> Multivector:
@@ -235,12 +231,11 @@ def _check_product_exchange(A, seed):
         if g % 2:
             rhs = -rhs
         if lhs != rhs:
-            return False, lhs - rhs, f"cup-to-star law at genus {g}"
+            raise CheckFailure(f"cup-to-star law at genus {g}", lhs - rhs)
         lhs2 = fourier(X, pontryagin_reference(X, x, y))
         rhs2 = fourier(X, x).wedge(fourier(X, y))
         if lhs2 != rhs2:
-            return False, lhs2 - rhs2, f"star-to-cup law at genus {g}"
-    return True, None, None
+            raise CheckFailure(f"star-to-cup law at genus {g}", lhs2 - rhs2)
 
 
 def _check_theta_divided(A, seed):
@@ -252,17 +247,15 @@ def _check_theta_divided(A, seed):
             lhs = theta.wedge_power_divided(i)
             rhs = star_divided_power(A, gamma, g - i, star)
             if lhs != rhs:
-                return False, lhs - rhs, f"exponent i={i}"
-    return True, None, None
+                raise CheckFailure(f"exponent i={i}", lhs - rhs)
 
 
 def _check_kunneth_R(A, seed):
     lhs, rhs = kunneth_R_decomposition(A)
     if A.genus % 2:
         rhs = -rhs
-    ok, witness, detail = _equal_or_witness(lhs, rhs)
-    note = "compared after inserting the recorded (-1)^g normalization sign"
-    return ok, witness, detail or note
+    _require_equal(lhs, rhs)
+    return "compared after inserting the recorded (-1)^g normalization sign"
 
 
 def _check_sigma_triple_sum(A, seed):
@@ -285,25 +278,26 @@ def _check_sigma_triple_sum(A, seed):
                 continue
             term = mi.wedge(sh.square.pull_first(thp[j])).wedge(sh.square.pull_second(thp[k]))
             rhs = rhs + (term if (j + k) % 2 == 0 else -term)
-    return _equal_or_witness(lhs, rhs)
+    _require_equal(lhs, rhs)
 
 
-def _beta_certificate(A, lat2):
-    """Whether beta(D) over the divisor basis ``lat2`` spans the
-    curve-class lattice, as ``(ok, witness, detail)``.
+def _beta_certificate(A, lat2) -> None:
+    """Require beta(D) over the divisor basis ``lat2`` to span the
+    curve-class lattice.
 
-    A generator outside the Hodge lattice is a ``fail`` witnessed by that
-    generator, a nontrivial cokernel one witnessed by the first generator.
-    A pass has no detail; each check words its own.
+    A generator outside the Hodge lattice fails witnessed by that
+    generator, a nontrivial cokernel witnessed by the first generator.
+    Each check words its own pass note.
     """
     gens = [beta_from_divisor(A, D) for D in lat2.basis_classes()]
     try:
         cok = voisin_certificate(A, A.genus - 1, gens)
     except NotHodge as nh:
-        return False, gens[nh.index], f"generator {nh.index} is not a Hodge class"
+        raise CheckFailure(f"generator {nh.index} is not a Hodge class", gens[nh.index])
     if not cok.is_trivial:
-        return False, gens[0], f"cokernel invariants {cok.divisors}, free rank {cok.free_rank}"
-    return True, None, None
+        raise CheckFailure(
+            f"cokernel invariants {cok.divisors}, free rank {cok.free_rank}", gens[0]
+        )
 
 
 def _check_beta_surjectivity(A, seed):
@@ -317,14 +311,16 @@ def _check_beta_surjectivity(A, seed):
         for what, D in named:
             fast, ref = beta_from_divisor(A, D), beta_from_divisor_reference(A, D)
             if fast != ref:
-                return False, fast - ref, f"beta({what}) differs from the triple sum"
+                raise CheckFailure(f"beta({what}) differs from the triple sum", fast - ref)
     gamma = named_class(A, "gamma_theta")
     beta_theta = beta_from_divisor(A, A.theta_class())
     want = gamma if (g - 1) % 2 == 0 else -gamma
     if beta_theta != want:
-        return False, beta_theta - want, "beta(theta) has the wrong sign against the minimal class"
-    ok, witness, detail = _beta_certificate(A, lat2)
-    return ok, witness, detail or f"{lat2.rank} divisor classes generate the curve-class lattice"
+        raise CheckFailure(
+            "beta(theta) has the wrong sign against the minimal class", beta_theta - want
+        )
+    _beta_certificate(A, lat2)
+    return f"{lat2.rank} divisor classes generate the curve-class lattice"
 
 
 def _check_divided_square(A, seed):
@@ -336,9 +332,7 @@ def _check_divided_square(A, seed):
         sq = star_divided_power(X, R, 2, star)
         if g % 2:
             sq = -sq
-        if sq != sigma:
-            return _equal_or_witness(sigma, sq)
-    return True, None, None
+        _require_equal(sigma, sq)
 
 
 def _check_lemma51_diagram(A, seed):
@@ -354,17 +348,16 @@ def _check_lemma51_diagram(A, seed):
         via_sigma = correspondence_action(ctx_hat.pair, sigma_hat, x)
         direct = fourier(Ah, x)
         if via_sigma != direct:
-            return False, via_sigma - direct, f"degree-2 monomial {mask:#x}"
+            raise CheckFailure(f"degree-2 monomial {mask:#x}", via_sigma - direct)
         scaled = correspondence_action(ctx_hat.pair, sigma_hat * multiple, x)
         if scaled != direct * multiple:
-            return False, scaled - direct * multiple, f"integral multiple at mask {mask:#x}"
+            raise CheckFailure(f"integral multiple at mask {mask:#x}", scaled - direct * multiple)
     for mask in range(1 << A.rank):
         x = Multivector(A.rank, {mask: 1})
         via_ch = fourier_reference(A, x)
         direct = fourier(A, x)
         if via_ch != direct:
-            return False, via_ch - direct, f"full correspondence at mask {mask:#x}"
-    return True, None, None
+            raise CheckFailure(f"full correspondence at mask {mask:#x}", via_ch - direct)
 
 
 def _check_prop45_pushforward(A, seed):
@@ -376,10 +369,9 @@ def _check_prop45_pushforward(A, seed):
         standard_ppav(gA), standard_ppav(1)
     )
     if not split_ok:
-        return False, pushed, f"two-term split failed at dims ({gA},1)"
+        raise CheckFailure(f"two-term split failed at dims ({gA},1)", pushed)
     if not push_ok:
-        return False, pushed - expected, f"pushforward identity failed at dims ({gA},1)"
-    return True, None, None
+        raise CheckFailure(f"pushforward identity failed at dims ({gA},1)", pushed - expected)
 
 
 def _check_isogeny_degree(X, seed):
@@ -396,16 +388,14 @@ def _check_isogeny_degree(X, seed):
         comp = beta.compose(alpha)
         dual_comp = alpha.dual_hom().compose(beta.dual_hom())
         if comp.matrix != scalar_hom(X, m).matrix:
-            return False, X.fundamental_class(), f"beta . alpha != [{m}]"
+            raise CheckFailure(f"beta . alpha != [{m}]", X.fundamental_class())
         if alpha.degree() * beta.degree() != m ** (2 * g):
-            return (
-                False,
-                X.fundamental_class(),
+            raise CheckFailure(
                 f"deg(alpha) deg(beta) = {alpha.degree() * beta.degree()} != {m}^{2 * g}",
+                X.fundamental_class(),
             )
         if dual_comp.matrix != scalar_hom(dual(X), m).matrix:
-            return False, X.fundamental_class(), f"dual(alpha) . dual(beta) != [{m}]"
-    return True, None, None
+            raise CheckFailure(f"dual(alpha) . dual(beta) != [{m}]", X.fundamental_class())
 
 
 def _check_hodge_fourier_unimodular(A, seed):
@@ -421,18 +411,16 @@ def _check_hodge_fourier_unimodular(A, seed):
                 what = "transform matrix not unimodular"
             cok = fm.cokernel
             detail = f"cokernel invariants {cok.divisors}, free rank {cok.free_rank}"
-            return False, witness, f"{what} at half-degree {i}: {detail}"
-    return True, None, None
+            raise CheckFailure(f"{what} at half-degree {i}: {detail}", witness)
 
 
 def _check_ihc_certificate(A, seed):
     g = A.genus
     lat2 = hodge_lattice(A, 1)
     if lat2.rank != g * g:
-        return False, A.theta_class(), f"divisor lattice rank {lat2.rank} != {g * g}"
-    ok, witness, detail = _beta_certificate(A, lat2)
-    note = f"rank {lat2.rank} divisor lattice, trivial cokernel in degree {2 * g - 2}"
-    return ok, witness, detail or note
+        raise CheckFailure(f"divisor lattice rank {lat2.rank} != {g * g}", A.theta_class())
+    _beta_certificate(A, lat2)
+    return f"rank {lat2.rank} divisor lattice, trivial cokernel in degree {2 * g - 2}"
 
 
 def _check_poincare_normalization(A, seed):
@@ -442,12 +430,11 @@ def _check_poincare_normalization(A, seed):
     expected = (-1) ** g * factorial(2 * g)
     if value != expected:
         diff = Multivector(X.rank, {(1 << X.rank) - 1: value - expected})
-        return False, diff, f"integrate(ell^{2 * g}) = {value}, expected {expected}"
-    note = (
+        raise CheckFailure(f"integrate(ell^{2 * g}) = {value}, expected {expected}", diff)
+    return (
         f"integrate(ell^{2 * g}) = (-1)^{g} ({2 * g})! = {expected}; a "
         "displayed-positive top normalization differs by (-1)^g"
     )
-    return True, None, note
 
 
 def _check_ell_integrality(A, seed):
@@ -458,8 +445,7 @@ def _check_ell_integrality(A, seed):
         try:
             ell.wedge_power(k).divide_exact(factorial(k))
         except NonDivisible as nd:
-            return False, nd.witness, f"ell^{k}/{k}! is not integral: {nd}"
-    return True, None, None
+            raise CheckFailure(f"ell^{k}/{k}! is not integral: {nd}", nd.witness)
 
 
 def _genera(lo: int, hi: int) -> tuple[dict, ...]:
@@ -475,10 +461,10 @@ class _CheckSpec(
 ):
     """One check and how the runner and the default grids treat it.
 
-    ``fn(A, seed)`` returns ``(ok, witness, detail)``; ``A`` is the
-    injected variety, or else ``standard_ppav(genus)``.  It may raise
-    :class:`UnsupportedParams` to skip and a :class:`CheckFailure` to
-    fail.  ``ceiling`` is the largest genus run at desk scale;
+    ``fn(A, seed)`` returns its pass note, a str or None; ``A`` is the
+    injected variety, or else ``standard_ppav(genus)``.  It fails only
+    by raising :class:`CheckFailure` and skips by raising
+    :class:`UnsupportedParams`.  ``ceiling`` is the largest genus run at desk scale;
     ``principal`` the reason given when the polarization is not
     principal; ``own_models`` marks a check that builds further
     standard_ppav models from the genus of its ``A``, so refuses an
@@ -648,15 +634,19 @@ def run_check(name: str, **params) -> CheckResult:
     the check body.  A hypothesis that does not hold, there or in the
     body, raises :class:`UnsupportedParams` (or its subclass
     :class:`NoComplexStructure`) and the check is ``skipped`` with the
-    reason.  A mathematical failure (an inexact division, a transform
-    image outside the Hodge lattice, a star series that does not
-    terminate) raises a :class:`CheckFailure` and is a ``fail`` carrying
-    the class that witnesses it.  An unknown name, an unknown or mistyped
-    parameter and a non-positive genus are input errors and raise.
+    reason.  A mathematical failure (two sides that differ, an inexact
+    division, a transform image outside the Hodge lattice, a star series
+    that does not terminate) raises a :class:`CheckFailure` and is a
+    ``fail`` carrying the class that witnesses it; that is the only way a
+    check fails.  Otherwise the check passes with the note its body
+    returns.  An unknown name, an unknown or mistyped parameter and a
+    non-positive genus are input errors and raise, as does a body that
+    returns anything but a str or None (a ``TypeError``).
     """
     descriptor = _descriptor(name, params)
     spec = REGISTRY[name]
     genus = dict(descriptor.params).get("genus", 1)
+    status, witness = "pass", None
     start = time.perf_counter()
     try:
         if genus > spec.ceiling:
@@ -673,10 +663,11 @@ def run_check(name: str, **params) -> CheckResult:
             )
         if spec.principal and not A.is_principal:
             raise UnsupportedParams(spec.principal)
-        ok, witness, detail = spec.fn(A, params.get("seed", 0))
-        status = "pass" if ok else "fail"
+        detail = spec.fn(A, params.get("seed", 0))
+        if detail is not None and not isinstance(detail, str):
+            raise TypeError(f"check {name} returned {detail!r}, not a pass note")
     except UnsupportedParams as exc:
-        status, witness, detail = "skipped", None, str(exc)
+        status, detail = "skipped", str(exc)
     except CheckFailure as exc:
         status, witness, detail = "fail", exc.witness, str(exc)
     runtime_ms = int((time.perf_counter() - start) * 1000)

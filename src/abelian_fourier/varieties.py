@@ -129,8 +129,9 @@ def _exact_entry(x):
         return x
     from fractions import Fraction
 
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f
+    if not isinstance(x, Fraction):
+        raise TypeError(f"complex structure entry {x!r} is neither an int nor a Fraction")
+    return int(x) if x.denominator == 1 else x
 
 
 def _paired_type(E) -> tuple[int, ...]:
@@ -210,7 +211,8 @@ def _theta_orientation(E, g, delta) -> int:
 def make_variety(E, J=None, name: str = "A") -> AbelianVariety:
     """Validated abelian variety from a polarization and optional J.
 
-    Raises :class:`TypeError` on an entry of E that is not an int, and
+    Raises :class:`TypeError` on an entry of E that is not an int or of J
+    that is neither an int nor a Fraction (a float or a bool, say), and
     :class:`NotAlternating`, :class:`SingularPolarization`,
     :class:`ComplexStructureInvalid` (``J^2 != -1``) or
     :class:`RiemannRelationViolated` (compatibility or positivity).
@@ -276,7 +278,7 @@ def elliptic_product(delta, name: str | None = None) -> AbelianVariety:
     ``delta`` that is not an int is a :class:`TypeError`.
     """
     delta = tuple(delta)
-    if not all(isinstance(d, int) for d in delta):
+    if not all(type(d) is int for d in delta):
         raise TypeError(f"polarization type {delta} has an entry that is not an integer")
     g = len(delta)
     if g == 0 or any(d <= 0 for d in delta):
@@ -356,7 +358,7 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix holomorphic"
                 f"matrix shape {len(matrix)}x{len(matrix[0]) if matrix else 0}"
                 f" does not map rank {source.rank} to rank {target.rank}"
             )
-        if not all(isinstance(e, int) for row in matrix for e in row):
+        if not all(type(e) is int for row in matrix for e in row):
             raise TypeError(f"matrix {matrix!r} has an entry that is not an integer")
         if holomorphic and source.J is not None and target.J is not None:
             # in ints for integral J (see _exact_matrix)

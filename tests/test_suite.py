@@ -265,6 +265,26 @@ def test_an_unmet_hypothesis_in_a_body_is_a_skip(monkeypatch, skip):
     )
 
 
+@pytest.mark.parametrize(
+    "returned",
+    [(False, WITNESS, "left and right sides differ"), (True, None, None), True, WITNESS],
+    ids=["fail-tuple", "pass-tuple", "bool", "class"],
+)
+def test_a_body_that_returns_anything_but_a_note_is_a_type_error(monkeypatch, returned):
+    # a body fails only by raising CheckFailure; a leftover (ok, witness,
+    # detail) tuple must not be reported as a pass whose detail is a tuple
+    with_body(monkeypatch, "fourier_involution", lambda A, seed: returned)
+    with pytest.raises(TypeError, match="fourier_involution returned"):
+        run_check("fourier_involution", genus=1)
+
+
+@pytest.mark.parametrize("note", [None, "a pass note"])
+def test_a_body_that_returns_a_note_or_none_passes_with_it(monkeypatch, note):
+    with_body(monkeypatch, "fourier_involution", lambda A, seed: note)
+    r = run_check("fourier_involution", genus=1)
+    assert (r.status, r.witness, r.detail) == ("pass", None, note)
+
+
 def test_other_input_errors_escape_a_body(monkeypatch):
     # like a non-positive genus and an unknown name (the tests above), an
     # input error other than UnsupportedParams raises and is not a skip
@@ -438,9 +458,9 @@ def test_isogeny_degree_above_its_ceiling_within_seconds(g):
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(10)
     try:
-        ok, witness, detail = suite._check_isogeny_degree(standard_ppav(g), 0)
+        # a failure raises CheckFailure; a pass returns no note
+        note = suite._check_isogeny_degree(standard_ppav(g), 0)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert ok, detail
-    assert witness is None
+    assert note is None

@@ -23,7 +23,7 @@ from abelian_fourier.errors import (
 from abelian_fourier.exterior import Multivector, wedge_sign
 from abelian_fourier.fourier import fourier, graph_of_polarization
 from abelian_fourier.hodge import _derive, _slot_rows
-from abelian_fourier.intlinalg import mat_mul
+from abelian_fourier.intlinalg import det_bareiss, mat_mul
 from abelian_fourier.suite import _gaussian_hom, default_suite, run_suite
 from abelian_fourier.varieties import (
     Homomorphism,
@@ -160,6 +160,14 @@ def test_rational_J_accepted():
     image = _derive(_slot_rows(A.J), [(0b01, 1), (0b10, 1)])
     assert image == {0b10: Fraction(-1, 2), 0b01: 2}
     assert type(image[0b01]) is int
+
+
+@pytest.mark.parametrize("half", [-0.5, "-1/2", True], ids=["float", "str", "bool"])
+def test_make_variety_rejects_a_J_entry_that_is_neither_an_int_nor_a_fraction(half):
+    # -0.5 built the rational-J model through Fraction(-0.5), a float in an
+    # exact model; True was read as the int 1
+    with pytest.raises(TypeError, match="neither an int nor a Fraction"):
+        make_variety(STD_E, [[0, half], [2, 0]])
 
 
 def test_integral_J_is_int_on_every_construction():
@@ -498,6 +506,24 @@ def test_homomorphism_rejects_non_integer_entries(half):
     E1 = gaussian_elliptic_curve()
     with pytest.raises(TypeError):
         Homomorphism(E1, E1, ((half, 0), (0, 1)), False)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: det_bareiss([[True, 0], [0, True]]),
+        lambda: elliptic_product((True, 2)),
+        lambda: Homomorphism(gaussian_elliptic_curve(), gaussian_elliptic_curve(),
+                             ((True, 0), (0, 1)), False),
+        lambda: Multivector(2, {0b01: True}),
+    ],
+    ids=["int_matrix", "elliptic_product", "Homomorphism", "Multivector"],
+)
+def test_a_bool_is_not_an_int_entry(build):
+    # each built from the bool as the int 1: det_bareiss returned True and
+    # elliptic_product named its model E_i^2(True, 2)
+    with pytest.raises(TypeError):
+        build()
 
 
 def _fixed_homs():
