@@ -22,6 +22,7 @@ from .errors import CheckFailure, RankMismatch, UnknownCheck, UnsupportedParams
 from .exterior import bits_of
 from .fourier import fourier, inverse_fourier
 from .hodge import hodge_lattice, voisin_certificate
+from .intlinalg import dense_columns
 from .report import (
     ReportDocument,
     class_from_dict,
@@ -121,7 +122,7 @@ def _cmd_hodge(args) -> int:
         "rank": lat.rank,
         "ambient_dimension": ambient,
         "basis_monomials": [bits_of(m) for m in lat.masks],
-        "basis": [[str(x) for x in row] for row in lat.basis],
+        "basis": [[str(x) for x in row] for row in dense_columns(lat.basis, ambient)],
         "saturation_divisors": ["1"] * lat.rank,
         "saturation_free_rank": ambient - lat.rank,
     }

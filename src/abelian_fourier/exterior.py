@@ -252,7 +252,7 @@ class Multivector:
         return Multivector._trusted(self.rank, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, n: int) -> "Multivector":
-        if not isinstance(n, int):
+        if type(n) is not int:  # a bool is not a scalar
             return NotImplemented
         return Multivector(self.rank, {m: c * n for m, c in self._terms.items()})
 

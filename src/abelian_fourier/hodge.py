@@ -20,12 +20,15 @@ The rows of ``D_J`` in degree 2k are built sparse, one pass over the slot
 terms of every monomial (:func:`_derive`), and
 :func:`intlinalg.kernel_saturated_sparse` reads their supports.  On the
 shipped models J splits over the elliptic factors, so the derivation is
-block diagonal up to a permutation of the monomials.  The kernel takes one
-column echelon form per connected block, which also gives an integer left
-inverse L of the kernel basis B, ``L B = I``: the proof that B is
-saturated.  :meth:`HodgeLattice.coordinates` of x is ``L x``, checked
-against x.  A model whose J does not split is one block.  :func:`is_hodge`
-tests ``D_J x = 0`` in one pass over the terms of x.
+block diagonal up to a permutation of the monomials, and few of its blocks
+are distinct: on E^5 in degree 4, 70 nonempty blocks are 4 distinct ones.
+The kernel takes one column echelon form per distinct block, which also
+gives an integer left inverse L of the kernel basis B, ``L B = I``: the
+proof that B is saturated.  B stays sparse by column and L by row.
+:meth:`HodgeLattice.coordinates` of x is ``L x``, read at the entries of
+L, checked against the sum of the columns it names.  A model whose J does
+not split is one block.  :func:`is_hodge` tests ``D_J x = 0`` in one pass
+over the terms of x.
 
 Every certificate is a :func:`voisin_certificate`: the coordinates of
 Hodge generators, whose cokernel :func:`intlinalg.cokernel_invariants`
@@ -104,7 +107,7 @@ def _derive(rows, terms) -> dict:
 @lru_cache(maxsize=None)
 def _lattice_tables(J, k: int):
     """``(masks, basis, inverse)``: the saturated kernel of ``D_J`` in
-    degree 2k and its left inverse.
+    degree 2k, sparse by column, and its left inverse, sparse by row.
 
     The rows of ``D_J`` are kept sparse, as ``{column: entry}``: column j
     is ``D_J`` of the j-th monomial, in ints where J is integral and
@@ -118,60 +121,72 @@ def _lattice_tables(J, k: int):
         for m, c in _derive(rows_J, ((mask, 1),)).items():
             rows[index[m]][j] = c
     basis, inverse = intlinalg.kernel_saturated_sparse(rows, len(masks))
-    return tuple(masks), tuple(map(tuple, basis)), tuple(inverse)
+    return tuple(masks), tuple(basis), tuple(inverse)
 
 
 class HodgeLattice(namedtuple("HodgeLattice", "A k masks basis inverse")):
     """Saturated lattice of integral (k, k)-classes in degree 2k.
 
-    ``masks`` orders the ambient monomial basis; ``basis`` (B) has one
-    column per lattice generator, in those coordinates, and ``inverse``
-    (L) one sparse row of ``(ambient index, entry)`` pairs per generator.
-    ``L B = I`` proves saturation: the lattice is a direct summand of the
-    full degree-2k lattice.
+    ``masks`` orders the ambient monomial basis.  ``basis`` (B) holds one
+    sparse column per lattice generator, a tuple of ``(ambient index,
+    entry)`` pairs, and ``inverse`` (L) one sparse row of the same pairs
+    per generator.  ``L B = I`` proves saturation: the lattice is a direct
+    summand of the full degree-2k lattice.  ``intlinalg.dense_columns``
+    makes B dense.
     """
 
     __slots__ = ()
 
     @property
     def rank(self) -> int:
-        return len(self.basis[0]) if self.basis else 0
+        return len(self.basis)
 
     def ambient_dimension(self) -> int:
         return len(self.masks)
 
-    def basis_classes(self) -> list[Multivector]:
-        return [Multivector(self.A.rank, dict(zip(self.masks, b))) for b in zip(*self.basis)]
+    def _class(self, column) -> Multivector:
+        return Multivector(self.A.rank, {self.masks[i]: x for i, x in column})
 
-    def ambient_vector(self, x: Multivector) -> list[int]:
-        return [x.coefficient(m) for m in self.masks]
+    def basis_classes(self) -> list[Multivector]:
+        return [self._class(column) for column in self.basis]
 
     def coordinates(self, x: Multivector):
         """Integer coordinates of x in the lattice basis, or None.
 
-        The candidate ``c = L x`` is returned only if ``sum_j c_j b_j == x``
-        exactly, so a non-member (a term of another degree included) and a
-        wrong L both give None.  ``intlinalg.rational_solve`` on the whole
-        basis is the oracle.
+        The candidate ``c = L x`` reads x only at the entries of L.  It is
+        returned only if ``sum_j c_j b_j``, over the columns with
+        ``c_j != 0``, equals x exactly, rank included, so a non-member (a
+        term of another degree included) and a wrong L both give None.
+        ``intlinalg.rational_solve`` on the whole basis is the oracle.
         """
-        v = self.ambient_vector(x)
-        c = [sum(e * v[i] for i, e in row) for row in self.inverse]
-        support = [(j, cj) for j, cj in enumerate(c) if cj]
-        Bc = {m: sum(row[j] * cj for j, cj in support) for m, row in zip(self.masks, self.basis)}
-        return c if Multivector(self.A.rank, Bc) == x else None
+        masks, coefficient = self.masks, x.coefficient
+        c = [sum(e * coefficient(masks[i]) for i, e in row) for row in self.inverse]
+        Bc: dict[int, int] = {}
+        for cj, column in zip(c, self.basis):
+            if cj:
+                for i, b in column:
+                    Bc[i] = Bc.get(i, 0) + cj * b
+        terms = {masks[i]: v for i, v in Bc.items() if v}
+        return c if Multivector._trusted(self.A.rank, terms) == x else None
 
     def check_saturated(self) -> None:
-        """Check ``L B = I``, which proves the basis saturated: row s of ``L B``
-        adds up, as lists, the rows of B that row s of L names.  The first b_t
-        with ``L b_t != e_t`` raises :class:`CheckFailure`, witness ``b_t``."""
-        LB = [[0] * self.rank for _ in self.inverse]
+        """Check ``L B = I``, which proves the basis saturated.  L is indexed
+        by ambient index, so ``L b_t`` walks only the entries of column
+        ``b_t``.  The first b_t with ``L b_t != e_t`` raises
+        :class:`CheckFailure`, witness ``b_t``; so does b_0 when L does not
+        have one row per basis class."""
+        by_index: dict[int, list] = {}
         for s, row in enumerate(self.inverse):
             for i, e in row:
-                LB[s] = [a + e * x for a, x in zip(LB[s], self.basis[i])]
-        for t, *column in zip(range(self.rank), *LB):
-            if column != [0] * t + [1] + [0] * (self.rank - t - 1):
+                by_index.setdefault(i, []).append((s, e))
+        for t, column in enumerate(self.basis):
+            image: dict[int, int] = {}
+            for i, x in column:
+                for s, e in by_index.get(i, ()):
+                    image[s] = image.get(s, 0) + e * x
+            if len(self.inverse) != self.rank or {s: v for s, v in image.items() if v} != {t: 1}:
                 message = f"the lattice's left inverse does not invert basis class {t}"
-                raise CheckFailure(message, self.basis_classes()[t])
+                raise CheckFailure(message, self._class(column))
 
 
 def hodge_lattice(V: AbelianVariety, k: int) -> HodgeLattice:

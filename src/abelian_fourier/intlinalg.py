@@ -8,8 +8,13 @@ Matrices are dense lists of rows, except for the kernel:
 :func:`kernel_saturated_sparse` takes sparse rows ``{column: entry}``,
 splits the matrix into the connected blocks of its row/column support
 graph and makes only each block dense, so a 210x210 operator whose blocks
-have side at most 16 costs eliminations of side 16, not one of side 210.
-A dense matrix enters it through :func:`sparse_rows`.
+have side at most 8 costs eliminations of side 8, not one of side 210.
+Blocks with equal entries share one elimination: the 70 nonempty blocks
+of that operator (the derivation of E^5 in degree 4) are 4 distinct ones.
+It returns the kernel basis K sparse by column, as pairs ``(row index,
+entry)``, and its left inverse L sparse by row, so nothing of side 210 is
+ever dense.  A dense matrix enters it through :func:`sparse_rows`, and
+:func:`kernel_saturated` makes K dense again by :func:`dense_columns`.
 
 Two eliminations serve everything.  The column echelon form
 :func:`_echelon` (Cohen, GTM 138, section 2.4) gives kernels, with the
@@ -246,24 +251,42 @@ def _kernel(A: IntMatrix, cols: int) -> tuple[IntMatrix, IntMatrix]:
     return [row[r:] for row in V], V_inverse[r:]
 
 
+def dense_columns(columns, rows: int) -> IntMatrix:
+    """The dense rows x len(columns) matrix of sparse columns, each a
+    tuple of ``(row index, entry)`` pairs, as :func:`kernel_saturated_sparse`
+    returns its kernel basis.
+
+    >>> dense_columns([((0, 1), (2, 5)), ((1, -1),)], 3)
+    [[1, 0], [0, -1], [5, 0]]
+    """
+    M = [[0] * len(columns) for _ in range(rows)]
+    for t, column in enumerate(columns):
+        for i, x in column:
+            M[i][t] = x
+    return M
+
+
 def kernel_saturated(M) -> IntMatrix:
     """Basis of the saturated integer kernel of a rational matrix.
 
     Returns a matrix whose columns form a basis of
-    ``{x in Z^cols : M x = 0}``; the basis of :func:`kernel_saturated_sparse`
-    of :func:`sparse_rows`, where the blocks are split.
+    ``{x in Z^cols : M x = 0}``: the sparse basis of
+    :func:`kernel_saturated_sparse` of :func:`sparse_rows`, where the
+    blocks are split, made dense by :func:`dense_columns`.
 
     >>> kernel_saturated([[2, -2]])
     [[1], [1]]
     >>> kernel_saturated([[1, -1, 0, 0], [0, 0, 2, -2]])
     [[1, 0], [1, 0], [0, 1], [0, 1]]
     """
-    return kernel_saturated_sparse(*sparse_rows(M))[0]
+    rows, cols = sparse_rows(M)
+    return dense_columns(kernel_saturated_sparse(rows, cols)[0], cols)
 
 
-def kernel_saturated_sparse(rows: list[dict], cols: int) -> tuple[IntMatrix, list[tuple]]:
-    """The saturated kernel basis K of a matrix given as sparse rows, and
-    an integer left inverse L of it, ``L K = I``, one tuple of nonzero
+def kernel_saturated_sparse(rows: list[dict], cols: int) -> tuple[list[tuple], list[tuple]]:
+    """The saturated kernel basis K of a matrix given as sparse rows, one
+    tuple of nonzero ``(row index, entry)`` pairs per column, and an
+    integer left inverse L of it, ``L K = I``, one tuple of nonzero
     ``(column, entry)`` pairs per row.
 
     ``rows[i]`` maps the columns of row i to its nonzero int or Fraction
@@ -277,25 +300,37 @@ def kernel_saturated_sparse(rows: list[dict], cols: int) -> tuple[IntMatrix, lis
     move a column echelon, so it gets exactly the basis of
     :func:`kernel_saturated_reference`.
 
+    Blocks with equal entries have equal kernels, so each distinct block
+    is solved once: a dict that lives for this call maps the entries of a
+    block to its kernel and left inverse in block coordinates, which later
+    equal blocks only read.  The derivation of a split complex structure
+    repeats few blocks many times: on E^5 in degree 4 the 70 nonempty
+    blocks are 4 distinct ones, on E^4 26 blocks are 4, and on E^6 in
+    degree 6 242 blocks are 6.
+
     >>> kernel_saturated_sparse([{0: 2, 1: -2}], 2)
-    ([[1], [1]], [((1, 1),)])
+    ([((0, 1), (1, 1))], [((1, 1),)])
     """
     rows = [_clear_denominators(row) for row in rows]
     kernel, inverse = [], []  # the columns of K and the rows of L, sparse
+    solved: dict = {}  # block entries -> its (K_b, L_b), in block coordinates
     for brows, bcols in _row_blocks(rows, cols):
         if not brows:
             kernel.append(((bcols[0], 1),))
             inverse.append(((bcols[0], 1),))
             continue
-        Kb, Lb = _kernel(_dense([rows[i] for i in brows], bcols), len(bcols))
-        for column, row in zip(zip(*Kb), Lb):
-            kernel.append([(j, x) for j, x in zip(bcols, column) if x])
-            inverse.append(tuple((j, x) for j, x in zip(bcols, row) if x))
-    K = [[0] * len(kernel) for _ in range(cols)]
-    for t, column in enumerate(kernel):
-        for j, x in column:
-            K[j][t] = x
-    return K, inverse
+        block = _dense([rows[i] for i in brows], bcols)
+        key = tuple(map(tuple, block))
+        if key not in solved:
+            Kb, Lb = _kernel(block, len(bcols))
+            solved[key] = (
+                [tuple((t, x) for t, x in enumerate(column) if x) for column in zip(*Kb)],
+                [tuple((t, x) for t, x in enumerate(row) if x) for row in Lb],
+            )
+        Kb, Lb = solved[key]
+        kernel += [tuple((bcols[t], x) for t, x in column) for column in Kb]
+        inverse += [tuple((bcols[t], x) for t, x in row) for row in Lb]
+    return kernel, inverse
 
 
 def kernel_saturated_reference(M) -> IntMatrix:

@@ -384,7 +384,12 @@ def _check_isogeny_degree(X, seed):
                 break
         alpha = Homomorphism(X, X, tuple(tuple(r) for r in M), True)
         m = alpha.degree()
-        beta = Homomorphism(X, X, tuple(map(tuple, intlinalg.scaled_inverse(M, m))), True)
+        try:
+            B = intlinalg.scaled_inverse(M, m)
+        except ValueError as exc:
+            # a wrong degree leaves m alpha^{-1} non-integral: no beta exists
+            raise CheckFailure(f"no beta with beta . alpha = [{m}]: {exc}", X.fundamental_class())
+        beta = Homomorphism(X, X, tuple(map(tuple, B)), True)
         comp = beta.compose(alpha)
         dual_comp = alpha.dual_hom().compose(beta.dual_hom())
         if comp.matrix != scalar_hom(X, m).matrix:

@@ -1,6 +1,7 @@
 """Hodge lattices: ranks, membership, certificates, and the derivation
 D_J against the Gaussian-prime operator ``T - p^k`` it replaced."""
 
+import hashlib
 import random
 import signal
 from fractions import Fraction
@@ -34,6 +35,7 @@ from abelian_fourier.hodge import (
 )
 from abelian_fourier.intlinalg import (
     cokernel_invariants,
+    dense_columns,
     kernel_saturated,
     kernel_saturated_reference,
     mat_mul,
@@ -49,6 +51,11 @@ from abelian_fourier.varieties import (
 from test_exterior import apply_generator_images
 from test_fourier import E8_HERMITIAN, other_basis
 from test_intlinalg import assert_smith_divisors, rational_inverse, time_limit
+
+
+def dense_basis(lat):
+    """The basis of a lattice as a dense ambient x rank matrix."""
+    return dense_columns(lat.basis, lat.ambient_dimension())
 
 
 def brute_force_hodge_rank(A, k, ab=(1, 2)):
@@ -206,9 +213,7 @@ def test_saturation():
         A = standard_ppav(g)
         for k in (1, g - 1):
             lat = hodge_lattice(A, k)
-            cok = cokernel_invariants(
-                [list(r) for r in lat.basis], lat.ambient_dimension()
-            )
+            cok = cokernel_invariants(dense_basis(lat), lat.ambient_dimension())
             assert all(d == 1 for d in cok.divisors)
 
 
@@ -257,7 +262,7 @@ def test_divisor_power_span_full_lattice():
         coords = []
         for j in range(ncols):
             v = [span[i][j] for i in range(len(span))]
-            sol = rational_solve([list(r) for r in lat.basis], v)
+            sol = rational_solve(dense_basis(lat), v)
             assert sol is not None
             coords.append([int(s) for s in sol])
         G = [[coords[j][i] for j in range(ncols)] for i in range(lat.rank)]
@@ -364,7 +369,7 @@ def test_other_basis_lattices_finish_with_small_entries():
         assert all(is_hodge(A, u) for u in lat.basis_classes())
         lat.check_saturated()
     lat = hodge_lattice(other_basis(standard_ppav(2), random.Random(16), 40), 1)
-    assert max(abs(x) for row in lat.basis for x in row) < 10**4
+    assert max(abs(x) for column in lat.basis for _, x in column) < 10**4
 
 
 def test_fourier_hodge_matrix():
@@ -386,7 +391,7 @@ def test_coordinates_reject_unsaturated_basis():
     # 2 e0e1 (coordinate 1) get None, never a truncated or wrong vector
     for entry in (1, 0, -1, 2):
         lat = HodgeLattice(
-            A=standard_ppav(1), k=1, masks=(0b11,), basis=((2,),), inverse=(((0, entry),),)
+            A=standard_ppav(1), k=1, masks=(0b11,), basis=(((0, 2),),), inverse=(((0, entry),),)
         )
         assert lat.coordinates(Multivector(2, {0b11: 1})) is None
         assert lat.coordinates(Multivector(2, {0b11: 2})) is None
@@ -396,7 +401,7 @@ def test_coordinates_reject_unsaturated_basis():
     # is zero): an answer is the true coordinate vector or None
     A = standard_ppav(2)
     masks = (0b0011, 0b0101, 0b0110, 0b1100)
-    basis = ((1, 0), (1, 0), (0, 0), (0, 1))
+    basis = (((0, 1), (1, 1)), ((3, 1),))
     right = [(((0, 1),), ((3, 1),)), (((1, 1),), ((3, 1), (2, 5)))]
     # each wrong L with the first basis class it does not invert
     wrong = [
@@ -424,6 +429,11 @@ def test_coordinates_reject_unsaturated_basis():
         with pytest.raises(CheckFailure) as exc:
             lat.check_saturated()
         assert exc.value.witness == lat.basis_classes()[bad]
+    # an L with a row too many fails at the first basis class
+    lat = HodgeLattice(A=A, k=1, masks=masks, basis=basis, inverse=(*right[0], ()))
+    with pytest.raises(CheckFailure) as exc:
+        lat.check_saturated()
+    assert exc.value.witness == lat.basis_classes()[0]
 
 
 def test_coordinates_reject_terms_outside_the_degree():
@@ -555,7 +565,7 @@ def test_hodge_lattice_spans_oracle_lattice(V):
         lat = hodge_lattice(V, k)
         M, ref = oracle_kernel(V, k)
         if V.genus < 5:
-            assert_same_lattice(lat.basis, ref)
+            assert_same_lattice(dense_basis(lat), ref)
             continue
         # at genus 5 the two eliminations of in_span, on 210 rows with 200
         # columns, would triple the test's time; a saturated basis of
@@ -563,8 +573,8 @@ def test_hodge_lattice_spans_oracle_lattice(V):
         # of M, with index 1.  The basis is
         # saturated: test_sparse_operator_rows_give_the_dense_kernel_basis
         # pins it to kernel_saturated's on the dense derivation
-        assert len(lat.basis[0]) == len(ref[0])
-        assert_in_kernel(lat.basis, M)
+        assert lat.rank == len(ref[0])
+        assert_in_kernel(dense_basis(lat), M)
 
 
 def test_parameter_independence():
@@ -575,7 +585,7 @@ def test_parameter_independence():
         for k in range(A.genus + 1):
             lat = hodge_lattice(A, k)
             for ab in ((1, 2), (2, 3), (2, 1)):
-                assert_same_lattice(lat.basis, kernel_saturated_reference(operator_matrix(A, k, ab)))
+                assert_same_lattice(dense_basis(lat), kernel_saturated_reference(operator_matrix(A, k, ab)))
 
 
 def test_unit_parameter_is_inadmissible():
@@ -594,9 +604,48 @@ def test_sparse_operator_rows_give_the_dense_kernel_basis(V):
     for k in range(V.genus + 1):
         basis = kernel_saturated(derivation_matrix(V, k))
         lat = hodge_lattice(V, k)
-        assert lat.basis == tuple(tuple(row) for row in basis)
+        assert dense_basis(lat) == basis
         # and the memoized inverse proves it saturated: L B = I
         lat.check_saturated()
+
+
+# sha256 of ``repr((B, L))`` over k = 0 .. g, B the dense basis and L the
+# sparse inverse of each lattice, recorded before the kernel solved each
+# distinct block once and kept B sparse: the basis and inverse of every
+# (model, k) are the ones the dense, block-by-block kernel gave
+LATTICE_SHA256 = {
+    "E_i^1": "3edbcb24afe77acfe7110b56621a310492bf9e77692c0c827b710fa526fc208f",
+    "E_i^2": "4093803cdc172790b3ee6c641f31b04b948cb63c1fee703761ad912f905287c0",
+    "E_i^3": "268886e4d9496552983d32c4ba94af5c7d00569c14209d4e501b77c33bdd710c",
+    "E_i^4": "fe02bdabd4be475e9f0b7c3cf62ddec94aa3a93bed7c6e8cf7873cc79eb3a3af",
+    "E_i^5": "4af6c41b3973d74c30974d9dd0616641f14df0b250f73432d8b1e5e817798737",
+    "E_i^2(1, 2)": "4093803cdc172790b3ee6c641f31b04b948cb63c1fee703761ad912f905287c0",
+    "E_i^3(1, 1, 2)": "268886e4d9496552983d32c4ba94af5c7d00569c14209d4e501b77c33bdd710c",
+    "E_i^5(1, 1, 1, 2, 2)": "4af6c41b3973d74c30974d9dd0616641f14df0b250f73432d8b1e5e817798737",
+    "E_rational": "3edbcb24afe77acfe7110b56621a310492bf9e77692c0c827b710fa526fc208f",
+    "E_i^2 in another basis": "4901cda8f8e277a1dffb1b2dbb9de0fdb60610323d016c8a5de532cbb5108dbb",
+    "E_i^3 in another basis": "9906ad43cfa2b0013af4192f70b4a13bf957f64fbded294a8583d19e6287e619",
+    "E_i^1^": "3edbcb24afe77acfe7110b56621a310492bf9e77692c0c827b710fa526fc208f",
+    "E_i^2^": "4093803cdc172790b3ee6c641f31b04b948cb63c1fee703761ad912f905287c0",
+    "E_i^3^": "268886e4d9496552983d32c4ba94af5c7d00569c14209d4e501b77c33bdd710c",
+    "E_i^4^": "fe02bdabd4be475e9f0b7c3cf62ddec94aa3a93bed7c6e8cf7873cc79eb3a3af",
+    "E_i^5^": "4af6c41b3973d74c30974d9dd0616641f14df0b250f73432d8b1e5e817798737",
+    "E_i^2(1, 2)^": "4093803cdc172790b3ee6c641f31b04b948cb63c1fee703761ad912f905287c0",
+    "E_i^3(1, 1, 2)^": "268886e4d9496552983d32c4ba94af5c7d00569c14209d4e501b77c33bdd710c",
+    "E_i^5(1, 1, 1, 2, 2)^": "4af6c41b3973d74c30974d9dd0616641f14df0b250f73432d8b1e5e817798737",
+    "E_rational^": "3edbcb24afe77acfe7110b56621a310492bf9e77692c0c827b710fa526fc208f",
+    "E_i^2 in another basis^": "19457893863b14d2bf5d5c3d00f1204e3f93a6794941dc870abc434e765d0ea9",
+    "E_i^3 in another basis^": "a1513651c233b9118d766226dcc180e51cb74255827144540d75ece5e062a65b",
+}
+
+
+@pytest.mark.parametrize("V", ORACLE_MODELS, ids=lambda V: V.name)
+def test_lattice_bases_and_inverses_are_pinned(V):
+    digest = hashlib.sha256()
+    for k in range(V.genus + 1):
+        lat = hodge_lattice(V, k)
+        digest.update(repr((tuple(map(tuple, dense_basis(lat))), lat.inverse)).encode())
+    assert digest.hexdigest() == LATTICE_SHA256[V.name]
 
 
 def test_genus_6_lattices_have_rank_c6k_squared():
@@ -665,7 +714,7 @@ def test_is_hodge_matches_the_operator_oracle(data):
 def reference_coordinates(lat, x):
     """Full-basis oracle of ``HodgeLattice.coordinates``: one rational
     solve against every basis column, then the same integrality check."""
-    sol = rational_solve([list(r) for r in lat.basis], lat.ambient_vector(x))
+    sol = rational_solve(dense_basis(lat), [x.coefficient(m) for m in lat.masks])
     if sol is None:
         return None
     for j, c in enumerate(sol):
@@ -726,7 +775,7 @@ def test_memoized_lattices_of_a_model_and_its_dual_match_the_dense_oracle(A):
     for k in range(A.genus + 1):
         for V in (A, Ah, A):
             basis = kernel_saturated(derivation_matrix(V, k))
-            assert hodge_lattice(V, k).basis == tuple(tuple(row) for row in basis)
+            assert dense_basis(hodge_lattice(V, k)) == basis
     # is_hodge reads the J of the side it is asked about
     for V in (A, Ah):
         assert all(is_hodge(V, u) for u in hodge_lattice(V, 1).basis_classes())

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from abelian_fourier import intlinalg
 from abelian_fourier.errors import NotSymmetric
 from abelian_fourier.intlinalg import (
     _row_blocks,
     cokernel_invariants,
+    dense_columns,
     det_bareiss,
     identity_matrix,
     is_positive_definite,
@@ -151,7 +153,8 @@ def test_snf_of_block_diagonal_stays_small():
             M[r + i][c:c + len(row)] = row
         r, c = r + len(B), c + len(B[0])
     assert smith_normal_form(M).divisors == (1, 1, 1, 1, 1, 1, 1, 1, 3, 24, 1512)
-    K, L = kernel_saturated_sparse(*sparse_rows(M))
+    columns, L = kernel_saturated_sparse(*sparse_rows(M))
+    K = dense_columns(columns, 15)
     assert all(x == 0 for row in mat_mul(M, K) for x in row)
     assert left_inverse_product(L, K) == identity_matrix(4)
     assert max(abs(x) for row in K for x in row) < 10**9
@@ -191,7 +194,8 @@ def test_dense_20x20_divisors_and_18x20_kernels_finish():
         assert all(b % a == 0 for a, b in zip(d, d[1:]))
         assert d[0] == minors_gcd(M, 1)
         assert prod(d) == abs(det_bareiss(M))
-    for M, (K, L) in zip(wide, kernels):
+    for M, (columns, L) in zip(wide, kernels):
+        K = dense_columns(columns, 20)
         assert det_bareiss([row[:18] for row in M]) != 0
         assert len(L) == 2
         assert all(x == 0 for row in mat_mul(M, K) for x in row)
@@ -312,10 +316,58 @@ def test_sparse_row_kernel_is_the_dense_kernel(M, rng):
         support = [j for j, x in enumerate(row) if x]
         rng.shuffle(support)
         rows.append({j: row[j] for j in support})
-    K, L = kernel_saturated_sparse(rows, len(M[0]))
+    columns, L = kernel_saturated_sparse(rows, len(M[0]))
+    K = dense_columns(columns, len(M[0]))
     assert K == kernel_saturated(M)
-    assert len(L) == len(K[0])
+    assert len(L) == len(columns)
     assert left_inverse_product(L, K) == identity_matrix(len(L))
+
+
+@st.composite
+def repeated_block_diagonal(draw):
+    """A block-diagonal matrix in which blocks repeat, and whether a
+    nonzero block repeats.  The rows of the blocks are interleaved in a
+    random order that keeps each block's own row order, and so are the
+    columns, so equal blocks stay equal after the permutation."""
+    distinct = draw(st.lists(small_matrices, min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=6))
+    blocks = [distinct[p] for p in picks]
+    row_labels = draw(st.permutations([b for b, B in enumerate(blocks) for _ in B]))
+    col_labels = draw(st.permutations([b for b, B in enumerate(blocks) for _ in B[0]]))
+    M = [[0] * len(col_labels) for _ in row_labels]
+    for b, B in enumerate(blocks):
+        at_rows = [i for i, label in enumerate(row_labels) if label == b]
+        at_cols = [j for j, label in enumerate(col_labels) if label == b]
+        for i, row in zip(at_rows, B):
+            for j, x in zip(at_cols, row):
+                M[i][j] = x
+    repeats = any(picks.count(p) > 1 and any(map(any, distinct[p])) for p in set(picks))
+    return M, repeats
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeated_block_diagonal())
+def test_repeated_blocks_are_solved_once(case):
+    M, repeats = case
+    rows, cols = sparse_rows(M)
+    blocks = [(r, c) for r, c in _row_blocks(rows, cols) if r]
+    distinct = {tuple(tuple(M[i][j] for j in c) for i in r) for r, c in blocks}
+    calls = []
+    original = intlinalg._kernel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intlinalg, "_kernel", lambda A, n: calls.append(n) or original(A, n))
+        columns, L = kernel_saturated_sparse(rows, cols)
+    # one elimination per distinct block, fewer than the blocks when one repeats
+    assert len(calls) == len(distinct)
+    assert len(distinct) < len(blocks) or not repeats
+    K = dense_columns(columns, cols)
+    R = kernel_saturated_reference(M)
+    assert len(L) == len(columns) == len(R[0])
+    if columns:
+        assert left_inverse_product(L, K) == identity_matrix(len(L))
+    for j in range(len(columns)):
+        assert integral_in_span(R, [row[j] for row in K])
+        assert integral_in_span(K, [row[j] for row in R])
 
 
 def test_column_blocks_examples():

@@ -122,12 +122,18 @@ MUTANTS = {
         ("hodge_fourier_unimodular",),
         "add54f05a5aca64bfc199c9821a14bcfa3c6c24c279fceafbd37f42bf2cb96a9",
     ),
-    # an off-by-one degree aborts the run instead (ROADMAP item 9); a
-    # doubled one still leaves m alpha^{-1} integral
+    # a doubled degree still leaves m alpha^{-1} integral, so beta . alpha
+    # != [m] fails; an off-by-one one leaves it non-integral, which
+    # aborted the run before the check turned it into a failure
     "degree-doubled": (
         patched(Homomorphism, "degree", lambda d: d * 2),
         ("isogeny_degree",),
         "b003b7d4401245b2506953ff8dfde7b2bce6728fc3fcb29a1efb6a7e5a67535f",
+    ),
+    "degree-off-by-one": (
+        patched(Homomorphism, "degree", lambda d: d + 1),
+        ("isogeny_degree",),
+        "c38215e15901edaf1d1cea1b18b02b3420a63d9d7ff91dc7bad352f1f0f719c0",
     ),
 }
 

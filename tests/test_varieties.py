@@ -516,12 +516,15 @@ def test_homomorphism_rejects_non_integer_entries(half):
         lambda: Homomorphism(gaussian_elliptic_curve(), gaussian_elliptic_curve(),
                              ((True, 0), (0, 1)), False),
         lambda: Multivector(2, {0b01: True}),
+        lambda: Multivector(2, {0b01: 3}) * True,
+        lambda: True * Multivector(2, {0b01: 3}),
     ],
-    ids=["int_matrix", "elliptic_product", "Homomorphism", "Multivector"],
+    ids=["int_matrix", "elliptic_product", "Homomorphism", "Multivector", "scalar", "rscalar"],
 )
 def test_a_bool_is_not_an_int_entry(build):
-    # each built from the bool as the int 1: det_bareiss returned True and
-    # elliptic_product named its model E_i^2(True, 2)
+    # each built from the bool as the int 1: det_bareiss returned True,
+    # elliptic_product named its model E_i^2(True, 2) and a class times
+    # True was the class
     with pytest.raises(TypeError):
         build()
 
