@@ -1,4 +1,4 @@
-"""Hodge-class lattices computed exactly from a rational complex structure.
+"""Hodge-class lattices computed exactly from the complex structure.
 
 For a model with ``J^2 = -1`` the Lie algebra of the Hodge group is
 spanned by J (Deligne, *Hodge cycles on abelian varieties*, LNM 900;
@@ -11,10 +11,12 @@ the same row convention as the pullback tables: generator i goes to row i
 of J.  J has eigenvalues +-i on 1-forms, so D_J acts on ``H^{p,q}`` as the
 scalar ``+-i(p - q)`` and is diagonalizable over C.  In degree 2k its
 kernel is exactly the (k, k) part, and since D_J is rational its saturated
-integer kernel is the lattice of integral Hodge classes.  The arithmetic
-is exact: the entries of D_J are those of J, ints wherever J is integral
-(every shipped model) and Fractions otherwise, and ``D_J(e_S)`` has one
-term per slot i of S and nonzero entry of row i of J.
+integer kernel is the lattice of integral Hodge classes.  A variety
+stores J as the int matrix ``N = dJ``
+(:func:`~abelian_fourier.varieties.structure_scale`), and ``D_N = d D_J``
+has the same kernel, so the arithmetic is in ints alone: the entries of
+``D_N`` are those of N, and ``D_N(e_S)`` has one term per slot i of S and
+nonzero entry of row i of N.
 
 The rows of ``D_J`` in degree 2k are built sparse, one pass over the slot
 terms of every monomial (:func:`_derive`), and
@@ -37,9 +39,9 @@ transforms of the basis classes on the dual and keeps the cokernel they
 leave.
 
 The lattices depend on the complex structure alone, so there is one memo,
-one saturated kernel and its inverse per ``(J, k)`` (:func:`_lattice_tables`).
-A variety and its dual with the same J, or two models with different
-polarizations on the same J, compute each lattice once.
+one saturated kernel and its inverse per ``(N, k)`` (:func:`_lattice_tables`).
+A variety and its dual with the same N, or two models with different
+polarizations on the same N, compute each lattice once.
 ``abelian_fourier.clear_caches`` empties the memo.
 """
 
@@ -105,20 +107,19 @@ def _derive(rows, terms) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _lattice_tables(J, k: int):
-    """``(masks, basis, inverse)``: the saturated kernel of ``D_J`` in
+def _lattice_tables(N, k: int):
+    """``(masks, basis, inverse)``: the saturated kernel of ``D_N`` in
     degree 2k, sparse by column, and its left inverse, sparse by row.
 
-    The rows of ``D_J`` are kept sparse, as ``{column: entry}``: column j
-    is ``D_J`` of the j-th monomial, in ints where J is integral and
-    Fractions otherwise.
+    The rows of ``D_N`` are kept sparse, as ``{column: entry}``: column j
+    is ``D_N`` of the j-th monomial.
     """
-    rows_J = _slot_rows(J)
-    masks = degree_basis_masks(len(J), 2 * k)
+    rows_N = _slot_rows(N)
+    masks = degree_basis_masks(len(N), 2 * k)
     index = {m: i for i, m in enumerate(masks)}
     rows: list[dict] = [{} for _ in masks]
     for j, mask in enumerate(masks):
-        for m, c in _derive(rows_J, ((mask, 1),)).items():
+        for m, c in _derive(rows_N, ((mask, 1),)).items():
             rows[index[m]][j] = c
     basis, inverse = intlinalg.kernel_saturated_sparse(rows, len(masks))
     return tuple(masks), tuple(basis), tuple(inverse)
@@ -192,7 +193,7 @@ class HodgeLattice(namedtuple("HodgeLattice", "A k masks basis inverse")):
 def hodge_lattice(V: AbelianVariety, k: int) -> HodgeLattice:
     """Saturated basis of the integral Hodge classes in degree 2k.
 
-    The basis depends on J and k alone and is computed once per pair
+    The basis depends on N and k alone and is computed once per pair
     (:func:`_lattice_tables`); each call wraps it for V.
 
     >>> from .varieties import standard_ppav

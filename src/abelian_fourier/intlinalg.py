@@ -1,10 +1,10 @@
-"""Exact integer and rational linear algebra for lattice computations.
+"""Exact integer linear algebra for lattice computations.
 
-Everything in this module is exact: integer matrices are lists of rows of
-Python ints, rational matrices mix ints and :class:`fractions.Fraction`.
-There is no floating point, and an integer-matrix entry point raises
-:class:`TypeError` on an entry that is not an int (:func:`int_matrix`).
-Matrices are dense lists of rows, except for the kernel:
+Everything in this module is exact and, apart from the oracle
+:func:`rational_solve`, integral: there is no floating point, and an
+entry point raises :class:`TypeError` on an entry that is not an int
+(:func:`int_matrix`).  Matrices are dense lists of rows of Python ints,
+except for the kernel:
 :func:`kernel_saturated_sparse` takes sparse rows ``{column: entry}``,
 splits the matrix into the connected blocks of its row/column support
 graph and makes only each block dense, so a 210x210 operator whose blocks
@@ -32,7 +32,7 @@ oracle of lattice coordinates.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd, lcm
+from math import gcd
 
 IntMatrix = list[list[int]]
 
@@ -44,7 +44,7 @@ def identity_matrix(n: int) -> IntMatrix:
 
 
 def mat_mul(A, B):
-    """Matrix product, exact over ints or Fractions."""
+    """Matrix product of two integer matrices, lists or tuples of rows."""
     rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
     if A and len(A[0]) != inner:
         raise ValueError("inner dimensions differ")
@@ -61,10 +61,6 @@ def mat_mul(A, B):
             row.append(s)
         out.append(row)
     return out
-
-
-def scalar_matrix(n: int, c) -> list[list]:
-    return [[c if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 class SmithDecomposition(namedtuple("SmithDecomposition", "divisors")):
@@ -189,20 +185,6 @@ def sparse_rows(M) -> tuple[list[dict], int]:
     return rows, len(M[0]) if M else 0
 
 
-def _clear_denominators(row: dict) -> dict[int, int]:
-    """Scale a sparse row by the lcm of its denominators (kernel-preserving).
-
-    Entries are ints or Fractions, which both carry ``numerator`` and
-    ``denominator``; no Fraction is built.
-    """
-    scale = lcm(*(x.denominator for x in row.values()))
-    return {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
-
-
-def _dense(rows: list[dict], columns) -> IntMatrix:
-    return [[row.get(j, 0) for j in columns] for row in rows]
-
-
 def _row_blocks(rows: list[dict], cols: int) -> list[tuple[list[int], list[int]]]:
     """Connected components of the row/column support graph of a matrix
     given as sparse rows.
@@ -267,19 +249,20 @@ def dense_columns(columns, rows: int) -> IntMatrix:
 
 
 def kernel_saturated(M) -> IntMatrix:
-    """Basis of the saturated integer kernel of a rational matrix.
+    """Basis of the saturated integer kernel of an integer matrix.
 
     Returns a matrix whose columns form a basis of
     ``{x in Z^cols : M x = 0}``: the sparse basis of
     :func:`kernel_saturated_sparse` of :func:`sparse_rows`, where the
     blocks are split, made dense by :func:`dense_columns`.
+    :class:`TypeError` on an entry that is not an int (:func:`int_matrix`).
 
     >>> kernel_saturated([[2, -2]])
     [[1], [1]]
     >>> kernel_saturated([[1, -1, 0, 0], [0, 0, 2, -2]])
     [[1, 0], [1, 0], [0, 1], [0, 1]]
     """
-    rows, cols = sparse_rows(M)
+    rows, cols = sparse_rows(int_matrix(M))
     return dense_columns(kernel_saturated_sparse(rows, cols)[0], cols)
 
 
@@ -289,8 +272,7 @@ def kernel_saturated_sparse(rows: list[dict], cols: int) -> tuple[list[tuple], l
     integer left inverse L of it, ``L K = I``, one tuple of nonzero
     ``(column, entry)`` pairs per row.
 
-    ``rows[i]`` maps the columns of row i to its nonzero int or Fraction
-    entries.  Each connected block of the support graph
+    ``rows[i]`` maps the columns of row i to its nonzero int entries.  Each connected block of the support graph
     (:func:`_row_blocks`) is made dense and gets its own column echelon
     form ``M_b V`` of rank r (:func:`_echelon`): ``V[:, r:]`` is its
     kernel basis and ``V_inverse[r:]`` a left inverse of it, so the basis
@@ -311,7 +293,6 @@ def kernel_saturated_sparse(rows: list[dict], cols: int) -> tuple[list[tuple], l
     >>> kernel_saturated_sparse([{0: 2, 1: -2}], 2)
     ([((0, 1), (1, 1))], [((1, 1),)])
     """
-    rows = [_clear_denominators(row) for row in rows]
     kernel, inverse = [], []  # the columns of K and the rows of L, sparse
     solved: dict = {}  # block entries -> its (K_b, L_b), in block coordinates
     for brows, bcols in _row_blocks(rows, cols):
@@ -319,7 +300,7 @@ def kernel_saturated_sparse(rows: list[dict], cols: int) -> tuple[list[tuple], l
             kernel.append(((bcols[0], 1),))
             inverse.append(((bcols[0], 1),))
             continue
-        block = _dense([rows[i] for i in brows], bcols)
+        block = [[rows[i].get(j, 0) for j in bcols] for i in brows]
         key = tuple(map(tuple, block))
         if key not in solved:
             Kb, Lb = _kernel(block, len(bcols))
@@ -340,8 +321,8 @@ def kernel_saturated_reference(M) -> IntMatrix:
     >>> kernel_saturated_reference([[1, -1, 0, 0], [0, 0, 2, -2]])
     [[1, 0], [1, 0], [0, 1], [0, 1]]
     """
-    rows, cols = sparse_rows(M)
-    return _kernel(_dense([_clear_denominators(row) for row in rows], range(cols)), cols)[0]
+    A = int_matrix(M)
+    return _kernel(A, len(A[0]) if A else 0)[0]
 
 
 class CokernelInvariants(namedtuple("CokernelInvariants", "divisors free_rank")):
@@ -379,7 +360,7 @@ def cokernel_invariants(generators, ambient_rank: int) -> CokernelInvariants:
 
 
 def _bareiss(A, jordan: bool = False) -> int:
-    """Fraction-free (Bareiss 1968) elimination of an n-row integer matrix
+    """The fraction-free (Bareiss 1968) elimination of an n-row integer matrix
     in place; returns the determinant of its leading n x n block.
 
     Each step is ``a_ij <- (a_ij p - a_ik a_kj) / prev``, exact, on every
@@ -422,27 +403,26 @@ def det_bareiss(M) -> int:
 
 
 def is_positive_definite(S) -> bool:
-    """Exact positive-definiteness test via leading principal minors.
+    """Exact positive-definiteness test of an integer matrix via leading
+    principal minors.
 
-    The input may be rational; it is scaled by a positive integer (which
-    preserves definiteness).  One fraction-free Bareiss elimination without
-    row exchanges reads the leading principal minors as its successive
-    pivots and stops at the first that is not positive.
+    One fraction-free Bareiss elimination without row exchanges reads the
+    leading principal minors as its successive pivots and stops at the
+    first that is not positive.
 
     >>> is_positive_definite([[2, 1], [1, 1]])
     True
     >>> is_positive_definite([[1, 0], [0, -1]])
     False
     """
-    n = len(S)
-    if any(len(row) != n for row in S):
+    A = int_matrix(S)
+    n = len(A)
+    if any(len(row) != n for row in A):
         raise NotSymmetric("matrix is not square")
     for i in range(n):
         for j in range(i + 1, n):
-            if S[i][j] != S[j][i]:
+            if A[i][j] != A[j][i]:
                 raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-    scale = lcm(*(x.denominator for row in S for x in row))
-    A = [[int(x * scale) for x in row] for row in S]
     prev = 1
     for k in range(n):
         p = A[k][k]

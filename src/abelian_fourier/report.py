@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
+from math import gcd
 
 from . import __version__
 from .errors import UnsupportedParams
 from .exterior import Multivector, bits_of
 from .suite import CONVENTIONS, CheckDescriptor, CheckResult
-from .varieties import AbelianVariety, elliptic_product, make_variety
+from .varieties import AbelianVariety, elliptic_product, make_variety, structure_scale
 
 TOOL_NAME = "abelian-fourier"
 
@@ -107,8 +108,10 @@ def variety_to_dict(A: AbelianVariety) -> dict:
         "polarization_matrix": [list(row) for row in A.E],
     }
     if A.J is not None:
+        # entry x of N = dJ is x/d, in lowest terms
+        d = structure_scale(A.J)
         out["complex_structure"] = [
-            [f"{x.numerator}/{x.denominator}" for x in row] for row in A.J
+            [f"{x // gcd(x, d)}/{d // gcd(x, d)}" for x in row] for row in A.J
         ]
     return out
 

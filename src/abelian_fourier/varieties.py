@@ -4,9 +4,9 @@ A complex abelian variety of dimension ``g`` is modeled by its first
 homology lattice ``Z^{2g}`` together with
 
 * an alternating nondegenerate form ``E`` (the polarization),
-* optionally an exact rational complex structure ``J`` on homology with
-  ``J^2 = -1`` satisfying the Riemann relations (``E(Jx, Jy) = E(x, y)``
-  and ``E(x, Jy)`` symmetric positive definite),
+* optionally a complex structure ``J`` on homology with ``J^2 = -1``
+  satisfying the Riemann relations (``E(Jx, Jy) = E(x, y)`` and
+  ``E(x, Jy)`` symmetric positive definite),
 * an orientation sign fixing the fundamental class so that the top
   self-intersection of the polarization class integrates to the product
   of the polarization divisors.
@@ -30,6 +30,11 @@ complemented by dualization and concatenated by products.  See
 :mod:`abelian_fourier.fourier` for why a single global sign cannot satisfy
 the transform inversion identity on odd cohomology.
 
+J may be rational.  The field ``J`` holds the primitive int matrix
+``N = dJ``, d the least positive int that clears J (1 when J is
+integral), so every model past :func:`make_variety` is read in ints;
+:func:`structure_scale` reads d back off ``N^2 = -d^2 I``.
+
 Public construction validates: :func:`make_variety` checks E and J in
 full, and ``Homomorphism(...)`` checks the shape, that every entry is an
 int (so pullback and pushforward stay integral), and, for a holomorphic
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from math import prod
+from math import isqrt, lcm, prod
 
 from . import intlinalg
 from .errors import (
@@ -74,9 +79,9 @@ class AbelianVariety(
         defaults=(0,),
     )
 ):
-    """E a tuple of int rows, J exact (see _exact_matrix) or None, and
-    ``negative`` the generators whose pairing-class term has sign -1 (bit
-    i: generator i)."""
+    """E a tuple of int rows, J the tuple of int rows ``N = dJ`` (see
+    :func:`structure_scale`) or None, and ``negative`` the generators
+    whose pairing-class term has sign -1 (bit i: generator i)."""
 
     __slots__ = ()
 
@@ -113,25 +118,14 @@ class AbelianVariety(
         return f"AbelianVariety({self.name!r}, g={self.genus}, type={self.polarization_type})"
 
 
-def _exact_matrix(J):
-    """Exact entries: an int where the entry is integral, else a Fraction.
+def structure_scale(N) -> int:
+    """The d of a complex structure stored as ``N = dJ``: ``N^2 = -d^2 I``,
+    read at its first diagonal entry.
 
-    Integral J (every shipped model) then runs in int arithmetic wherever
-    it is read: the ``J^2`` and Riemann checks, the intertwining check of
-    holomorphic homomorphisms and the Hodge operator.  Int entries are
-    kept as they are; only the others go through Fraction.
+    >>> structure_scale(((0, -1), (4, 0)))
+    2
     """
-    return tuple(tuple(map(_exact_entry, row)) for row in J)
-
-
-def _exact_entry(x):
-    if type(x) is int:
-        return x
-    from fractions import Fraction
-
-    if not isinstance(x, Fraction):
-        raise TypeError(f"complex structure entry {x!r} is neither an int nor a Fraction")
-    return int(x) if x.denominator == 1 else x
+    return isqrt(-sum(N[0][t] * N[t][0] for t in range(len(N))))
 
 
 def _paired_type(E) -> tuple[int, ...]:
@@ -211,11 +205,14 @@ def _theta_orientation(E, g, delta) -> int:
 def make_variety(E, J=None, name: str = "A") -> AbelianVariety:
     """Validated abelian variety from a polarization and optional J.
 
-    Raises :class:`TypeError` on an entry of E that is not an int or of J
-    that is neither an int nor a Fraction (a float or a bool, say), and
+    The one reader of Fractions: J's int or Fraction entries are stored
+    as the int matrix ``N = dJ``, d the lcm of their denominators.  Raises
+    :class:`TypeError` on an entry of E that is not an int or of J that is
+    neither an int nor a Fraction (a float or a bool, say), and
     :class:`NotAlternating`, :class:`SingularPolarization`,
-    :class:`ComplexStructureInvalid` (``J^2 != -1``) or
-    :class:`RiemannRelationViolated` (compatibility or positivity).
+    :class:`ComplexStructureInvalid` (``N^2 != -d^2 I``) or
+    :class:`RiemannRelationViolated` (``E N`` not symmetric positive
+    definite).
     """
     Et = tuple(map(tuple, intlinalg.int_matrix(E)))
     n = len(Et)
@@ -226,28 +223,35 @@ def make_variety(E, J=None, name: str = "A") -> AbelianVariety:
             if Et[i][j] != -Et[j][i]:
                 raise NotAlternating(f"E[{i}][{j}] != -E[{j}][{i}]")
     delta = _paired_type(Et)
-    Jt = None
-    if J is not None:
-        Jt = _exact_matrix(J)
-        if len(Jt) != n or any(len(row) != n for row in Jt):
-            raise ComplexStructureInvalid("J has wrong dimensions")
-        J2 = intlinalg.mat_mul(Jt, Jt)
-        if J2 != intlinalg.scalar_matrix(n, -1):
-            raise ComplexStructureInvalid("J^2 != -identity")
-        S = intlinalg.mat_mul(Et, Jt)
-        try:
-            if not intlinalg.is_positive_definite(S):
-                raise RiemannRelationViolated("E(x, Jx) is not positive definite")
-        except NotSymmetric as exc:
-            raise RiemannRelationViolated(f"E(Jx, Jy) != E(x, y): {exc}") from exc
-    return _variety(Et, Jt, name, delta)
+    if J is None:
+        return _variety(Et, None, name, delta)
+    N, d = [list(row) for row in J], 1
+    if not all(type(x) is int for row in N for x in row):
+        from fractions import Fraction
+
+        for x in (x for row in N for x in row):
+            if type(x) is not int and not isinstance(x, Fraction):
+                raise TypeError(f"complex structure entry {x!r} is neither an int nor a Fraction")
+        d = lcm(*(x.denominator for row in N for x in row))
+        N = [[x.numerator * (d // x.denominator) for x in row] for row in N]
+    if len(N) != n or any(len(row) != n for row in N):
+        raise ComplexStructureInvalid("J has wrong dimensions")
+    if intlinalg.mat_mul(N, N) != [[-d * d * (i == j) for j in range(n)] for i in range(n)]:
+        raise ComplexStructureInvalid("J^2 != -identity")
+    try:
+        if not intlinalg.is_positive_definite(intlinalg.mat_mul(Et, N)):
+            raise RiemannRelationViolated("E(x, Jx) is not positive definite")
+    except NotSymmetric as exc:
+        raise RiemannRelationViolated(f"E(Jx, Jy) != E(x, y): {exc}") from exc
+    return _variety(Et, tuple(map(tuple, N)), name, delta)
 
 
 def _variety(E, J, name: str, delta, negative: int = 0) -> AbelianVariety:
     """A variety whose E, J and type a caller built in closed form from
-    validated parts: E an alternating int matrix of type ``delta``, J exact
-    (see _exact_matrix) or None, both tuples of rows.  Only the orientation
-    is computed, with its Pfaffian check; ``make_variety`` is the oracle."""
+    validated parts: E an alternating int matrix of type ``delta``, J the
+    int matrix ``N = dJ`` (see :func:`structure_scale`) or None, both
+    tuples of rows.  Only the orientation is computed, with its Pfaffian
+    check; ``make_variety`` is the oracle."""
     return AbelianVariety(
         name=name,
         genus=len(delta),
@@ -361,8 +365,10 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix holomorphic"
         if not all(type(e) is int for row in matrix for e in row):
             raise TypeError(f"matrix {matrix!r} has an entry that is not an integer")
         if holomorphic and source.J is not None and target.J is not None:
-            # in ints for integral J (see _exact_matrix)
-            if intlinalg.mat_mul(matrix, source.J) != intlinalg.mat_mul(target.J, matrix):
+            # M J_A = J_B M with each J = N / d: d_B M N_A = d_A N_B M
+            N_A = _scaled(source.J, structure_scale(target.J))
+            N_B = _scaled(target.J, structure_scale(source.J))
+            if intlinalg.mat_mul(matrix, N_A) != intlinalg.mat_mul(N_B, matrix):
                 raise ComplexStructureInvalid(
                     "homomorphism flagged holomorphic does not intertwine J"
                 )
@@ -531,6 +537,10 @@ def _block_diagonal(X, Y) -> tuple[tuple, ...]:
     return tuple(tuple(row) + (0,) * nY for row in X) + tuple((0,) * nX + tuple(row) for row in Y)
 
 
+def _scaled(N, c: int) -> tuple[tuple, ...]:
+    return N if c == 1 else tuple(tuple(c * x for x in row) for row in N)
+
+
 @lru_cache(maxsize=None)
 def product(A: AbelianVariety, B: AbelianVariety) -> ProductStructure:
     """Product variety with block-diagonal polarization and complex structure.
@@ -541,7 +551,12 @@ def product(A: AbelianVariety, B: AbelianVariety) -> ProductStructure:
     """
     nA, nB = A.rank, B.rank
     E = _block_diagonal(A.E, B.E)
-    J = None if A.J is None or B.J is None else _block_diagonal(A.J, B.J)
+    J = None
+    if A.J is not None and B.J is not None:
+        # each factor's N = dJ scaled to the common d, the lcm of the two
+        d_A, d_B = structure_scale(A.J), structure_scale(B.J)
+        d = lcm(d_A, d_B)
+        J = _block_diagonal(_scaled(A.J, d // d_A), _scaled(B.J, d // d_B))
     # J^2 = -1 and the Riemann relations hold block by block; the type is
     # not the sorted union of the factor types ((2) x (3) has type (1, 6))
     V = _variety(E, J, f"{A.name} x {B.name}", _paired_type(E), A.negative | B.negative << nA)

@@ -6,6 +6,7 @@ algebra (generators a1, a2 for the curve, b1, b2 for the dual, bits
 """
 
 import random
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -35,7 +36,7 @@ from abelian_fourier.fourier import (
     star_power,
 )
 from abelian_fourier.hodge import is_hodge
-from abelian_fourier.intlinalg import det_bareiss, mat_mul
+from abelian_fourier.intlinalg import det_bareiss, mat_mul, scaled_inverse
 from abelian_fourier.varieties import (
     dual,
     elliptic_product,
@@ -45,6 +46,7 @@ from abelian_fourier.varieties import (
     product,
     standard_ppav,
     structure_homs,
+    structure_scale,
 )
 
 
@@ -372,6 +374,30 @@ def other_basis(A, rng, ops):
     E = mat_mul(mat_mul(Ut, [list(r) for r in A.E]), U)
     J = mat_mul(mat_mul(U_inv, [list(r) for r in A.J]), U)
     return make_variety(E, J, name=f"{A.name} in another basis")
+
+
+def rational_J(A):
+    """A's complex structure as make_variety reads it: ``J = N / d``, with
+    Fraction entries, from the stored int matrix N of scale d."""
+    d = structure_scale(A.J)
+    return [[Fraction(x, d) for x in row] for row in A.J]
+
+
+def rational_conjugate(A, rng):
+    """A, with an integral J, pulled back along a random integral P with
+    ``|det P| > 1``: ``E' = P^T E P`` and ``J' = P^{-1} J P``, whose
+    entries have denominators dividing ``det P``.  P intertwines them, so
+    ``Homomorphism(A', A, P, True)`` is holomorphic."""
+    n = A.rank
+    while True:
+        P = [[rng.randint(-1, 1) + (i == j) for j in range(n)] for i in range(n)]
+        D = det_bareiss(P)
+        if abs(D) > 1:
+            break
+    E = mat_mul(mat_mul([list(col) for col in zip(*P)], A.E), P)
+    # scaled_inverse(P, D) is the integral D P^{-1}
+    J = [[Fraction(x, D) for x in row] for row in mat_mul(mat_mul(scaled_inverse(P, D), A.J), P)]
+    return make_variety(E, J, name=f"{A.name} conjugated by det {D}"), P
 
 
 def hermitian_variety(H, name):

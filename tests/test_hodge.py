@@ -36,6 +36,7 @@ from abelian_fourier.hodge import (
 from abelian_fourier.intlinalg import (
     cokernel_invariants,
     dense_columns,
+    det_bareiss,
     kernel_saturated,
     kernel_saturated_reference,
     mat_mul,
@@ -47,9 +48,10 @@ from abelian_fourier.varieties import (
     make_variety,
     product,
     standard_ppav,
+    structure_scale,
 )
 from test_exterior import apply_generator_images
-from test_fourier import E8_HERMITIAN, other_basis
+from test_fourier import E8_HERMITIAN, other_basis, rational_conjugate, rational_J
 from test_intlinalg import assert_smith_divisors, rational_inverse, time_limit
 
 
@@ -60,58 +62,28 @@ def dense_basis(lat):
 
 def brute_force_hodge_rank(A, k, ab=(1, 2)):
     """Independent oracle: assemble the projector matrix entry by entry
-    from 2k x 2k minors of a + bJ acting on the dual basis, then count the
-    saturated kernel columns.
+    from 2k x 2k minors of ``d (a + bJ) = ad + bN`` acting on the dual
+    basis, then count the saturated kernel columns.
     """
-    from abelian_fourier.intlinalg import det_bareiss  # noqa: F401  (exact minors)
-
     a, b = ab
     n = A.rank
-    # dual-basis action: generator i maps to row i of a*I + b*J
-    P = [
-        [Fraction(a) if i == j else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
-    for i in range(n):
-        for j in range(n):
-            P[i][j] += Fraction(b) * A.J[i][j]
+    d = structure_scale(A.J)
+    # dual-basis action: generator i maps to row i of ad I + bN
+    P = [[a * d * (i == j) + b * A.J[i][j] for j in range(n)] for i in range(n)]
     cols = list(combinations(range(n), 2 * k))
     index = {c: i for i, c in enumerate(cols)}
     N = len(cols)
-    M = [[Fraction(0)] * N for _ in range(N)]
+    M = [[0] * N for _ in range(N)]
     # Lambda^{2k} matrix entries are minors of P
     for s, rows_sel in enumerate(cols):
         for t, cols_sel in enumerate(cols):
             sub = [[P[i][j] for j in cols_sel] for i in rows_sel]
-            # fraction-free expansion by permutations is too slow; use
-            # rational Gaussian elimination for the determinant
-            det = _rational_det(sub)
-            M[index[cols_sel]][index[rows_sel]] = det
-    lam = Fraction((a * a + b * b) ** k)
+            M[index[cols_sel]][index[rows_sel]] = det_bareiss(sub)
+    lam = (d * d * (a * a + b * b)) ** k
     for i in range(N):
         M[i][i] -= lam
     K = kernel_saturated(M)
     return len(K[0]) if K and K[0] else 0
-
-
-def _rational_det(M):
-    n = len(M)
-    A = [row[:] for row in M]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if A[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            det = -det
-        det *= A[c][c]
-        inv = 1 / A[c][c]
-        for r in range(c + 1, n):
-            if A[r][c]:
-                f = A[r][c] * inv
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    return det
 
 
 def test_rank_extremes():
@@ -159,14 +131,20 @@ def test_membership_needs_complex_structure():
 E_RATIONAL = make_variety([[0, 1], [-1, 0]], [[0, Fraction(-1, 2)], [2, 0]], name="E_rational")
 # in another basis J has entries off the factor blocks and -J^T != J
 OTHER_BASIS = [other_basis(standard_ppav(g), random.Random(16), 16) for g in (2, 3)]
+# E^2 and E^3 on a sublattice of index 14 and 16: J has denominators up
+# to 14 and 8, so the variety stores N = 14 J and N = 8 J
+RATIONAL_CONJUGATES = [
+    rational_conjugate(standard_ppav(g), random.Random(seed))[0] for g, seed in ((2, 2), (3, 4))
+]
 
 # the models whose dual takes -J^T: E^1 to E^4, three non-principal
-# types, a rational J, and the duals of all of these
+# types, rational J of genus 1 to 3, and the duals of all of these
 SIGN_MODELS = [standard_ppav(g) for g in (1, 2, 3, 4)] + [
     elliptic_product((1, 2)),
     elliptic_product((1, 1, 2)),
     elliptic_product((1, 1, 3)),
     E_RATIONAL,
+    *RATIONAL_CONJUGATES,
 ]
 SIGN_MODELS += [dual(A) for A in SIGN_MODELS]
 
@@ -189,13 +167,14 @@ def test_dual_with_plus_J_transpose_violates_riemann():
     # E^ J^ is c S^{-1} for -J^T, with S = E J positive definite, and
     # -c S^{-1} for +J^T
     for A in SIGN_MODELS:
-        plus = [list(col) for col in zip(*A.J)]
+        plus = [list(col) for col in zip(*rational_J(A))]
         with pytest.raises(RiemannRelationViolated):
             make_variety(dual(A).E, plus)
-        # (aI + bJ)^2 != (a^2 + b^2) I: +J^T does not fix the pairing class
-        n = A.rank
-        P = [[(1 if i == j else 0) + 2 * A.J[i][j] for j in range(n)] for i in range(n)]
-        assert mat_mul(P, P) != [[5 if i == j else 0 for j in range(n)] for i in range(n)]
+        # (aI + bJ)^2 != (a^2 + b^2) I: +J^T does not fix the pairing class;
+        # with N = dJ, (ad + bN)^2 != (a^2 + b^2) d^2 I
+        n, d = A.rank, structure_scale(A.J)
+        P = [[d * (i == j) + 2 * A.J[i][j] for j in range(n)] for i in range(n)]
+        assert mat_mul(P, P) != [[5 * d * d * (i == j) for j in range(n)] for i in range(n)]
 
 
 def test_theta_is_hodge_every_model():
@@ -475,20 +454,23 @@ ORACLE_MODELS = [standard_ppav(g) for g in (1, 2, 3, 4, 5)] + [
     E_RATIONAL,
     # these catch a derivation that reads J^T where it should read J
     *OTHER_BASIS,
+    *RATIONAL_CONJUGATES,
 ]
 ORACLE_MODELS += [dual(A) for A in ORACLE_MODELS]
 
 
 def operator_matrix(V, k, ab=(1, 2)):
     """Dense oracle of the Gaussian-prime operator: the matrix of
-    ``T - p^k`` on the degree-2k monomial basis, T the (a + bJ)-action,
-    one generator-image column at a time.  Generator i goes to row i of
-    ``aI + bJ``.  When ``p = a^2 + b^2`` is an odd prime its saturated
-    kernel is the Hodge lattice, so it checks the lattice of the
-    derivation by an independent argument."""
+    ``T - (d^2 p)^k`` on the degree-2k monomial basis, T the action of
+    ``d (a + bJ) = ad + bN``, one generator-image column at a time.
+    Generator i goes to row i of ``ad I + bN``.  When ``p = a^2 + b^2`` is
+    an odd prime its saturated kernel is the Hodge lattice, so it checks
+    the lattice of the derivation by an independent argument."""
     a, b = ab
-    n = V.rank
-    rows_op = [[(j, b * V.J[i][j]) for j in range(n) if V.J[i][j]] + [(i, a)] for i in range(n)]
+    n, d = V.rank, structure_scale(V.J)
+    rows_op = [
+        [(j, b * V.J[i][j]) for j in range(n) if V.J[i][j]] + [(i, a * d)] for i in range(n)
+    ]
     masks = degree_basis_masks(V.rank, 2 * k)
     index = {m: i for i, m in enumerate(masks)}
     n = len(masks)
@@ -497,7 +479,7 @@ def operator_matrix(V, k, ab=(1, 2)):
         image = apply_generator_images(Multivector(V.rank, {mask: 1}), rows_op)
         for m, c in image.items():
             M[index[m]][j] = c
-    p = ab[0] ** 2 + ab[1] ** 2
+    p = d * d * (a * a + b * b)
     for i in range(n):
         M[i][i] -= p**k
     return M
@@ -505,9 +487,10 @@ def operator_matrix(V, k, ab=(1, 2)):
 
 def derivation_matrix(V, k):
     """Dense oracle of the rows ``hodge_lattice`` builds: the matrix of
-    D_J on the degree-2k monomial basis.  Column S sums, over the slots r
-    of the sorted word S and the entries ``J[S_r][t]``, the word S with
-    ``S_r`` replaced by t, signed by the parity of its inversions."""
+    D_N on the degree-2k monomial basis, N = dJ the stored complex
+    structure.  Column S sums, over the slots r of the sorted word S and
+    the entries ``N[S_r][t]``, the word S with ``S_r`` replaced by t,
+    signed by the parity of its inversions."""
     n = V.rank
     masks = degree_basis_masks(n, 2 * k)
     index = {m: i for i, m in enumerate(masks)}
@@ -636,6 +619,12 @@ LATTICE_SHA256 = {
     "E_rational^": "3edbcb24afe77acfe7110b56621a310492bf9e77692c0c827b710fa526fc208f",
     "E_i^2 in another basis^": "19457893863b14d2bf5d5c3d00f1204e3f93a6794941dc870abc434e765d0ea9",
     "E_i^3 in another basis^": "a1513651c233b9118d766226dcc180e51cb74255827144540d75ece5e062a65b",
+    # recorded before J was stored as N = dJ, with D_J's rows scaled one
+    # by one to ints: scaling them all by d moves no basis or inverse
+    "E_i^2 conjugated by det 14": "e882acfa421d3f5f182fdfd021c33407d925110be7d58f5b64f27556cb2a2020",
+    "E_i^3 conjugated by det 16": "bc3148cf73ce8aa887f26839d0472831a3c519bca31ce2b3b95f2734adb71d41",
+    "E_i^2 conjugated by det 14^": "275ba95bbb86c3bbab7dcda2b0f96d9ec65ea75ba821d3a7043d950da2900149",
+    "E_i^3 conjugated by det 16^": "953dd19e2101671304d1ee57ee5e80060c725cfa4ac6f2004a2a04c423a8fbca",
 }
 
 

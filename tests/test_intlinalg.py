@@ -238,8 +238,17 @@ def test_kernel_saturated_properties(M):
 
 
 def test_kernel_saturated_rational_entries():
-    K = kernel_saturated([[Fraction(1, 2), Fraction(-1, 3)]])
-    assert len(K[0]) == 1
+    # a Fraction is an input error: without a type check it would reach
+    # the // of _echelon and give a wrong kernel
+    for kernel in (kernel_saturated, kernel_saturated_reference):
+        with pytest.raises(TypeError):
+            kernel([[Fraction(1, 2), Fraction(-1, 3)]])
+        with pytest.raises(TypeError):
+            kernel([[Fraction(3), -2]])
+    # the row cleared of its denominators, 6 (1/2, -1/3), has the kernel
+    # the rational row had
+    K = kernel_saturated([[3, -2]])
+    assert K == kernel_saturated_reference([[3, -2]]) == [[-2], [-3]]
     x, y = K[0][0], K[1][0]
     assert Fraction(1, 2) * x - Fraction(1, 3) * y == 0
     assert gcd(x, y) == 1
@@ -407,24 +416,26 @@ def test_positive_definite():
 
 
 def test_positive_definite_rational():
-    assert is_positive_definite([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
-    assert not is_positive_definite([[Fraction(-1, 2), 0], [0, Fraction(1, 3)]])
+    # a Fraction is an input error; scaled by 6 to ints, the answers stand
+    for S in ([[Fraction(1, 2), 0], [0, Fraction(1, 3)]], [[Fraction(2), 0], [0, 1]]):
+        with pytest.raises(TypeError):
+            is_positive_definite(S)
+    assert is_positive_definite([[3, 0], [0, 2]])
+    assert not is_positive_definite([[-3, 0], [0, 2]])
 
 
 def positive_definite_by_minors(S):
     """Reference: Sylvester's criterion with one determinant per minor."""
     n = len(S)
-    rows = [[Fraction(x) for x in row] for row in S]
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    A = [[int(x * scale) for x in row] for row in rows]
-    return all(det_bareiss([row[:k] for row in A[:k]]) > 0 for k in range(1, n + 1))
+    return all(det_bareiss([row[:k] for row in S[:k]]) > 0 for k in range(1, n + 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_positive_definite_matches_minors(data):
     n = data.draw(st.integers(1, 8), label="n")
-    if data.draw(st.booleans(), label="rational"):
+    rational = data.draw(st.booleans(), label="rational")
+    if rational:
         entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
     else:
         entries = st.integers(-3, 3)
@@ -438,6 +449,12 @@ def test_positive_definite_matches_minors(data):
         if kind == "singular gram":
             L[-1] = L[0]
         S = [[sum(a * b for a, b in zip(L[i], L[j])) for j in range(n)] for i in range(n)]
+    if rational:
+        # a Fraction is an input error; a positive scale keeps definiteness
+        with pytest.raises(TypeError):
+            is_positive_definite(S)
+        scale = lcm(*(x.denominator for row in S for x in row))
+        S = [[int(x * scale) for x in row] for row in S]
     assert is_positive_definite(S) == positive_definite_by_minors(S)
 
 

@@ -33,7 +33,7 @@ B = variety_from_dict({"polarization_matrix": [[0, 1], [-1, 0]],
                        "complex_structure": [["0", "-1/2"], ["2", "0"]]})
 print(json.dumps({
     "loaded": loaded,
-    "J": [[str(x) for x in row] for row in A.J],
+    "J": A.J,
     "same_J": A.J == B.J,
     "solve": [str(x) for x in rational_solve([[2, 0], [0, 3]], [1, 1])],
 }))
@@ -49,8 +49,9 @@ def test_import_loads_no_dataclasses_or_fractions():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["loaded"] == []
-    # the rational-J model still builds, through each lazy Fraction import
-    assert out["J"] == [["0", "-1/2"], ["2", "0"]]
+    # the rational-J model still builds, through each lazy Fraction import,
+    # and is stored as N = 2J
+    assert out["J"] == [[0, -1], [4, 0]]
     assert out["same_J"]
     assert out["solve"] == ["1/2", "1/3"]
 

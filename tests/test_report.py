@@ -2,7 +2,6 @@
 
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -25,6 +24,7 @@ from abelian_fourier.report import (
 )
 from abelian_fourier.suite import run_suite
 from abelian_fourier.varieties import elliptic_product, standard_ppav
+from test_fourier import rational_conjugate
 
 
 def test_class_roundtrip_bytes():
@@ -58,7 +58,10 @@ def test_class_format_uses_decimal_strings():
 
 
 def test_variety_roundtrip():
-    for A in (standard_ppav(2), elliptic_product((1, 2))):
+    # the last model stores N = 14 J: its entries are written as x/14 in
+    # lowest terms and read back to the same N
+    conjugate, _ = rational_conjugate(standard_ppav(2), random.Random(2))
+    for A in (standard_ppav(2), elliptic_product((1, 2)), conjugate):
         B = variety_from_dict(variety_to_dict(A))
         assert B.E == A.E
         assert B.J == A.J
@@ -154,8 +157,10 @@ def test_variety_rational_strings():
             }
         )
     )
-    assert A.J[0][1] == Fraction(-1, 2)
-    assert A.J[1][0] == Fraction(2)
+    # stored as N = 2J, and written back as the same p/q strings
+    assert A.J == ((0, -1), (4, 0))
+    assert variety_to_dict(A)["complex_structure"] == [["0/1", "-1/2"], ["2/1", "0/1"]]
+    assert variety_from_dict(variety_to_dict(A)) == A
 
 
 def test_variety_validation_diagnostic():

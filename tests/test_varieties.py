@@ -4,7 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -38,9 +38,10 @@ from abelian_fourier.varieties import (
     scalar_hom,
     standard_ppav,
     structure_homs,
+    structure_scale,
 )
 from test_exterior import apply_generator_images
-from test_fourier import E8_HERMITIAN, other_basis
+from test_fourier import E8_HERMITIAN, other_basis, rational_conjugate, rational_J
 
 STD_E = [[0, 1], [-1, 0]]
 STD_J = [[0, -1], [1, 0]]
@@ -153,13 +154,13 @@ def test_rational_J_accepted():
     J = [[Fraction(0), Fraction(-1, 2)], [Fraction(2), Fraction(0)]]
     A = make_variety(STD_E, J)
     assert A.J is not None and A.polarization_type == (1,)
-    # integral entries are read as ints, the rest stay exact Fractions
-    assert A.J == ((0, Fraction(-1, 2)), (2, 0))
-    assert [type(x) for x in A.J[1]] == [int, int]
-    # D_J(e_0 + e_1) is the sum of the rows of J
+    # stored as the int matrix N = 2J, with the scale read back off N^2
+    assert A.J == ((0, -1), (4, 0)) and structure_scale(A.J) == 2
+    assert all(type(x) is int for row in A.J for x in row)
+    # D_N(e_0 + e_1) is the sum of the rows of N
     image = _derive(_slot_rows(A.J), [(0b01, 1), (0b10, 1)])
-    assert image == {0b10: Fraction(-1, 2), 0b01: 2}
-    assert type(image[0b01]) is int
+    assert image == {0b10: -1, 0b01: 4}
+    assert all(type(c) is int for c in image.values())
 
 
 @pytest.mark.parametrize("half", [-0.5, "-1/2", True], ids=["float", "str", "bool"])
@@ -277,7 +278,7 @@ def assert_matches_make_variety(X):
     # make_variety runs every check again (Smith form, J^2, Riemann
     # relations, positivity, Pfaffian); the mask is not its to set.  Equal
     # hashes keep the memo keys (dual, product, the Hodge tables) shared.
-    Y = make_variety(X.E, X.J, X.name)._replace(negative=X.negative)
+    Y = make_variety(X.E, rational_J(X), X.name)._replace(negative=X.negative)
     assert X == Y and hash(X) == hash(Y)
 
 
@@ -288,6 +289,60 @@ def test_trusted_varieties_match_make_variety(A):
     for X in (A, dual(A), dual(dual(A)), product(A, dual(A)).variety):
         assert_matches_make_variety(X)
     assert dual(dual(A)) == A
+
+
+# scales 14 and 8 (see test_hodge.RATIONAL_CONJUGATES), and the Gaussian
+# curve conjugated to scale 6
+CONJUGATES = [
+    rational_conjugate(standard_ppav(g), random.Random(seed)) for g, seed in ((2, 2), (3, 4))
+]
+SCALE_6 = make_variety(STD_E, [[0, Fraction(-1, 6)], [6, 0]], name="E_6")
+
+
+def test_scale_is_read_off_the_stored_structure():
+    scales = [structure_scale(V.J) for V, _ in CONJUGATES]
+    assert scales == [14, 8]
+    assert structure_scale(SCALE_6.J) == 6 and structure_scale(RATIONAL_J.J) == 2
+    for V, _ in CONJUGATES:
+        # N = dJ is primitive: d is the least scale that clears J
+        assert gcd(*(x for row in V.J for x in row)) == 1
+        assert structure_scale(dual(V).J) == structure_scale(V.J)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_a_map_between_scales_is_checked_against_both(g):
+    # P maps the conjugate, of scale 14 or 8, onto E_i^g, of scale 1, and
+    # intertwines their complex structures; a change of one entry never
+    # does, since e_ij J' = J e_ij would make e_i an eigenvector of J
+    V, P = CONJUGATES[g - 2]
+    target = standard_ppav(g)
+    assert Homomorphism(V, target, tuple(map(tuple, P)), True).holomorphic
+    # the dual map, read the other way, checks the scales swapped
+    Homomorphism(dual(target), dual(V), tuple(zip(*P)), True)
+    for i in range(V.rank):
+        for j in range(V.rank):
+            Q = [row[:] for row in P]
+            Q[i][j] += 1
+            with pytest.raises(ComplexStructureInvalid):
+                Homomorphism(V, target, tuple(map(tuple, Q)), True)
+
+
+@pytest.mark.parametrize(
+    "A, B",
+    [
+        (RATIONAL_J, SCALE_6),  # lcm 6, not 12
+        (CONJUGATES[0][0], RATIONAL_J),  # lcm 14
+        (CONJUGATES[0][0], CONJUGATES[1][0]),  # lcm 56, not 112
+        (SCALE_6, standard_ppav(1)),  # lcm 6
+    ],
+    ids=["2 x 6", "14 x 2", "14 x 8", "6 x 1"],
+)
+def test_product_of_two_scales_matches_make_variety(A, B):
+    P = product(A, B).variety
+    d = lcm(structure_scale(A.J), structure_scale(B.J))
+    assert structure_scale(P.J) == d
+    assert_matches_make_variety(P)
+    assert_matches_make_variety(product(dual(A), B).variety)
 
 
 def test_product_type_is_not_the_union_of_factor_types():
