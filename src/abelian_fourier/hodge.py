@@ -12,13 +12,11 @@ of J.  J has eigenvalues +-i on 1-forms, so D_J acts on ``H^{p,q}`` as the
 scalar ``+-i(p - q)`` and is diagonalizable over C.  In degree 2k its
 kernel is exactly the (k, k) part, and since D_J is rational its saturated
 integer kernel is the lattice of integral Hodge classes.  A variety
-stores J as the int matrix ``N = dJ``
-(:func:`~abelian_fourier.varieties.structure_scale`), and ``D_N = d D_J``
-has the same kernel, so the arithmetic is in ints alone: the entries of
-``D_N`` are those of N, and ``D_N(e_S)`` has one term per slot i of S and
-nonzero entry of row i of N.
+stores J as the int matrix ``N = dJ``, and ``D_N = d D_J`` has the same
+kernel, so the arithmetic is in ints alone: ``D_N(e_S)`` has one term per
+slot i of S and nonzero entry of row i of N.
 
-The rows of ``D_J`` in degree 2k are built sparse, one pass over the slot
+The rows of ``D_N`` in degree 2k are built sparse, one pass over the slot
 terms of every monomial (:func:`_derive`), and
 :func:`intlinalg.kernel_saturated_sparse` reads their supports.  On the
 shipped models J splits over the elliptic factors, so the derivation is
@@ -29,7 +27,7 @@ gives an integer left inverse L of the kernel basis B, ``L B = I``: the
 proof that B is saturated.  B stays sparse by column and L by row.
 :meth:`HodgeLattice.coordinates` of x is ``L x``, read at the entries of
 L, checked against the sum of the columns it names.  A model whose J does
-not split is one block.  :func:`is_hodge` tests ``D_J x = 0`` in one pass
+not split is one block.  :func:`is_hodge` tests ``D_N x = 0`` in one pass
 over the terms of x.
 
 Every certificate is a :func:`voisin_certificate`: the coordinates of
@@ -256,10 +254,14 @@ def voisin_certificate(V: AbelianVariety, k: int, generators) -> intlinalg.Coker
     return intlinalg.cokernel_invariants(G, lat.rank)
 
 
-class FourierHodgeMatrix(namedtuple("FourierHodgeMatrix", "source_rank target_rank cokernel")):
-    """Ranks of the Hodge lattices that the transform maps between, and the
+class FourierHodgeMatrix(
+    namedtuple("FourierHodgeMatrix", "source_rank target_rank cokernel outside")
+):
+    """Ranks of the Hodge lattices that the transform maps between, the
     :class:`~abelian_fourier.intlinalg.CokernelInvariants` of the target
-    lattice modulo the transforms of the source basis classes."""
+    lattice modulo the transforms of the source basis classes, and
+    ``outside``, the first target basis class outside their span (None
+    when the cokernel is trivial)."""
 
     __slots__ = ()
 
@@ -274,7 +276,8 @@ def fourier_hodge_matrix(A: AbelianVariety, i: int) -> FourierHodgeMatrix:
     when both lattices have the same rank and the cokernel is trivial.  An
     image that is not a Hodge class of the dual, which would contradict the
     transform being a morphism of Hodge structures, raises
-    :class:`ImageNotInHodge` with that image as witness."""
+    :class:`ImageNotInHodge` with that image as witness.  A basis class is
+    outside the span exactly when adding it changes the cokernel."""
     source, target = hodge_lattice(A, i), hodge_lattice(dual(A), A.genus - i)
     images = [fourier(A, u) for u in source.basis_classes()]
     try:
@@ -283,4 +286,7 @@ def fourier_hodge_matrix(A: AbelianVariety, i: int) -> FourierHodgeMatrix:
         idx = exc.index
         message = f"transform of Hodge basis class {idx} in degree {2 * i} left the Hodge lattice"
         raise ImageNotInHodge(message, images[idx]) from exc
-    return FourierHodgeMatrix(source.rank, target.rank, cok)
+    grows = (u for u in target.basis_classes()
+             if voisin_certificate(target.A, target.k, images + [u]) != cok)
+    outside = None if cok.is_trivial else next(grows)
+    return FourierHodgeMatrix(source.rank, target.rank, cok, outside)

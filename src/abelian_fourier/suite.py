@@ -404,12 +404,13 @@ def _check_isogeny_degree(X, seed):
 
 
 def _check_hodge_fourier_unimodular(A, seed):
-    # a failure is witnessed by the transform of the first basis class,
-    # as a failed _beta_certificate is by its first generator
+    # a failure is witnessed by the first basis class of the dual's lattice
+    # outside the span of the transforms; a rank mismatch whose cokernel is
+    # trivial, by the transform of the first basis class
     for i in range(A.genus + 1):
         fm = fourier_hodge_matrix(A, i)
         if not fm.unimodular:
-            witness = fourier(A, hodge_lattice(A, i).basis_classes()[0])
+            witness = fm.outside or fourier(A, hodge_lattice(A, i).basis_classes()[0])
             if fm.source_rank != fm.target_rank:
                 what = f"rank mismatch {fm.source_rank} -> {fm.target_rank}"
             else:

@@ -6,7 +6,9 @@ homology lattice ``Z^{2g}`` together with
 * an alternating nondegenerate form ``E`` (the polarization),
 * optionally a complex structure ``J`` on homology with ``J^2 = -1``
   satisfying the Riemann relations (``E(Jx, Jy) = E(x, y)`` and
-  ``E(x, Jy)`` symmetric positive definite),
+  ``E(x, Jy)`` symmetric positive definite), stored in the field ``J``
+  as the primitive int matrix ``N = dJ``, d the least positive int that
+  clears J (1 when J is integral; :func:`structure_scale`),
 * an orientation sign fixing the fundamental class so that the top
   self-intersection of the polarization class integrates to the product
   of the polarization divisors.
@@ -29,11 +31,6 @@ term in the pairing class on ``A x A^`` has sign -1: zero as constructed,
 complemented by dualization and concatenated by products.  See
 :mod:`abelian_fourier.fourier` for why a single global sign cannot satisfy
 the transform inversion identity on odd cohomology.
-
-J may be rational.  The field ``J`` holds the primitive int matrix
-``N = dJ``, d the least positive int that clears J (1 when J is
-integral), so every model past :func:`make_variety` is read in ints;
-:func:`structure_scale` reads d back off ``N^2 = -d^2 I``.
 
 Public construction validates: :func:`make_variety` checks E and J in
 full, and ``Homomorphism(...)`` checks the shape, that every entry is an
@@ -119,12 +116,8 @@ class AbelianVariety(
 
 
 def structure_scale(N) -> int:
-    """The d of a complex structure stored as ``N = dJ``: ``N^2 = -d^2 I``,
-    read at its first diagonal entry.
-
-    >>> structure_scale(((0, -1), (4, 0)))
-    2
-    """
+    """The d of a complex structure stored as ``N = dJ``, read off
+    ``N^2 = -d^2 I`` at its first diagonal entry."""
     return isqrt(-sum(N[0][t] * N[t][0] for t in range(len(N))))
 
 
@@ -206,13 +199,12 @@ def make_variety(E, J=None, name: str = "A") -> AbelianVariety:
     """Validated abelian variety from a polarization and optional J.
 
     The one reader of Fractions: J's int or Fraction entries are stored
-    as the int matrix ``N = dJ``, d the lcm of their denominators.  Raises
+    as ``N = dJ``, d the lcm of their denominators.  Raises
     :class:`TypeError` on an entry of E that is not an int or of J that is
     neither an int nor a Fraction (a float or a bool, say), and
     :class:`NotAlternating`, :class:`SingularPolarization`,
     :class:`ComplexStructureInvalid` (``N^2 != -d^2 I``) or
-    :class:`RiemannRelationViolated` (``E N`` not symmetric positive
-    definite).
+    :class:`RiemannRelationViolated` (``E N`` not symmetric positive definite).
     """
     Et = tuple(map(tuple, intlinalg.int_matrix(E)))
     n = len(Et)

@@ -11,6 +11,7 @@ from abelian_fourier import clear_caches
 from abelian_fourier.cli import main
 from abelian_fourier.exterior import Multivector
 from abelian_fourier.fourier import fourier
+from abelian_fourier.hodge import hodge_lattice
 from abelian_fourier.report import (
     class_from_dict,
     emit_class,
@@ -502,8 +503,8 @@ def test_verify_reports_hodge_image_failure_as_check_failure(tmp_path, monkeypat
 def test_verify_reports_a_non_unimodular_transform_as_check_failure(tmp_path, monkeypatch):
     # doubling the transform keeps every image a Hodge class but leaves a
     # cokernel Z/2: each genus of the grid fails at half-degree 0, with the
-    # divisors in the detail and the transform of the first basis class,
-    # the unit, as witness
+    # divisors in the detail and, as witness, the generator of the dual's
+    # top-degree lattice, which the doubled transform of the unit misses
     import abelian_fourier.hodge as hodge
 
     monkeypatch.setattr(hodge, "fourier", lambda A, x: 2 * fourier(A, x))
@@ -521,7 +522,8 @@ def test_verify_reports_a_non_unimodular_transform_as_check_failure(tmp_path, mo
             "transform matrix not unimodular at half-degree 0:"
             " cokernel invariants (2,), free rank 0"
         )
-        assert class_from_dict(check["witness"]) == fourier(A, Multivector.unit(A.rank))
+        (top,) = hodge_lattice(dual(A), A.genus).basis_classes()
+        assert class_from_dict(check["witness"]) == top
 
 
 @pytest.mark.parametrize("check", ["beta_surjectivity", "ihc_certificate_elliptic_products"])

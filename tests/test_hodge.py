@@ -357,7 +357,7 @@ def test_fourier_hodge_matrix():
         for i in range(g + 1):
             fm = fourier_hodge_matrix(A, i)
             assert fm.source_rank == fm.target_rank
-            assert fm.unimodular
+            assert fm.unimodular and fm.outside is None
     B = elliptic_product((1, 2))
     for i in range(3):
         fm = fourier_hodge_matrix(B, i)

@@ -72,7 +72,7 @@ MUTANTS = {
             "lemma51_diagram",
             "product_exchange",
         ),
-        "74f54decd8d7719e9f7e08d1bc05336a3ded2f958332c407293981f3f1833b55",
+        "77720ed1eccf9843a910e24d143dba85cb442b0fa6352b966575907deb455a1d",
     ),
     "beta-negated": (
         patched(suite, "beta_from_divisor", lambda x: -x),
@@ -120,7 +120,7 @@ MUTANTS = {
     "hodge-fourier-doubled": (
         patched(hodge, "fourier", lambda x: x * 2),
         ("hodge_fourier_unimodular",),
-        "add54f05a5aca64bfc199c9821a14bcfa3c6c24c279fceafbd37f42bf2cb96a9",
+        "063a7ecc240eb1e92d0a91316abacd8b92208205676b39f2d67391bf479b1fe4",
     ),
     # a doubled degree still leaves m alpha^{-1} integral, so beta . alpha
     # != [m] fails; an off-by-one one leaves it non-integral, which
@@ -149,5 +149,8 @@ def test_a_mutant_fails_the_pinned_checks_with_the_pinned_report(monkeypatch, mu
         monkeypatch.undo()
         abelian_fourier.clear_caches()
     assert tuple(r.descriptor.name for r in results if r.status == "fail") == failing
+    # a failure names a class: never None, never zero
+    fails = [r for r in results if r.status == "fail"]
+    assert all(r.witness is not None and not r.witness.is_zero() for r in fails)
     stripped = emit_report(strip_runtimes(ReportDocument.from_results(results)))
     assert hashlib.sha256(stripped.encode("utf-8")).hexdigest() == digest
