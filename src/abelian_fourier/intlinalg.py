@@ -272,12 +272,13 @@ def kernel_saturated_sparse(rows: list[dict], cols: int) -> tuple[list[tuple], l
     integer left inverse L of it, ``L K = I``, one tuple of nonzero
     ``(column, entry)`` pairs per row.
 
-    ``rows[i]`` maps the columns of row i to its nonzero int entries.  Each connected block of the support graph
-    (:func:`_row_blocks`) is made dense and gets its own column echelon
-    form ``M_b V`` of rank r (:func:`_echelon`): ``V[:, r:]`` is its
-    kernel basis and ``V_inverse[r:]`` a left inverse of it, so the basis
-    spans a direct summand, and so does the direct sum over the blocks (no
-    saturation step is needed).  Kernel columns come block by block, in
+    ``rows[i]`` maps the columns of row i to its nonzero int entries.
+    Each connected block of the support graph (:func:`_row_blocks`) is
+    made dense and gets its own column echelon form ``M_b V`` of rank r
+    (:func:`_echelon`): ``V[:, r:]`` is its kernel basis and
+    ``V_inverse[r:]`` a left inverse of it, so the basis spans a direct
+    summand, and so does the direct sum over the blocks (no saturation
+    step is needed).  Kernel columns come block by block, in
     block order.  A connected matrix is one block, and a zero row does not
     move a column echelon, so it gets exactly the basis of
     :func:`kernel_saturated_reference`.
@@ -360,8 +361,8 @@ def cokernel_invariants(generators, ambient_rank: int) -> CokernelInvariants:
 
 
 def _bareiss(A, jordan: bool = False) -> int:
-    """The fraction-free (Bareiss 1968) elimination of an n-row integer matrix
-    in place; returns the determinant of its leading n x n block.
+    """The fraction-free (Bareiss 1968) elimination of an n-row integer
+    matrix in place; returns the determinant of its leading n x n block.
 
     Each step is ``a_ij <- (a_ij p - a_ik a_kj) / prev``, exact, on every
     row below the pivot p, or with ``jordan`` on every other row, so a
