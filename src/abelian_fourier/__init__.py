@@ -46,8 +46,6 @@ from .varieties import (
     ProductStructure,
     dual,
     elliptic_product,
-    gaussian_elliptic_curve,
-    identity_hom,
     make_variety,
     polarization_isogeny,
     product,

@@ -292,7 +292,7 @@ def graph_of_polarization(A: AbelianVariety) -> Homomorphism:
     for i in range(n):
         rows.append(tuple(A.E[i]))
     # holomorphic by the Riemann relation E J = -J^T E
-    return Homomorphism._trusted(A, P.variety, tuple(rows), A.J is not None)
+    return Homomorphism._trusted(A, P.variety, tuple(rows))
 
 
 def named_class(A: AbelianVariety, tag: str) -> Multivector:
@@ -404,7 +404,7 @@ def _four_fold_maps(A: AbelianVariety, B: AbelianVariety):
 
     def projection(target, columns):
         rows = tuple(tuple(1 if j == c else 0 for j in range(n4)) for c in columns)
-        return Homomorphism._trusted(XP.variety, target, rows, True)
+        return Homomorphism._trusted(XP.variety, target, rows)
 
     p13 = projection(product(A, dual(A)).variety, [*range(nA), *range(n, n + nA)])
     p24 = projection(product(B, dual(B)).variety, [*range(nA, n), *range(n + nA, n4)])

@@ -187,7 +187,7 @@ def _check_functoriality(A, seed):
         h1 = rng.randint(1, A.genus)
         h2 = rng.randint(1, A.genus)
         X, Y = standard_ppav(h1), standard_ppav(h2)
-        f = Homomorphism(X, Y, tuple(tuple(r) for r in _gaussian_hom(rng, h1, h2)), True)
+        f = Homomorphism(X, Y, tuple(tuple(r) for r in _gaussian_hom(rng, h1, h2)))
         fhat = f.dual_hom()
         sign = (-1) ** (h1 - h2)
         for mask in range(1 << X.rank):
@@ -382,14 +382,14 @@ def _check_isogeny_degree(X, seed):
             M = _gaussian_hom(rng, g, g)
             if intlinalg.det_bareiss(M) != 0:
                 break
-        alpha = Homomorphism(X, X, tuple(tuple(r) for r in M), True)
+        alpha = Homomorphism(X, X, tuple(tuple(r) for r in M))
         m = alpha.degree()
         try:
             B = intlinalg.scaled_inverse(M, m)
         except ValueError as exc:
             # a wrong degree leaves m alpha^{-1} non-integral: no beta exists
             raise CheckFailure(f"no beta with beta . alpha = [{m}]: {exc}", X.fundamental_class())
-        beta = Homomorphism(X, X, tuple(map(tuple, B)), True)
+        beta = Homomorphism(X, X, tuple(map(tuple, B)))
         comp = beta.compose(alpha)
         dual_comp = alpha.dual_hom().compose(beta.dual_hom())
         if comp.matrix != scalar_hom(X, m).matrix:

@@ -34,19 +34,18 @@ the transform inversion identity on odd cohomology.
 
 Public construction validates: :func:`make_variety` checks E and J in
 full, and ``Homomorphism(...)`` checks the shape, that every entry is an
-int (so pullback and pushforward stay integral), and, for a holomorphic
-map, ``M J == J M``.  Models and maps that are built in closed form from
-validated parts skip those checks through two private constructors.
-``_variety`` only orients (it keeps the Pfaffian check) and serves
-:func:`elliptic_product`, :func:`dual` and :func:`product`.
-``Homomorphism._trusted`` checks nothing and serves ``dual_hom``,
-``compose``, :func:`identity_hom`, :func:`scalar_hom`,
-:func:`polarization_isogeny`, the maps of :func:`product` and
-:func:`structure_homs`, and in :mod:`abelian_fourier.fourier` the graph of
-the polarization and the projections of the 4-fold product.  The public
-constructors are their oracles: ``tests/test_varieties.py`` rebuilds each
-trusted model through ``make_variety`` and each trusted map of a suite
-run through ``Homomorphism(...)``.
+int (so pullback and pushforward stay integral), and, when both ends
+carry J, that the map is holomorphic: ``M J == J M``.  Models and maps
+that are built in closed form from validated parts skip those checks
+through two private constructors.  ``_variety`` only orients (it keeps
+the Pfaffian check) and serves :func:`elliptic_product`, :func:`dual` and
+:func:`product`.  ``Homomorphism._trusted`` checks nothing and serves
+``dual_hom``, ``compose``, :func:`scalar_hom`, :func:`polarization_isogeny`,
+the maps of :func:`product` and :func:`structure_homs`, and in
+:mod:`abelian_fourier.fourier` the graph of the polarization and the
+projections of the 4-fold product.  The public constructors are their
+oracles: ``tests/test_varieties.py`` rebuilds each trusted model through
+``make_variety`` and each trusted map through ``Homomorphism(...)``.
 """
 
 from __future__ import annotations
@@ -255,15 +254,6 @@ def _variety(E, J, name: str, delta, negative: int = 0) -> AbelianVariety:
     )
 
 
-def gaussian_elliptic_curve(name: str = "E_i") -> AbelianVariety:
-    """The elliptic curve with complex multiplication by the Gaussian integers."""
-    return make_variety(
-        E=[[0, 1], [-1, 0]],
-        J=[[0, -1], [1, 0]],
-        name=name,
-    )
-
-
 def elliptic_product(delta, name: str | None = None) -> AbelianVariety:
     """Power of the Gaussian elliptic curve with polarization type ``delta``.
 
@@ -295,11 +285,11 @@ def elliptic_product(delta, name: str | None = None) -> AbelianVariety:
     return _variety(tuple(map(tuple, E)), tuple(map(tuple, Jm)), name, delta)
 
 
-def standard_ppav(g: int, name: str | None = None) -> AbelianVariety:
+def standard_ppav(g: int) -> AbelianVariety:
     """Principally polarized power of the Gaussian elliptic curve."""
     if g <= 0:
         raise InvalidType(f"genus must be positive, got {g}")
-    return elliptic_product((1,) * g, name=name or f"E_i^{g}")
+    return elliptic_product((1,) * g)
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +330,25 @@ def dual(A: AbelianVariety) -> AbelianVariety:
 # homomorphisms
 
 
-class Homomorphism(namedtuple("Homomorphism", "source target matrix holomorphic")):
+class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
     """Integral matrix acting on first homology, source to target.
 
     The matrix is ``2g_target x 2g_source`` in column convention: the
     image of source basis vector ``j`` is ``sum_i M[i][j] w_i``.  No
     ``__slots__``: the two exterior-power tables are cached in ``__dict__``.
+    Between two models with J the map must be holomorphic, ``M J == J M``;
+    complex conjugation is not, but is a map of real tori, without J:
+
+    >>> conj = ((1, 0), (0, -1))
+    >>> Homomorphism(standard_ppav(1), standard_ppav(1), conj)
+    Traceback (most recent call last):
+    abelian_fourier.errors.ComplexStructureInvalid: homomorphism does not intertwine J
+    >>> T = make_variety([[0, 1], [-1, 0]])
+    >>> Homomorphism(T, T, conj).degree()
+    1
     """
 
-    def __new__(cls, source, target, matrix, holomorphic):
+    def __new__(cls, source, target, matrix):
         if len(matrix) != target.rank or any(len(row) != source.rank for row in matrix):
             raise RankMismatch(
                 f"matrix shape {len(matrix)}x{len(matrix[0]) if matrix else 0}"
@@ -356,22 +356,20 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix holomorphic"
             )
         if not all(type(e) is int for row in matrix for e in row):
             raise TypeError(f"matrix {matrix!r} has an entry that is not an integer")
-        if holomorphic and source.J is not None and target.J is not None:
+        if source.J is not None and target.J is not None:
             # M J_A = J_B M with each J = N / d: d_B M N_A = d_A N_B M
             N_A = _scaled(source.J, structure_scale(target.J))
             N_B = _scaled(target.J, structure_scale(source.J))
             if intlinalg.mat_mul(matrix, N_A) != intlinalg.mat_mul(N_B, matrix):
-                raise ComplexStructureInvalid(
-                    "homomorphism flagged holomorphic does not intertwine J"
-                )
-        return tuple.__new__(cls, (source, target, matrix, holomorphic))
+                raise ComplexStructureInvalid("homomorphism does not intertwine J")
+        return tuple.__new__(cls, (source, target, matrix))
 
     @classmethod
-    def _trusted(cls, source, target, matrix, holomorphic: bool) -> "Homomorphism":
+    def _trusted(cls, source, target, matrix) -> "Homomorphism":
         """A map a caller built from validated parts: ``matrix`` a tuple of
-        int rows of the right shape, intertwining J when ``holomorphic``.
-        Nothing is checked; the public constructor is the oracle."""
-        return tuple.__new__(cls, (source, target, matrix, holomorphic))
+        int rows of the right shape, intertwining J when both ends carry
+        it.  Nothing is checked; the public constructor is the oracle."""
+        return tuple.__new__(cls, (source, target, matrix))
 
     @cached_property
     def _pullback_power(self) -> ExteriorPower:
@@ -422,11 +420,10 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix holomorphic"
         if other.target != self.source:
             raise RankMismatch("composition mismatch: inner target != outer source")
         M = tuple(map(tuple, intlinalg.mat_mul(self.matrix, other.matrix)))
-        holomorphic = self.holomorphic and other.holomorphic
-        # two checked intertwiners compose to one through the middle J; with
-        # no J in the middle neither was checked, so the composite is
-        build = Homomorphism if holomorphic and self.source.J is None else Homomorphism._trusted
-        return build(other.source, self.target, M, holomorphic)
+        # two intertwiners compose to one through the middle J; with no J in
+        # the middle neither was checked, so the composite is
+        build = Homomorphism if self.source.J is None else Homomorphism._trusted
+        return build(other.source, self.target, M)
 
     def degree(self) -> int:
         """Degree of an isogeny: absolute determinant on homology."""
@@ -445,26 +442,16 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix holomorphic"
         through this map's pushforward table and pushes forward through its
         pullback table, and a table filled by one serves the other.
         """
-        out = Homomorphism._trusted(
-            dual(self.target),
-            dual(self.source),
-            tuple(zip(*self.matrix)),
-            self.holomorphic,
-        )
+        out = Homomorphism._trusted(dual(self.target), dual(self.source), tuple(zip(*self.matrix)))
         out.__dict__["_pullback_power"] = self._pushforward_power
         out.__dict__["_pushforward_power"] = self._pullback_power
         return out
 
 
-def identity_hom(A: AbelianVariety) -> Homomorphism:
-    return scalar_hom(A, 1)
-
-
 def scalar_hom(A: AbelianVariety, n: int) -> Homomorphism:
     """Multiplication by n on the variety (n * identity on homology)."""
-    return Homomorphism._trusted(
-        A, A, tuple(tuple(n if i == j else 0 for j in range(A.rank)) for i in range(A.rank)), True
-    )
+    rows = tuple(tuple(n if i == j else 0 for j in range(A.rank)) for i in range(A.rank))
+    return Homomorphism._trusted(A, A, rows)
 
 
 def polarization_isogeny(A: AbelianVariety) -> Homomorphism:
@@ -473,10 +460,10 @@ def polarization_isogeny(A: AbelianVariety) -> Homomorphism:
     On homology it sends v to the functional ``E(. , v)``, i.e. the
     matrix is E itself; the convention is pinned by the requirement that
     the pairing class on the product pulls back along ``(id, lambda)`` to
-    twice the polarization class.  It is holomorphic by the Riemann
-    relation ``E J = -J^T E``.
+    twice the polarization class.  It intertwines A's J with the dual's
+    ``-J^T`` by the Riemann relation ``E J = -J^T E``.
     """
-    return Homomorphism._trusted(A, dual(A), A.E, A.J is not None)
+    return Homomorphism._trusted(A, dual(A), A.E)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +541,7 @@ def product(A: AbelianVariety, B: AbelianVariety) -> ProductStructure:
     V = _variety(E, J, f"{A.name} x {B.name}", _paired_type(E), A.negative | B.negative << nA)
 
     def hom(src, tgt, rows):
-        return Homomorphism._trusted(src, tgt, tuple(tuple(r) for r in rows), True)
+        return Homomorphism._trusted(src, tgt, tuple(tuple(r) for r in rows))
 
     I_A = intlinalg.identity_matrix(nA)
     I_B = intlinalg.identity_matrix(nB)
@@ -581,6 +568,6 @@ def structure_homs(A: AbelianVariety) -> StructureMaps:
     sq = product(A, A)
     n = A.rank
     I = intlinalg.identity_matrix(n)
-    m = Homomorphism._trusted(sq.variety, A, tuple(tuple(I[i] + I[i]) for i in range(n)), True)
-    diag = Homomorphism._trusted(A, sq.variety, tuple(tuple(row) for row in (I + I)), True)
+    m = Homomorphism._trusted(sq.variety, A, tuple(tuple(I[i] + I[i]) for i in range(n)))
+    diag = Homomorphism._trusted(A, sq.variety, tuple(tuple(row) for row in (I + I)))
     return StructureMaps(square=sq, m=m, diagonal=diag)

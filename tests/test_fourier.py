@@ -40,7 +40,6 @@ from abelian_fourier.intlinalg import det_bareiss, mat_mul, scaled_inverse
 from abelian_fourier.varieties import (
     dual,
     elliptic_product,
-    gaussian_elliptic_curve,
     make_variety,
     polarization_isogeny,
     product,
@@ -73,7 +72,7 @@ ORACLE_MODELS = [
 
 
 def test_poincare_class_genus1():
-    E1 = gaussian_elliptic_curve()
+    E1 = standard_ppav(1)
     ell = poincare_class(E1)
     assert ell == Multivector(4, {0b0101: 1, 0b1010: 1})
     P = product(E1, dual(E1)).variety
@@ -82,20 +81,20 @@ def test_poincare_class_genus1():
 
 
 def test_poincare_class_of_dual_flips_sign():
-    E1 = gaussian_elliptic_curve()
+    E1 = standard_ppav(1)
     ell_hat = poincare_class(dual(E1))
     assert ell_hat == Multivector(4, {0b0101: -1, 0b1010: -1})
 
 
 def test_pairing_class_pulls_back_to_twice_theta():
-    for A in (gaussian_elliptic_curve(), standard_ppav(2), standard_ppav(3)):
+    for A in (standard_ppav(1), standard_ppav(2), standard_ppav(3)):
         graph = graph_of_polarization(A)
         assert graph.pullback(poincare_class(A)) == A.theta_class() * 2
 
 
 def test_pairing_class_identification_with_theta_spread():
     # pulled back along id x lambda, ell becomes m* theta - pi1* theta - pi2* theta
-    for A in (gaussian_elliptic_curve(), standard_ppav(2)):
+    for A in (standard_ppav(1), standard_ppav(2)):
         sh = structure_homs(A)
         lam = polarization_isogeny(A)
         n = A.rank
@@ -107,7 +106,7 @@ def test_pairing_class_identification_with_theta_spread():
         from abelian_fourier.varieties import Homomorphism
 
         id_x_lam = Homomorphism(
-            sh.square.variety, product(A, dual(A)).variety, tuple(rows), True
+            sh.square.variety, product(A, dual(A)).variety, tuple(rows)
         )
         theta = A.theta_class()
         spread = (
@@ -119,7 +118,7 @@ def test_pairing_class_identification_with_theta_spread():
 
 
 def test_fourier_genus1_basis_values():
-    E1 = gaussian_elliptic_curve()
+    E1 = standard_ppav(1)
     theta_hat = dual(E1).theta_class()
     assert fourier(E1, Multivector.unit(2)) == -theta_hat
     assert fourier(E1, Multivector.generator(2, 0)) == Multivector.generator(2, 1)
@@ -268,7 +267,7 @@ def test_star_exponential_unit_and_additivity():
 
 
 def test_named_class_gamma():
-    E1 = gaussian_elliptic_curve()
+    E1 = standard_ppav(1)
     assert named_class(E1, "gamma_theta") == E1.fundamental_class()
     # for the threefold model, gamma is the sum of the coordinate-axis classes
     A3 = standard_ppav(3)
@@ -280,7 +279,7 @@ def test_named_class_gamma():
         rows = [[0, 0] for _ in range(6)]
         rows[k][0] = 1
         rows[3 + k][1] = 1
-        incl = Homomorphism(E1, A3, tuple(tuple(r) for r in rows), True)
+        incl = Homomorphism(E1, A3, tuple(tuple(r) for r in rows))
         total = total + incl.pushforward(Multivector.unit(2))
     assert gamma == total
 
@@ -306,7 +305,7 @@ def test_named_class_requires_principal():
 
 
 def test_tau_genus1_equals_pairing_class():
-    E1 = gaussian_elliptic_curve()
+    E1 = standard_ppav(1)
     assert named_class(E1, "tau") == poincare_class(E1)
 
 
@@ -335,7 +334,7 @@ def test_pontryagin_matches_addition_pushforward(data):
 
 
 def test_correspondence_diagonal_is_identity():
-    E1 = gaussian_elliptic_curve()
+    E1 = standard_ppav(1)
     sh = structure_homs(E1)
     diag = sh.diagonal.pushforward(Multivector.unit(2))
     for m in range(4):
@@ -387,7 +386,7 @@ def rational_conjugate(A, rng):
     """A, with an integral J, pulled back along a random integral P with
     ``|det P| > 1``: ``E' = P^T E P`` and ``J' = P^{-1} J P``, whose
     entries have denominators dividing ``det P``.  P intertwines them, so
-    ``Homomorphism(A', A, P, True)`` is holomorphic."""
+    ``Homomorphism(A', A, P)`` builds."""
     n = A.rank
     while True:
         P = [[rng.randint(-1, 1) + (i == j) for j in range(n)] for i in range(n)]

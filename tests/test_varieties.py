@@ -30,8 +30,6 @@ from abelian_fourier.varieties import (
     _pfaffian,
     dual,
     elliptic_product,
-    gaussian_elliptic_curve,
-    identity_hom,
     make_variety,
     polarization_isogeny,
     product,
@@ -194,7 +192,7 @@ def test_integral_J_builds_no_fraction(monkeypatch):
 
 
 def test_theta_class_examples():
-    A = gaussian_elliptic_curve()
+    A = standard_ppav(1)
     assert A.theta_class() == Multivector(2, {0b11: 1})
     B = elliptic_product((1, 2))
     # Frobenius layout: x1 y1 + 2 x2 y2 with x = bits 0,1 and y = bits 2,3
@@ -232,7 +230,7 @@ def test_make_variety_rejects_a_polarization_entry_that_is_not_an_int(x):
 
 
 def test_dual_involution_and_structure():
-    for A in (gaussian_elliptic_curve(), standard_ppav(2), elliptic_product((1, 2))):
+    for A in (standard_ppav(1), standard_ppav(2), elliptic_product((1, 2))):
         Ah = dual(A)
         assert Ah.rank == A.rank
         J2 = mat_mul([list(r) for r in Ah.J], [list(r) for r in Ah.J])
@@ -316,15 +314,15 @@ def test_a_map_between_scales_is_checked_against_both(g):
     # does, since e_ij J' = J e_ij would make e_i an eigenvector of J
     V, P = CONJUGATES[g - 2]
     target = standard_ppav(g)
-    assert Homomorphism(V, target, tuple(map(tuple, P)), True).holomorphic
+    Homomorphism(V, target, tuple(map(tuple, P)))
     # the dual map, read the other way, checks the scales swapped
-    Homomorphism(dual(target), dual(V), tuple(zip(*P)), True)
+    Homomorphism(dual(target), dual(V), tuple(zip(*P)))
     for i in range(V.rank):
         for j in range(V.rank):
             Q = [row[:] for row in P]
             Q[i][j] += 1
             with pytest.raises(ComplexStructureInvalid):
-                Homomorphism(V, target, tuple(map(tuple, Q)), True)
+                Homomorphism(V, target, tuple(map(tuple, Q)))
 
 
 @pytest.mark.parametrize(
@@ -370,7 +368,7 @@ def test_trusted_homomorphisms_pass_the_public_checks(monkeypatch):
     for A in (elliptic_product((1, 2)), RATIONAL_J, E8_HERMITIAN):
         polarization_isogeny(A).dual_hom()
         graph_of_polarization(A)
-        identity_hom(A).compose(scalar_hom(A, -2))
+        scalar_hom(A, 1).compose(scalar_hom(A, -2))
     assert {name for name, _ in built} == {
         "compose",
         "dual_hom",
@@ -384,32 +382,59 @@ def test_trusted_homomorphisms_pass_the_public_checks(monkeypatch):
     for _, h in built:
         assert all(type(x) is int for row in h.matrix for x in row)
         # raises RankMismatch or ComplexStructureInvalid on a bad map
-        assert Homomorphism(h.source, h.target, h.matrix, h.holomorphic) == h
+        assert Homomorphism(h.source, h.target, h.matrix) == h
+
+
+# models off the standard ones: two non-principal types, two in another
+# basis, the rational conjugates of scale 14 and 8, and all their duals
+OFF_STANDARD_MODELS = [
+    V
+    for A in (
+        elliptic_product((1, 2)),
+        elliptic_product((1, 1, 2)),
+        other_basis(standard_ppav(2), random.Random(16), 16),
+        other_basis(standard_ppav(3), random.Random(16), 16),
+        CONJUGATES[0][0],
+        CONJUGATES[1][0],
+    )
+    for V in (A, dual(A))
+]
+
+
+@pytest.mark.parametrize("A", OFF_STANDARD_MODELS, ids=lambda A: A.name)
+def test_trusted_maps_off_the_standard_models_pass_the_public_checks(A):
+    # every end carries J, so each rebuild checks that the map intertwines
+    P, sh = product(A, dual(A)), structure_homs(A)
+    maps = [polarization_isogeny(A), graph_of_polarization(A), P.pi1, P.pi2, P.j1, P.j2]
+    maps += [sh.m, sh.diagonal]
+    for h in maps + [h.dual_hom() for h in maps]:
+        assert h.source.J is not None and h.target.J is not None
+        assert Homomorphism(h.source, h.target, h.matrix) == h
 
 
 def test_compose_through_a_variety_without_J_is_checked():
-    # neither factor's flag can be checked against a missing J, so the
-    # composite of two such maps goes through the public constructor
-    E1 = gaussian_elliptic_curve()
+    # neither factor can be checked against a missing J, so the composite
+    # of two such maps goes through the public constructor
+    E1 = standard_ppav(1)
     bare = make_variety(STD_E, name="no J")
-    conj = Homomorphism(E1, bare, ((1, 0), (0, -1)), True)
-    ident = Homomorphism(bare, E1, ((1, 0), (0, 1)), True)
+    conj = Homomorphism(E1, bare, ((1, 0), (0, -1)))
+    ident = Homomorphism(bare, E1, ((1, 0), (0, 1)))
     with pytest.raises(ComplexStructureInvalid):
         ident.compose(conj)
-    assert ident.compose(Homomorphism(E1, bare, ((1, 0), (0, 1)), True)) == identity_hom(E1)
+    assert ident.compose(Homomorphism(E1, bare, ((1, 0), (0, 1)))) == scalar_hom(E1, 1)
 
 
 def test_polarization_isogeny():
     A = standard_ppav(2)
     lam = polarization_isogeny(A)
     assert lam.degree() == 1
-    assert lam.holomorphic
+    assert Homomorphism(lam.source, lam.target, lam.matrix) == lam
     B = elliptic_product((1, 2))
     assert polarization_isogeny(B).degree() == 4  # (d1 d2)^2
 
 
 def test_product_structure():
-    E1 = gaussian_elliptic_curve()
+    E1 = standard_ppav(1)
     P = product(E1, E1)
     assert P.variety.rank == 4
     assert P.variety.polarization_type == (1, 1)
@@ -436,7 +461,7 @@ def test_pullback_scaling_and_projection():
 
 def test_pushforward_adjoint_property():
     rng = random.Random(11)
-    E1 = gaussian_elliptic_curve()
+    E1 = standard_ppav(1)
     A = standard_ppav(2)
     homs = [
         product(E1, E1).j1,
@@ -464,7 +489,7 @@ def test_pushforward_fast_paths_agree_with_adjoint():
 
 
 def test_pushforward_examples():
-    E1 = gaussian_elliptic_curve()
+    E1 = standard_ppav(1)
     P = product(E1, dual(E1))
     one = Multivector.unit(2)
     # zero-section inclusions push the fundamental class to the fiber classes
@@ -505,7 +530,9 @@ def test_dual_hom():
     M = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
     while not any(any(r) for r in M):
         M = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
-    h = Homomorphism(A, A, tuple(tuple(r) for r in M), False)
+    # a random map need not be holomorphic, so it is built on the real torus
+    T = make_variety(A.E)
+    h = Homomorphism(T, T, tuple(tuple(r) for r in M))
     try:
         assert h.dual_hom().degree() == h.degree()
     except NotIsogeny:
@@ -517,7 +544,7 @@ def test_structure_homs_identities():
     sh = structure_homs(A)
     two = scalar_hom(A, 2)
     assert sh.m.compose(sh.diagonal).matrix == two.matrix
-    assert sh.m.compose(sh.square.j1).matrix == identity_hom(A).matrix
+    assert sh.m.compose(sh.square.j1).matrix == scalar_hom(A, 1).matrix
     # m^* on a degree-1 generator is a (x) 1 + 1 (x) a
     a = Multivector.generator(A.rank, 0)
     assert sh.m.pullback(a) == sh.square.pull_first(a) + sh.square.pull_second(a)
@@ -530,37 +557,39 @@ def test_structure_homs_identities():
         assert sh.diagonal.pullback(sh.m.pullback(x)) == x * (2 ** k)
 
 
-def test_holomorphic_flag_validation():
-    E1 = gaussian_elliptic_curve()
+def test_holomorphic_validation():
+    E1 = standard_ppav(1)
     # complex conjugation on homology is not holomorphic for J
     M = ((1, 0), (0, -1))
     with pytest.raises(ComplexStructureInvalid):
-        Homomorphism(E1, E1, M, True)
+        Homomorphism(E1, E1, M)
     # nor is a shear inside one factor of a product
     P = product(E1, E1).variety
     shear = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     with pytest.raises(ComplexStructureInvalid):
-        Homomorphism(P, P, shear, True)
-    h = Homomorphism(E1, E1, M, False)
-    assert h.degree() == 1
+        Homomorphism(P, P, shear)
+    # both are maps of the real tori, which carry no J
+    T, T2 = make_variety(E1.E), make_variety(P.E)
+    assert Homomorphism(T, T, M).degree() == 1
+    assert Homomorphism(T2, T2, shear).degree() == 1
 
 
 def test_hom_shape_validation():
-    E1 = gaussian_elliptic_curve()
+    E1 = standard_ppav(1)
     A = standard_ppav(2)
     with pytest.raises(RankMismatch):
-        Homomorphism(E1, A, ((1, 0), (0, 1)), False)
+        Homomorphism(E1, A, ((1, 0), (0, 1)))
     with pytest.raises(RankMismatch):
-        identity_hom(E1).pullback(Multivector.unit(4))
+        scalar_hom(E1, 1).pullback(Multivector.unit(4))
 
 
 @pytest.mark.parametrize("half", [Fraction(1, 2), 0.5], ids=["Fraction", "float"])
 def test_homomorphism_rejects_non_integer_entries(half):
     # a rational entry gave pushforward a Fraction coefficient and a float
     # one crashed pullback; both are input errors when the map is built
-    E1 = gaussian_elliptic_curve()
+    E1 = standard_ppav(1)
     with pytest.raises(TypeError):
-        Homomorphism(E1, E1, ((half, 0), (0, 1)), False)
+        Homomorphism(E1, E1, ((half, 0), (0, 1)))
 
 
 @pytest.mark.parametrize(
@@ -568,8 +597,7 @@ def test_homomorphism_rejects_non_integer_entries(half):
     [
         lambda: det_bareiss([[True, 0], [0, True]]),
         lambda: elliptic_product((True, 2)),
-        lambda: Homomorphism(gaussian_elliptic_curve(), gaussian_elliptic_curve(),
-                             ((True, 0), (0, 1)), False),
+        lambda: Homomorphism(standard_ppav(1), standard_ppav(1), ((True, 0), (0, 1))),
         lambda: Multivector(2, {0b01: True}),
         lambda: Multivector(2, {0b01: 3}) * True,
         lambda: True * Multivector(2, {0b01: 3}),
@@ -585,7 +613,7 @@ def test_a_bool_is_not_an_int_entry(build):
 
 
 def _fixed_homs():
-    E1 = gaussian_elliptic_curve()
+    E1 = standard_ppav(1)
     P = product(E1, E1)
     return [
         P.j1,
@@ -614,7 +642,7 @@ def homs(draw):
                      min_size=h2, max_size=h2)
     P, Q = draw(block), draw(block)
     M = [P[i] + [-x for x in Q[i]] for i in range(h2)] + [Q[i] + P[i] for i in range(h2)]
-    return Homomorphism(standard_ppav(h1), standard_ppav(h2), tuple(map(tuple, M)), True)
+    return Homomorphism(standard_ppav(h1), standard_ppav(h2), tuple(map(tuple, M)))
 
 
 def classes(rank):
@@ -658,7 +686,7 @@ def test_reused_hom_tables_keep_their_entries():
     # the oracle's, so an entry changed after it was stored shows up
     rng = random.Random(41)
     X, Y = standard_ppav(2), standard_ppav(3)
-    f = Homomorphism(X, Y, tuple(map(tuple, _gaussian_hom(rng, 2, 3))), True)
+    f = Homomorphism(X, Y, tuple(map(tuple, _gaussian_hom(rng, 2, 3))))
     for _ in range(2):
         for mask in range(1 << Y.rank):
             y = Multivector(Y.rank, {mask: 1})
@@ -683,12 +711,12 @@ def test_dual_hom_shares_tables_with_the_map(h_src, h_tgt, dual_first):
     # tables are its own, whichever side fills the shared tables first
     rng = random.Random(10 * h_src + h_tgt)
     X, Y = standard_ppav(h_src), elliptic_product((1,) * (h_tgt - 1) + (2,))
-    f = Homomorphism(X, Y, tuple(map(tuple, _gaussian_hom(rng, h_src, h_tgt))), True)
+    f = Homomorphism(X, Y, tuple(map(tuple, _gaussian_hom(rng, h_src, h_tgt))))
     fhat = f.dual_hom()
     assert fhat._pullback_power is f._pushforward_power
     assert fhat._pushforward_power is f._pullback_power
     assert fhat.dual_hom()._pullback_power is f._pullback_power
-    rebuilt = Homomorphism(fhat.source, fhat.target, fhat.matrix, fhat.holomorphic)
+    rebuilt = Homomorphism(fhat.source, fhat.target, fhat.matrix)
     assert rebuilt == fhat and rebuilt._pullback_power is not fhat._pullback_power
     for side in ((fhat, f) if dual_first else (f, fhat)):
         # the map's own calls only fill the shared tables
