@@ -194,7 +194,8 @@ def _row_blocks(rows: list[dict], cols: int) -> list[tuple[list[int], list[int]]
     the block, and its columns.  A zero row lies in no block; a zero column
     is a block of its own with no rows.  Blocks come in the order of their
     first column, and permuting rows and columns by them makes the matrix
-    block diagonal.
+    block diagonal.  An entry that is not an int (a bool, say) is a
+    :class:`TypeError`: the one type check of the kernel's sparse rows.
 
     >>> _row_blocks(*sparse_rows([[1, 1, 0], [0, 0, 0], [0, 0, 3]]))
     [([0], [0, 1]), ([2], [2])]
@@ -208,6 +209,9 @@ def _row_blocks(rows: list[dict], cols: int) -> list[tuple[list[int], list[int]]
         return c
 
     for row in rows:
+        for x in row.values():
+            if type(x) is not int:
+                raise TypeError(f"sparse row {row!r} has an entry that is not an integer")
         if not row:
             continue
         support = iter(row)

@@ -254,6 +254,20 @@ def test_kernel_saturated_rational_entries():
     assert gcd(x, y) == 1
 
 
+@pytest.mark.parametrize(
+    "row",
+    [{0: 0.5, 1: -1 / 3}, {0: Fraction(1, 2), 1: -1}, {0: Fraction(3), 1: -2}, {0: True, 1: -1}],
+    ids=["float", "Fraction", "integral Fraction", "bool"],
+)
+def test_sparse_kernel_rejects_an_entry_that_is_not_an_int(row):
+    # the float row returned the float kernel column (6004799503160661.0,
+    # 9007199254740992.0), and the bool row was read as the int row (1, -1)
+    with pytest.raises(TypeError):
+        kernel_saturated_sparse([{0: 1}, row], 2)
+    with pytest.raises(TypeError):
+        _row_blocks([row], 2)
+
+
 @st.composite
 def permuted_block_diagonal(draw):
     """Random integer blocks on the diagonal, plus zero rows and zero
