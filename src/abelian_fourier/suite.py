@@ -13,11 +13,11 @@ builds its own ``standard_ppav`` models and its default-grid entries.
 :func:`run_check` enforces these fields in one place and
 :func:`default_suite` derives both grids from them.  Beyond its ceiling a
 check reports status ``skipped`` with a budget note rather than running
-unbounded work.  The ``poincare_normalization`` check is a sign audit: it
-asserts the derived normalization ``integrate(ell^{2g}) = (-1)^g (2g)!``
-and its result notes that a displayed-positive normalization of the top
-self-pairing would differ by exactly ``(-1)^g``; the related Kunneth
-split check inserts that recorded sign.
+unbounded work.  The ``poincare_normalization`` check asserts the derived
+normalization ``integrate(ell^{2g}) = (-1)^g (2g)!`` and fails on a
+mismatch; its pass note says that a displayed-positive normalization of
+the top self-pairing would differ by exactly ``(-1)^g``, the sign the
+related Kunneth split check inserts.
 """
 
 from __future__ import annotations
@@ -594,7 +594,7 @@ REGISTRY: dict[str, _CheckSpec] = {
     ),
     "poincare_normalization": _CheckSpec(
         _check_poincare_normalization,
-        "integrate(ell^{2g}) = (-1)^g (2g)! (sign audit, never a suite failure)",
+        "integrate(ell^{2g}) = (-1)^g (2g)!",
         ceiling=4,
     ),
     "ell_integrality": _CheckSpec(

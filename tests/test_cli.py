@@ -555,13 +555,13 @@ def test_verify_reports_non_hodge_generator_as_check_failure(tmp_path, monkeypat
 
 # sha256 of the default ``verify`` JSON report after ``strip_runtimes``; a
 # change that keeps every result keeps this digest
-DEFAULT_REPORT_SHA256 = "fd6f68b6b897dbb92795a17ea99f24493c1f71e09e8c2f525cecfff3b579948c"
+DEFAULT_REPORT_SHA256 = "a719f44fc829b60f3c53346ff8963af6c111969a540271ad96cf295105179751"
 
 # the same for ``verify --variety FILE``, where the variety itself rides in
 # the check parameters until the descriptor records its genus and name
 VARIETY_REPORT_SHA256 = {
-    "surface": "dc842f1e726346f16bc543b1d0a675f219a8253a04794dedc9902c79851b94e9",
-    "rational": "a75f73348e29ee45e74eddf7db0c311daf5cd269e173e0184aad1610b2870b8f",
+    "surface": "aee5e03bb7ee5be7eee43a22cd3f5165a6a219283ec9ac9d37e06827b01dca78",
+    "rational": "d3f0393c92c830408aa4935eacd66c67642dc0c51a58d372567b2e603d0c2444",
 }
 VARIETY_SPECS = {
     "surface": {"name": "S", "genus": 2, "polarization_type": [1, 2]},

@@ -59,7 +59,7 @@ MUTANTS = {
     "fourier-odd-negated": (
         patched_fourier(negate_odd),
         ("lemma51_diagram",),
-        "7e5da723397be211b0aa1bdb33a96e1c33ec5f6ecea953a5639553482528b31e",
+        "6d8f9dba26b8a633ac06161c87e0bae4f2f3ab058e1c323941e9cfefa38ab2e8",
     ),
     "fourier-top-dropped": (
         patched_fourier(drop_top),
@@ -72,17 +72,17 @@ MUTANTS = {
             "lemma51_diagram",
             "product_exchange",
         ),
-        "77720ed1eccf9843a910e24d143dba85cb442b0fa6352b966575907deb455a1d",
+        "9e0fdf7239920e0f1ca8a0b9e5477cf6eab9e6aa82c479de7b0f696ab9fcffe3",
     ),
     "beta-negated": (
         patched(suite, "beta_from_divisor", lambda x: -x),
         ("beta_surjectivity",),
-        "aa370b87a90b4f7c901c2df27c6647d6cd764250f4ce070b218a4b1218130427",
+        "1758ce75a33b5f5c108877804edd00fe67de20d8f4049bc29417b2cf69ab2e79",
     ),
     "pontryagin-reference-doubled": (
         patched(suite, "pontryagin_reference", lambda x: x * 2),
         ("divided_square", "product_exchange", "star_exp_of_R", "theta_divided"),
-        "3321bcc02ae83469f9f6a69be2308e0d6fa553acf06853dbed0ae7718cdb38b9",
+        "211e8f744f7d0e52f0fdb5a20847622835417f2a817652f8867e3dc018d313fc",
     ),
     "theta-orientation-flipped": (
         patched(varieties, "_theta_orientation", lambda o: -o),
@@ -98,7 +98,7 @@ MUTANTS = {
             "star_exp_of_R",
             "theta_divided",
         ),
-        "6010747506a70be3463ad8229f4e2c3a5c200fa4e9199cdd27ec2d5dc2f41667",
+        "fc6b9860572e29a15786560f35a51978c2dbb31f7319136a373be32a37445440",
     ),
     "pushforward-negated": (
         patched(Homomorphism, "pushforward", lambda x: -x),
@@ -110,17 +110,17 @@ MUTANTS = {
             "tau_equals_R",
             "theta_divided",
         ),
-        "5f114077e9318c0460f3fccdc92825590cd02fc187cb1fe875ee17731ebd9f01",
+        "d80233ed8b4bfa5ba11a27c222dbd20b710e26f30a270fb6b871a7c576d56e3b",
     ),
     "pullback-negated": (
         patched(Homomorphism, "pullback", lambda x: -x),
         ("beta_surjectivity", "functoriality", "sigma_triple_sum"),
-        "2a1bdfcd3263df955ad8fa232e25e0895047f3043c5437bb30b13c00c21ab19c",
+        "4c726a9c80aef24bcb1b3f2eed9deb5dc0ff6b8d508fb899b105e412db1198ef",
     ),
     "hodge-fourier-doubled": (
         patched(hodge, "fourier", lambda x: x * 2),
         ("hodge_fourier_unimodular",),
-        "063a7ecc240eb1e92d0a91316abacd8b92208205676b39f2d67391bf479b1fe4",
+        "91642c79c20e1c554f6cf7f88009aca57214fd1db3febd52aa8ba350e731bc9e",
     ),
     # a doubled degree still leaves m alpha^{-1} integral, so beta . alpha
     # != [m] fails; an off-by-one one leaves it non-integral, which
@@ -128,12 +128,12 @@ MUTANTS = {
     "degree-doubled": (
         patched(Homomorphism, "degree", lambda d: d * 2),
         ("isogeny_degree",),
-        "b003b7d4401245b2506953ff8dfde7b2bce6728fc3fcb29a1efb6a7e5a67535f",
+        "d70ba5f80fb332810ebb3d81715ee89c3eec4afe3f68ec8401a36ebd84366d42",
     ),
     "degree-off-by-one": (
         patched(Homomorphism, "degree", lambda d: d + 1),
         ("isogeny_degree",),
-        "c38215e15901edaf1d1cea1b18b02b3420a63d9d7ff91dc7bad352f1f0f719c0",
+        "30e5477ba1abd761acc831af3708cb5351e8fe1f0b6d700fea39f373cc0ac833",
     ),
 }
 
