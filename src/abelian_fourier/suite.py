@@ -26,7 +26,7 @@ import random
 import time
 from collections import namedtuple
 from itertools import combinations
-from math import factorial
+from math import factorial, isqrt
 
 from . import intlinalg
 from .errors import (
@@ -181,29 +181,88 @@ def _gaussian_hom(rng, h_src: int, h_tgt: int) -> list[list[int]]:
     ]
 
 
+def _minor_bound(matrix) -> int:
+    """Hadamard's bound on every minor of an int matrix, the empty one
+    included: the product over the rows of ``ceil(|row|)``, 1 for a zero row.
+
+    >>> _minor_bound(((3, 4), (0, 0), (1, 1)))
+    10
+    """
+    bound = 1
+    for row in matrix:
+        norm2 = sum(e * e for e in row)
+        if norm2:
+            bound *= isqrt(norm2 - 1) + 1
+    return bound
+
+
+def _stacked_class(rank: int, matrix) -> Multivector:
+    """``sum_S base^{i(S)} e_S`` over every mask S, with ``i(S)`` the index
+    of S among the masks of its degree, in increasing mask order, and
+    ``base = 4 H + 1`` for H the :func:`_minor_bound` of ``matrix``."""
+    base = 4 * _minor_bound(matrix) + 1
+    seen = [0] * (rank + 1)
+    terms = {}
+    for mask in range(1 << rank):
+        k = mask.bit_count()
+        terms[mask] = base ** seen[k]
+        seen[k] += 1
+    return Multivector(rank, terms)
+
+
+def _monomials(rank: int):
+    return ((f"mask {mask:#x}", Multivector(rank, {mask: 1})) for mask in range(1 << rank))
+
+
+def _functoriality_laws(f, fhat, xs, ys) -> None:
+    """Both laws of f: the pushforward law on each ``(name, class)`` of
+    ``xs`` on its source, then the pullback law on each of ``ys`` on its
+    target.  The first side that differs raises :class:`CheckFailure`."""
+    X, Y = f.source, f.target
+    dims = f"dims ({X.genus},{Y.genus})"
+    for what, x in xs:
+        lhs = fhat.pullback(fourier(X, x))
+        rhs = fourier(Y, f.pushforward(x))
+        if lhs != rhs:
+            raise CheckFailure(f"pushforward law, {dims}, {what}", lhs - rhs)
+    sign = (-1) ** (X.genus - Y.genus)
+    for what, y in ys:
+        lhs = fourier(X, f.pullback(y))
+        rhs = fhat.pushforward(fourier(Y, y))
+        if sign < 0:
+            rhs = -rhs
+        if lhs != rhs:
+            raise CheckFailure(f"pullback law, {dims}, {what}", lhs - rhs)
+
+
 def _check_functoriality(A, seed):
+    # Each law is checked on one stacked class per side, which is exact:
+    # both sides are linear, the image of a monomial under either side has
+    # +-minors of f as coefficients, each at most H = _minor_bound(f) in
+    # absolute value, and each law sends input degree j to one output
+    # degree.  So an output coefficient of lhs - rhs on the stacked class is
+    # sum_S base^{i(S)} d_S over the masks S of one degree, every digit
+    # |d_S| <= 2H < base = 4H + 1, and it is 0 only when every d_S is.  On a
+    # mismatch the monomials are run for the failing mask and its witness.
     rng = random.Random(seed)
     for _ in range(20):
         h1 = rng.randint(1, A.genus)
         h2 = rng.randint(1, A.genus)
         X, Y = standard_ppav(h1), standard_ppav(h2)
-        f = Homomorphism(X, Y, tuple(tuple(r) for r in _gaussian_hom(rng, h1, h2)))
+        f = Homomorphism(X, Y, _gaussian_hom(rng, h1, h2))
         fhat = f.dual_hom()
-        sign = (-1) ** (h1 - h2)
-        for mask in range(1 << X.rank):
-            x = Multivector(X.rank, {mask: 1})
-            lhs = fhat.pullback(fourier(X, x))
-            rhs = fourier(Y, f.pushforward(x))
-            if lhs != rhs:
-                raise CheckFailure(f"pushforward law, dims ({h1},{h2}), mask {mask:#x}", lhs - rhs)
-        for mask in range(1 << Y.rank):
-            y = Multivector(Y.rank, {mask: 1})
-            lhs = fourier(X, f.pullback(y))
-            rhs = fhat.pushforward(fourier(Y, y))
-            if sign < 0:
-                rhs = -rhs
-            if lhs != rhs:
-                raise CheckFailure(f"pullback law, dims ({h1},{h2}), mask {mask:#x}", lhs - rhs)
+        stacked = "the stacked class"
+        try:
+            _functoriality_laws(
+                f,
+                fhat,
+                [(stacked, _stacked_class(X.rank, f.matrix))],
+                [(stacked, _stacked_class(Y.rank, f.matrix))],
+            )
+        except CheckFailure:
+            _functoriality_laws(f, fhat, _monomials(X.rank), _monomials(Y.rank))
+            # every monomial passed, so a side is not linear
+            raise
 
 
 def _random_even_class(rng, rank: int, max_terms: int = 4) -> Multivector:
@@ -382,14 +441,14 @@ def _check_isogeny_degree(X, seed):
             M = _gaussian_hom(rng, g, g)
             if intlinalg.det_bareiss(M) != 0:
                 break
-        alpha = Homomorphism(X, X, tuple(tuple(r) for r in M))
+        alpha = Homomorphism(X, X, M)
         m = alpha.degree()
         try:
             B = intlinalg.scaled_inverse(M, m)
         except ValueError as exc:
             # a wrong degree leaves m alpha^{-1} non-integral: no beta exists
             raise CheckFailure(f"no beta with beta . alpha = [{m}]: {exc}", X.fundamental_class())
-        beta = Homomorphism(X, X, tuple(map(tuple, B)))
+        beta = Homomorphism(X, X, B)
         comp = beta.compose(alpha)
         dual_comp = alpha.dual_hom().compose(beta.dual_hom())
         if comp.matrix != scalar_hom(X, m).matrix:

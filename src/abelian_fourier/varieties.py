@@ -334,7 +334,8 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
     """Integral matrix acting on first homology, source to target.
 
     The matrix is ``2g_target x 2g_source`` in column convention: the
-    image of source basis vector ``j`` is ``sum_i M[i][j] w_i``.  No
+    image of source basis vector ``j`` is ``sum_i M[i][j] w_i``, stored
+    as a tuple of int rows whatever sequences the caller passed.  No
     ``__slots__``: the two exterior-power tables are cached in ``__dict__``.
     Between two models with J the map must be holomorphic, ``M J == J M``;
     complex conjugation is not, but is a map of real tori, without J:
@@ -349,6 +350,9 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
     """
 
     def __new__(cls, source, target, matrix):
+        # stored as tuples of rows: a map built from lists equals and hashes
+        # like one built from tuples, and the caller's lists cannot reach it
+        matrix = tuple(map(tuple, matrix))
         if len(matrix) != target.rank or any(len(row) != source.rank for row in matrix):
             raise RankMismatch(
                 f"matrix shape {len(matrix)}x{len(matrix[0]) if matrix else 0}"

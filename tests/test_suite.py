@@ -1,11 +1,14 @@
 """Check registry and runner: statuses, witnesses, determinism."""
 
+import random
 import signal
+from itertools import combinations
 
 import pytest
 
 import abelian_fourier
 import abelian_fourier.suite as suite
+import abelian_fourier.varieties as varieties
 from abelian_fourier.errors import (
     ImageNotInHodge,
     InvalidType,
@@ -16,9 +19,15 @@ from abelian_fourier.errors import (
     UnsupportedParams,
 )
 from abelian_fourier.suite import REGISTRY, default_suite, run_check, run_suite
-from abelian_fourier.exterior import Multivector
-from abelian_fourier.fourier import kunneth_R_decomposition, poincare_class
-from abelian_fourier.varieties import elliptic_product, make_variety, standard_ppav
+from abelian_fourier.exterior import Multivector, complement_sign
+from abelian_fourier.fourier import fourier, kunneth_R_decomposition, poincare_class
+from abelian_fourier.intlinalg import det_bareiss
+from abelian_fourier.varieties import (
+    Homomorphism,
+    elliptic_product,
+    make_variety,
+    standard_ppav,
+)
 
 
 def test_registry_size_and_names():
@@ -464,3 +473,175 @@ def test_isogeny_degree_above_its_ceiling_within_seconds(g):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert note is None
+
+
+def monomial_failure(f, fhat):
+    """Both functoriality laws of f with one call per monomial, in the
+    check's order: the first failure as ``(detail, witness)``, else None."""
+    X, Y = f.source, f.target
+    h1, h2 = X.genus, Y.genus
+    for mask in range(1 << X.rank):
+        x = Multivector(X.rank, {mask: 1})
+        lhs = fhat.pullback(fourier(X, x))
+        rhs = fourier(Y, f.pushforward(x))
+        if lhs != rhs:
+            return f"pushforward law, dims ({h1},{h2}), mask {mask:#x}", lhs - rhs
+    for mask in range(1 << Y.rank):
+        y = Multivector(Y.rank, {mask: 1})
+        lhs = fourier(X, f.pullback(y))
+        rhs = fhat.pushforward(fourier(Y, y))
+        if (h1 - h2) % 2:
+            rhs = -rhs
+        if lhs != rhs:
+            return f"pullback law, dims ({h1},{h2}), mask {mask:#x}", lhs - rhs
+    return None
+
+
+def functoriality_oracle(genus, seed):
+    """The functoriality check on the maps it draws, one call per monomial."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        h1 = rng.randint(1, genus)
+        h2 = rng.randint(1, genus)
+        f = Homomorphism(standard_ppav(h1), standard_ppav(h2), suite._gaussian_hom(rng, h1, h2))
+        failure = monomial_failure(f, f.dual_hom())
+        if failure is not None:
+            return failure
+    return None
+
+
+def balanced_digits(c, base):
+    """The digits of c in base ``base``, each in (-base/2, base/2]."""
+    digits = []
+    while c:
+        d = c % base
+        if d > base // 2:
+            d -= base
+        digits.append(d)
+        c = (c - d) // base
+    return digits
+
+
+@pytest.mark.parametrize("h2", [1, 2, 3])
+@pytest.mark.parametrize("h1", [1, 2, 3])
+def test_the_stacked_class_gives_back_every_monomial_image(h1, h2):
+    # why the check on one stacked class is exact: on each side of each
+    # law, the digits of the stacked image in base 4H + 1 are the images of
+    # the monomials, found by their index among the masks of their degree
+    rng = random.Random(10 * h1 + h2)
+    X, Y = standard_ppav(h1), standard_ppav(h2)
+    f = Homomorphism(X, Y, suite._gaussian_hom(rng, h1, h2))
+    fhat = f.dual_hom()
+    base = 4 * suite._minor_bound(f.matrix) + 1
+    sides = [
+        (X, lambda x: fhat.pullback(fourier(X, x))),
+        (X, lambda x: fourier(Y, f.pushforward(x))),
+        (Y, lambda y: fourier(X, f.pullback(y))),
+        (Y, lambda y: fhat.pushforward(fourier(Y, y))),
+    ]
+    for V, side in sides:
+        masks = [
+            sorted(sum(1 << i for i in c) for c in combinations(range(V.rank), k))
+            for k in range(V.rank + 1)
+        ]
+        images = {m: dict(side(Multivector(V.rank, {m: 1})).items()) for m in range(1 << V.rank)}
+        # each input degree goes to one output degree, no two to the same
+        degree_of = {}
+        for k, row in enumerate(masks):
+            out = {t.bit_count() for m in row for t in images[m]}
+            assert len(out) <= 1
+            degree_of.update((d, k) for d in out)
+        assert len(degree_of) == len({k for k in degree_of.values()})
+        decoded = {m: {} for m in range(1 << V.rank)}
+        for t, c in side(suite._stacked_class(V.rank, f.matrix)).items():
+            for i, d in enumerate(balanced_digits(c, base)):
+                if d:
+                    decoded[masks[degree_of[t.bit_count()]][i]][t] = d
+        assert decoded == images
+    assert monomial_failure(f, fhat) is None
+    stacked = [("the stacked class", suite._stacked_class(V.rank, f.matrix)) for V in (X, Y)]
+    suite._functoriality_laws(f, fhat, stacked[:1], stacked[1:])
+
+
+def test_the_minor_bound_bounds_every_minor():
+    rng = random.Random(3)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        M = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        for i in rng.sample(range(rows), rng.randint(0, 2) if rows > 1 else 0):
+            M[i] = [0] * cols
+        bound = suite._minor_bound(M)
+        assert bound >= 1  # the empty minor
+        for k in range(1, min(rows, cols) + 1):
+            for r in combinations(range(rows), k):
+                for c in combinations(range(cols), k):
+                    assert abs(det_bareiss([[M[i][j] for j in c] for i in r])) <= bound
+
+
+def sign_flipped_at(mask):
+    """complement_sign with the sign of one mask negated."""
+    return lambda s: -complement_sign(s) if s == mask else complement_sign(s)
+
+
+def pullback_flipped_at(mask):
+    """Homomorphism.pullback negating the term at one mask of its input,
+    on maps into a standard model only (not on their duals)."""
+    original = Homomorphism.pullback
+
+    def pullback(self, y):
+        if not self.target.name.endswith("^"):
+            y = Multivector(y.rank, {m: -c if m == mask else c for m, c in y.items()})
+        return original(self, y)
+
+    return pullback
+
+
+@pytest.mark.parametrize(
+    "owner, name, mutant",
+    [
+        (varieties, "complement_sign", sign_flipped_at(0b1)),
+        (varieties, "complement_sign", sign_flipped_at(0b1111)),
+        (varieties, "complement_sign", sign_flipped_at(0b101011)),
+        (Homomorphism, "pullback", pullback_flipped_at(0b110)),
+    ],
+    ids=["sign-0x1", "sign-0xf", "sign-0x2b", "pullback-0x6"],
+)
+def test_a_one_monomial_mutant_fails_as_the_monomial_loop_does(monkeypatch, owner, name, mutant):
+    abelian_fourier.clear_caches()
+    monkeypatch.setattr(owner, name, mutant)
+    want = functoriality_oracle(3, 0)
+    assert want is not None
+    r = run_check("functoriality", genus=3, seed=0)
+    assert (r.status, r.detail, r.witness) == ("fail", *want)
+
+
+def test_a_side_that_is_not_linear_fails_on_the_stacked_class(monkeypatch):
+    # every monomial passes, so only the stacked class can witness it
+    original = Homomorphism.pushforward
+
+    def pushforward(self, x):
+        out = original(self, x)
+        return out * 2 if len(x) > 1 else out
+
+    monkeypatch.setattr(Homomorphism, "pushforward", pushforward)
+    assert functoriality_oracle(2, 0) is None
+    r = run_check("functoriality", genus=2, seed=0)
+    assert r.status == "fail"
+    assert r.detail.endswith("the stacked class")
+    assert not r.witness.is_zero()
+
+
+def test_functoriality_makes_four_map_calls_per_map(monkeypatch):
+    # two pullbacks and two pushforwards for each of the 20 maps, not one
+    # per monomial
+    calls = {"pullback": 0, "pushforward": 0}
+    for name in calls:
+        original = getattr(Homomorphism, name)
+
+        def counted(self, x, name=name, original=original):
+            calls[name] += 1
+            return original(self, x)
+
+        monkeypatch.setattr(Homomorphism, name, counted)
+    assert run_check("functoriality", genus=3, seed=0).status == "pass"
+    assert calls == {"pullback": 40, "pushforward": 40}

@@ -583,6 +583,21 @@ def test_hom_shape_validation():
         scalar_hom(E1, 1).pullback(Multivector.unit(4))
 
 
+def test_a_map_built_from_lists_is_stored_as_tuples():
+    # it equals and hashes like the map built from tuples, and a later
+    # edit to the caller's lists, here to a map that is not holomorphic,
+    # does not reach it
+    E1 = standard_ppav(1)
+    M = [[2, 0], [0, 2]]
+    f = Homomorphism(E1, E1, M)
+    assert f == scalar_hom(E1, 2)
+    assert hash(f) == hash(scalar_hom(E1, 2))
+    M[1][1] = -2
+    M[0] = [5, 5]
+    assert f.matrix == ((2, 0), (0, 2))
+    assert f.pullback(Multivector(2, {0b11: 1})) == Multivector(2, {0b11: 4})
+
+
 @pytest.mark.parametrize("half", [Fraction(1, 2), 0.5], ids=["Fraction", "float"])
 def test_homomorphism_rejects_non_integer_entries(half):
     # a rational entry gave pushforward a Fraction coefficient and a float
