@@ -225,11 +225,10 @@ def _functoriality_laws(f, fhat, xs, ys) -> None:
         rhs = fourier(Y, f.pushforward(x))
         if lhs != rhs:
             raise CheckFailure(f"pushforward law, {dims}, {what}", lhs - rhs)
-    sign = (-1) ** (X.genus - Y.genus)
     for what, y in ys:
         lhs = fourier(X, f.pullback(y))
         rhs = fhat.pushforward(fourier(Y, y))
-        if sign < 0:
+        if (X.genus - Y.genus) % 2:
             rhs = -rhs
         if lhs != rhs:
             raise CheckFailure(f"pullback law, {dims}, {what}", lhs - rhs)
