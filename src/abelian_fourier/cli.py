@@ -25,6 +25,7 @@ from .hodge import hodge_lattice, voisin_certificate
 from .intlinalg import dense_columns
 from .report import (
     ReportDocument,
+    _int,
     class_from_dict,
     emit_class,
     emit_report,
@@ -63,7 +64,7 @@ def _load_variety_arg(args):
         with open(args.variety, encoding="utf-8") as fh:
             return parse_variety(fh.read())
     if args.type:
-        return elliptic_product(tuple(int(d) for d in args.type.split(",")))
+        return elliptic_product(tuple(_int(d, "--type entry") for d in args.type.split(",")))
     if args.genus is not None:
         return standard_ppav(args.genus)
     return None
@@ -163,6 +164,22 @@ def _cmd_hodge(args) -> int:
     return 0
 
 
+def _decimal(text: str) -> int:
+    # the rule report._int applies to files: int() would also take a plus
+    # sign, underscores, spaces and non-ASCII digits
+    try:
+        return _int(text, "value")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}") from None
+
+
+def _add_model_group(p, required: bool):
+    model = p.add_mutually_exclusive_group(required=required)
+    model.add_argument("--variety", help="variety spec file (JSON)")
+    model.add_argument("--genus", type=_decimal, help="the built-in principal model of this genus")
+    model.add_argument("--type", help="the built-in model of this polarization type, e.g. 1,2")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abelian-fourier",
@@ -172,21 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the identity verification suite")
-    model = p_verify.add_mutually_exclusive_group()
-    model.add_argument("--genus", type=int, help="run every check at this genus")
-    model.add_argument("--variety", help="variety spec file (JSON)")
-    model.add_argument("--type", help="polarization type, e.g. 1,2")
+    _add_model_group(p_verify, required=False)
     p_verify.add_argument("--checks", default="all", help="comma list of check names, or 'all'")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    p_verify.add_argument("--seed", type=_decimal, default=0, help="seed for randomized checks")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", help="write the report here instead of stdout")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_fourier = sub.add_parser("fourier", help="transform a class file")
-    model = p_fourier.add_mutually_exclusive_group(required=True)
-    model.add_argument("--variety", help="variety spec file (JSON)")
-    model.add_argument("--genus", type=int, help="use the built-in principal model")
-    model.add_argument("--type", help="use the built-in model of this type")
+    _add_model_group(p_fourier, required=True)
     p_fourier.add_argument("--class", dest="class_file", required=True, help="class file (JSON)")
     p_fourier.add_argument(
         "--inverse",
@@ -197,11 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fourier.set_defaults(fn=_cmd_fourier)
 
     p_hodge = sub.add_parser("hodge", help="compute a Hodge-class lattice")
-    model = p_hodge.add_mutually_exclusive_group(required=True)
-    model.add_argument("--variety", help="variety spec file (JSON)")
-    model.add_argument("--genus", type=int, help="use the built-in principal model")
-    model.add_argument("--type", help="use the built-in model of this type")
-    p_hodge.add_argument("--degree", type=int, required=True, help="cohomological degree 2k")
+    _add_model_group(p_hodge, required=True)
+    p_hodge.add_argument("--degree", type=_decimal, required=True, help="cohomological degree 2k")
     p_hodge.add_argument(
         "--certify-generators",
         help="JSON list of class records; report the cokernel they leave",

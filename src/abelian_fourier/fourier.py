@@ -51,7 +51,7 @@ path with itself.  The star checks take their star powers from
 above genus 2 they rest on the exchange law.
 
 Curve classes of divisors.  For a principal A with polarization isogeny
-``lambda: A -> A^``, the paper's triple sum (:func:`beta_from_divisor_reference`)
+``lambda: A -> A^``, the paper's triple sum
 
     beta(D) = sum_{i+j+k = 2g-2} (-1)^{j+k}
               push_2( m^*theta^[i] ^ p_1^*theta^[j] ^ p_1^*D ) ^ theta^[k],
@@ -59,16 +59,22 @@ Curve classes of divisors.  For a principal A with polarization isogeny
 with ``x^[i] = x^i / i!``, is ``lambda^* F(D)`` for every degree-2 D
 (Beauville 1983 for the exchange law and ``F(theta^[k])``):
 
+* ``theta^[k]`` enters ``push_2`` as ``p_2^*theta^[k]`` (projection
+  formula), so the sum is ``push_2(T ^ p_1^*D)`` with the signed triple
+  sum on ``A x A`` (:func:`theta_triple_sum`)
+
+      T = sum_{i+j+k = 2g-2} (-1)^{j+k}
+          m^*theta^[i] ^ p_1^*theta^[j] ^ p_2^*theta^[k].
+
 * ``ell_lambda = m^*theta - p_1^*theta - p_2^*theta`` is
   ``(1 x lambda)^* ell``, pinned by ``(id, lambda)^* ell = 2 theta``.  The
   three terms of ``m^*theta`` have even degree and commute, so
   ``m^*theta^[i]`` is the sum of ``ell_lambda^[a] p_1^*theta^[b]
-  p_2^*theta^[c]`` over ``a + b + c = i``.
-* ``p_2^*theta^[c]`` leaves ``push_2`` as ``theta^[c]`` (projection
-  formula).  For fixed a, the sum over ``b + j = s`` of
-  ``(-1)^j theta^[b] theta^[j]`` is ``(theta - theta)^[s]``, zero unless
-  ``s = 0``, and likewise the sum over ``c + k``.  What is left is
-  ``push_2(ell_lambda^[2g-2] ^ p_1^*D)``.
+  p_2^*theta^[c]`` over ``a + b + c = i``.  For fixed a, the sum over
+  ``b + j = s`` of ``(-1)^j theta^[b] theta^[j]`` is
+  ``(theta - theta)^[s]``, zero unless ``s = 0``, and likewise the sum
+  over ``c + k``.  So ``T = ell_lambda^[2g-2]``, the identity the suite's
+  ``sigma_triple_sum`` checks.
 * ``ell_lambda`` has bidegree (1, 1) and D degree (2, 0), so only
   ``ell_lambda^[2g-2]`` fills the first factor: the class is
   ``push_2(exp(ell_lambda) ^ p_1^*D)``.  Base change of ``push_2`` along
@@ -76,7 +82,8 @@ with ``x^[i] = x^i / i!``, is ``lambda^* F(D)`` for every degree-2 D
   which is ``lambda^* F(D)``.
 
 So :func:`beta_from_divisor` is one transform and one pullback along
-``lambda``; the triple sum stays as its oracle, and the suite's
+``lambda``; ``push_2(T ^ p_1^*D)`` stays as its oracle
+(:func:`beta_from_divisor_reference`), and the suite's
 ``beta_surjectivity`` compares the two up to genus 2.
 
 Sign conventions (pinned once, consumed everywhere):
@@ -103,7 +110,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
-from .errors import NonTerminatingSeries, RankMismatch, UnsupportedParams
+from .errors import CheckFailure, NonTerminatingSeries, RankMismatch, UnsupportedParams
 from .exterior import _ODD_BITS, Multivector
 from .varieties import (
     AbelianVariety,
@@ -356,35 +363,39 @@ def beta_from_divisor(A: AbelianVariety, D: Multivector) -> Multivector:
 
 
 def beta_from_divisor_reference(A: AbelianVariety, D: Multivector) -> Multivector:
-    """Curve class attached to a divisor class by the triple-sum formula.
+    """Curve class attached to a divisor class by the triple-sum formula,
+    ``push_2(T ^ p_1^*D)`` with T the :func:`theta_triple_sum` of A.
 
-    For a principally polarized A and an integral degree-2 class D,
-
-        beta(D) = sum_{i+j+k = 2g-2} (-1)^{j+k}
-                  push_2( m^*(theta^i/i!) ^ pull_1(theta^j/j!) ^ pull_1(D) )
-                  ^ theta^k/k!
-
-    with every division exact.  The oracle that :func:`beta_from_divisor`
-    is tested against.
+    This is the paper's sum with each ``theta^[k]`` taken inside ``push_2``
+    by the projection formula, so it costs one ``push_2``.  The oracle
+    that :func:`beta_from_divisor` is tested against.
     """
     _require_divisor(A, D)
+    square = structure_homs(A).square
+    return square.push_second(theta_triple_sum(A).wedge(square.pull_first(D)))
+
+
+def theta_triple_sum(A: AbelianVariety) -> Multivector:
+    """The signed triple sum of theta divided powers on ``A x A``,
+
+        T = sum_{i+j+k = 2g-2} (-1)^{j+k} m^*theta^[i] ^ p_1^*theta^[j] ^ p_2^*theta^[k],
+
+    which the suite's ``sigma_triple_sum`` compares with
+    ``ell_lambda^{2g-2}/(2g-2)!`` and :func:`beta_from_divisor_reference`
+    pushes forward.
+    """
     g = A.genus
     sh = structure_homs(A)
-    theta = A.theta_class()
-    theta_div = [theta.wedge_power_divided(t) for t in range(g + 1)]
-    out = Multivector.zero(A.rank)
-    pulled_D = sh.square.pull_first(D)
+    thp = [A.theta_class().wedge_power_divided(t) for t in range(g + 1)]
+    out = Multivector.zero(sh.square.variety.rank)
     for i in range(g + 1):
-        m_part = sh.m.pullback(theta_div[i])
+        mi = sh.m.pullback(thp[i])
         for j in range(g + 1):
             k = 2 * g - 2 - i - j
             if not 0 <= k <= g:
                 continue
-            inner = m_part.wedge(sh.square.pull_first(theta_div[j])).wedge(pulled_D)
-            term = sh.square.push_second(inner).wedge(theta_div[k])
-            if (j + k) % 2:
-                term = -term
-            out = out + term
+            term = mi.wedge(sh.square.pull_first(thp[j])).wedge(sh.square.pull_second(thp[k]))
+            out = out + (term if (j + k) % 2 == 0 else -term)
     return out
 
 
@@ -433,7 +444,7 @@ def kunneth_R_decomposition(A: AbelianVariety):
     return lhs, R_A.wedge(pt_24) + pt_13.wedge(R_hat)
 
 
-def prop45_pushforward_check(A: AbelianVariety, B: AbelianVariety):
+def prop45_pushforward_check(A: AbelianVariety, B: AbelianVariety) -> Multivector:
     """Pushforward of the product's minimal class to one factor pair.
 
     For ``X = A x B`` of dimension h, checks exactly that
@@ -441,11 +452,15 @@ def prop45_pushforward_check(A: AbelianVariety, B: AbelianVariety):
     * ``ell_X^{2h-1}/(2h-1)!`` splits into the two cross terms of the
       factor pairing classes, and
     * its pushforward along the projection to ``A x A^`` equals
-      ``(-1)^{g_B} mu^{2g_A - 1} / (2g_A - 1)!``.
+      ``(-1)^{g_B} mu^{2g_A - 1} / (2g_A - 1)!``,
 
-    Returns ``(split_ok, push_ok, pushed, expected)``.
+    and returns that pushforward.  A failed split raises
+    :class:`CheckFailure` witnessed by the class minus its two terms, on
+    the 4-fold ``X x X^``; a failed pushforward, by the pushforward minus
+    its expected value, on ``A x A^``.
     """
     gA, gB = A.genus, B.genus
+    dims = f"dims ({gA},{gB})"
     h = gA + gB
     XP, p13, p24 = _four_fold_maps(A, B)
     ell_X = poincare_class(XP.factors[0])
@@ -459,10 +474,13 @@ def prop45_pushforward_check(A: AbelianVariety, B: AbelianVariety):
     term2 = p13.pullback(mu.wedge_power_divided(2 * gA)).wedge(
         p24.pullback(nu.wedge_power_divided(2 * gB - 1))
     )
-    split_ok = R_X == term1 + term2
+    if R_X != term1 + term2:
+        raise CheckFailure(f"two-term split failed at {dims}", R_X - term1 - term2)
 
     pushed = p13.pushforward(R_X)
     expected = mu.wedge_power_divided(2 * gA - 1)
     if gB % 2:
         expected = -expected
-    return split_ok, pushed == expected, pushed, expected
+    if pushed != expected:
+        raise CheckFailure(f"pushforward identity failed at {dims}", pushed - expected)
+    return pushed

@@ -254,6 +254,17 @@ def voisin_certificate(V: AbelianVariety, k: int, generators) -> intlinalg.Coker
     return intlinalg.cokernel_invariants(G, lat.rank)
 
 
+def first_outside(V: AbelianVariety, k: int, generators, cokernel):
+    """The first basis class of the degree-2k Hodge lattice outside the
+    span of ``generators``, whose :func:`voisin_certificate` is
+    ``cokernel``; None when that cokernel is trivial.  A basis class is
+    outside the span exactly when adding it changes the cokernel."""
+    if cokernel.is_trivial:
+        return None
+    return next(u for u in hodge_lattice(V, k).basis_classes()
+                if voisin_certificate(V, k, [*generators, u]) != cokernel)
+
+
 class FourierHodgeMatrix(
     namedtuple("FourierHodgeMatrix", "source_rank target_rank cokernel outside")
 ):
@@ -276,8 +287,8 @@ def fourier_hodge_matrix(A: AbelianVariety, i: int) -> FourierHodgeMatrix:
     when both lattices have the same rank and the cokernel is trivial.  An
     image that is not a Hodge class of the dual, which would contradict the
     transform being a morphism of Hodge structures, raises
-    :class:`ImageNotInHodge` with that image as witness.  A basis class is
-    outside the span exactly when adding it changes the cokernel."""
+    :class:`ImageNotInHodge` with that image as witness.  ``outside`` is
+    the :func:`first_outside` class of the dual's lattice."""
     source, target = hodge_lattice(A, i), hodge_lattice(dual(A), A.genus - i)
     images = [fourier(A, u) for u in source.basis_classes()]
     try:
@@ -286,7 +297,5 @@ def fourier_hodge_matrix(A: AbelianVariety, i: int) -> FourierHodgeMatrix:
         idx = exc.index
         message = f"transform of Hodge basis class {idx} in degree {2 * i} left the Hodge lattice"
         raise ImageNotInHodge(message, images[idx]) from exc
-    grows = (u for u in target.basis_classes()
-             if voisin_certificate(target.A, target.k, images + [u]) != cok)
-    outside = None if cok.is_trivial else next(grows)
+    outside = first_outside(target.A, target.k, images, cok)
     return FourierHodgeMatrix(source.rank, target.rank, cok, outside)

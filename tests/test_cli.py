@@ -131,6 +131,31 @@ def test_one_variety_flag(command, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+# int() reads "1_2" as 12, "+1" as 1, " 2" as 2 and the Arabic-Indic digit
+# "\u0662" as 2; each argv below runs and exits 0 when its flags are read so
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--type", "+1,\u0662", "--checks", "fourier_involution"],
+        ["verify", "--genus", "\u0662", "--checks", "fourier_involution"],
+        ["verify", "--genus", "1", "--seed", "+1", "--checks", "functoriality"],
+        ["fourier", "--type", "1_2", "--class", "rank2.json"],
+        ["fourier", "--genus", " 1", "--class", "rank2.json"],
+        ["hodge", "--type", "1_2", "--degree", "2"],
+        ["hodge", "--type", "+1,\u0662", "--degree", "2"],
+        ["hodge", "--genus", "2", "--degree", "0_2"],
+    ],
+    ids=repr,
+)
+def test_integer_flags_are_plain_decimals(argv, tmp_path, monkeypatch, capsys):
+    # a flag takes the decimal integers that a spec file takes, else exit 2
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "rank2.json", {"rank": 2, "terms": [{"generators": [0], "coeff": 1}]})
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "not a decimal integer" in err or "must be an integer or a decimal string" in err
+
+
 @pytest.mark.parametrize("command", ["fourier", "hodge"])
 def test_fourier_and_hodge_need_a_model_flag(command, capsys):
     extra = {"fourier": ["--class", "x.json"], "hodge": ["--degree", "2"]}

@@ -436,12 +436,38 @@ BETA_MODELS = [
 ]
 
 
+def beta_literal(A, D):
+    """The paper's triple sum as written, ``theta^[k]`` outside ``push_2``:
+
+        sum_{i+j+k = 2g-2} (-1)^{j+k}
+            push_2( m^*theta^[i] ^ p_1^*theta^[j] ^ p_1^*D ) ^ theta^[k],
+
+    one ``push_2`` per term; ``beta_from_divisor_reference`` moves
+    ``theta^[k]`` inside by the projection formula."""
+    g = A.genus
+    sh = structure_homs(A)
+    theta_div = [A.theta_class().wedge_power_divided(t) for t in range(g + 1)]
+    pulled_D = sh.square.pull_first(D)
+    out = Multivector.zero(A.rank)
+    for i in range(g + 1):
+        m_part = sh.m.pullback(theta_div[i])
+        for j in range(g + 1):
+            k = 2 * g - 2 - i - j
+            if 0 <= k <= g:
+                inner = m_part.wedge(sh.square.pull_first(theta_div[j])).wedge(pulled_D)
+                term = sh.square.push_second(inner).wedge(theta_div[k])
+                out = out + (-term if (j + k) % 2 else term)
+    return out
+
+
 @pytest.mark.parametrize("A", BETA_MODELS, ids=lambda A: A.name)
 def test_beta_closed_form_matches_triple_sum(A):
-    # lambda^* F(D) against the triple sum, on every degree-2 monomial
+    # lambda^* F(D) against the triple sum through T and as written, on
+    # every degree-2 monomial
     for m in degree_basis_masks(A.rank, 2):
         D = Multivector(A.rank, {m: 1})
-        assert beta_from_divisor(A, D) == beta_from_divisor_reference(A, D)
+        fast = beta_from_divisor(A, D)
+        assert fast == beta_from_divisor_reference(A, D) == beta_literal(A, D)
 
 
 def test_beta_closed_form_on_the_hermitian_e8_model():
@@ -452,7 +478,8 @@ def test_beta_closed_form_on_the_hermitian_e8_model():
         Multivector(A.rank, {m: 1}) for m in rng.sample(degree_basis_masks(A.rank, 2), 3)
     ]
     for D in divisors:
-        assert beta_from_divisor(A, D) == beta_from_divisor_reference(A, D)
+        fast = beta_from_divisor(A, D)
+        assert fast == beta_from_divisor_reference(A, D) == beta_literal(A, D)
 
 
 def test_kunneth_decomposition_sign():
@@ -464,12 +491,12 @@ def test_kunneth_decomposition_sign():
 
 
 def test_prop45_sign_flips_with_second_factor_parity():
-    split1, push1, _, _ = prop45_pushforward_check(standard_ppav(1), standard_ppav(1))
-    split2, push2, _, _ = prop45_pushforward_check(standard_ppav(1), standard_ppav(2))
-    split3, push3, _, _ = prop45_pushforward_check(standard_ppav(2), standard_ppav(1))
-    assert split1 and push1
-    assert split2 and push2
-    assert split3 and push3
+    # the check raises on a failure, so these pairs pass by returning
+    pushed = {
+        (gA, gB): prop45_pushforward_check(standard_ppav(gA), standard_ppav(gB))
+        for gA, gB in ((1, 1), (1, 2), (2, 1))
+    }
     # the identity as coded carries (-1)^{g_B}; dropping it must fail for odd g_B
-    _, _, pushed, expected = prop45_pushforward_check(standard_ppav(1), standard_ppav(1))
-    assert pushed == expected and pushed != -expected
+    for (gA, gB), x in pushed.items():
+        mu = poincare_class(standard_ppav(gA)).wedge_power_divided(2 * gA - 1)
+        assert x == (-mu if gB % 2 else mu) and not x.is_zero()

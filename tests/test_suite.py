@@ -2,6 +2,7 @@
 
 import random
 import signal
+import sys
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,7 @@ from abelian_fourier.errors import (
 from abelian_fourier.suite import REGISTRY, default_suite, run_check, run_suite
 from abelian_fourier.exterior import Multivector, complement_sign
 from abelian_fourier.fourier import fourier, kunneth_R_decomposition, poincare_class
+from abelian_fourier.hodge import hodge_lattice, voisin_certificate
 from abelian_fourier.intlinalg import det_bareiss
 from abelian_fourier.varieties import (
     Homomorphism,
@@ -128,6 +130,22 @@ def test_prop45_needs_two_factors():
     # genus h is split as the pair (h - 1, 1)
     assert run_check("prop45_pushforward", genus=2).status == "pass"
     assert run_check("prop45_pushforward", genus=3).status == "pass"
+
+
+def test_prop45_split_failure_is_witnessed_on_the_four_fold(monkeypatch):
+    # negating the product's pairing class negates its odd power R_X but
+    # not the factors' cross terms, so the split fails on X x X^, rank 4h
+    fourier_module = sys.modules["abelian_fourier.fourier"]
+    original = fourier_module.poincare_class
+    h = 2
+    monkeypatch.setattr(
+        fourier_module,
+        "poincare_class",
+        lambda A: -original(A) if A.genus == h else original(A),
+    )
+    r = run_check("prop45_pushforward", genus=h)
+    assert (r.status, r.detail) == ("fail", f"two-term split failed at dims ({h - 1},1)")
+    assert r.witness.rank == 4 * h and not r.witness.is_zero()
 
 
 def test_injected_variety():
@@ -389,6 +407,19 @@ def test_beta_surjectivity_compares_the_closed_form_with_the_triple_sum(monkeypa
     assert r.detail == "beta(divisor basis class 0) differs from the triple sum"
     assert r.witness is not None and not r.witness.is_zero()
     assert run_check("beta_surjectivity", genus=3).status == "pass"
+
+
+def test_a_non_spanning_beta_certificate_names_a_class_outside_the_span(monkeypatch):
+    # doubled generators leave the cokernel (Z/2)^r; the witness is the
+    # first curve-class basis class outside their span, not a generator
+    fast = suite.beta_from_divisor
+    monkeypatch.setattr(suite, "beta_from_divisor", lambda A, D: fast(A, D) * 2)
+    r = run_check("ihc_certificate_elliptic_products", genus=3)
+    assert r.status == "fail" and r.detail.startswith("cokernel invariants")
+    assert not r.witness.is_zero()
+    A = standard_ppav(3)
+    gens = [fast(A, D) * 2 for D in hodge_lattice(A, 1).basis_classes()]
+    assert voisin_certificate(A, 2, gens + [r.witness]) != voisin_certificate(A, 2, gens)
 
 
 def test_ell_integrality_divides_the_product(monkeypatch):
