@@ -86,8 +86,9 @@ def clear_caches():
     """Drop all internal memoization.
 
     The memos are ``varieties.dual``, ``varieties.product``,
-    ``varieties.structure_homs``, ``fourier.context``, and in ``hodge``
-    the lattice per complex structure and degree (``_lattice_tables``).
+    ``varieties.structure_homs``, ``fourier.context``,
+    ``fourier.theta_triple_sum``, and in ``hodge`` the lattice per complex
+    structure and degree (``_lattice_tables``).
     The caches are semantically invisible; this exists for tests that
     deliberately corrupt a convention and need fresh constructions, and
     for timing a pass from cold.
@@ -103,4 +104,5 @@ def clear_caches():
     _varieties.product.cache_clear()
     _varieties.structure_homs.cache_clear()
     _fourier.context.cache_clear()
+    _fourier.theta_triple_sum.cache_clear()
     _hodge._lattice_tables.cache_clear()

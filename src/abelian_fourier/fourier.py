@@ -46,9 +46,8 @@ evaluates the correspondence and :func:`pontryagin_reference` the
 addition pushforward.  The suite's ``lemma51_diagram`` compares the
 transform with the correspondence and ``product_exchange`` compares the
 transform with the ``m_*`` product, so neither check compares a fast
-path with itself.  The star checks take their star powers from
-:func:`pontryagin`, and up to genus 2 also from :func:`pontryagin_reference`;
-above genus 2 they rest on the exchange law.
+path with itself.  The star checks take their star powers from both
+:func:`pontryagin` and :func:`pontryagin_reference`.
 
 Curve classes of divisors.  For a principal A with polarization isogeny
 ``lambda: A -> A^``, the paper's triple sum
@@ -84,7 +83,7 @@ with ``x^[i] = x^i / i!``, is ``lambda^* F(D)`` for every degree-2 D
 So :func:`beta_from_divisor` is one transform and one pullback along
 ``lambda``; ``push_2(T ^ p_1^*D)`` stays as its oracle
 (:func:`beta_from_divisor_reference`), and the suite's
-``beta_surjectivity`` compares the two up to genus 2.
+``beta_surjectivity`` compares the two at every genus it runs.
 
 Sign conventions (pinned once, consumed everywhere):
 
@@ -255,8 +254,8 @@ def star_divided_power(V: AbelianVariety, x: Multivector, n: int, star=None) -> 
     the classes treated here that is a genuine finding about the input,
     not an internal error, and the verification suite reports it as such.
     The powers are taken with ``star``, by default :func:`pontryagin`; the
-    suite also passes :func:`pontryagin_reference` to test against the
-    definition of the product.
+    suite's star checks run once with it and once with
+    :func:`pontryagin_reference`, the definition of the product.
     """
     _require_positive_dimension(V, x)
     return star_power(V, x, n, star).divide_exact(factorial(n))
@@ -375,6 +374,7 @@ def beta_from_divisor_reference(A: AbelianVariety, D: Multivector) -> Multivecto
     return square.push_second(theta_triple_sum(A).wedge(square.pull_first(D)))
 
 
+@lru_cache(maxsize=None)
 def theta_triple_sum(A: AbelianVariety) -> Multivector:
     """The signed triple sum of theta divided powers on ``A x A``,
 
@@ -382,7 +382,8 @@ def theta_triple_sum(A: AbelianVariety) -> Multivector:
 
     which the suite's ``sigma_triple_sum`` compares with
     ``ell_lambda^{2g-2}/(2g-2)!`` and :func:`beta_from_divisor_reference`
-    pushes forward.
+    pushes forward.  Memoized per variety, so the oracle builds T once for
+    all the divisors it is given.
     """
     g = A.genus
     sh = structure_homs(A)

@@ -24,7 +24,7 @@ from abelian_fourier.errors import (
     UnsupportedParams,
 )
 from abelian_fourier.exterior import Multivector, degree_basis_masks
-from abelian_fourier.fourier import beta_from_divisor, poincare_class
+from abelian_fourier.fourier import beta_from_divisor, poincare_class, theta_triple_sum
 from abelian_fourier.hodge import (
     HodgeLattice,
     _lattice_tables,
@@ -42,6 +42,7 @@ from abelian_fourier.intlinalg import (
     mat_mul,
     rational_solve,
 )
+from abelian_fourier.suite import run_check
 from abelian_fourier.varieties import (
     dual,
     elliptic_product,
@@ -774,6 +775,13 @@ def test_memoized_lattices_of_a_model_and_its_dual_match_the_dense_oracle(A):
 def test_clear_caches_empties_the_hodge_memos():
     A = standard_ppav(2)
     hodge_lattice(A, 1)
+    theta_triple_sum(A)
     assert _lattice_tables.cache_info().currsize > 0
+    assert theta_triple_sum.cache_info().currsize > 0
     clear_caches()
     assert _lattice_tables.cache_info().currsize == 0
+    assert theta_triple_sum.cache_info().currsize == 0
+    # beta_surjectivity pushes forward T for theta and each divisor basis
+    # class, and builds it once
+    assert run_check("beta_surjectivity", genus=3).status == "pass"
+    assert theta_triple_sum.cache_info().misses == 1

@@ -362,19 +362,30 @@ def test_nonterminating_star_series_fails_with_witness(monkeypatch):
     assert "star power" in r.detail
 
 
-@pytest.mark.parametrize("name", ["star_exp_of_R", "theta_divided", "divided_square"])
+STAR_CHECK_DETAILS = {
+    "star_exp_of_R": "left and right sides differ",
+    "theta_divided": "exponent i=0",
+    "divided_square": "left and right sides differ",
+}
+
+
+@pytest.mark.parametrize("name", list(STAR_CHECK_DETAILS))
 def test_star_checks_use_the_addition_pushforward(monkeypatch, name):
-    # up to genus 2 the star checks also take their star powers from the
-    # m_* definition, so a wrong m_* product fails them although the fast
-    # product is intact; above genus 2 only the fast product is used
+    # the star checks also take their star powers from the m_* definition,
+    # so a wrong m_* product fails them at every default-grid genus,
+    # although the fast product is intact
     reference = suite.pontryagin_reference
 
     def doubled(V, x, y):
         return reference(V, x, y) * 2
 
     monkeypatch.setattr(suite, "pontryagin_reference", doubled)
-    assert run_check(name, genus=2).status == "fail"
-    assert run_check(name, genus=3).status == "pass"
+    points = [params for n, params in default_suite() if n == name]
+    assert points
+    for params in points:
+        r = run_check(name, **params)
+        assert (r.status, r.detail) == ("fail", STAR_CHECK_DETAILS[name]), params
+        assert r.witness is not None and not r.witness.is_zero()
 
 
 def test_default_grid_passes():
@@ -386,27 +397,34 @@ def test_default_grid_passes():
 
 
 def test_beta_surjectivity_compares_the_closed_form_with_the_triple_sum(monkeypatch):
-    # up to genus 2 beta_surjectivity also runs the triple sum that defines
-    # beta, so a wrong closed form fails it with the difference as witness
+    # beta_surjectivity runs the triple sum that defines beta at every
+    # default-grid genus, so a wrong closed form fails it with the
+    # difference as witness
     fast = suite.beta_from_divisor
+    points = [params["genus"] for n, params in default_suite() if n == "beta_surjectivity"]
+    assert points == [1, 2, 3]
     monkeypatch.setattr(suite, "beta_from_divisor", lambda A, D: -fast(A, D))
-    r = run_check("beta_surjectivity", genus=2)
-    assert r.status == "fail"
-    A = standard_ppav(2)
-    assert r.witness == fast(A, A.theta_class()) * -2
-    assert r.detail == "beta(theta) differs from the triple sum"
+    for g in points:
+        r = run_check("beta_surjectivity", genus=g)
+        assert (r.status, r.detail) == ("fail", "beta(theta) differs from the triple sum")
+        A = standard_ppav(g)
+        assert r.witness == fast(A, A.theta_class()) * -2
 
     # negating every class but theta keeps the sign test and the trivial
-    # cokernel: only the triple sum sees it, so genus 3 still passes
+    # cokernel: only the triple sum sees it.  At genus 1 theta is the whole
+    # divisor basis, so there the mutant is beta itself and passes.
     def negated_off_theta(A, D):
         return fast(A, D) if D == A.theta_class() else -fast(A, D)
 
     monkeypatch.setattr(suite, "beta_from_divisor", negated_off_theta)
-    r = run_check("beta_surjectivity", genus=2)
-    assert r.status == "fail"
-    assert r.detail == "beta(divisor basis class 0) differs from the triple sum"
-    assert r.witness is not None and not r.witness.is_zero()
-    assert run_check("beta_surjectivity", genus=3).status == "pass"
+    A = standard_ppav(1)
+    assert hodge_lattice(A, 1).basis_classes() == [A.theta_class()]
+    assert run_check("beta_surjectivity", genus=1).status == "pass"
+    for g in points[1:]:
+        r = run_check("beta_surjectivity", genus=g)
+        assert r.status == "fail"
+        assert r.detail == "beta(divisor basis class 0) differs from the triple sum"
+        assert r.witness is not None and not r.witness.is_zero()
 
 
 def test_a_non_spanning_beta_certificate_names_a_class_outside_the_span(monkeypatch):
