@@ -47,6 +47,7 @@ from .fourier import (
     kunneth_R_decomposition,
     named_class,
     poincare_class,
+    pontryagin,
     pontryagin_reference,
     prop45_pushforward_check,
     star_divided_power,
@@ -288,13 +289,18 @@ def _check_product_exchange(A, seed):
 
 
 def _check_theta_divided(A, seed):
+    # theta^i / i! against gamma^{*(g-i)} / (g-i)!, each star power of gamma
+    # one product from the last, so g products per star
     g = A.genus
     theta = A.theta_class()
     gamma = named_class(A, "gamma_theta")
-    for star in (None, pontryagin_reference):
+    for star in (pontryagin, pontryagin_reference):
+        powers = [A.point_class()]
+        for _ in range(g):
+            powers.append(star(A, powers[-1], gamma))
         for i in range(g + 1):
             lhs = theta.wedge_power_divided(i)
-            rhs = star_divided_power(A, gamma, g - i, star)
+            rhs = powers[g - i].divide_exact(factorial(g - i))
             if lhs != rhs:
                 raise CheckFailure(f"exponent i={i}", lhs - rhs)
 

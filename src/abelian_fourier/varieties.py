@@ -37,11 +37,13 @@ full, and ``Homomorphism(...)`` checks the shape, that every entry is an
 int (so pullback and pushforward stay integral), and, when both ends
 carry J, that the map is holomorphic: ``M J == J M``.  Models and maps
 that are built in closed form from validated parts skip those checks
-through two private constructors.  ``_variety`` only orients (it keeps
-the Pfaffian check) and serves :func:`elliptic_product`, :func:`dual` and
-:func:`product`.  ``Homomorphism._trusted`` checks nothing and serves
-``dual_hom``, ``compose``, :func:`scalar_hom`, :func:`polarization_isogeny`,
-the maps of :func:`product` and :func:`structure_homs`, and in
+through two private constructors.  ``_variety`` only orients, from a
+Pfaffian its caller supplies (it keeps the check ``|Pf| = d_1 ... d_g``):
+:func:`dual` computes it by elimination, :func:`elliptic_product` and
+:func:`product` in closed form from their parts.
+``Homomorphism._trusted`` checks nothing and serves ``dual_hom``,
+``compose``, :func:`scalar_hom`, :func:`polarization_isogeny`, the maps
+of :func:`product` and :func:`structure_homs`, and in
 :mod:`abelian_fourier.fourier` the graph of the polarization and the
 projections of the 4-fold product.  The public constructors are their
 oracles: ``tests/test_varieties.py`` rebuilds each trusted model through
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from . import intlinalg
 from .errors import (
@@ -179,19 +181,19 @@ def _pfaffian(E) -> int:
     return sign * prev
 
 
-def _theta_orientation(E, g, delta) -> int:
+def _theta_orientation(pfaffian: int, delta) -> int:
     """Orientation making the polarization integrate positively.
 
     The coefficient of the full monomial in ``theta^g / g!`` is the
     Pfaffian of E, whose absolute value is the product of the
-    polarization divisors.
+    polarization divisors.  Every model is oriented here, whether its
+    Pfaffian came by elimination (:func:`_pfaffian`) or in closed form.
     """
-    coeff = _pfaffian(E)
-    if abs(coeff) != prod(delta):
+    if abs(pfaffian) != prod(delta):
         raise SingularPolarization(
-            f"Pfaffian {coeff} does not match polarization type {delta}"
+            f"Pfaffian {pfaffian} does not match polarization type {delta}"
         )
-    return 1 if coeff > 0 else -1
+    return 1 if pfaffian > 0 else -1
 
 
 def make_variety(E, J=None, name: str = "A") -> AbelianVariety:
@@ -215,7 +217,7 @@ def make_variety(E, J=None, name: str = "A") -> AbelianVariety:
                 raise NotAlternating(f"E[{i}][{j}] != -E[{j}][{i}]")
     delta = _paired_type(Et)
     if J is None:
-        return _variety(Et, None, name, delta)
+        return _variety(Et, None, name, delta, _pfaffian(Et))
     N, d = [list(row) for row in J], 1
     if not all(type(x) is int for row in N for x in row):
         from fractions import Fraction
@@ -234,21 +236,22 @@ def make_variety(E, J=None, name: str = "A") -> AbelianVariety:
             raise RiemannRelationViolated("E(x, Jx) is not positive definite")
     except NotSymmetric as exc:
         raise RiemannRelationViolated(f"E(Jx, Jy) != E(x, y): {exc}") from exc
-    return _variety(Et, tuple(map(tuple, N)), name, delta)
+    return _variety(Et, tuple(map(tuple, N)), name, delta, _pfaffian(Et))
 
 
-def _variety(E, J, name: str, delta, negative: int = 0) -> AbelianVariety:
-    """A variety whose E, J and type a caller built in closed form from
-    validated parts: E an alternating int matrix of type ``delta``, J the
-    int matrix ``N = dJ`` (see :func:`structure_scale`) or None, both
-    tuples of rows.  Only the orientation is computed, with its Pfaffian
-    check; ``make_variety`` is the oracle."""
+def _variety(E, J, name: str, delta, pfaffian: int, negative: int = 0) -> AbelianVariety:
+    """A variety whose E, J, type and Pfaffian a caller built from
+    validated parts: E an alternating int matrix of type ``delta`` and
+    Pfaffian ``pfaffian``, J the int matrix ``N = dJ`` (see
+    :func:`structure_scale`) or None, both tuples of rows.  Only the
+    orientation is computed, with its Pfaffian check; ``make_variety`` is
+    the oracle."""
     return AbelianVariety(
         name=name,
         genus=len(delta),
         E=E,
         J=J,
-        orientation=_theta_orientation(E, len(delta), delta),
+        orientation=_theta_orientation(pfaffian, delta),
         polarization_type=delta,
         negative=negative,
     )
@@ -260,7 +263,9 @@ def elliptic_product(delta, name: str | None = None) -> AbelianVariety:
     The polarization is written in Frobenius form (x-generators first,
     then y-generators) with ``E = [[0, D], [-D, 0]]``; the compatible
     complex structure ``J = [[0, -I], [I, 0]]`` gives every factor
-    complex multiplication by the Gaussian integers.  An entry of
+    complex multiplication by the Gaussian integers.  The Pfaffian of
+    this E is ``(-1)^{g(g-1)/2} d_1 ... d_g``: the sign of the permutation
+    that interleaves the two halves of the generators.  An entry of
     ``delta`` that is not an int is a :class:`TypeError`.
     """
     delta = tuple(delta)
@@ -282,7 +287,8 @@ def elliptic_product(delta, name: str | None = None) -> AbelianVariety:
         Jm[g + i][i] = 1
     if name is None:
         name = f"E_i^{g}" if all(d == 1 for d in delta) else f"E_i^{g}{delta}"
-    return _variety(tuple(map(tuple, E)), tuple(map(tuple, Jm)), name, delta)
+    pfaffian = (-1) ** (g * (g - 1) // 2) * prod(delta)
+    return _variety(tuple(map(tuple, E)), tuple(map(tuple, Jm)), name, delta, pfaffian)
 
 
 def standard_ppav(g: int) -> AbelianVariety:
@@ -323,7 +329,11 @@ def dual(A: AbelianVariety) -> AbelianVariety:
     # c E^{-1} has elementary divisors c / d_i, so the dual type is the
     # reversed chain c / d_g | ... | c / d_1
     hat_type = tuple(c // d for d in reversed(delta))
-    return _variety(E_hat, J_hat, hat_name, hat_type, A.negative ^ ((1 << A.rank) - 1))
+    # by elimination: a sign read off A's orientation would take A's side
+    # of _theta_orientation through it a second time
+    return _variety(
+        E_hat, J_hat, hat_name, hat_type, _pfaffian(E_hat), A.negative ^ ((1 << A.rank) - 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +541,9 @@ def product(A: AbelianVariety, B: AbelianVariety) -> ProductStructure:
     Generators are factor-major: all of A's first, then B's.  The
     ``negative`` mask concatenates the factors' masks the same way, so the
     pairing class of a product is the sum of the factor pairing classes.
+    Type and Pfaffian come from the factors, with no elimination on the
+    block matrix: its Pfaffian is ``Pf(E_A) Pf(E_B)``, each factor's
+    Pfaffian being its orientation times the product of its type.
     """
     nA, nB = A.rank, B.rank
     E = _block_diagonal(A.E, B.E)
@@ -540,9 +553,19 @@ def product(A: AbelianVariety, B: AbelianVariety) -> ProductStructure:
         d_A, d_B = structure_scale(A.J), structure_scale(B.J)
         d = lcm(d_A, d_B)
         J = _block_diagonal(_scaled(A.J, d // d_A), _scaled(B.J, d // d_B))
-    # J^2 = -1 and the Riemann relations hold block by block; the type is
-    # not the sorted union of the factor types ((2) x (3) has type (1, 6))
-    V = _variety(E, J, f"{A.name} x {B.name}", _paired_type(E), A.negative | B.negative << nA)
+    # J^2 = -1 and the Riemann relations hold block by block.  The type is
+    # the Smith form of the diagonal matrix of both factor types, not their
+    # sorted union: replacing every pair (a, b) by (gcd, lcm), each entry
+    # against all later ones, leaves a divisibility chain, as (2) x (3)
+    # becomes (1, 6)
+    delta = list(A.polarization_type + B.polarization_type)
+    for i in range(len(delta)):
+        for j in range(i + 1, len(delta)):
+            delta[i], delta[j] = gcd(delta[i], delta[j]), lcm(delta[i], delta[j])
+    pf_A = A.orientation * prod(A.polarization_type)
+    pf_B = B.orientation * prod(B.polarization_type)
+    name, negative = f"{A.name} x {B.name}", A.negative | B.negative << nA
+    V = _variety(E, J, name, tuple(delta), pf_A * pf_B, negative)
 
     def hom(src, tgt, rows):
         return Homomorphism._trusted(src, tgt, tuple(tuple(r) for r in rows))

@@ -177,8 +177,8 @@ def test_corrupted_orientation_fails_with_witness(monkeypatch):
 
     original = varieties._theta_orientation
 
-    def corrupted(E, g, delta):
-        return -original(E, g, delta)
+    def corrupted(*args):
+        return -original(*args)
 
     abelian_fourier.clear_caches()
     monkeypatch.setattr(varieties, "_theta_orientation", corrupted)

@@ -260,15 +260,36 @@ def test_dual_type():
 # a rational conjugate of the Gaussian structure (see test_rational_J_accepted)
 RATIONAL_J = make_variety(STD_E, [[0, Fraction(-1, 2)], [2, 0]], name="E_rational")
 
+# scales 14 and 8 (see test_hodge.RATIONAL_CONJUGATES), and the Gaussian
+# curve conjugated to scale 6
+CONJUGATES = [
+    rational_conjugate(standard_ppav(g), random.Random(seed)) for g, seed in ((2, 2), (3, 4))
+]
+SCALE_6 = make_variety(STD_E, [[0, Fraction(-1, 6)], [6, 0]], name="E_6")
+
+OTHER_BASIS_2 = other_basis(standard_ppav(2), random.Random(16), 16)
+
 TRUSTED_BASES = (
     [standard_ppav(g) for g in range(1, 6)]
     + [elliptic_product(t) for t in ((1, 2), (1, 1, 2), (1, 1, 3), (1, 2, 4))]
     + [
-        other_basis(standard_ppav(2), random.Random(16), 16),
+        OTHER_BASIS_2,
         other_basis(standard_ppav(3), random.Random(16), 16),
         E8_HERMITIAN,
         RATIONAL_J,
     ]
+    # products of unequal factors, whose type and Pfaffian product reads
+    # off the factors: (2) x (3) has type (1, 6) and (1, 2) x (1, 1, 3)
+    # has (1, 1, 1, 1, 6); the conjugates have J scales 14 and 8
+    + [
+        product(elliptic_product((2,)), elliptic_product((3,))).variety,
+        product(elliptic_product((1, 2)), elliptic_product((1, 1, 3))).variety,
+        product(
+            product(elliptic_product((2,)), RATIONAL_J).variety, elliptic_product((1, 3))
+        ).variety,
+        product(OTHER_BASIS_2, E8_HERMITIAN).variety,
+    ]
+    + [product(V, standard_ppav(1)).variety for V, _ in CONJUGATES]
 )
 
 
@@ -287,14 +308,6 @@ def test_trusted_varieties_match_make_variety(A):
     for X in (A, dual(A), dual(dual(A)), product(A, dual(A)).variety):
         assert_matches_make_variety(X)
     assert dual(dual(A)) == A
-
-
-# scales 14 and 8 (see test_hodge.RATIONAL_CONJUGATES), and the Gaussian
-# curve conjugated to scale 6
-CONJUGATES = [
-    rational_conjugate(standard_ppav(g), random.Random(seed)) for g, seed in ((2, 2), (3, 4))
-]
-SCALE_6 = make_variety(STD_E, [[0, Fraction(-1, 6)], [6, 0]], name="E_6")
 
 
 def test_scale_is_read_off_the_stored_structure():
@@ -349,6 +362,40 @@ def test_product_type_is_not_the_union_of_factor_types():
     assert_matches_make_variety(P)
     assert_matches_make_variety(dual(P))
     assert dual(P).polarization_type == (1, 6)
+
+
+def test_models_built_from_parts_run_no_elimination(monkeypatch):
+    # elliptic_product and product take their type and Pfaffian in closed
+    # form; only make_variety (and dual) run the Pfaffian and Smith form
+    import abelian_fourier.intlinalg as intlinalg
+    import abelian_fourier.varieties as varieties
+
+    calls = {"_pfaffian": 0, "smith_normal_form": 0}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    clear_caches()
+    factors = [(standard_ppav(g), dual(standard_ppav(g))) for g in range(1, 4)]
+    count(varieties, "_pfaffian")
+    count(intlinalg, "smith_normal_form")
+    try:
+        elliptic_product((1, 2, 4))
+        for A, A_hat in factors:
+            standard_ppav(A.genus)
+            product(A, A_hat)
+        assert calls == {"_pfaffian": 0, "smith_normal_form": 0}
+        make_variety(STD_E, STD_J)
+        assert calls == {"_pfaffian": 1, "smith_normal_form": 1}
+    finally:
+        monkeypatch.undo()
+        clear_caches()
 
 
 def test_trusted_homomorphisms_pass_the_public_checks(monkeypatch):
