@@ -85,7 +85,8 @@ from .suite import CheckDescriptor, CheckResult, REGISTRY, default_suite, run_ch
 def clear_caches():
     """Drop all internal memoization.
 
-    The memos are ``varieties.dual``, ``varieties.product``,
+    The memos are the models of ``varieties.elliptic_product``,
+    ``varieties.dual``, ``varieties.product``,
     ``varieties.structure_homs``, ``fourier.context``,
     ``fourier.theta_triple_sum``, and in ``hodge`` the lattice per complex
     structure and degree (``_lattice_tables``).
@@ -100,6 +101,7 @@ def clear_caches():
     _varieties = sys.modules["abelian_fourier.varieties"]
     _fourier = sys.modules["abelian_fourier.fourier"]
     _hodge = sys.modules["abelian_fourier.hodge"]
+    _varieties._elliptic_product.cache_clear()
     _varieties.dual.cache_clear()
     _varieties.product.cache_clear()
     _varieties.structure_homs.cache_clear()

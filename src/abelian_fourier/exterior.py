@@ -143,6 +143,8 @@ class Multivector:
     __slots__ = ("rank", "_terms")
 
     def __init__(self, rank: int, terms=None):
+        if type(rank) is not int:
+            raise TypeError(f"rank {rank!r} is not an integer")
         if not 0 <= rank <= MAX_RANK:
             raise ValueError(f"rank must be between 0 and {MAX_RANK}, got {rank}")
         self.rank = rank

@@ -38,15 +38,27 @@ five factors collapse to one mask:
 
     F(c e_I) = orientation(A) (-1)^{|K & flip|} c f_K.
 
-So :func:`fourier` costs one masked popcount per input term and builds
-neither ``exp(ell)`` (``2^{2g}`` terms) nor the product ``A x A^``, and
-:func:`pontryagin` conjugates the cup product by it through the exchange
-law.  The definitions are kept as oracles: :func:`fourier_reference`
-evaluates the correspondence and :func:`pontryagin_reference` the
-addition pushforward.  The suite's ``lemma51_diagram`` compares the
-transform with the correspondence and ``product_exchange`` compares the
-transform with the ``m_*`` product, so neither check compares a fast
-path with itself.  The star checks take their star powers from both
+The inverse is the inversion identity ``F_{A^} . F_A = (-1)^g [-1]^*``
+read backwards: the transform of the dual, then ``(-1)^g [-1]^*``.  With
+``N^`` the dual's mask the transform of the dual has the sign
+``orientation(A^) (-1)^{|K & flip^|}``, ``flip^ = full & ~(N^ ^ O)``;
+``[-1]^*`` multiplies the term on K by ``(-1)^{|K|}``, and
+``|K & flip^| + |K|`` has the parity of ``|K & ~flip^|``.  So the three
+steps collapse to one mask and one sign as well:
+
+    F^{-1}(c f_I) = (-1)^g orientation(A^) (-1)^{|K & (N^ ^ O)|} c e_K.
+
+So :func:`fourier` and :func:`inverse_fourier` each cost one masked
+popcount per input term and build neither ``exp(ell)`` (``2^{2g}``
+terms) nor the product ``A x A^``, and :func:`pontryagin` conjugates the
+cup product by the transform through the exchange law.  The definitions
+are kept as oracles: :func:`fourier_reference` evaluates the
+correspondence and :func:`pontryagin_reference` the addition pushforward;
+``tests/test_fourier.py`` keeps the three-step inverse, with ``[-1]^*``
+as its own map, as the oracle of :func:`inverse_fourier`.  The suite's
+``lemma51_diagram`` compares the transform with the correspondence and
+``product_exchange`` compares the transform with the ``m_*`` product, so
+neither check compares a fast path with itself.  The star checks take their star powers from both
 :func:`pontryagin` and :func:`pontryagin_reference`.
 
 Curve classes of divisors.  For a principal A with polarization isogeny
@@ -160,6 +172,18 @@ def _require_rank(A: AbelianVariety, x: Multivector):
         raise RankMismatch(f"class rank {x.rank} != variety rank {A.rank}")
 
 
+def _signed_complement(x: Multivector, flip: int, sign: int) -> Multivector:
+    """``c e_I -> sign (-1)^{|K & flip|} c e_K`` with ``K = I^c``: the
+    closed form of the transform and of its inverse (module docstring)."""
+    n = x.rank
+    full = (1 << n) - 1
+    terms = {}
+    for mask, c in x.items():
+        k = full ^ mask
+        terms[k] = -sign * c if (k & flip).bit_count() & 1 else sign * c
+    return Multivector._trusted(n, terms)
+
+
 def fourier(A: AbelianVariety, x: Multivector) -> Multivector:
     """Fourier transform of a class on A, landing on the dual.
 
@@ -168,15 +192,8 @@ def fourier(A: AbelianVariety, x: Multivector) -> Multivector:
     (the closed form of the module docstring).
     """
     _require_rank(A, x)
-    n = A.rank
-    full = (1 << n) - 1
-    flip = full & ~(A.negative ^ _ODD_BITS)
-    o = A.orientation
-    terms = {}
-    for mask, c in x.items():
-        k = full ^ mask
-        terms[k] = -o * c if (k & flip).bit_count() & 1 else o * c
-    return Multivector._trusted(n, terms)
+    full = (1 << A.rank) - 1
+    return _signed_complement(x, full & ~(A.negative ^ _ODD_BITS), A.orientation)
 
 
 def fourier_reference(A: AbelianVariety, x: Multivector) -> Multivector:
@@ -190,23 +207,18 @@ def fourier_reference(A: AbelianVariety, x: Multivector) -> Multivector:
     return correspondence_action(ctx.pair, ctx.ch, x)
 
 
-def minus_one_pullback(x: Multivector) -> Multivector:
-    """Pullback along multiplication by -1: degree k scales by (-1)^k."""
-    return Multivector._trusted(
-        x.rank,
-        {m: (c if m.bit_count() % 2 == 0 else -c) for m, c in x.items()},
-    )
-
-
 def inverse_fourier(A: AbelianVariety, y: Multivector) -> Multivector:
     """Inverse of :func:`fourier`, for a class y on the dual of A.
 
-    Uses the inversion identity: the transform of the dual followed by
-    ``(-1)^g [-1]^*`` undoes the transform of A.
+    The inversion identity ``F_{A^} . F_A = (-1)^g [-1]^*`` in one pass:
+    the transform of the dual with ``(-1)^g [-1]^*`` folded into its sign
+    (the closed form of the module docstring).
     """
-    z = fourier(dual(A), y)
-    z = minus_one_pullback(z)
-    return z if A.genus % 2 == 0 else -z
+    _require_rank(A, y)
+    Ahat = dual(A)
+    full = (1 << A.rank) - 1
+    sign = -Ahat.orientation if A.genus & 1 else Ahat.orientation
+    return _signed_complement(y, (Ahat.negative ^ _ODD_BITS) & full, sign)
 
 
 def pontryagin(V: AbelianVariety, x: Multivector, y: Multivector) -> Multivector:

@@ -266,11 +266,22 @@ def elliptic_product(delta, name: str | None = None) -> AbelianVariety:
     complex multiplication by the Gaussian integers.  The Pfaffian of
     this E is ``(-1)^{g(g-1)/2} d_1 ... d_g``: the sign of the permutation
     that interleaves the two halves of the generators.  An entry of
-    ``delta`` that is not an int is a :class:`TypeError`.
+    ``delta`` that is not an int, or a name that is not a str, is a
+    :class:`TypeError`.  Each model is built once per type and name and
+    then shared (``clear_caches()`` drops it).
     """
+    # checked before the memo, which would take (1.0, 2), (Fraction(1), 2)
+    # and (True, 2) for the key (1, 2)
     delta = tuple(delta)
     if not all(type(d) is int for d in delta):
         raise TypeError(f"polarization type {delta} has an entry that is not an integer")
+    if name is not None and type(name) is not str:
+        raise TypeError(f"model name {name!r} is not a str")
+    return _elliptic_product(delta, name)
+
+
+@lru_cache(maxsize=None)
+def _elliptic_product(delta: tuple[int, ...], name: str | None) -> AbelianVariety:
     g = len(delta)
     if g == 0 or any(d <= 0 for d in delta):
         raise InvalidType(f"polarization type must be positive, got {delta}")
@@ -292,7 +303,10 @@ def elliptic_product(delta, name: str | None = None) -> AbelianVariety:
 
 
 def standard_ppav(g: int) -> AbelianVariety:
-    """Principally polarized power of the Gaussian elliptic curve."""
+    """Principally polarized power of the Gaussian elliptic curve; a
+    genus that is not an int is a :class:`TypeError`."""
+    if type(g) is not int:
+        raise TypeError(f"genus {g!r} is not an integer")
     if g <= 0:
         raise InvalidType(f"genus must be positive, got {g}")
     return elliptic_product((1,) * g)
@@ -463,7 +477,10 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
 
 
 def scalar_hom(A: AbelianVariety, n: int) -> Homomorphism:
-    """Multiplication by n on the variety (n * identity on homology)."""
+    """Multiplication by n on the variety (n * identity on homology); an
+    n that is not an int is a :class:`TypeError`."""
+    if type(n) is not int:
+        raise TypeError(f"scalar {n!r} is not an integer")
     rows = tuple(tuple(n if i == j else 0 for j in range(A.rank)) for i in range(A.rank))
     return Homomorphism._trusted(A, A, rows)
 

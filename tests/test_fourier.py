@@ -25,7 +25,6 @@ from abelian_fourier.fourier import (
     graph_of_polarization,
     inverse_fourier,
     kunneth_R_decomposition,
-    minus_one_pullback,
     named_class,
     poincare_class,
     pontryagin,
@@ -172,6 +171,12 @@ def test_inverse_fourier_roundtrip():
             assert inverse_fourier(A, fourier(A, x)) == x
             y = rand_mv(rng, A.rank)
             assert fourier(A, inverse_fourier(A, y)) == y
+
+
+def minus_one_pullback(x):
+    """Pullback along multiplication by -1: degree k scales by (-1)^k.
+    With it the inverse transform is its definition, three steps."""
+    return Multivector(x.rank, {m: -c if m.bit_count() & 1 else c for m, c in x.items()})
 
 
 def test_minus_one_pullback():
@@ -426,6 +431,28 @@ E8_HERMITIAN = hermitian_variety(
     ],
     "E8 over Z[i]",
 )
+
+# E_i^1..3, their duals (every generator in the negative mask) and each
+# A x A^ (the second half of the generators in it), non-principal types and
+# a dual of one, a model in another basis and a non-product polarization
+INVERSE_MODELS = (
+    [standard_ppav(g) for g in (1, 2, 3)]
+    + [dual(standard_ppav(g)) for g in (1, 2, 3)]
+    + [product(standard_ppav(g), dual(standard_ppav(g))).variety for g in (1, 2, 3)]
+    + [elliptic_product((1, 2)), elliptic_product((1, 1, 2)), dual(elliptic_product((1, 2, 4)))]
+    + [other_basis(standard_ppav(2), random.Random(33), 12), E8_HERMITIAN, dual(E8_HERMITIAN)]
+)
+
+
+@pytest.mark.parametrize("A", INVERSE_MODELS, ids=lambda A: A.name)
+def test_inverse_fourier_matches_the_inversion_identity(A):
+    # the one signed pass against F_{A^} then (-1)^g [-1]^*, on every monomial
+    Ahat = dual(A)
+    sign = (-1) ** A.genus
+    for m in range(1 << A.rank):
+        y = Multivector(A.rank, {m: 1})
+        assert inverse_fourier(A, y) == minus_one_pullback(fourier(Ahat, y)) * sign
+
 
 BETA_MODELS = [
     V for A in (standard_ppav(g) for g in (1, 2, 3, 4)) for V in (A, dual(A))

@@ -44,6 +44,7 @@ from abelian_fourier.intlinalg import (
 )
 from abelian_fourier.suite import run_check
 from abelian_fourier.varieties import (
+    _elliptic_product,
     dual,
     elliptic_product,
     make_variety,
@@ -778,9 +779,14 @@ def test_clear_caches_empties_the_hodge_memos():
     theta_triple_sum(A)
     assert _lattice_tables.cache_info().currsize > 0
     assert theta_triple_sum.cache_info().currsize > 0
+    assert _elliptic_product.cache_info().currsize > 0
     clear_caches()
     assert _lattice_tables.cache_info().currsize == 0
     assert theta_triple_sum.cache_info().currsize == 0
+    assert _elliptic_product.cache_info().currsize == 0
+    # a model is built once and then shared, equal to the one before
+    assert standard_ppav(2) is standard_ppav(2) == A
+    assert _elliptic_product.cache_info().misses == 1
     # beta_surjectivity pushes forward T for theta and each divisor basis
     # class, and builds it once
     assert run_check("beta_surjectivity", genus=3).status == "pass"

@@ -21,7 +21,7 @@ from abelian_fourier.errors import (
     SingularPolarization,
 )
 from abelian_fourier.exterior import Multivector, wedge_sign
-from abelian_fourier.fourier import fourier, graph_of_polarization
+from abelian_fourier.fourier import fourier, graph_of_polarization, inverse_fourier
 from abelian_fourier.hodge import _derive, _slot_rows
 from abelian_fourier.intlinalg import det_bareiss, mat_mul
 from abelian_fourier.suite import _gaussian_hom, default_suite, run_suite
@@ -663,15 +663,46 @@ def test_homomorphism_rejects_non_integer_entries(half):
         lambda: Multivector(2, {0b01: True}),
         lambda: Multivector(2, {0b01: 3}) * True,
         lambda: True * Multivector(2, {0b01: 3}),
+        lambda: Multivector(True, {0b1: 1}),
+        lambda: standard_ppav(True),
+        lambda: scalar_hom(standard_ppav(2), True),
+        lambda: scalar_hom(standard_ppav(2), 2.0),
     ],
-    ids=["int_matrix", "elliptic_product", "Homomorphism", "Multivector", "scalar", "rscalar"],
+    ids=[
+        "int_matrix",
+        "elliptic_product",
+        "Homomorphism",
+        "Multivector",
+        "scalar",
+        "rscalar",
+        "Multivector-rank",
+        "standard_ppav",
+        "scalar_hom",
+        "scalar_hom-float",
+    ],
 )
 def test_a_bool_is_not_an_int_entry(build):
     # each built from the bool as the int 1: det_bareiss returned True,
-    # elliptic_product named its model E_i^2(True, 2) and a class times
-    # True was the class
+    # elliptic_product named its model E_i^2(True, 2), a class times True
+    # was the class, a class of rank True kept it, standard_ppav(True) was
+    # E_i^1; scalar_hom(A, 2.0) built a map whose pullback had float
+    # coefficients
     with pytest.raises(TypeError):
         build()
+
+
+@pytest.mark.parametrize(
+    "delta", [(1.0, 2), (Fraction(1), 2), (True, 2)], ids=["float", "Fraction", "bool"]
+)
+def test_the_model_memo_takes_no_equal_key_of_another_type(delta):
+    # (1, 2) is memoized first, whatever ran before; the memo would take
+    # each of these for its key and hand back E_i^2(1, 2)
+    A = elliptic_product((1, 2))
+    assert elliptic_product([1, 2]) is A
+    with pytest.raises(TypeError):
+        elliptic_product(delta)
+    with pytest.raises(TypeError):
+        elliptic_product((1, 2), name=True)
 
 
 def _fixed_homs():
@@ -818,6 +849,7 @@ def test_kernel_outputs_are_valid_classes(data):
         x.wedge(y),
         even.wedge_power_divided(k),
         fourier(f.source, x),
+        inverse_fourier(f.source, x),
         f.pushforward(x),
         f.pullback(z),
         P.pull_first(x),
