@@ -665,6 +665,7 @@ def test_homomorphism_rejects_non_integer_entries(half):
         lambda: True * Multivector(2, {0b01: 3}),
         lambda: Multivector(True, {0b1: 1}),
         lambda: standard_ppav(True),
+        lambda: elliptic_product((1, 2), name=True),
         lambda: scalar_hom(standard_ppav(2), True),
         lambda: scalar_hom(standard_ppav(2), 2.0),
     ],
@@ -677,6 +678,7 @@ def test_homomorphism_rejects_non_integer_entries(half):
         "rscalar",
         "Multivector-rank",
         "standard_ppav",
+        "elliptic_product-name",
         "scalar_hom",
         "scalar_hom-float",
     ],
@@ -685,7 +687,8 @@ def test_a_bool_is_not_an_int_entry(build):
     # each built from the bool as the int 1: det_bareiss returned True,
     # elliptic_product named its model E_i^2(True, 2), a class times True
     # was the class, a class of rank True kept it, standard_ppav(True) was
-    # E_i^1; scalar_hom(A, 2.0) built a map whose pullback had float
+    # E_i^1, a model memo keyed on the name would take True for 1;
+    # scalar_hom(A, 2.0) built a map whose pullback had float
     # coefficients
     with pytest.raises(TypeError):
         build()
@@ -701,8 +704,6 @@ def test_the_model_memo_takes_no_equal_key_of_another_type(delta):
     assert elliptic_product([1, 2]) is A
     with pytest.raises(TypeError):
         elliptic_product(delta)
-    with pytest.raises(TypeError):
-        elliptic_product((1, 2), name=True)
 
 
 def _fixed_homs():
