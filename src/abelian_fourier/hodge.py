@@ -24,17 +24,21 @@ block diagonal up to a permutation of the monomials, and few of its blocks
 are distinct: on E^5 in degree 4, 70 nonempty blocks are 4 distinct ones.
 The kernel takes one column echelon form per distinct block, which also
 gives an integer left inverse L of the kernel basis B, ``L B = I``: the
-proof that B is saturated.  B stays sparse by column and L by row.
-:meth:`HodgeLattice.coordinates` of x is ``L x``, read at the entries of
-L, checked against the sum of the columns it names.  A model whose J does
-not split is one block.  :func:`is_hodge` tests ``D_N x = 0`` in one pass
-over the terms of x.
+proof that B is saturated.  B stays sparse by column and L by row, and L
+is also kept indexed by ambient monomial (:func:`_inverse_index`).
+:meth:`HodgeLattice.coordinates` of x is ``L x``, read through that index
+at the terms of x alone, checked against the sum of the columns it names.
+A model whose J does not split is one block.  :func:`is_hodge` tests
+``D_N x = 0`` in one pass over the terms of x.
 
 Every certificate is a :func:`voisin_certificate`: the coordinates of
-Hodge generators, whose cokernel :func:`intlinalg.cokernel_invariants`
-reads off the Smith divisors.  :func:`fourier_hodge_matrix` certifies the
-transforms of the basis classes on the dual and keeps the cokernel they
-leave.
+Hodge generators, passed as sparse columns to
+:func:`intlinalg.cokernel_invariants_sparse`, which reads the Smith
+divisors off the connected blocks of their support.
+:func:`fourier_hodge_matrix` certifies the transforms of the basis
+classes on the dual and keeps the cokernel they leave; on the shipped
+Gaussian models their coordinates are a signed permutation, all 1x1
+blocks.
 
 The lattices depend on the complex structure alone, so there is one memo,
 one saturated kernel and its inverse per ``(N, k)`` (:func:`_lattice_tables`).
@@ -106,8 +110,9 @@ def _derive(rows, terms) -> dict:
 
 @lru_cache(maxsize=None)
 def _lattice_tables(N, k: int):
-    """``(masks, basis, inverse)``: the saturated kernel of ``D_N`` in
-    degree 2k, sparse by column, and its left inverse, sparse by row.
+    """``(masks, basis, inverse, index)``: the saturated kernel of ``D_N``
+    in degree 2k, sparse by column, its left inverse, sparse by row, and
+    the :func:`_inverse_index` of that inverse.
 
     The rows of ``D_N`` are kept sparse, as ``{column: entry}``: column j
     is ``D_N`` of the j-th monomial.
@@ -120,18 +125,34 @@ def _lattice_tables(N, k: int):
         for m, c in _derive(rows_N, ((mask, 1),)).items():
             rows[index[m]][j] = c
     basis, inverse = intlinalg.kernel_saturated_sparse(rows, len(masks))
-    return tuple(masks), tuple(basis), tuple(inverse)
+    return tuple(masks), tuple(basis), tuple(inverse), _inverse_index(masks, inverse)
 
 
-class HodgeLattice(namedtuple("HodgeLattice", "A k masks basis inverse")):
+def _inverse_index(masks, inverse) -> dict:
+    """L read by column: each ambient monomial to the ``(row, entry)``
+    pairs of its column of L, for the monomials where L is nonzero.
+
+    >>> _inverse_index((0b011, 0b101), (((0, 1),), ((0, 2), (1, -1))))
+    {3: ((0, 1), (1, 2)), 5: ((1, -1),)}
+    """
+    index: dict = {}
+    for s, row in enumerate(inverse):
+        for i, e in row:
+            index.setdefault(masks[i], []).append((s, e))
+    return {mask: tuple(pairs) for mask, pairs in index.items()}
+
+
+class HodgeLattice(namedtuple("HodgeLattice", "A k masks basis inverse index")):
     """Saturated lattice of integral (k, k)-classes in degree 2k.
 
     ``masks`` orders the ambient monomial basis.  ``basis`` (B) holds one
     sparse column per lattice generator, a tuple of ``(ambient index,
     entry)`` pairs, and ``inverse`` (L) one sparse row of the same pairs
     per generator.  ``L B = I`` proves saturation: the lattice is a direct
-    summand of the full degree-2k lattice.  ``intlinalg.dense_columns``
-    makes B dense.
+    summand of the full degree-2k lattice.  ``index`` is
+    :func:`_inverse_index` of L, the same L by ambient monomial, which
+    :meth:`coordinates` and :meth:`check_saturated` read.
+    ``intlinalg.dense_columns`` makes B dense.
     """
 
     __slots__ = ()
@@ -152,14 +173,19 @@ class HodgeLattice(namedtuple("HodgeLattice", "A k masks basis inverse")):
     def coordinates(self, x: Multivector):
         """Integer coordinates of x in the lattice basis, or None.
 
-        The candidate ``c = L x`` reads x only at the entries of L.  It is
-        returned only if ``sum_j c_j b_j``, over the columns with
-        ``c_j != 0``, equals x exactly, rank included, so a non-member (a
-        term of another degree included) and a wrong L both give None.
+        The candidate ``c = L x`` is read from the terms of x alone, each
+        through the column of L that ``index`` gives for its monomial, so a
+        class with few terms reads few entries of L.  It is returned only
+        if ``sum_j c_j b_j``, over the columns with ``c_j != 0``, equals x
+        exactly, rank included, so a non-member (a term of another degree
+        included) and a wrong L both give None.
         ``intlinalg.rational_solve`` on the whole basis is the oracle.
         """
-        masks, coefficient = self.masks, x.coefficient
-        c = [sum(e * coefficient(masks[i]) for i, e in row) for row in self.inverse]
+        index, masks = self.index, self.masks
+        c = [0] * len(self.inverse)
+        for mask, a in x.items():
+            for s, e in index.get(mask, ()):
+                c[s] += e * a
         Bc: dict[int, int] = {}
         for cj, column in zip(c, self.basis):
             if cj:
@@ -169,19 +195,15 @@ class HodgeLattice(namedtuple("HodgeLattice", "A k masks basis inverse")):
         return c if Multivector._trusted(self.A.rank, terms) == x else None
 
     def check_saturated(self) -> None:
-        """Check ``L B = I``, which proves the basis saturated.  L is indexed
-        by ambient index, so ``L b_t`` walks only the entries of column
-        ``b_t``.  The first b_t with ``L b_t != e_t`` raises
-        :class:`CheckFailure`, witness ``b_t``; so does b_0 when L does not
-        have one row per basis class."""
-        by_index: dict[int, list] = {}
-        for s, row in enumerate(self.inverse):
-            for i, e in row:
-                by_index.setdefault(i, []).append((s, e))
+        """Check ``L B = I``, which proves the basis saturated.  ``L b_t``
+        reads ``index`` at the entries of column ``b_t`` only.  The first
+        b_t with ``L b_t != e_t`` raises :class:`CheckFailure`, witness
+        ``b_t``; so does b_0 when L does not have one row per basis class."""
+        index, masks = self.index, self.masks
         for t, column in enumerate(self.basis):
             image: dict[int, int] = {}
             for i, x in column:
-                for s, e in by_index.get(i, ()):
+                for s, e in index.get(masks[i], ()):
                     image[s] = image.get(s, 0) + e * x
             if len(self.inverse) != self.rank or {s: v for s, v in image.items() if v} != {t: 1}:
                 message = f"the lattice's left inverse does not invert basis class {t}"
@@ -202,8 +224,7 @@ def hodge_lattice(V: AbelianVariety, k: int) -> HodgeLattice:
         raise NoComplexStructure(f"{V.name} has no complex structure")
     if not 0 <= k <= V.genus:
         raise UnsupportedParams(f"half-degree {k} out of range for genus {V.genus}")
-    masks, basis, inverse = _lattice_tables(V.J, k)
-    return HodgeLattice(A=V, k=k, masks=masks, basis=basis, inverse=inverse)
+    return HodgeLattice(V, k, *_lattice_tables(V.J, k))
 
 
 def is_hodge(V: AbelianVariety, x: Multivector) -> bool:
@@ -231,7 +252,8 @@ def voisin_certificate(V: AbelianVariety, k: int, generators) -> intlinalg.Coker
     Each generator must be a Hodge class of degree 2k (``NotHodge``
     carries the offending index, and for a class of another degree names
     both degrees): :meth:`HodgeLattice.coordinates` is the membership
-    test, and its coordinates are the columns of the cokernel matrix.  An
+    test, and its coordinates, sparse, are the columns whose cokernel
+    :func:`intlinalg.cokernel_invariants_sparse` takes block by block.  An
     all-ones answer with free rank zero certifies that the generators span
     the full lattice, which is the desk-scale form of the one-cycle
     algebraicity statement relative to those generators.
@@ -249,9 +271,8 @@ def voisin_certificate(V: AbelianVariety, k: int, generators) -> intlinalg.Coker
         coords = lat.coordinates(gen)
         if coords is None:
             raise NotHodge(idx)
-        columns.append(coords)
-    G = [[col[i] for col in columns] for i in range(lat.rank)]
-    return intlinalg.cokernel_invariants(G, lat.rank)
+        columns.append({s: c for s, c in enumerate(coords) if c})
+    return intlinalg.cokernel_invariants_sparse(columns, lat.rank)
 
 
 def first_outside(V: AbelianVariety, k: int, generators, cokernel):

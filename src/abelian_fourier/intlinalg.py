@@ -4,7 +4,7 @@ Everything in this module is exact and, apart from the oracle
 :func:`rational_solve`, integral: there is no floating point, and an
 entry point raises :class:`TypeError` on an entry that is not an int
 (:func:`int_matrix`).  Matrices are dense lists of rows of Python ints,
-except for the kernel:
+except for the kernel and the sparse cokernel (below):
 :func:`kernel_saturated_sparse` takes sparse rows ``{column: entry}``,
 splits the matrix into the connected blocks of its row/column support
 graph and makes only each block dense, so a 210x210 operator whose blocks
@@ -22,7 +22,13 @@ unimodular transform V of its column operations and V's inverse: the
 last columns of V are a kernel basis and the last rows of ``V^{-1}`` an
 integer left inverse of it, a proof of saturation.  Taken on a matrix and
 its transpose in turn it diagonalizes it, which gives the divisors of
-:func:`smith_normal_form` and the cokernel invariants.  The fraction-free
+:func:`smith_normal_form`.  The cokernel invariants split the matrix into
+the same connected blocks as the kernel and take a Smith form only of a
+block larger than 1x1; :func:`_divisor_chain` merges the blocks'
+divisors, as it merges the diagonal that ends a Smith form, and
+:func:`smith_normal_form` of the whole matrix stays as their oracle.
+:func:`cokernel_invariants_sparse` takes the columns sparse, so a
+certificate makes nothing dense but its blocks.  The fraction-free
 elimination :func:`_bareiss` gives :func:`det_bareiss` and the adjugate
 behind :func:`scaled_inverse`.  :func:`kernel_saturated_reference` stays
 as the oracle of the block kernel, and :func:`rational_solve` as the
@@ -143,8 +149,8 @@ def smith_normal_form(M) -> SmithDecomposition:
 
     The matrix is brought to column echelon form by :func:`_echelon`, then
     its transpose, and so on in turn until it is diagonal; then each pair
-    of diagonal entries is replaced by their gcd and lcm, which gives the
-    divisor chain.  This terminates: a pass makes the first row (or
+    of diagonal entries is replaced by their gcd and lcm
+    (:func:`_divisor_chain`), which gives the divisor chain.  This terminates: a pass makes the first row (or
     column) zero apart from its pivot, the gcd of that row.  Once a pass
     leaves the first row and the first column both clear apart from the
     pivot, no later pass touches them, and the rest is the same process on
@@ -165,13 +171,27 @@ def smith_normal_form(M) -> SmithDecomposition:
         if all(x == 0 for i, row in enumerate(A) for j, x in enumerate(row) if i != j):
             break
         A = [list(column) for column in zip(*A)]
-    diagonal = [abs(A[i][i]) for i in range(rank)]
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            a, b = diagonal[i], diagonal[j]
-            diagonal[i] = g = gcd(a, b)
-            diagonal[j] = a // g * b
-    return SmithDecomposition(tuple(diagonal) + (0,) * (size - rank))
+    divisors = _divisor_chain([A[i][i] for i in range(rank)])
+    return SmithDecomposition(divisors + (0,) * (size - rank))
+
+
+def _divisor_chain(diagonal) -> tuple[int, ...]:
+    """The Smith divisors of the diagonal matrix of nonzero ints ``diagonal``.
+
+    Each pair of entries is replaced by their gcd and lcm, which leaves a
+    chain, each dividing the next.  Units are set aside first: a 1 moves
+    nothing (``gcd(1, d) = 1``), so they lead the chain and cost no pass.
+
+    >>> _divisor_chain([6, -1, 4, 1])
+    (1, 1, 2, 12)
+    """
+    rest = [abs(d) for d in diagonal if abs(d) != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            a, b = rest[i], rest[j]
+            rest[i] = g = gcd(a, b)
+            rest[j] = a // g * b
+    return (1,) * (len(diagonal) - len(rest)) + tuple(rest)
 
 
 def sparse_rows(M) -> tuple[list[dict], int]:
@@ -347,21 +367,61 @@ class CokernelInvariants(namedtuple("CokernelInvariants", "divisors free_rank"))
 
 
 def cokernel_invariants(generators, ambient_rank: int) -> CokernelInvariants:
-    """Invariants of ``Z^ambient_rank`` modulo the span of the given columns,
-    read off the divisors of :func:`smith_normal_form`.
+    """Invariants of ``Z^ambient_rank`` modulo the span of the columns of
+    the dense matrix ``generators``, read off :func:`_block_divisors`.
 
+    The matrix enters through :func:`sparse_rows` of :func:`int_matrix`,
+    which rejects an entry that is not an int, zeros included, before
+    ``sparse_rows`` drops them.  Blocks (2) and (3), rows and columns
+    permuted and a zero column added, leave ``Z/6``:
+
+    >>> cokernel_invariants([[0, 3, 0], [2, 0, 0]], 2)
+    CokernelInvariants(divisors=(1, 6), free_rank=0)
     >>> cokernel_invariants([[2], [0]], 2)
     CokernelInvariants(divisors=(2,), free_rank=1)
-    >>> cokernel_invariants(identity_matrix(3), 3).is_trivial
-    True
     """
     if len(generators) != ambient_rank:
         raise ValueError(
             f"generator matrix has {len(generators)} rows, expected {ambient_rank}"
         )
-    snf = smith_normal_form(generators)
-    finite = tuple(d for d in snf.divisors if d != 0)
-    return CokernelInvariants(divisors=finite, free_rank=ambient_rank - len(finite))
+    divisors = _block_divisors(*sparse_rows(int_matrix(generators)))
+    return CokernelInvariants(divisors=divisors, free_rank=ambient_rank - len(divisors))
+
+
+def cokernel_invariants_sparse(columns: list[dict], ambient_rank: int) -> CokernelInvariants:
+    """:func:`cokernel_invariants` of sparse columns, each ``{row index:
+    nonzero int entry}``, as :func:`hodge.voisin_certificate` passes its
+    coordinates.  The columns are the sparse rows of the transpose, which
+    has the same divisors.
+
+    >>> cokernel_invariants_sparse([{1: 3}, {0: 2}, {}], 3)
+    CokernelInvariants(divisors=(1, 6), free_rank=1)
+    """
+    divisors = _block_divisors(columns, ambient_rank)
+    return CokernelInvariants(divisors=divisors, free_rank=ambient_rank - len(divisors))
+
+
+def _block_divisors(rows: list[dict], cols: int) -> tuple[int, ...]:
+    """The nonzero Smith divisors of a matrix given as sparse rows.
+
+    The Smith form of a block-diagonal matrix is the gcd/lcm merge of its
+    blocks' divisors (Cohen, GTM 138, section 2.4), so the matrix is split
+    into the connected blocks of its support graph (:func:`_row_blocks`,
+    which also checks the entries' type): a 1x1 block gives ``|entry|``, a
+    larger one the divisors of its :func:`smith_normal_form`, and
+    :func:`_divisor_chain` merges them all.  A signed permutation, as the
+    coordinates of the transforms of the Hodge basis of
+    ``standard_ppav(6)`` are in every degree, is all 1x1 blocks and takes
+    no elimination.
+    """
+    divisors = []
+    for brows, bcols in _row_blocks(rows, cols):
+        if len(brows) == len(bcols) == 1:
+            divisors.append(rows[brows[0]][bcols[0]])
+        elif brows:
+            block = [[rows[i].get(j, 0) for j in bcols] for i in brows]
+            divisors += [d for d in smith_normal_form(block).divisors if d]
+    return _divisor_chain(divisors)
 
 
 def _bareiss(A, jordan: bool = False) -> int:

@@ -438,12 +438,14 @@ def test_hodge_fails_when_the_inverse_does_not_invert_the_basis(monkeypatch, cap
     # inverse fails it is a mathematical failure (exit 1), not an input
     # error, and prints no lattice
     import abelian_fourier.cli as cli
+    from abelian_fourier.hodge import _inverse_index
 
     lattice = cli.hodge_lattice
 
     def reversed_inverse(V, k):
         lat = lattice(V, k)
-        return lat._replace(inverse=lat.inverse[::-1])
+        inverse = lat.inverse[::-1]
+        return lat._replace(inverse=inverse, index=_inverse_index(lat.masks, inverse))
 
     monkeypatch.setattr(cli, "hodge_lattice", reversed_inverse)
     assert run_cli(["hodge", "--genus", "2", "--degree", "2"]) == 1

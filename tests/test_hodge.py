@@ -27,6 +27,7 @@ from abelian_fourier.exterior import Multivector, degree_basis_masks
 from abelian_fourier.fourier import beta_from_divisor, poincare_class, theta_triple_sum
 from abelian_fourier.hodge import (
     HodgeLattice,
+    _inverse_index,
     _lattice_tables,
     fourier_hodge_matrix,
     hodge_lattice,
@@ -366,14 +367,18 @@ def test_fourier_hodge_matrix():
         assert fm.unimodular
 
 
+def hand_built_lattice(A, masks, basis, inverse):
+    # a lattice from given B and L, whose index of L comes from the helper
+    # that hodge_lattice's tables use
+    return HodgeLattice(A, 1, masks, basis, inverse, _inverse_index(masks, inverse))
+
+
 def test_coordinates_reject_unsaturated_basis():
     # 2 e0e1 spans a non-saturated lattice, which has no integer left
     # inverse: whatever integer L it is given, e0e1 (coordinate 1/2) and
     # 2 e0e1 (coordinate 1) get None, never a truncated or wrong vector
     for entry in (1, 0, -1, 2):
-        lat = HodgeLattice(
-            A=standard_ppav(1), k=1, masks=(0b11,), basis=(((0, 2),),), inverse=(((0, entry),),)
-        )
+        lat = hand_built_lattice(standard_ppav(1), (0b11,), (((0, 2),),), (((0, entry),),))
         assert lat.coordinates(Multivector(2, {0b11: 1})) is None
         assert lat.coordinates(Multivector(2, {0b11: 2})) is None
 
@@ -399,11 +404,11 @@ def test_coordinates_reject_unsaturated_basis():
     ]
     expected = [[2, -3], [0, 1], None, None, None]
     for inverse in right:
-        lat = HodgeLattice(A=A, k=1, masks=masks, basis=basis, inverse=inverse)
+        lat = hand_built_lattice(A, masks, basis, inverse)
         assert [lat.coordinates(x) for x in classes] == expected
         lat.check_saturated()
     for inverse, bad in wrong:
-        lat = HodgeLattice(A=A, k=1, masks=masks, basis=basis, inverse=inverse)
+        lat = hand_built_lattice(A, masks, basis, inverse)
         got = [lat.coordinates(x) for x in classes]
         assert all(c is None or c == e for c, e in zip(got, expected))
         assert None in got[:2]
@@ -411,7 +416,7 @@ def test_coordinates_reject_unsaturated_basis():
             lat.check_saturated()
         assert exc.value.witness == lat.basis_classes()[bad]
     # an L with a row too many fails at the first basis class
-    lat = HodgeLattice(A=A, k=1, masks=masks, basis=basis, inverse=(*right[0], ()))
+    lat = hand_built_lattice(A, masks, basis, (*right[0], ()))
     with pytest.raises(CheckFailure) as exc:
         lat.check_saturated()
     assert exc.value.witness == lat.basis_classes()[0]
@@ -654,6 +659,26 @@ def test_genus_6_lattices_have_rank_c6k_squared():
         clear_caches()
         for k in range(7):
             assert hodge_lattice(A, k).rank == comb(6, k) ** 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_genus_6_fourier_hodge_matrices_are_unimodular():
+    # on standard_ppav(6) the coordinates of the transforms of each Hodge
+    # basis are a signed permutation, which the cokernel takes as 1x1
+    # blocks; all seven matrices take well under a second, and the alarm
+    # fails the test if that regresses to dense Smith forms
+    A = standard_ppav(6)
+
+    def timeout(signum, frame):
+        raise TimeoutError("the genus-6 Fourier-Hodge matrices took over 3 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(3)
+    try:
+        for i in range(7):
+            assert fourier_hodge_matrix(A, i).unimodular
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -16,6 +16,7 @@ from abelian_fourier.errors import NotSymmetric
 from abelian_fourier.intlinalg import (
     _row_blocks,
     cokernel_invariants,
+    cokernel_invariants_sparse,
     dense_columns,
     det_bareiss,
     identity_matrix,
@@ -411,6 +412,27 @@ def test_cokernel_examples():
     assert not cok.is_trivial
     # invariant factors chain: Z/2 + Z/3 = Z/6, so divisors (1, 6)
     assert cokernel_invariants([[2, 0], [0, 3]], 2).divisors == (1, 6)
+
+
+@pytest.mark.parametrize("M", [[[False]], [[0.0, 1]]], ids=["False", "zero float"])
+def test_cokernel_rejects_a_zero_entry_that_is_not_an_int(M):
+    # sparse_rows drops falsy entries before _row_blocks reads their type,
+    # so the dense entry checks every entry first
+    with pytest.raises(TypeError):
+        cokernel_invariants(M, len(M))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_matrices, permuted_block_diagonal()))
+def test_block_cokernel_matches_whole_matrix_smith_form(M):
+    # the cokernel is taken block by block; the Smith form of the whole
+    # matrix is the oracle of its divisors and free rank, by dense rows
+    # and by sparse columns alike
+    finite = tuple(d for d in smith_normal_form(M).divisors if d)
+    expected = (finite, len(M) - len(finite))
+    assert tuple(cokernel_invariants(M, len(M))) == expected
+    columns = [{i: row[j] for i, row in enumerate(M) if row[j]} for j in range(len(M[0]))]
+    assert tuple(cokernel_invariants_sparse(columns, len(M))) == expected
 
 
 def test_cokernel_empty_generators():
