@@ -175,24 +175,32 @@ class HodgeLattice(namedtuple("HodgeLattice", "A k masks basis inverse index")):
 
         The candidate ``c = L x`` is read from the terms of x alone, each
         through the column of L that ``index`` gives for its monomial, so a
-        class with few terms reads few entries of L.  It is returned only
-        if ``sum_j c_j b_j``, over the columns with ``c_j != 0``, equals x
-        exactly, rank included, so a non-member (a term of another degree
-        included) and a wrong L both give None.
+        class with few terms reads few entries of L, and only the nonzero
+        ``c_j`` are visited after that.  It is returned only if
+        ``sum_j c_j b_j`` equals x exactly, rank included, so a non-member
+        (a term of another degree included) and a wrong L, one without a
+        row per basis class included, give None.
         ``intlinalg.rational_solve`` on the whole basis is the oracle.
         """
-        index, masks = self.index, self.masks
-        c = [0] * len(self.inverse)
+        if len(self.inverse) != self.rank:
+            return None
+        index, masks, basis = self.index, self.masks, self.basis
+        c: dict[int, int] = {}
         for mask, a in x.items():
             for s, e in index.get(mask, ()):
-                c[s] += e * a
+                c[s] = c.get(s, 0) + e * a
         Bc: dict[int, int] = {}
-        for cj, column in zip(c, self.basis):
+        for s, cj in c.items():
             if cj:
-                for i, b in column:
+                for i, b in basis[s]:
                     Bc[i] = Bc.get(i, 0) + cj * b
         terms = {masks[i]: v for i, v in Bc.items() if v}
-        return c if Multivector._trusted(self.A.rank, terms) == x else None
+        if Multivector._trusted(self.A.rank, terms) != x:
+            return None
+        coords = [0] * self.rank
+        for s, cj in c.items():
+            coords[s] = cj
+        return coords
 
     def check_saturated(self) -> None:
         """Check ``L B = I``, which proves the basis saturated.  ``L b_t``

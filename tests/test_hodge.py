@@ -415,8 +415,10 @@ def test_coordinates_reject_unsaturated_basis():
         with pytest.raises(CheckFailure) as exc:
             lat.check_saturated()
         assert exc.value.witness == lat.basis_classes()[bad]
-    # an L with a row too many fails at the first basis class
+    # an L with a row too many fails at the first basis class and gives
+    # no coordinates
     lat = hand_built_lattice(A, masks, basis, (*right[0], ()))
+    assert [lat.coordinates(x) for x in classes] == [None] * len(classes)
     with pytest.raises(CheckFailure) as exc:
         lat.check_saturated()
     assert exc.value.witness == lat.basis_classes()[0]
