@@ -150,12 +150,13 @@ def smith_normal_form(M) -> SmithDecomposition:
     The matrix is brought to column echelon form by :func:`_echelon`, then
     its transpose, and so on in turn until it is diagonal; then each pair
     of diagonal entries is replaced by their gcd and lcm
-    (:func:`_divisor_chain`), which gives the divisor chain.  This terminates: a pass makes the first row (or
-    column) zero apart from its pivot, the gcd of that row.  Once a pass
-    leaves the first row and the first column both clear apart from the
-    pivot, no later pass touches them, and the rest is the same process on
-    a smaller matrix.  Until then, the next pass either clears them or
-    swaps a smaller entry into the pivot, so ``|pivot|`` falls strictly.
+    (:func:`_divisor_chain`), which gives the divisor chain.  This
+    terminates: a pass makes the first row (or column) zero apart from
+    its pivot, the gcd of that row.  Once a pass leaves the first row and
+    the first column both clear apart from the pivot, no later pass
+    touches them, and the rest is the same process on a smaller matrix.
+    Until then, the next pass either clears them or swaps a smaller entry
+    into the pivot, so ``|pivot|`` falls strictly.
 
     >>> smith_normal_form([[2, 0], [0, 3]]).divisors
     (1, 6)
@@ -379,6 +380,8 @@ def cokernel_invariants(generators, ambient_rank: int) -> CokernelInvariants:
     CokernelInvariants(divisors=(1, 6), free_rank=0)
     >>> cokernel_invariants([[2], [0]], 2)
     CokernelInvariants(divisors=(2,), free_rank=1)
+    >>> cokernel_invariants(identity_matrix(3), 3).is_trivial
+    True
     """
     if len(generators) != ambient_rank:
         raise ValueError(
