@@ -424,6 +424,16 @@ class ExteriorPower:
     :func:`_wedge_into`; every prefix built on the way is kept, so the
     table fills lazily with the masks asked for and their prefixes.
 
+    ``partner``, when given, is the table of the transposed matrix, and
+    the two are linked.  ``det(M^T[T, S]) = det(M[S, T])``, so one
+    table's images are the other's read the other way.  A table that
+    misses while its partner is complete, every mask filled, takes all its
+    images from it in one transposition pass, with no multiplication;
+    every mask gets an entry, ``{}`` where all its minors vanish.  A table
+    whose partner is not complete fills itself as above, and that fill is
+    the oracle of the transposed one.  The link holds the partner's dict
+    of images, not the partner, so two linked tables form no cycle.
+
     The returned maps are the table's own entries: read them, never
     change them.
 
@@ -432,49 +442,74 @@ class ExteriorPower:
     {3: 4}
     >>> power.apply(Multivector(2, {0b01: 1, 0b11: -1}).items()) == {0b01: 2, 0b11: -4}
     True
+    >>> rows = ExteriorPower([[1, 3]])
+    >>> columns = ExteriorPower([[1, 0], [3, 0]], partner=rows)
+    >>> columns.apply([(0b00, 1), (0b01, 1), (0b10, 1), (0b11, 1)]) == {0: 1, 1: 4}
+    True
+    >>> rows.image(0b1)
+    {1: 1, 2: 3}
     """
 
-    __slots__ = ("_rows", "_images")
+    __slots__ = ("_rows", "_images", "_partner")
 
-    def __init__(self, rows):
+    def __init__(self, rows, partner: "ExteriorPower | None" = None):
         self._rows = [
             [(1 << j, e, _below_parity(1 << j)) for j, e in enumerate(row) if e] for row in rows
         ]
         self._images: dict[int, dict[int, int]] = {0: {0: 1}}
+        self._partner = None
+        if partner is not None:
+            # (images, mask count) of the other table, which it keeps in place
+            self._partner = (partner._images, 1 << len(partner._rows))
+            partner._partner = (self._images, 1 << len(self._rows))
 
     def image(self, mask: int) -> dict[int, int]:
-        """The image of ``e_mask``, from its longest prefix in the table."""
+        """The image of ``e_mask``, from its longest prefix in the table,
+        or from the partner's table when that is complete."""
         images = self._images
         img = images.get(mask)
         if img is not None:
             return img
-        tops = []
+        partner = self._partner
+        if partner is not None and len(partner[0]) == partner[1]:
+            self._transpose(partner[0])
+            return images[mask]
         m = mask
         while m not in images:
-            top = m.bit_length() - 1
-            tops.append(top)
-            m ^= 1 << top
+            m ^= 1 << (m.bit_length() - 1)
         img = images[m]
-        for top in reversed(tops):
-            m |= 1 << top
+        rows = self._rows
+        rest = mask ^ m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            m |= low
             nxt: dict[int, int] = {}
-            _wedge_into(nxt, img.items(), self._rows[top])
-            img = {k: v for k, v in nxt.items() if v}
+            _wedge_into(nxt, img.items(), rows[low.bit_length() - 1])
+            img = nxt if all(nxt.values()) else {k: v for k, v in nxt.items() if v}
             images[m] = img
         return img
+
+    def _transpose(self, theirs: dict[int, dict[int, int]]) -> None:
+        """Fill every mask from the partner's complete images: minor
+        ``(S, T)`` there is minor ``(T, S)`` here."""
+        images = {t: {} for t in range(1 << len(self._rows))}
+        for s, img in theirs.items():
+            for t, v in img.items():
+                images[t][s] = v
+        # in place: the partner holds this dict
+        self._images.update(images)
 
     def apply(self, terms) -> dict[int, int]:
         """The image of the class with ``(mask, coefficient)`` pairs
         ``terms``: its coefficients times the monomial images."""
         acc: dict[int, int] = {}
+        get = acc.get
+        image = self.image
         for mask, coeff in terms:
-            for k, v in self.image(mask).items():
-                nv = acc.get(k, 0) + coeff * v
-                if nv:
-                    acc[k] = nv
-                elif k in acc:
-                    del acc[k]
-        return acc
+            for k, v in image(mask).items():
+                acc[k] = get(k, 0) + coeff * v
+        return acc if all(acc.values()) else {k: v for k, v in acc.items() if v}
 
 
 def degree_basis_masks(rank: int, k: int) -> list[int]:

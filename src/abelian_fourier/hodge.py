@@ -173,14 +173,29 @@ class HodgeLattice(namedtuple("HodgeLattice", "A k masks basis inverse index")):
     def coordinates(self, x: Multivector):
         """Integer coordinates of x in the lattice basis, or None.
 
+        The dense list of :meth:`_sparse_coordinates`, which holds the
+        exactness check: a non-member (a term of another degree included)
+        and a wrong L, one without a row per basis class included, give
+        None.  ``intlinalg.rational_solve`` on the whole basis is the
+        oracle.
+        """
+        c = self._sparse_coordinates(x)
+        if c is None:
+            return None
+        coords = [0] * self.rank
+        for s, cj in c.items():
+            coords[s] = cj
+        return coords
+
+    def _sparse_coordinates(self, x: Multivector):
+        """The nonzero coordinates of x as ``{basis index: coordinate}``,
+        or None when x is not in the lattice.
+
         The candidate ``c = L x`` is read from the terms of x alone, each
         through the column of L that ``index`` gives for its monomial, so a
         class with few terms reads few entries of L, and only the nonzero
         ``c_j`` are visited after that.  It is returned only if
-        ``sum_j c_j b_j`` equals x exactly, rank included, so a non-member
-        (a term of another degree included) and a wrong L, one without a
-        row per basis class included, give None.
-        ``intlinalg.rational_solve`` on the whole basis is the oracle.
+        ``sum_j c_j b_j`` equals x exactly, rank included.
         """
         if len(self.inverse) != self.rank:
             return None
@@ -189,18 +204,15 @@ class HodgeLattice(namedtuple("HodgeLattice", "A k masks basis inverse index")):
         for mask, a in x.items():
             for s, e in index.get(mask, ()):
                 c[s] = c.get(s, 0) + e * a
+        c = {s: cj for s, cj in c.items() if cj}
         Bc: dict[int, int] = {}
         for s, cj in c.items():
-            if cj:
-                for i, b in basis[s]:
-                    Bc[i] = Bc.get(i, 0) + cj * b
+            for i, b in basis[s]:
+                Bc[i] = Bc.get(i, 0) + cj * b
         terms = {masks[i]: v for i, v in Bc.items() if v}
         if Multivector._trusted(self.A.rank, terms) != x:
             return None
-        coords = [0] * self.rank
-        for s, cj in c.items():
-            coords[s] = cj
-        return coords
+        return c
 
     def check_saturated(self) -> None:
         """Check ``L B = I``, which proves the basis saturated.  ``L b_t``
@@ -259,8 +271,8 @@ def voisin_certificate(V: AbelianVariety, k: int, generators) -> intlinalg.Coker
 
     Each generator must be a Hodge class of degree 2k (``NotHodge``
     carries the offending index, and for a class of another degree names
-    both degrees): :meth:`HodgeLattice.coordinates` is the membership
-    test, and its coordinates, sparse, are the columns whose cokernel
+    both degrees): :meth:`HodgeLattice.coordinates`, read sparse, is the
+    membership test, and its nonzero coordinates are the columns whose cokernel
     :func:`intlinalg.cokernel_invariants_sparse` takes block by block.  An
     all-ones answer with free rank zero certifies that the generators span
     the full lattice, which is the desk-scale form of the one-cycle
@@ -276,10 +288,10 @@ def voisin_certificate(V: AbelianVariety, k: int, generators) -> intlinalg.Coker
         if gen and gen.degree() != 2 * k:
             message = f"generator {idx} has degree {gen.degree()}, expected degree {2 * k}"
             raise NotHodge(idx, message)
-        coords = lat.coordinates(gen)
-        if coords is None:
+        column = lat._sparse_coordinates(gen)
+        if column is None:
             raise NotHodge(idx)
-        columns.append({s: c for s, c in enumerate(coords) if c})
+        columns.append(column)
     return intlinalg.cokernel_invariants_sparse(columns, lat.rank)
 
 

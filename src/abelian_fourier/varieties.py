@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm, prod
+from math import isqrt, lcm, prod
 
 from . import intlinalg
 from .errors import (
@@ -407,8 +407,8 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
     @cached_property
     def _pushforward_power(self) -> ExteriorPower:
         """Exterior powers of the columns: source homology generator j goes
-        to column j."""
-        return ExteriorPower(zip(*self.matrix))
+        to column j.  Linked to the rows table, its transpose."""
+        return ExteriorPower(zip(*self.matrix), partner=self._pullback_power)
 
     def pullback(self, x: Multivector) -> Multivector:
         """Ring map on cohomology: generator i of the target pulls back to
@@ -572,17 +572,12 @@ def product(A: AbelianVariety, B: AbelianVariety) -> ProductStructure:
         J = _block_diagonal(_scaled(A.J, d // d_A), _scaled(B.J, d // d_B))
     # J^2 = -1 and the Riemann relations hold block by block.  The type is
     # the Smith form of the diagonal matrix of both factor types, not their
-    # sorted union: replacing every pair (a, b) by (gcd, lcm), each entry
-    # against all later ones, leaves a divisibility chain, as (2) x (3)
-    # becomes (1, 6)
-    delta = list(A.polarization_type + B.polarization_type)
-    for i in range(len(delta)):
-        for j in range(i + 1, len(delta)):
-            delta[i], delta[j] = gcd(delta[i], delta[j]), lcm(delta[i], delta[j])
+    # sorted union, as (2) x (3) becomes (1, 6)
+    delta = intlinalg._divisor_chain(A.polarization_type + B.polarization_type)
     pf_A = A.orientation * prod(A.polarization_type)
     pf_B = B.orientation * prod(B.polarization_type)
     name, negative = f"{A.name} x {B.name}", A.negative | B.negative << nA
-    V = _variety(E, J, name, tuple(delta), pf_A * pf_B, negative)
+    V = _variety(E, J, name, delta, pf_A * pf_B, negative)
 
     def hom(src, tgt, rows):
         return Homomorphism._trusted(src, tgt, tuple(tuple(r) for r in rows))

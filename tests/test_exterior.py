@@ -1,7 +1,8 @@
 """Exterior algebra: signs, grading, exact division, linear functoriality.
 
 The exterior-power table is tested against :func:`apply_generator_images`,
-the per-monomial loop it replaced, and against the minors of the rows.
+the per-monomial loop it replaced, and against the minors of the rows; a
+table filled from its complete transposed partner against a fresh one.
 The prefix-parity signs of ``wedge`` are tested against
 :func:`wedge_by_signs`, which calls ``wedge_sign`` on every pair, and the
 elementary symmetric divided powers against ``x^k`` divided by ``k!``.
@@ -10,6 +11,7 @@ elementary symmetric divided powers against ``x^k`` divided by ``k!``.
 import random
 from itertools import combinations
 from math import comb, factorial
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -397,6 +399,52 @@ def test_kernel_coefficients_are_minors(data):
             assert image.coefficient(T) == minor
     x = Multivector(r, dict(data.draw(st.lists(st.tuples(st.integers(0, (1 << r) - 1), entry)))))
     assert power.apply(x.items()) == apply_generator_images(x, rows)
+
+
+@st.composite
+def int_matrices(draw, max_dim=6):
+    """``(r, c, M)``: an r x c int matrix, r and c up to ``max_dim``, with
+    some of its rows and columns set to zero."""
+    r = draw(st.integers(0, max_dim), label="rows")
+    c = draw(st.integers(0, max_dim), label="columns")
+    M = draw(st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=r, max_size=r))
+    for i in draw(st.sets(st.integers(0, max(r - 1, 0)), max_size=2) if r else st.just(())):
+        M[i] = [0] * c
+    for j in draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=2) if c else st.just(())):
+        for row in M:
+            row[j] = 0
+    return r, c, M
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices(), st.booleans(), st.booleans(), st.data())
+def test_a_complete_table_serves_its_transpose(rcM, pull_first, partial, data):
+    # one side of a linked pair is filled through apply, over every mask or
+    # over all but the full one, so that it is only partly filled; every
+    # mask of the other side, read in shuffled order, is then its fresh
+    # table's image and the minors.  It fills itself by one transposition
+    # pass exactly when the first side is complete and it has a mask to
+    # miss, and by its own wedges otherwise.
+    r, c, M = rcM
+    T = [[M[i][j] for i in range(r)] for j in range(c)]
+    pull = ExteriorPower(M)
+    push = ExteriorPower(T, partner=pull)
+    first, n_first, second, rows, n = (pull, r, push, T, c) if pull_first else (push, c, pull, M, r)
+    first.apply((S, 1) for S in range((1 << n_first) - partial))
+    complete = not partial or n_first == 0
+    fresh = ExteriorPower(rows)
+    transpose = ExteriorPower._transpose
+    with mock.patch.object(ExteriorPower, "_transpose", autospec=True, side_effect=transpose) as spy:
+        for S in data.draw(st.permutations(range(1 << n)), label="masks"):
+            got = second.image(S)
+            assert got == fresh.image(S)
+            src = bits_of(S)
+            minors = {
+                U: det_bareiss([[rows[i][j] for j in bits_of(U)] for i in src])
+                for U in (degree_basis_masks(n_first, len(src)) if len(src) <= n_first else ())
+            }
+            assert got == {U: v for U, v in minors.items() if v}
+    assert spy.call_count == (complete and n > 0)
 
 
 # target generators where the prefix parity _below_parity(1 << j) that

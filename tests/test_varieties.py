@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelian_fourier import clear_caches
+from abelian_fourier import clear_caches, exterior
 from abelian_fourier.errors import (
     ComplexStructureInvalid,
     InvalidType,
@@ -824,6 +824,32 @@ def test_dual_hom_shares_tables_with_the_map(h_src, h_tgt, dual_first):
             got = side.pushforward(x)
             if side is fhat:
                 assert got == rebuilt.pushforward(x)
+
+
+@pytest.mark.parametrize("h_src, h_tgt", [(1, 2), (2, 2), (3, 2)])
+def test_pullback_after_a_full_pushforward_wedges_nothing(monkeypatch, h_src, h_tgt):
+    # a pushforward of a class with every mask completes the columns table,
+    # so the pullback reads the rows table off it by transposition, with no
+    # call to the wedge loop; each side equals a rebuilt map's fresh fill
+    rng = random.Random(7 * h_src + h_tgt)
+    X, Y = standard_ppav(h_src), standard_ppav(h_tgt)
+    f = Homomorphism(X, Y, _gaussian_hom(rng, h_src, h_tgt))
+    fresh = Homomorphism(X, Y, f.matrix)
+    x = Multivector(X.rank, {mask: mask + 1 for mask in range(1 << X.rank)})
+    y = Multivector(Y.rank, {mask: 2 * mask - 5 for mask in range(1 << Y.rank)})
+    assert f.pushforward(x) == fresh.pushforward(x)
+    calls = []
+    wedge_into = exterior._wedge_into
+
+    def counted(*args):
+        calls.append(args)
+        return wedge_into(*args)
+
+    monkeypatch.setattr(exterior, "_wedge_into", counted)
+    got = f.pullback(y)
+    assert calls == []
+    monkeypatch.undo()
+    assert got == fresh.pullback(y) == oracle_pullback(f, y)
 
 
 def assert_clean(out: Multivector):
