@@ -32,7 +32,11 @@ algebra map: it is the compound-matrix table of the int rows of a matrix,
 filled lazily by mask as ``image(S) = image(S without its top bit) ^
 row(top)``, so monomials that share a prefix share its product.  Pullback
 and pushforward along a homomorphism run through it, in ints only: the
-minors of an integer matrix are integers.  One loop,
+minors of an integer matrix are integers.  A table can be linked to the
+table of the transposed matrix, whose minors are its own read the other
+way: once one of the two has every mask, the other takes its images from
+it in one transposition pass, so each homomorphism computes its minors
+once for both directions.  One loop,
 :func:`_wedge_into`, multiplies two sets of terms with the one sign rule
 above; ``wedge``, the divided powers and the table all call it.
 :func:`complement_sign` gives the Poincare-duality sign of ``e_S ^

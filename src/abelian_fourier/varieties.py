@@ -361,6 +361,9 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
     image of source basis vector ``j`` is ``sum_i M[i][j] w_i``, stored
     as a tuple of int rows whatever sequences the caller passed.  No
     ``__slots__``: the two exterior-power tables are cached in ``__dict__``.
+    They are linked, the columns table being the rows table of the
+    transpose, so once either has every mask the other is read off it by
+    transposition, with no wedge (:class:`~abelian_fourier.exterior.ExteriorPower`).
     Between two models with J the map must be holomorphic, ``M J == J M``;
     complex conjugation is not, but is a map of real tori, without J:
 
@@ -468,7 +471,9 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
         The two maps share their exterior-power tables: the rows of the
         transpose are the columns of this matrix, so the dual pulls back
         through this map's pushforward table and pushes forward through its
-        pullback table, and a table filled by one serves the other.
+        pullback table, and a table filled by one serves the other.  The
+        link between the two tables comes along, so the four directions of
+        the pair fill one set of minors.
         """
         out = Homomorphism._trusted(dual(self.target), dual(self.source), tuple(zip(*self.matrix)))
         out.__dict__["_pullback_power"] = self._pushforward_power

@@ -408,9 +408,9 @@ def int_matrices(draw, max_dim=6):
     r = draw(st.integers(0, max_dim), label="rows")
     c = draw(st.integers(0, max_dim), label="columns")
     M = draw(st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=r, max_size=r))
-    for i in draw(st.sets(st.integers(0, max(r - 1, 0)), max_size=2) if r else st.just(())):
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=2) if r else st.just(())):
         M[i] = [0] * c
-    for j in draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=2) if c else st.just(())):
+    for j in draw(st.sets(st.integers(0, c - 1), max_size=2) if c else st.just(())):
         for row in M:
             row[j] = 0
     return r, c, M
