@@ -187,6 +187,10 @@ class Multivector:
 
     @classmethod
     def generator(cls, rank: int, i: int) -> "Multivector":
+        """The generator ``e_i``; an index i that is not an int (a bool or
+        a float) is a :class:`TypeError`."""
+        if type(i) is not int:
+            raise TypeError(f"generator index {i!r} is not an integer")
         if not 0 <= i < rank:
             raise ValueError(f"generator index {i} out of range for rank {rank}")
         return cls(rank, {1 << i: 1})
@@ -226,7 +230,10 @@ class Multivector:
         return degs.pop()
 
     def graded_component(self, k: int) -> "Multivector":
-        """Terms whose monomial has exactly ``k`` generators."""
+        """Terms whose monomial has exactly ``k`` generators; a degree k
+        that is not an int (a bool or a float) is a :class:`TypeError`."""
+        if type(k) is not int:
+            raise TypeError(f"degree {k!r} is not an integer")
         if not 0 <= k <= self.rank:
             raise ValueError(f"degree {k} out of range for rank {self.rank}")
         return Multivector(

@@ -26,13 +26,15 @@ The kernel takes one column echelon form per distinct block, which also
 gives an integer left inverse L of the kernel basis B, ``L B = I``: the
 proof that B is saturated.  B stays sparse by column and L by row, and L
 is also kept indexed by ambient monomial (:func:`_inverse_index`).
-:meth:`HodgeLattice.coordinates` of x is ``L x``, read through that index
-at the terms of x alone, checked against the sum of the columns it names.
-A model whose J does not split is one block.  :func:`is_hodge` tests
-``D_N x = 0`` in one pass over the terms of x.
+:meth:`HodgeLattice.coordinates` is the one reader of that index: the
+nonzero entries of ``L x``, read at the terms of x alone and checked
+against the sum of the columns they name;
+:meth:`HodgeLattice.check_saturated` asks it for those of each basis
+class.  A model whose J does not split is one block.  :func:`is_hodge`
+tests ``D_N x = 0`` in one pass over the terms of x.
 
-Every certificate is a :func:`voisin_certificate`: the coordinates of
-Hodge generators, passed as sparse columns to
+Every certificate is a :func:`voisin_certificate`: the sparse
+coordinates of Hodge generators, passed as columns to
 :func:`intlinalg.cokernel_invariants_sparse`, which reads the Smith
 divisors off the connected blocks of their support.
 :func:`fourier_hodge_matrix` certifies the transforms of the basis
@@ -151,7 +153,7 @@ class HodgeLattice(namedtuple("HodgeLattice", "A k masks basis inverse index")):
     per generator.  ``L B = I`` proves saturation: the lattice is a direct
     summand of the full degree-2k lattice.  ``index`` is
     :func:`_inverse_index` of L, the same L by ambient monomial, which
-    :meth:`coordinates` and :meth:`check_saturated` read.
+    :meth:`coordinates` alone reads; :meth:`check_saturated` calls it.
     ``intlinalg.dense_columns`` makes B dense.
     """
 
@@ -164,38 +166,28 @@ class HodgeLattice(namedtuple("HodgeLattice", "A k masks basis inverse index")):
     def ambient_dimension(self) -> int:
         return len(self.masks)
 
-    def _class(self, column) -> Multivector:
-        return Multivector(self.A.rank, {self.masks[i]: x for i, x in column})
-
     def basis_classes(self) -> list[Multivector]:
-        return [self._class(column) for column in self.basis]
+        rank, masks = self.A.rank, self.masks
+        return [Multivector(rank, {masks[i]: x for i, x in column}) for column in self.basis]
 
     def coordinates(self, x: Multivector):
-        """Integer coordinates of x in the lattice basis, or None.
-
-        The dense list of :meth:`_sparse_coordinates`, which holds the
-        exactness check: a non-member (a term of another degree included)
-        and a wrong L, one without a row per basis class included, give
-        None.  ``intlinalg.rational_solve`` on the whole basis is the
-        oracle.
-        """
-        c = self._sparse_coordinates(x)
-        if c is None:
-            return None
-        coords = [0] * self.rank
-        for s, cj in c.items():
-            coords[s] = cj
-        return coords
-
-    def _sparse_coordinates(self, x: Multivector):
-        """The nonzero coordinates of x as ``{basis index: coordinate}``,
-        or None when x is not in the lattice.
+        """The nonzero integer coordinates of x in the lattice basis, as
+        ``{basis index: coordinate}``, or None when x is not in the lattice.
 
         The candidate ``c = L x`` is read from the terms of x alone, each
         through the column of L that ``index`` gives for its monomial, so a
         class with few terms reads few entries of L, and only the nonzero
         ``c_j`` are visited after that.  It is returned only if
-        ``sum_j c_j b_j`` equals x exactly, rank included.
+        ``sum_j c_j b_j`` equals x exactly, rank included: a non-member (a
+        term of another degree included) and a wrong L, one without a row
+        per basis class included, give None.  ``intlinalg.rational_solve``
+        on the whole basis is the oracle.
+
+        >>> from .varieties import standard_ppav
+        >>> lat = hodge_lattice(standard_ppav(2), 1)
+        >>> b = lat.basis_classes()
+        >>> lat.coordinates(b[0]), lat.coordinates(b[1] * 2 - b[3] * 3)
+        ({0: 1}, {1: 2, 3: -3})
         """
         if len(self.inverse) != self.rank:
             return None
@@ -215,31 +207,29 @@ class HodgeLattice(namedtuple("HodgeLattice", "A k masks basis inverse index")):
         return c
 
     def check_saturated(self) -> None:
-        """Check ``L B = I``, which proves the basis saturated.  ``L b_t``
-        reads ``index`` at the entries of column ``b_t`` only.  The first
+        """Check ``L B = I``, which proves the basis saturated: the
+        :meth:`coordinates` of each ``b_t`` must be ``{t: 1}``.  The first
         b_t with ``L b_t != e_t`` raises :class:`CheckFailure`, witness
         ``b_t``; so does b_0 when L does not have one row per basis class."""
-        index, masks = self.index, self.masks
-        for t, column in enumerate(self.basis):
-            image: dict[int, int] = {}
-            for i, x in column:
-                for s, e in index.get(masks[i], ()):
-                    image[s] = image.get(s, 0) + e * x
-            if len(self.inverse) != self.rank or {s: v for s, v in image.items() if v} != {t: 1}:
+        for t, u in enumerate(self.basis_classes()):
+            if self.coordinates(u) != {t: 1}:
                 message = f"the lattice's left inverse does not invert basis class {t}"
-                raise CheckFailure(message, self._class(column))
+                raise CheckFailure(message, u)
 
 
 def hodge_lattice(V: AbelianVariety, k: int) -> HodgeLattice:
     """Saturated basis of the integral Hodge classes in degree 2k.
 
     The basis depends on N and k alone and is computed once per pair
-    (:func:`_lattice_tables`); each call wraps it for V.
+    (:func:`_lattice_tables`); each call wraps it for V.  A half-degree
+    k that is not an int (a bool or a float) is a :class:`TypeError`.
 
     >>> from .varieties import standard_ppav
     >>> hodge_lattice(standard_ppav(2), 1).rank
     4
     """
+    if type(k) is not int:
+        raise TypeError(f"half-degree {k!r} is not an integer")
     if V.J is None:
         raise NoComplexStructure(f"{V.name} has no complex structure")
     if not 0 <= k <= V.genus:
@@ -271,12 +261,12 @@ def voisin_certificate(V: AbelianVariety, k: int, generators) -> intlinalg.Coker
 
     Each generator must be a Hodge class of degree 2k (``NotHodge``
     carries the offending index, and for a class of another degree names
-    both degrees): :meth:`HodgeLattice.coordinates`, read sparse, is the
-    membership test, and its nonzero coordinates are the columns whose cokernel
-    :func:`intlinalg.cokernel_invariants_sparse` takes block by block.  An
-    all-ones answer with free rank zero certifies that the generators span
-    the full lattice, which is the desk-scale form of the one-cycle
-    algebraicity statement relative to those generators.
+    both degrees): :meth:`HodgeLattice.coordinates` is the membership
+    test, and the nonzero coordinates it returns are the columns whose
+    cokernel :func:`intlinalg.cokernel_invariants_sparse` takes block by
+    block.  An all-ones answer with free rank zero certifies that the
+    generators span the full lattice, which is the desk-scale form of the
+    one-cycle algebraicity statement relative to those generators.
     """
     lat = hodge_lattice(V, k)
     columns = []
@@ -288,7 +278,7 @@ def voisin_certificate(V: AbelianVariety, k: int, generators) -> intlinalg.Coker
         if gen and gen.degree() != 2 * k:
             message = f"generator {idx} has degree {gen.degree()}, expected degree {2 * k}"
             raise NotHodge(idx, message)
-        column = lat._sparse_coordinates(gen)
+        column = lat.coordinates(gen)
         if column is None:
             raise NotHodge(idx)
         columns.append(column)

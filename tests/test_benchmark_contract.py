@@ -83,3 +83,21 @@ def test_the_verify_hook_taken_before_tracing_is_traced():
     metrics = tracer.metrics()
     assert metrics["suite.check.fourier_involution.ms"] > 0
     assert metrics["suite.run_check.self_ms"] > 0
+
+
+def test_certificates_and_the_saturation_check_read_coordinates_traced():
+    # HodgeLattice.coordinates is the one reader of a lattice's left
+    # inverse; a certificate or check that bypassed it would hide that work
+    # from hodge.HodgeLattice.coordinates in the benchmark
+    lt = load_perfbench("layertrace")
+    hodge = sys.modules["abelian_fourier.hodge"]
+    A = abelian_fourier.standard_ppav(2)
+    lat = hodge.hodge_lattice(A, 1)
+    basis = lat.basis_classes()
+    gens = [basis[0], basis[1] * 2 - basis[3], basis[2]]
+    with lt.LayerTracer() as tracer:
+        assert hodge.voisin_certificate(A, 1, gens).free_rank == 1
+    assert tracer.metrics()["hodge.HodgeLattice.coordinates.calls"] == len(gens)
+    with lt.LayerTracer() as tracer:
+        lat.check_saturated()
+    assert tracer.metrics()["hodge.HodgeLattice.coordinates.calls"] == lat.rank

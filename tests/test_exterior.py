@@ -359,6 +359,19 @@ def test_constructor_validation():
     assert Multivector(2, {0b01: 0}).is_zero()
 
 
+@pytest.mark.parametrize("index", [True, False, 1.0, 2.0, 0.5])
+def test_indices_that_are_not_ints_are_type_errors(index):
+    # a bool compares as 0 or 1 and a float as its value, so each would
+    # pass the range checks as the int it equals
+    x = Multivector(4, {0: 1, 0b11: 5})
+    with pytest.raises(TypeError, match="generator index"):
+        Multivector.generator(2, index)
+    with pytest.raises(TypeError, match="degree"):
+        x.graded_component(index)
+    assert Multivector.generator(2, 1) == Multivector(2, {0b10: 1})
+    assert x.graded_component(2) == Multivector(4, {0b11: 5})
+
+
 def test_degree_basis_masks():
     masks = degree_basis_masks(4, 2)
     assert len(masks) == 6

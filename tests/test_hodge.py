@@ -190,6 +190,25 @@ def test_parameter_validation():
         hodge_lattice(standard_ppav(1), 5)
 
 
+@pytest.mark.parametrize("k", [True, 1.0, 1.5])
+def test_half_degree_that_is_not_an_int_is_a_type_error(k):
+    # True compares and hashes as 1, so it would pass the range check and
+    # share the memo key of k = 1; the error names k, not an itertools call
+    A = standard_ppav(2)
+    gens = hodge_lattice(A, 1).basis_classes()
+    memo = _lattice_tables.cache_info()
+    message = f"half-degree {k!r} is not an integer"
+    with pytest.raises(TypeError, match=message):
+        hodge_lattice(A, k)
+    with pytest.raises(TypeError, match=message):
+        voisin_certificate(A, k, gens)
+    with pytest.raises(TypeError, match=message):
+        fourier_hodge_matrix(A, k)
+    # rejected before the memo is read
+    assert _lattice_tables.cache_info() == memo
+    assert type(hodge_lattice(A, 1).k) is int
+
+
 def test_saturation():
     for g in (2, 3):
         A = standard_ppav(g)
@@ -384,7 +403,7 @@ def test_coordinates_reject_unsaturated_basis():
 
     # a saturated basis, e0e1 + e0e2 and e2e3, with wrong inverses and
     # with right ones (any L with L B = I, also one reading e1e2, where B
-    # is zero): an answer is the true coordinate vector or None
+    # is zero): an answer is the true nonzero coordinates or None
     A = standard_ppav(2)
     masks = (0b0011, 0b0101, 0b0110, 0b1100)
     basis = (((0, 1), (1, 1)), ((3, 1),))
@@ -402,7 +421,7 @@ def test_coordinates_reject_unsaturated_basis():
         Multivector(4, {0b0110: 1, 0b1100: 1}),
         Multivector(4, {0b0011: 1, 0b0101: 1, 0b0110: 4}),
     ]
-    expected = [[2, -3], [0, 1], None, None, None]
+    expected = [{0: 2, 1: -3}, {1: 1}, None, None, None]
     for inverse in right:
         lat = hand_built_lattice(A, masks, basis, inverse)
         assert [lat.coordinates(x) for x in classes] == expected
@@ -430,7 +449,7 @@ def test_coordinates_reject_terms_outside_the_degree():
     assert hodge_lattice(standard_ppav(1), 1).coordinates(Multivector(2, {0b11: 1, 0: 5})) is None
     lat = hodge_lattice(standard_ppav(2), 1)
     b0 = lat.basis_classes()[0]
-    assert lat.coordinates(b0) == [1, 0, 0, 0]
+    assert lat.coordinates(b0) == {0: 1}
     assert lat.coordinates(b0 + Multivector.generator(4, 0) * 3) is None
 
 
@@ -729,6 +748,17 @@ def test_is_hodge_matches_the_operator_oracle(data):
     assert is_hodge(V, y) == y.is_zero()
 
 
+def dense_coordinates(lat, c):
+    """The sparse coordinates ``c`` of :meth:`HodgeLattice.coordinates`
+    as a list with one entry per basis class; None stays None."""
+    if c is None:
+        return None
+    dense = [0] * lat.rank
+    for s, cj in c.items():
+        dense[s] = cj
+    return dense
+
+
 def reference_coordinates(lat, x):
     """Full-basis oracle of ``HodgeLattice.coordinates``: one rational
     solve against every basis column, then the same integrality check."""
@@ -763,8 +793,10 @@ def test_coordinates_match_full_basis_solve(data):
         st.dictionaries(st.sampled_from(lat.masks), st.integers(-3, 3), max_size=4)
     )
     for x in (member, member + Multivector(lat.A.rank, noise)):
-        assert lat.coordinates(x) == reference_coordinates(lat, x)
-    assert lat.coordinates(member) == coeffs
+        c = lat.coordinates(x)
+        assert c is None or 0 not in c.values()
+        assert dense_coordinates(lat, c) == reference_coordinates(lat, x)
+    assert dense_coordinates(lat, lat.coordinates(member)) == coeffs
 
 
 def test_lattice_memo_is_keyed_by_the_complex_structure():
