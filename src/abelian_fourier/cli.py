@@ -33,7 +33,7 @@ from .report import (
     parse_class,
     parse_variety,
 )
-from .suite import REGISTRY, default_suite, run_check
+from .suite import REGISTRY, default_suite, result_order, run_check
 from .varieties import elliptic_product, standard_ppav
 
 # Every input error of the package (UnsupportedParams, RankMismatch,
@@ -88,8 +88,7 @@ def _cmd_verify(args) -> int:
     if names is not None:
         grid = [(n, p) for n, p in grid if n in names]
     results = [run_check_lenient(name, **params) for name, params in grid]
-
-    results.sort(key=lambda r: (r.descriptor.name, repr(r.descriptor.params)))
+    results.sort(key=result_order)
     doc = ReportDocument.from_results(results)
     _write(emit_report(doc) if args.format == "json" else emit_text(doc), args.out)
     return doc.exit_status

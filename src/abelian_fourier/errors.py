@@ -9,6 +9,9 @@ class coefficient, a polarization entry or type entry, or an entry of
 an integer matrix (``intlinalg.int_matrix``) that is not an int (a bool
 is not one) raises the built-in ``TypeError``, an input error, so
 pullback and pushforward never meet a fraction and no check reports one.
+
+A failed identity ``lhs = rhs`` is witnessed by ``lhs - rhs``, and
+:func:`require_equal` is the one place that builds that witness.
 """
 
 
@@ -28,6 +31,13 @@ class CheckFailure(ArithmeticError):
     def __init__(self, message, witness):
         self.witness = witness
         super().__init__(message)
+
+
+def require_equal(lhs, rhs, detail="left and right sides differ"):
+    """Raise :class:`CheckFailure` with ``detail``, witnessed by
+    ``lhs - rhs``, unless the two classes are equal."""
+    if lhs != rhs:
+        raise CheckFailure(detail, lhs - rhs)
 
 
 class NonDivisible(CheckFailure):

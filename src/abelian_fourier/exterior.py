@@ -45,6 +45,7 @@ e_{S^c}`` in constant time.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import factorial
 
 from .errors import NonDivisible, RankMismatch
@@ -291,6 +292,10 @@ class Multivector:
     __xor__ = wedge
 
     def wedge_power(self, k: int) -> "Multivector":
+        """``self^k``; an exponent k that is not an int (a bool or a
+        float) is a :class:`TypeError`."""
+        if type(k) is not int:
+            raise TypeError(f"wedge exponent {k!r} is not an integer")
         if k < 0:
             raise ValueError("negative wedge power")
         out = Multivector.unit(self.rank)
@@ -322,12 +327,15 @@ class Multivector:
         symmetric sum ``e_k`` of the terms (module docstring), built with
         no division.  Any other class takes ``wedge_power(k)`` and divides
         it exactly by ``k!``, raising :class:`NonDivisible` as
-        :meth:`divide_exact` does; that path is also the oracle.
+        :meth:`divide_exact` does; that path is also the oracle.  An
+        exponent k that is not an int is a :class:`TypeError`.
 
         >>> ell = Multivector(4, {0b0101: 1, 0b1010: -1})
         >>> ell.wedge_power_divided(2) == ell.wedge_power(2).divide_exact(2)
         True
         """
+        if type(k) is not int:
+            raise TypeError(f"wedge exponent {k!r} is not an integer")
         if k < 0:
             raise ValueError("negative wedge power")
         if any(m.bit_count() & 1 or not m for m in self._terms):
@@ -524,8 +532,8 @@ class ExteriorPower:
 
 
 def degree_basis_masks(rank: int, k: int) -> list[int]:
-    """All degree-k basis masks in increasing mask order."""
-    from itertools import combinations
-
-    masks = [sum(1 << i for i in c) for c in combinations(range(rank), k)]
-    return sorted(masks)
+    """All degree-k basis masks in increasing mask order; a degree k that
+    is not an int (a bool or a float) is a :class:`TypeError`."""
+    if type(k) is not int:
+        raise TypeError(f"degree {k!r} is not an integer")
+    return sorted(sum(1 << i for i in c) for c in combinations(range(rank), k))

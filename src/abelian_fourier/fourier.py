@@ -121,7 +121,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
-from .errors import CheckFailure, NonTerminatingSeries, RankMismatch, UnsupportedParams
+from .errors import NonTerminatingSeries, RankMismatch, UnsupportedParams, require_equal
 from .exterior import _ODD_BITS, Multivector
 from .varieties import (
     AbelianVariety,
@@ -250,6 +250,11 @@ def _require_positive_dimension(V: AbelianVariety, x: Multivector):
 
 
 def star_power(V: AbelianVariety, x: Multivector, n: int, star=None) -> Multivector:
+    """``x^{*n}``, n products by ``star`` (default :func:`pontryagin`) from
+    the point class; an exponent n that is not an int (a bool or a float)
+    is a :class:`TypeError`."""
+    if type(n) is not int:
+        raise TypeError(f"star exponent {n!r} is not an integer")
     if n < 0:
         raise UnsupportedParams("negative star power")
     star = star or pontryagin
@@ -487,13 +492,11 @@ def prop45_pushforward_check(A: AbelianVariety, B: AbelianVariety) -> Multivecto
     term2 = p13.pullback(mu.wedge_power_divided(2 * gA)).wedge(
         p24.pullback(nu.wedge_power_divided(2 * gB - 1))
     )
-    if R_X != term1 + term2:
-        raise CheckFailure(f"two-term split failed at {dims}", R_X - term1 - term2)
+    require_equal(R_X, term1 + term2, f"two-term split failed at {dims}")
 
     pushed = p13.pushforward(R_X)
     expected = mu.wedge_power_divided(2 * gA - 1)
     if gB % 2:
         expected = -expected
-    if pushed != expected:
-        raise CheckFailure(f"pushforward identity failed at {dims}", pushed - expected)
+    require_equal(pushed, expected, f"pushforward identity failed at {dims}")
     return pushed

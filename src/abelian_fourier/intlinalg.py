@@ -471,12 +471,10 @@ def det_bareiss(M) -> int:
 
 
 def is_positive_definite(S) -> bool:
-    """Exact positive-definiteness test of an integer matrix via leading
-    principal minors.
-
-    One fraction-free Bareiss elimination without row exchanges reads the
-    leading principal minors as its successive pivots and stops at the
-    first that is not positive.
+    """Exact positive-definiteness test of a symmetric integer matrix by
+    Sylvester's criterion: every leading principal minor, each read from
+    :func:`_bareiss`, is positive.  A matrix that is not square or not
+    symmetric raises :class:`NotSymmetric`.
 
     >>> is_positive_definite([[2, 1], [1, 1]])
     True
@@ -491,19 +489,7 @@ def is_positive_definite(S) -> bool:
         for j in range(i + 1, n):
             if A[i][j] != A[j][i]:
                 raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-    prev = 1
-    for k in range(n):
-        p = A[k][k]
-        if p <= 0:
-            return False
-        Ak = A[k]
-        for i in range(k + 1, n):
-            Ai = A[i]
-            a = Ai[k]
-            for j in range(k + 1, n):
-                Ai[j] = (Ai[j] * p - a * Ak[j]) // prev
-        prev = p
-    return True
+    return all(_bareiss([row[:k] for row in A[:k]]) > 0 for k in range(1, n + 1))
 
 
 def scaled_inverse(M, c: int) -> IntMatrix:

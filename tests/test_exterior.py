@@ -368,8 +368,15 @@ def test_indices_that_are_not_ints_are_type_errors(index):
         Multivector.generator(2, index)
     with pytest.raises(TypeError, match="degree"):
         x.graded_component(index)
+    with pytest.raises(TypeError, match="degree"):
+        degree_basis_masks(4, index)
+    for power in (x.wedge_power, x.wedge_power_divided):
+        with pytest.raises(TypeError, match="wedge exponent"):
+            power(index)
     assert Multivector.generator(2, 1) == Multivector(2, {0b10: 1})
     assert x.graded_component(2) == Multivector(4, {0b11: 5})
+    assert degree_basis_masks(4, 1) == [1, 2, 4, 8]
+    assert x.wedge_power(1) == x.wedge_power_divided(1) == x
 
 
 def test_degree_basis_masks():

@@ -212,6 +212,18 @@ def test_star_power_degree_bookkeeping():
     assert star_power(A, th, 1) == th
 
 
+@pytest.mark.parametrize("n", [True, False, 1.0, 1.5])
+def test_a_star_exponent_that_is_not_an_int_is_a_type_error(n):
+    # a bool would run as the power it equals, and a float fail inside range
+    A = standard_ppav(2)
+    th = A.theta_class()
+    with pytest.raises(TypeError, match="star exponent"):
+        star_power(A, th, n)
+    with pytest.raises(TypeError, match="star exponent"):
+        star_divided_power(A, th, n)
+    assert star_power(A, th, 1) == star_divided_power(A, th, 1) == th
+
+
 def test_star_divided_power_rejects_top_component():
     A = standard_ppav(1)
     with pytest.raises(UnsupportedParams):

@@ -1,9 +1,11 @@
 """Check registry and runner: statuses, witnesses, determinism."""
 
+import ast
 import random
 import signal
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -440,29 +442,61 @@ def test_a_non_spanning_beta_certificate_names_a_class_outside_the_span(monkeypa
     assert voisin_certificate(A, 2, gens + [r.witness]) != voisin_certificate(A, 2, gens)
 
 
+def difference_witnesses(path):
+    """Line numbers of the ``CheckFailure(...)`` calls in the module at
+    ``path`` whose witness, positional or keyword, is a subtraction."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name != "CheckFailure":
+            continue
+        args = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "witness"]
+        if any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.Sub) for a in args):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_require_equal_builds_a_difference_witness():
+    # a failed identity is witnessed by lhs - rhs in one place,
+    # errors.require_equal; every other module calls it
+    package = Path(suite.__file__).parent
+    found = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if path.name != "errors.py" and (lines := difference_witnesses(path))
+    }
+    assert found == {}
+    assert difference_witnesses(package / "errors.py")
+
+
 def test_ell_integrality_divides_the_product(monkeypatch):
     # ell^k/k! by elementary symmetric sums is integral by construction, so
-    # the check must divide the product ell^k itself: a product off by one
-    # fails it, a wrong closed form does not reach it
-    product = Multivector.wedge_power
+    # the check must divide the product ell^k itself, each power the last
+    # one times ell: a product off by one fails it, a wrong closed form
+    # does not reach it
+    ell = poincare_class(standard_ppav(2))
+    unit = Multivector.unit(ell.rank)
+    product = Multivector.wedge
 
-    def off_by_one(self, k):
-        out = product(self, k)
-        if k < 2 or out.is_zero():
+    def off_by_one(self, other):
+        out = product(self, other)
+        if other != ell or self == unit or out.is_zero():
             return out
         terms = dict(out.items())
         terms[min(terms)] += 1
         return Multivector(self.rank, terms)
 
-    monkeypatch.setattr(Multivector, "wedge_power", off_by_one)
+    monkeypatch.setattr(Multivector, "wedge", off_by_one)
     r = run_check("ell_integrality", genus=2)
     assert r.status == "fail"
-    ell2 = product(poincare_class(standard_ppav(2)), 2)
+    ell2 = product(ell, ell)
     low = min(mask for mask, _ in ell2.items())
     assert r.witness == Multivector(8, {low: ell2.coefficient(low) + 1})
     assert r.detail.startswith("ell^2/2! is not integral")
 
-    monkeypatch.setattr(Multivector, "wedge_power", product)
+    monkeypatch.setattr(Multivector, "wedge", product)
     divided = Multivector.wedge_power_divided
     monkeypatch.setattr(Multivector, "wedge_power_divided", lambda self, k: -divided(self, k))
     assert run_check("ell_integrality", genus=2).status == "pass"
