@@ -62,12 +62,10 @@ from .fourier import (
     fourier,
     fourier_reference,
     inverse_fourier,
-    kunneth_R_decomposition,
     named_class,
     poincare_class,
     pontryagin,
     pontryagin_reference,
-    prop45_pushforward_check,
     star_divided_power,
     star_exponential,
 )

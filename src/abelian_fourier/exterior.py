@@ -307,8 +307,12 @@ class Multivector:
         """The unique y with ``n * y = self``; every coefficient must divide.
 
         Raises :class:`NonDivisible` identifying the first offending term
-        (smallest mask), which serves as the integrality witness.
+        (smallest mask), which serves as the integrality witness.  A
+        divisor n that is not an int (a bool or a float) is a
+        :class:`TypeError`.
         """
+        if type(n) is not int:
+            raise TypeError(f"divisor {n!r} is not an integer")
         if n == 0:
             raise ZeroDivisionError("division of a multivector by zero")
         terms = {}
@@ -422,9 +426,11 @@ def bits_of(mask: int) -> list[int]:
 def integrate(x: Multivector, orientation: int):
     """Evaluate against the fundamental class: top coefficient times sign.
 
-    ``orientation`` must be +1 or -1; classes with no top-degree term
-    integrate to zero.
+    ``orientation`` must be the int +1 or -1 (a bool or a float is a
+    :class:`TypeError`); classes with no top-degree term integrate to zero.
     """
+    if type(orientation) is not int:
+        raise TypeError(f"orientation {orientation!r} is not an integer")
     if orientation not in (1, -1):
         raise ValueError(f"orientation must be +1 or -1, got {orientation}")
     full = (1 << x.rank) - 1
@@ -532,8 +538,10 @@ class ExteriorPower:
 
 
 def degree_basis_masks(rank: int, k: int) -> list[int]:
-    """All degree-k basis masks in increasing mask order; a degree k that
-    is not an int (a bool or a float) is a :class:`TypeError`."""
+    """All degree-k basis masks in increasing mask order; a rank or a
+    degree k that is not an int (a bool or a float) is a :class:`TypeError`."""
+    if type(rank) is not int:
+        raise TypeError(f"rank {rank!r} is not an integer")
     if type(k) is not int:
         raise TypeError(f"degree {k!r} is not an integer")
     return sorted(sum(1 << i for i in c) for c in combinations(range(rank), k))

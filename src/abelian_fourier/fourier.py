@@ -55,7 +55,10 @@ cup product by the transform through the exchange law.  The definitions
 are kept as oracles: :func:`fourier_reference` evaluates the
 correspondence and :func:`pontryagin_reference` the addition pushforward;
 ``tests/test_fourier.py`` keeps the three-step inverse, with ``[-1]^*``
-as its own map, as the oracle of :func:`inverse_fourier`.  The suite's
+as its own map, as the oracle of :func:`inverse_fourier`.  This module
+holds only the calculus and its oracles; every comparison of two sides,
+the paper's Kunneth split and Prop. 4.5 included, is a check in
+``suite``.  The suite's
 ``lemma51_diagram`` compares the transform with the correspondence and
 ``product_exchange`` compares the transform with the ``m_*`` product, so
 neither check compares a fast path with itself.  The star checks take their star powers from both
@@ -121,7 +124,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
-from .errors import NonTerminatingSeries, RankMismatch, UnsupportedParams, require_equal
+from .errors import NonTerminatingSeries, RankMismatch, UnsupportedParams
 from .exterior import _ODD_BITS, Multivector
 from .varieties import (
     AbelianVariety,
@@ -416,87 +419,3 @@ def theta_triple_sum(A: AbelianVariety) -> Multivector:
             out = out + (term if (j + k) % 2 == 0 else -term)
     return out
 
-
-def _four_fold_maps(A: AbelianVariety, B: AbelianVariety):
-    """The two block-pair projections of ``(A x B) x (A x B)^``.
-
-    Returns the 4-fold product structure together with the projections
-    ``p13`` onto ``A x A^`` (blocks 1, 3) and ``p24`` onto ``B x B^``
-    (blocks 2, 4).  Each sends its target's generators, in order, to
-    increasing generators of the 4-fold, so its pullback relabels
-    monomials without a sign.
-    """
-    X = product(A, B)
-    XP = product(X.variety, dual(X.variety))
-    nA, n = A.rank, X.variety.rank
-    n4 = 2 * n
-
-    def projection(target, columns):
-        rows = tuple(tuple(1 if j == c else 0 for j in range(n4)) for c in columns)
-        return Homomorphism._trusted(XP.variety, target, rows)
-
-    p13 = projection(product(A, dual(A)).variety, [*range(nA), *range(n, n + nA)])
-    p24 = projection(product(B, dual(B)).variety, [*range(nA, n), *range(n + nA, n4)])
-    return XP, p13, p24
-
-
-def kunneth_R_decomposition(A: AbelianVariety):
-    """Both sides of the Kunneth split of the minimal one-cycle class.
-
-    Computes ``R_X = ell_X^{4g-1} / (4g-1)!`` for ``X = A x A^`` on the
-    4-fold product, and the two-term right side pairing each factor's
-    minimal class with the other factor's point class.  The two agree
-    after inserting the recorded normalization sign (-1)^g, which the
-    caller asserts; the raw pair is returned for reporting.
-    """
-    g = A.genus
-    Ahat = dual(A)
-    XP, p13, p24 = _four_fold_maps(A, Ahat)
-    ell_X = poincare_class(XP.factors[0])
-    lhs = ell_X.wedge_power_divided(4 * g - 1)
-
-    R_A = p13.pullback(named_class(A, "R"))
-    R_hat = p24.pullback(named_class(Ahat, "R"))
-    pt_13 = p13.pullback(p13.target.point_class())
-    pt_24 = p24.pullback(p24.target.point_class())
-    return lhs, R_A.wedge(pt_24) + pt_13.wedge(R_hat)
-
-
-def prop45_pushforward_check(A: AbelianVariety, B: AbelianVariety) -> Multivector:
-    """Pushforward of the product's minimal class to one factor pair.
-
-    For ``X = A x B`` of dimension h, checks exactly that
-
-    * ``ell_X^{2h-1}/(2h-1)!`` splits into the two cross terms of the
-      factor pairing classes, and
-    * its pushforward along the projection to ``A x A^`` equals
-      ``(-1)^{g_B} mu^{2g_A - 1} / (2g_A - 1)!``,
-
-    and returns that pushforward.  A failed split raises
-    :class:`CheckFailure` witnessed by the class minus its two terms, on
-    the 4-fold ``X x X^``; a failed pushforward, by the pushforward minus
-    its expected value, on ``A x A^``.
-    """
-    gA, gB = A.genus, B.genus
-    dims = f"dims ({gA},{gB})"
-    h = gA + gB
-    XP, p13, p24 = _four_fold_maps(A, B)
-    ell_X = poincare_class(XP.factors[0])
-    R_X = ell_X.wedge_power_divided(2 * h - 1)
-
-    mu = poincare_class(A)
-    nu = poincare_class(B)
-    term1 = p13.pullback(mu.wedge_power_divided(2 * gA - 1)).wedge(
-        p24.pullback(nu.wedge_power_divided(2 * gB))
-    )
-    term2 = p13.pullback(mu.wedge_power_divided(2 * gA)).wedge(
-        p24.pullback(nu.wedge_power_divided(2 * gB - 1))
-    )
-    require_equal(R_X, term1 + term2, f"two-term split failed at {dims}")
-
-    pushed = p13.pushforward(R_X)
-    expected = mu.wedge_power_divided(2 * gA - 1)
-    if gB % 2:
-        expected = -expected
-    require_equal(pushed, expected, f"pushforward identity failed at {dims}")
-    return pushed

@@ -4,9 +4,13 @@ Every check evaluates one exact identity (or lattice certificate) on
 concretely constructed varieties.  A check fails one way: its body
 raises :class:`CheckFailure` with a detail and the witness class, an
 identity ``lhs = rhs`` through :func:`errors.require_equal`, witnessed by
-``lhs - rhs``; else it returns its pass note.  Checks are pure and
-deterministic: randomized ones derive all choices from an explicit seed
-that is recorded in the result parameters.
+``lhs - rhs``; else it returns its pass note.  This module is the one
+caller of :func:`errors.require_equal`: the statements of the paper that
+are only checks, the Kunneth split of the minimal class of ``A x A^`` and
+Prop. 4.5, are built here on the 4-fold ``(A x B) x (A x B)^``
+(:func:`_four_fold_maps`), and the calculus modules hold no comparison.
+Checks are pure and deterministic: randomized ones derive all choices
+from an explicit seed that is recorded in the result parameters.
 
 Each check is described by data, its :class:`_CheckSpec`: a desk-scale
 genus ceiling, whether it needs a principal polarization, whether it
@@ -46,12 +50,10 @@ from .fourier import (
     correspondence_action,
     fourier,
     fourier_reference,
-    kunneth_R_decomposition,
     named_class,
     poincare_class,
     pontryagin,
     pontryagin_reference,
-    prop45_pushforward_check,
     star_divided_power,
     star_exponential,
     theta_triple_sum,
@@ -295,9 +297,42 @@ def _check_theta_divided(A, seed):
             require_equal(lhs[i], rhs, f"exponent i={i}")
 
 
+def _four_fold_maps(A, B):
+    """The two block-pair projections of ``(A x B) x (A x B)^``.
+
+    Returns the 4-fold product structure together with the projections
+    ``p13`` onto ``A x A^`` (blocks 1, 3) and ``p24`` onto ``B x B^``
+    (blocks 2, 4).  Each sends its target's generators, in order, to
+    increasing generators of the 4-fold, so its pullback relabels
+    monomials without a sign.
+    """
+    X = product(A, B)
+    XP = product(X.variety, dual(X.variety))
+    nA, n = A.rank, X.variety.rank
+    n4 = 2 * n
+
+    def projection(target, columns):
+        rows = tuple(tuple(1 if j == c else 0 for j in range(n4)) for c in columns)
+        return Homomorphism._trusted(XP.variety, target, rows)
+
+    p13 = projection(product(A, dual(A)).variety, [*range(nA), *range(n, n + nA)])
+    p24 = projection(product(B, dual(B)).variety, [*range(nA, n), *range(n + nA, n4)])
+    return XP, p13, p24
+
+
 def _check_kunneth_R(A, seed):
-    lhs, rhs = kunneth_R_decomposition(A)
-    if A.genus % 2:
+    # R_X = ell_X^{4g-1}/(4g-1)! for X = A x A^, on the 4-fold, against each
+    # factor's minimal class paired with the other factor's point class
+    g = A.genus
+    Ahat = dual(A)
+    XP, p13, p24 = _four_fold_maps(A, Ahat)
+    lhs = poincare_class(XP.factors[0]).wedge_power_divided(4 * g - 1)
+    R_A = p13.pullback(named_class(A, "R"))
+    R_hat = p24.pullback(named_class(Ahat, "R"))
+    pt_13 = p13.pullback(p13.target.point_class())
+    pt_24 = p24.pullback(p24.target.point_class())
+    rhs = R_A.wedge(pt_24) + pt_13.wedge(R_hat)
+    if g % 2:
         rhs = -rhs
     require_equal(lhs, rhs)
     return "compared after inserting the recorded (-1)^g normalization sign"
@@ -373,11 +408,11 @@ def _check_lemma51_diagram(A, seed):
     # The suite's differential check of the closed-form transform: every
     # comparison has the correspondence on one side.
     Ah = dual(A)
-    ctx_hat = context(Ah)
+    pair_hat = product(Ah, dual(Ah))
     sigma_hat = named_class(Ah, "sigma")
     for mask in (sum(1 << i for i in c) for c in combinations(range(Ah.rank), 2)):
         x = Multivector(Ah.rank, {mask: 1})
-        via_sigma = correspondence_action(ctx_hat.pair, sigma_hat, x)
+        via_sigma = correspondence_action(pair_hat, sigma_hat, x)
         require_equal(via_sigma, fourier(Ah, x), f"degree-2 monomial {mask:#x}")
     for mask in range(1 << A.rank):
         x = Multivector(A.rank, {mask: 1})
@@ -385,12 +420,41 @@ def _check_lemma51_diagram(A, seed):
         require_equal(via_ch, fourier(A, x), f"full correspondence at mask {mask:#x}")
 
 
+def _prop45_pushforward(A, B) -> Multivector:
+    """Prop. 4.5 for ``X = A x B`` of dimension h: ``ell_X^{2h-1}/(2h-1)!``
+    splits into the two cross terms of the factor pairing classes, on the
+    4-fold ``X x X^``, and its pushforward to ``A x A^`` is
+    ``(-1)^{g_B} mu^{2g_A - 1}/(2g_A - 1)!``.  Returns that pushforward."""
+    gA, gB = A.genus, B.genus
+    dims = f"dims ({gA},{gB})"
+    h = gA + gB
+    XP, p13, p24 = _four_fold_maps(A, B)
+    R_X = poincare_class(XP.factors[0]).wedge_power_divided(2 * h - 1)
+
+    mu = poincare_class(A)
+    nu = poincare_class(B)
+    term1 = p13.pullback(mu.wedge_power_divided(2 * gA - 1)).wedge(
+        p24.pullback(nu.wedge_power_divided(2 * gB))
+    )
+    term2 = p13.pullback(mu.wedge_power_divided(2 * gA)).wedge(
+        p24.pullback(nu.wedge_power_divided(2 * gB - 1))
+    )
+    require_equal(R_X, term1 + term2, f"two-term split failed at {dims}")
+
+    pushed = p13.pushforward(R_X)
+    expected = mu.wedge_power_divided(2 * gA - 1)
+    if gB % 2:
+        expected = -expected
+    require_equal(pushed, expected, f"pushforward identity failed at {dims}")
+    return pushed
+
+
 def _check_prop45_pushforward(A, seed):
     # genus h splits as the product of E_i^{h-1} and one elliptic curve
     gA = A.genus - 1
     if gA < 1:
         raise UnsupportedParams("needs two factors, so genus at least 2")
-    prop45_pushforward_check(standard_ppav(gA), standard_ppav(1))
+    _prop45_pushforward(standard_ppav(gA), standard_ppav(1))
 
 
 def _check_isogeny_degree(X, seed):

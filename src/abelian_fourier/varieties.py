@@ -206,7 +206,10 @@ def make_variety(E, J=None, name: str = "A") -> AbelianVariety:
     :class:`NotAlternating`, :class:`SingularPolarization`,
     :class:`ComplexStructureInvalid` (``N^2 != -d^2 I``) or
     :class:`RiemannRelationViolated` (``E N`` not symmetric positive definite).
+    A name that is not a str is a :class:`TypeError`.
     """
+    if type(name) is not str:
+        raise TypeError(f"model name {name!r} is not a str")
     Et = tuple(map(tuple, intlinalg.int_matrix(E)))
     n = len(Et)
     if n % 2 or any(len(row) != n for row in Et):

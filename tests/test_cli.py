@@ -388,6 +388,44 @@ def test_hodge_rank_and_certificate(tmp_path, capsys):
     assert cert["trivial"] is False
 
 
+HODGE_GENUS_2_DEGREE_2_TEXT = """\
+variety: E_i^2
+degree: 2
+rank: 4 (ambient 6)
+saturation divisors: ['1', '1', '1', '1'] + free rank 2
+  monomial [0, 1]: ['1', '0', '0', '0']
+  monomial [0, 2]: ['0', '1', '0', '0']
+  monomial [1, 2]: ['0', '0', '1', '0']
+  monomial [0, 3]: ['0', '0', '1', '0']
+  monomial [1, 3]: ['0', '0', '0', '1']
+  monomial [2, 3]: ['1', '0', '0', '0']
+"""
+
+
+def test_hodge_text_output_and_certificate_verdicts(tmp_path, capsys):
+    # the default --format text: the lattice, then with --certify-generators
+    # one verdict line, trivial for the lattice basis and NONTRIVIAL once a
+    # basis class is doubled
+    assert run_cli(["hodge", "--genus", "2", "--degree", "2"]) == 0
+    assert capsys.readouterr().out == HODGE_GENUS_2_DEGREE_2_TEXT
+    basis = hodge_lattice(standard_ppav(2), 1).basis_classes()
+    verdicts = {
+        "trivial": (basis, "trivial (divisors ['1', '1', '1', '1'], free rank 0)"),
+        "doubled": (
+            [basis[0] * 2] + basis[1:],
+            "NONTRIVIAL (divisors ['1', '1', '1', '2'], free rank 0)",
+        ),
+    }
+    for label, (gens, verdict) in verdicts.items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps([json.loads(emit_class(x)) for x in gens]), encoding="utf-8")
+        code = run_cli(["hodge", "--genus", "2", "--degree", "2", "--certify-generators", str(path)])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            HODGE_GENUS_2_DEGREE_2_TEXT + f"certificate over 4 generators: cokernel {verdict}\n"
+        )
+
+
 def test_hodge_certificate_names_a_wrong_generator_degree(tmp_path, capsys):
     # theta is a Hodge class, but of degree 2 where the lattice has degree 4
     A = standard_ppav(2)

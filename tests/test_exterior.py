@@ -270,6 +270,10 @@ def test_integrate():
     assert integrate(Multivector(2, {0b01: 7}), 1) == 0
     with pytest.raises(ValueError):
         integrate(Multivector.unit(2), 2)
+    # a bool or a float equal to +-1 would pass the value check
+    for orientation in (True, 1.0, -1.0):
+        with pytest.raises(TypeError, match="orientation"):
+            integrate(Multivector(2, {0b11: 5}), orientation)
 
 
 def poincare_pairing_matrix(rank, k):
@@ -370,13 +374,17 @@ def test_indices_that_are_not_ints_are_type_errors(index):
         x.graded_component(index)
     with pytest.raises(TypeError, match="degree"):
         degree_basis_masks(4, index)
+    with pytest.raises(TypeError, match="rank"):
+        degree_basis_masks(index, 1)
+    with pytest.raises(TypeError, match="divisor"):
+        x.divide_exact(index)
     for power in (x.wedge_power, x.wedge_power_divided):
         with pytest.raises(TypeError, match="wedge exponent"):
             power(index)
     assert Multivector.generator(2, 1) == Multivector(2, {0b10: 1})
     assert x.graded_component(2) == Multivector(4, {0b11: 5})
     assert degree_basis_masks(4, 1) == [1, 2, 4, 8]
-    assert x.wedge_power(1) == x.wedge_power_divided(1) == x
+    assert x.wedge_power(1) == x.wedge_power_divided(1) == x.divide_exact(1) == x
 
 
 def test_degree_basis_masks():

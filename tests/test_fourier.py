@@ -24,12 +24,10 @@ from abelian_fourier.fourier import (
     fourier_reference,
     graph_of_polarization,
     inverse_fourier,
-    kunneth_R_decomposition,
     named_class,
     poincare_class,
     pontryagin,
     pontryagin_reference,
-    prop45_pushforward_check,
     star_divided_power,
     star_exponential,
     star_power,
@@ -519,23 +517,3 @@ def test_beta_closed_form_on_the_hermitian_e8_model():
     for D in divisors:
         fast = beta_from_divisor(A, D)
         assert fast == beta_from_divisor_reference(A, D) == beta_literal(A, D)
-
-
-def test_kunneth_decomposition_sign():
-    for g in (1, 2):
-        A = standard_ppav(g)
-        lhs, rhs = kunneth_R_decomposition(A)
-        assert lhs == rhs * ((-1) ** g)
-        assert lhs != rhs * ((-1) ** (g + 1))  # the sign is sharp
-
-
-def test_prop45_sign_flips_with_second_factor_parity():
-    # the check raises on a failure, so these pairs pass by returning
-    pushed = {
-        (gA, gB): prop45_pushforward_check(standard_ppav(gA), standard_ppav(gB))
-        for gA, gB in ((1, 1), (1, 2), (2, 1))
-    }
-    # the identity as coded carries (-1)^{g_B}; dropping it must fail for odd g_B
-    for (gA, gB), x in pushed.items():
-        mu = poincare_class(standard_ppav(gA)).wedge_power_divided(2 * gA - 1)
-        assert x == (-mu if gB % 2 else mu) and not x.is_zero()

@@ -23,7 +23,7 @@ from abelian_fourier.errors import (
 )
 from abelian_fourier.suite import REGISTRY, default_suite, run_check, run_suite
 from abelian_fourier.exterior import Multivector, complement_sign
-from abelian_fourier.fourier import fourier, kunneth_R_decomposition, poincare_class
+from abelian_fourier.fourier import fourier, poincare_class
 from abelian_fourier.hodge import hodge_lattice, voisin_certificate
 from abelian_fourier.intlinalg import det_bareiss
 from abelian_fourier.varieties import (
@@ -137,17 +137,48 @@ def test_prop45_needs_two_factors():
 def test_prop45_split_failure_is_witnessed_on_the_four_fold(monkeypatch):
     # negating the product's pairing class negates its odd power R_X but
     # not the factors' cross terms, so the split fails on X x X^, rank 4h
-    fourier_module = sys.modules["abelian_fourier.fourier"]
-    original = fourier_module.poincare_class
+    original = suite.poincare_class
     h = 2
     monkeypatch.setattr(
-        fourier_module,
+        suite,
         "poincare_class",
         lambda A: -original(A) if A.genus == h else original(A),
     )
     r = run_check("prop45_pushforward", genus=h)
     assert (r.status, r.detail) == ("fail", f"two-term split failed at dims ({h - 1},1)")
     assert r.witness.rank == 4 * h and not r.witness.is_zero()
+
+
+def test_prop45_sign_flips_with_second_factor_parity():
+    # the helper raises on a failure, so these pairs pass by returning;
+    # (1, 2) is a pair the default grid, which splits genus h as
+    # (h - 1, 1), never reaches
+    pushed = {
+        (gA, gB): suite._prop45_pushforward(standard_ppav(gA), standard_ppav(gB))
+        for gA, gB in ((1, 1), (1, 2), (2, 1))
+    }
+    # the identity as coded carries (-1)^{g_B}; dropping it must fail for odd g_B
+    for (gA, gB), x in pushed.items():
+        mu = poincare_class(standard_ppav(gA)).wedge_power_divided(2 * gA - 1)
+        assert x == (-mu if gB % 2 else mu) and not x.is_zero()
+
+
+def test_kunneth_R_sign_is_sharp(monkeypatch):
+    # the check passes with the recorded (-1)^g; negating the 4-fold's
+    # pairing class negates only the left side R_X, which is nonzero, so
+    # the opposite sign fails, witnessed by -2 R_X
+    R_X = {}
+    for g in (1, 2):
+        assert run_check("kunneth_R", genus=g).status == "pass"
+        A = standard_ppav(g)
+        X = varieties.product(A, varieties.dual(A)).variety
+        R_X[g] = poincare_class(X).wedge_power_divided(4 * g - 1)
+    original = suite.poincare_class
+    monkeypatch.setattr(suite, "poincare_class", lambda V: -original(V))
+    for g, lhs in R_X.items():
+        r = run_check("kunneth_R", genus=g)
+        assert (r.status, r.detail) == ("fail", "left and right sides differ")
+        assert r.witness == lhs * -2 and not lhs.is_zero()
 
 
 def test_injected_variety():
@@ -458,17 +489,31 @@ def difference_witnesses(path):
     return lines
 
 
+def require_equal_calls(path):
+    """Line numbers of the ``require_equal(...)`` calls in the module at ``path``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "require_equal"
+    ]
+
+
 def test_only_require_equal_builds_a_difference_witness():
     # a failed identity is witnessed by lhs - rhs in one place,
-    # errors.require_equal; every other module calls it
+    # errors.require_equal, and only the suite compares identities: the
+    # calculus modules hold no check
     package = Path(suite.__file__).parent
+    modules = sorted(package.glob("*.py"))
     found = {
         path.name: lines
-        for path in sorted(package.glob("*.py"))
+        for path in modules
         if path.name != "errors.py" and (lines := difference_witnesses(path))
     }
     assert found == {}
     assert difference_witnesses(package / "errors.py")
+    callers = {path.name for path in modules if require_equal_calls(path)}
+    assert callers == {"suite.py"}
 
 
 def test_ell_integrality_divides_the_product(monkeypatch):
@@ -526,18 +571,19 @@ def test_suite_catches_a_wrong_divided_power(monkeypatch):
 
 
 def test_kunneth_R_at_genus_5_within_seconds():
+    # run_check skips genus 5 for budget, so the body is called directly;
+    # a failure raises CheckFailure, a pass returns the sign note
     def timeout(signum, frame):
-        raise TimeoutError("kunneth_R_decomposition at genus 5 took over 10 s")
+        raise TimeoutError("kunneth_R at genus 5 took over 10 s")
 
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(10)
     try:
-        lhs, rhs = kunneth_R_decomposition(standard_ppav(5))
+        note = suite._check_kunneth_R(standard_ppav(5), 0)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert lhs == -rhs
-    assert not lhs.is_zero()
+    assert note == "compared after inserting the recorded (-1)^g normalization sign"
 
 
 @pytest.mark.parametrize("g", [5, 6])

@@ -229,6 +229,13 @@ def test_make_variety_rejects_a_polarization_entry_that_is_not_an_int(x):
         make_variety([[0, x], [-x, 0]], [[0, -1], [1, 0]])
 
 
+@pytest.mark.parametrize("name", [5, None])
+def test_make_variety_rejects_a_name_that_is_not_a_str(name):
+    # a non-str name built a model whose dual failed on name.endswith
+    with pytest.raises(TypeError, match="model name"):
+        make_variety([[0, 1], [-1, 0]], name=name)
+
+
 def test_dual_involution_and_structure():
     for A in (standard_ppav(1), standard_ppav(2), elliptic_product((1, 2))):
         Ah = dual(A)
