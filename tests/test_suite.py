@@ -3,7 +3,6 @@
 import ast
 import random
 import signal
-import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -572,18 +571,23 @@ def test_suite_catches_a_wrong_divided_power(monkeypatch):
 
 def test_kunneth_R_at_genus_5_within_seconds():
     # run_check skips genus 5 for budget, so the body is called directly;
-    # a failure raises CheckFailure, a pass returns the sign note
+    # a failure raises CheckFailure, a pass returns the sign note.  The
+    # left side R_X must be nonzero, or the comparison would hold trivially.
     def timeout(signum, frame):
         raise TimeoutError("kunneth_R at genus 5 took over 10 s")
 
+    A = standard_ppav(5)
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(10)
     try:
-        note = suite._check_kunneth_R(standard_ppav(5), 0)
+        note = suite._check_kunneth_R(A, 0)
+        X = varieties.product(A, varieties.dual(A)).variety
+        R_X = poincare_class(X).wedge_power_divided(19)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert note == "compared after inserting the recorded (-1)^g normalization sign"
+    assert not R_X.is_zero()
 
 
 @pytest.mark.parametrize("g", [5, 6])
