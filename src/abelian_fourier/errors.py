@@ -4,11 +4,13 @@ Every mathematically meaningful failure mode gets its own class so that
 callers (in particular the verification suite and the CLI) can turn
 exceptions into reported findings instead of stack traces.
 
-Integrality is checked where integers enter: a homomorphism entry, a
-class coefficient, a polarization entry or type entry, or an entry of
-an integer matrix (``intlinalg.int_matrix``) that is not an int (a bool
-is not one) raises the built-in ``TypeError``, an input error, so
-pullback and pushforward never meet a fraction and no check reports one.
+Integrality is checked where integers enter.  A scalar argument (a
+rank, degree, exponent, divisor, scale or orientation) and a class
+coefficient go through :func:`require_int`, and a dense matrix, a
+homomorphism's or a polarization's among them, through
+``intlinalg.int_matrix``.  A value that is not an int (a bool is not
+one) raises the built-in ``TypeError``, an input error, so pullback and
+pushforward never meet a fraction and no check reports one.
 
 A failed identity ``lhs = rhs`` is witnessed by ``lhs - rhs``, and
 :func:`require_equal` is the one place that builds that witness.
@@ -38,6 +40,18 @@ def require_equal(lhs, rhs, detail="left and right sides differ"):
     ``lhs - rhs``, unless the two classes are equal."""
     if lhs != rhs:
         raise CheckFailure(detail, lhs - rhs)
+
+
+def require_int(value, what):
+    """Raise :class:`TypeError` naming ``what`` unless ``value`` is an int
+    (a bool or a float is not): the one check of a scalar int argument.
+
+    >>> require_int(2.0, "degree")
+    Traceback (most recent call last):
+    TypeError: degree 2.0 is not an integer
+    """
+    if type(value) is not int:
+        raise TypeError(f"{what} {value!r} is not an integer")
 
 
 class NonDivisible(CheckFailure):

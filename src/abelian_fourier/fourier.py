@@ -124,7 +124,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
-from .errors import NonTerminatingSeries, RankMismatch, UnsupportedParams
+from .errors import NonTerminatingSeries, RankMismatch, UnsupportedParams, require_int
 from .exterior import _ODD_BITS, Multivector
 from .varieties import (
     AbelianVariety,
@@ -256,8 +256,7 @@ def star_power(V: AbelianVariety, x: Multivector, n: int, star=None) -> Multivec
     """``x^{*n}``, n products by ``star`` (default :func:`pontryagin`) from
     the point class; an exponent n that is not an int (a bool or a float)
     is a :class:`TypeError`."""
-    if type(n) is not int:
-        raise TypeError(f"star exponent {n!r} is not an integer")
+    require_int(n, "star exponent")
     if n < 0:
         raise UnsupportedParams("negative star power")
     star = star or pontryagin

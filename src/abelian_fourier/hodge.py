@@ -63,6 +63,7 @@ from .errors import (
     NotHomogeneous,
     RankMismatch,
     UnsupportedParams,
+    require_int,
 )
 from .exterior import Multivector, degree_basis_masks
 from .fourier import fourier
@@ -228,8 +229,7 @@ def hodge_lattice(V: AbelianVariety, k: int) -> HodgeLattice:
     >>> hodge_lattice(standard_ppav(2), 1).rank
     4
     """
-    if type(k) is not int:
-        raise TypeError(f"half-degree {k!r} is not an integer")
+    require_int(k, "half-degree")
     if V.J is None:
         raise NoComplexStructure(f"{V.name} has no complex structure")
     if not 0 <= k <= V.genus:

@@ -1,9 +1,12 @@
 """Exact integer linear algebra for lattice computations.
 
 Everything in this module is exact and, apart from the oracle
-:func:`rational_solve`, integral: there is no floating point, and an
-entry point raises :class:`TypeError` on an entry that is not an int
-(:func:`int_matrix`).  Matrices are dense lists of rows of Python ints,
+:func:`rational_solve`, integral: there is no floating point.  A dense
+matrix enters through :func:`int_matrix`, the one matrix gate, which
+raises :class:`TypeError` on an entry that is not an int and
+:class:`ValueError` on rows of different lengths, and a scalar (an
+ambient rank, a scale) through ``errors.require_int``.
+Matrices are dense lists of rows of Python ints,
 except for the kernel and the sparse cokernel (below):
 :func:`kernel_saturated_sparse` takes sparse rows ``{column: entry}``,
 splits the matrix into the connected blocks of its row/column support
@@ -42,7 +45,7 @@ from math import gcd
 
 IntMatrix = list[list[int]]
 
-from .errors import NotSymmetric
+from .errors import NotSymmetric, require_int
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -84,10 +87,19 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "divisors")):
 
 def int_matrix(M) -> IntMatrix:
     """A fresh list-of-rows copy of an integer matrix; :class:`TypeError`
-    on an entry that is not an int, which ``int()`` would truncate."""
+    on an entry that is not an int, which ``int()`` would truncate, and
+    :class:`ValueError` on rows of different lengths, which a reader
+    would pad or index past.
+
+    >>> int_matrix([[1, 2], [3]])
+    Traceback (most recent call last):
+    ValueError: matrix [[1, 2], [3]] has rows of different lengths
+    """
     A = [list(row) for row in M]
     if not all(type(x) is int for row in A for x in row):
         raise TypeError(f"matrix {M!r} has an entry that is not an integer")
+    if any(len(row) != len(A[0]) for row in A):
+        raise ValueError(f"matrix {M!r} has rows of different lengths")
     return A
 
 
@@ -373,8 +385,10 @@ def cokernel_invariants(generators, ambient_rank: int) -> CokernelInvariants:
 
     The matrix enters through :func:`sparse_rows` of :func:`int_matrix`,
     which rejects an entry that is not an int, zeros included, before
-    ``sparse_rows`` drops them.  Blocks (2) and (3), rows and columns
-    permuted and a zero column added, leave ``Z/6``:
+    ``sparse_rows`` drops them, and rows of different lengths; an
+    ambient rank that is not an int is a :class:`TypeError`.  Blocks
+    (2) and (3), rows and columns permuted and a zero column added,
+    leave ``Z/6``:
 
     >>> cokernel_invariants([[0, 3, 0], [2, 0, 0]], 2)
     CokernelInvariants(divisors=(1, 6), free_rank=0)
@@ -383,6 +397,7 @@ def cokernel_invariants(generators, ambient_rank: int) -> CokernelInvariants:
     >>> cokernel_invariants(identity_matrix(3), 3).is_trivial
     True
     """
+    require_int(ambient_rank, "ambient rank")
     if len(generators) != ambient_rank:
         raise ValueError(
             f"generator matrix has {len(generators)} rows, expected {ambient_rank}"
@@ -400,6 +415,7 @@ def cokernel_invariants_sparse(columns: list[dict], ambient_rank: int) -> Cokern
     >>> cokernel_invariants_sparse([{1: 3}, {0: 2}, {}], 3)
     CokernelInvariants(divisors=(1, 6), free_rank=1)
     """
+    require_int(ambient_rank, "ambient rank")
     divisors = _block_divisors(columns, ambient_rank)
     return CokernelInvariants(divisors=divisors, free_rank=ambient_rank - len(divisors))
 
@@ -499,13 +515,15 @@ def scaled_inverse(M, c: int) -> IntMatrix:
     and the adjugate ``d M^{-1}``, whose entries x give ``c x / d``.  That
     is integral exactly when the largest elementary divisor of M, ``|d|``
     over the gcd of d and the adjugate, divides c; :class:`ValueError`
-    otherwise, and :class:`ZeroDivisionError` when M is not invertible.
+    otherwise, :class:`ZeroDivisionError` when M is not invertible, and
+    :class:`TypeError` when c is not an int.
 
     >>> scaled_inverse([[2, 1], [1, 1]], 1)
     [[1, -1], [-1, 2]]
     >>> scaled_inverse([[0, 2], [-2, 0]], 2)
     [[0, -1], [1, 0]]
     """
+    require_int(c, "scale")
     n = len(M)
     if any(len(row) != n for row in M):
         raise ZeroDivisionError("matrix is not invertible: not square")

@@ -66,6 +66,7 @@ from .errors import (
     RankMismatch,
     RiemannRelationViolated,
     SingularPolarization,
+    require_int,
 )
 from .exterior import ExteriorPower, Multivector, complement_sign, integrate
 
@@ -203,15 +204,18 @@ def make_variety(E, J=None, name: str = "A") -> AbelianVariety:
     as ``N = dJ``, d the lcm of their denominators.  Raises
     :class:`TypeError` on an entry of E that is not an int or of J that is
     neither an int nor a Fraction (a float or a bool, say), and
-    :class:`NotAlternating`, :class:`SingularPolarization`,
-    :class:`ComplexStructureInvalid` (``N^2 != -d^2 I``) or
-    :class:`RiemannRelationViolated` (``E N`` not symmetric positive definite).
-    A name that is not a str is a :class:`TypeError`.
+    :class:`InvalidType` (an empty E, genus 0), :class:`NotAlternating`,
+    :class:`SingularPolarization`, :class:`ComplexStructureInvalid`
+    (``N^2 != -d^2 I``) or :class:`RiemannRelationViolated` (``E N`` not
+    symmetric positive definite).  A name that is not a str is a
+    :class:`TypeError`.
     """
     if type(name) is not str:
         raise TypeError(f"model name {name!r} is not a str")
     Et = tuple(map(tuple, intlinalg.int_matrix(E)))
     n = len(Et)
+    if n == 0:
+        raise InvalidType("genus must be positive, got 0")
     if n % 2 or any(len(row) != n for row in Et):
         raise NotAlternating(f"polarization matrix must be square of even size, got {n}")
     for i in range(n):
@@ -308,8 +312,7 @@ def _elliptic_product(delta: tuple[int, ...], name: str | None) -> AbelianVariet
 def standard_ppav(g: int) -> AbelianVariety:
     """Principally polarized power of the Gaussian elliptic curve; a
     genus that is not an int is a :class:`TypeError`."""
-    if type(g) is not int:
-        raise TypeError(f"genus {g!r} is not an integer")
+    require_int(g, "genus")
     if g <= 0:
         raise InvalidType(f"genus must be positive, got {g}")
     return elliptic_product((1,) * g)
@@ -388,8 +391,7 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
                 f"matrix shape {len(matrix)}x{len(matrix[0]) if matrix else 0}"
                 f" does not map rank {source.rank} to rank {target.rank}"
             )
-        if not all(type(e) is int for row in matrix for e in row):
-            raise TypeError(f"matrix {matrix!r} has an entry that is not an integer")
+        intlinalg.int_matrix(matrix)  # TypeError on an entry that is not an int
         if source.J is not None and target.J is not None:
             # M J_A = J_B M with each J = N / d: d_B M N_A = d_A N_B M
             N_A = _scaled(source.J, structure_scale(target.J))
@@ -487,8 +489,7 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
 def scalar_hom(A: AbelianVariety, n: int) -> Homomorphism:
     """Multiplication by n on the variety (n * identity on homology); an
     n that is not an int is a :class:`TypeError`."""
-    if type(n) is not int:
-        raise TypeError(f"scalar {n!r} is not an integer")
+    require_int(n, "scalar")
     rows = tuple(tuple(n if i == j else 0 for j in range(A.rank)) for i in range(A.rank))
     return Homomorphism._trusted(A, A, rows)
 

@@ -74,6 +74,21 @@ def test_verify_rejects_bad_variety_file(tmp_path, capsys):
     assert "NotAlternating" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "fourier"])
+def test_a_genus_zero_variety_file_is_an_input_error(tmp_path, capsys, command):
+    # both died with an IndexError traceback in varieties.dual, exit 1
+    spec = tmp_path / "empty.json"
+    write_json(spec, {"polarization_matrix": []})
+    args = [command, "--variety", str(spec)]
+    if command == "fourier":
+        cls = tmp_path / "x.json"
+        cls.write_text(emit_class(Multivector.unit(0)), encoding="utf-8")
+        args += ["--class", str(cls), "--inverse"]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "InvalidType" in err and "genus must be positive, got 0" in err
+
+
 def test_verify_unknown_check(capsys):
     assert run_cli(["verify", "--genus", "1", "--checks", "nope"]) == 2
 

@@ -301,6 +301,14 @@ def test_voisin_certificate_rejects_non_hodge():
     assert exc.value.index == 1
 
 
+def test_voisin_certificate_rejects_a_generator_of_mixed_degree():
+    A = standard_ppav(2)
+    mixed = A.theta_class() + A.point_class()
+    with pytest.raises(NotHodge, match="generator 1 is not a Hodge class") as exc:
+        voisin_certificate(A, 1, [A.theta_class(), mixed])
+    assert exc.value.index == 1
+
+
 def test_beta_classes_certify_curve_lattice():
     for g in (2, 3):
         A = standard_ppav(g)

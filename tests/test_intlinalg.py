@@ -441,6 +441,45 @@ def test_cokernel_empty_generators():
     assert cok.free_rank == 2
 
 
+def test_cokernel_rejects_the_wrong_number_of_rows():
+    with pytest.raises(ValueError, match="has 1 rows, expected 2"):
+        cokernel_invariants([[1, 0]], 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # the first returned free_rank=0.0 and the last the float matrix
+        # [[2.0, -2.0], [-2.0, 4.0]]
+        lambda: cokernel_invariants([[1]], 1.0),
+        lambda: cokernel_invariants_sparse([{0: 2}], True),
+        lambda: scaled_inverse([[2, 1], [1, 1]], 2.0),
+    ],
+    ids=["cokernel rank 1.0", "sparse cokernel rank True", "scale 2.0"],
+)
+def test_a_scalar_that_is_not_an_int_is_a_type_error(call):
+    with pytest.raises(TypeError, match="is not an integer"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        smith_normal_form,
+        kernel_saturated,
+        kernel_saturated_reference,
+        lambda M: cokernel_invariants(M, 2),
+    ],
+    ids=["smith_normal_form", "kernel_saturated", "kernel_saturated_reference",
+         "cokernel_invariants"],
+)
+def test_a_ragged_matrix_is_a_value_error(reader):
+    # the cokernel read [[1, 2], [3]] as [[1, 2], [3, 0]], divisors (1, 6),
+    # the kernel gave [[], []], and the other two raised IndexError
+    with pytest.raises(ValueError, match="rows of different lengths"):
+        reader([[1, 2], [3]])
+
+
 def test_positive_definite():
     assert is_positive_definite(identity_matrix(3))
     assert not is_positive_definite([[1, 0], [0, -1]])
@@ -449,6 +488,11 @@ def test_positive_definite():
     assert not is_positive_definite([[0, 0], [0, 1]])
     with pytest.raises(NotSymmetric):
         is_positive_definite([[1, 2], [3, 1]])
+
+
+def test_positive_definite_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(NotSymmetric, match="not square"):
+        is_positive_definite([[1, 0, 0], [0, 1, 0]])
 
 
 def test_positive_definite_rational():

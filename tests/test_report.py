@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from abelian_fourier.errors import NotAlternating, UnsupportedParams
+from abelian_fourier.errors import NonDivisible, NotAlternating, UnsupportedParams
 from abelian_fourier.exterior import Multivector
 from abelian_fourier.report import (
     ReportDocument,
@@ -25,6 +25,7 @@ from abelian_fourier.report import (
 from abelian_fourier.suite import run_suite
 from abelian_fourier.varieties import elliptic_product, standard_ppav
 from test_fourier import rational_conjugate
+from test_suite import with_body
 
 
 def test_class_roundtrip_bytes():
@@ -163,32 +164,48 @@ def test_variety_rational_strings():
     assert variety_from_dict(variety_to_dict(A)) == A
 
 
+def test_variety_genus_must_match_the_polarization_matrix():
+    data = variety_to_dict(standard_ppav(2))  # a 4x4 polarization_matrix
+    data["genus"] = 3
+    with pytest.raises(UnsupportedParams, match="genus 3 does not match a 4-row"):
+        variety_from_dict(data)
+
+
 def test_variety_validation_diagnostic():
     with pytest.raises(NotAlternating):
         parse_variety(json.dumps({"polarization_matrix": [[1, 0], [0, 1]]}))
 
 
-def test_report_roundtrip_and_verdict_parity():
+def test_report_roundtrip_and_verdict_parity(monkeypatch):
+    def body(A, params):
+        raise NonDivisible(0b01, 3, 2, 2)
+
+    with_body(monkeypatch, "theta_divided", body)
     results = run_suite(
         [
             ("fourier_involution", {"genus": 1}),
             ("beauville_exp", {"genus": 2}),
             ("claim_star", {"genus": 4}),  # skipped (budget)
+            ("theta_divided", {"genus": 2}),  # fails with a witness
         ]
     )
     doc = ReportDocument.from_results(results)
-    assert doc.exit_status == 0
+    assert doc.exit_status == 1
     text = emit_report(doc)
     back = parse_report(text)
     assert back == doc
     # byte-identical re-emission
     assert emit_report(back) == text
-    # text format carries the same verdicts
+    # text format carries the same verdicts, one row per result
     rendered = emit_text(doc)
     for r in doc.results:
-        assert r.descriptor.name in rendered
-        assert r.status.upper() in rendered
-    assert "skipped" in rendered or "SKIPPED" in rendered
+        assert f"[{r.status.upper():7}] {r.descriptor.name}(" in rendered
+    assert "[SKIPPED] claim_star(genus=4)" in rendered
+    # the failed row is followed by its witness
+    lines = rendered.splitlines()
+    fail = next(i for i, line in enumerate(lines) if "[FAIL   ] theta_divided(genus=2)" in line)
+    assert lines[fail + 1].strip() == f"witness: {Multivector(2, {0b01: 3})!r}"
+    assert "summary: 2 passed, 1 failed, 1 skipped" in lines
 
 
 def test_report_determinism_modulo_runtime():

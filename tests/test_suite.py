@@ -1,6 +1,9 @@
 """Check registry and runner: statuses, witnesses, determinism."""
 
 import ast
+import functools
+import importlib
+import pkgutil
 import random
 import signal
 from itertools import combinations
@@ -513,6 +516,72 @@ def test_only_require_equal_builds_a_difference_witness():
     assert difference_witnesses(package / "errors.py")
     callers = {path.name for path in modules if require_equal_calls(path)}
     assert callers == {"suite.py"}
+
+
+def scalar_int_type_errors(path):
+    """Line numbers of the ``raise TypeError(f"<what> {value} is not an
+    integer")`` statements in the module at ``path``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            continue
+        if getattr(node.exc.func, "id", None) != "TypeError" or not node.exc.args:
+            continue
+        parts = getattr(node.exc.args[0], "values", [])
+        if (
+            len(parts) >= 2
+            and isinstance(parts[-2], ast.FormattedValue)
+            and isinstance(parts[-1], ast.Constant)
+            and parts[-1].value == " is not an integer"
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_require_int_raises_a_scalar_integer_type_error():
+    # an int argument that is not an int is rejected in one place,
+    # errors.require_int, with the same message everywhere; a matrix
+    # entry goes through intlinalg.int_matrix
+    package = Path(suite.__file__).parent
+    found = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if path.name != "errors.py" and (lines := scalar_int_type_errors(path))
+    }
+    assert found == {}
+    assert scalar_int_type_errors(package / "errors.py")
+
+
+def test_clear_caches_empties_every_memo():
+    # a memo left out of clear_caches() would keep models built under a
+    # corrupted convention alive into the next test
+    package = Path(abelian_fourier.__file__).parent
+    modules = [
+        importlib.import_module(f"abelian_fourier.{info.name}")
+        for info in pkgutil.iter_modules([str(package)])
+    ]
+    memos = {
+        f"{module.__name__}.{name}": obj
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ == module.__name__
+    }
+    assert {
+        "abelian_fourier.varieties._elliptic_product",
+        "abelian_fourier.varieties.dual",
+        "abelian_fourier.varieties.product",
+        "abelian_fourier.varieties.structure_homs",
+        "abelian_fourier.fourier.context",
+        "abelian_fourier.fourier.theta_triple_sum",
+        "abelian_fourier.hodge._lattice_tables",
+    } <= set(memos)
+    results = run_suite(default_suite())
+    assert all(r.status == "pass" for r in results)
+    assert all(memo.cache_info().currsize for memo in memos.values())
+    abelian_fourier.clear_caches()
+    assert {name: memo.cache_info().currsize for name, memo in memos.items()} == dict.fromkeys(
+        memos, 0
+    )
 
 
 def test_ell_integrality_divides_the_product(monkeypatch):

@@ -129,6 +129,12 @@ def test_make_variety_rejects_singular():
         make_variety([[0, 0], [0, 0]])
 
 
+def test_make_variety_rejects_genus_zero():
+    # an empty E was a genus-0 model, which dual then indexed past
+    with pytest.raises(InvalidType, match="genus must be positive, got 0"):
+        make_variety([])
+
+
 def test_make_variety_rejects_bad_J_square():
     with pytest.raises(ComplexStructureInvalid):
         make_variety(STD_E, [[1, 0], [0, 1]])
