@@ -21,11 +21,19 @@ class x whose terms all have even, nonzero degree, ``x^k`` is ``k!``
 times the k-th elementary symmetric sum ``e_k`` of its terms: the sum of
 the products of its k-subsets.  :meth:`Multivector.wedge_power_divided`
 builds ``e_k`` by one dynamic program over the terms, with no division,
-so the minimal classes ``ell^{2g-1}/(2g-1)!`` and ``theta^{g-1}/(g-1)!``
-cost one pass over their terms.  Any other class, and the oracle, take
+so the minimal classes R = ``ell^{2g-1}/(2g-1)!``, sigma and
+``theta^{g-1}/(g-1)!``, and the Kunneth class of ``A x A^``, cost one
+pass over their terms.  Any other class, and the oracle, take
 ``x^k`` by repeated wedges and divide it exactly.
 
 Multivectors are immutable values; every operation returns a fresh one.
+The kernels that build their terms from validated classes and drop the
+zeros (the wedge, the divided powers, sums, negation, exact division, and
+the pullbacks, pushforwards and transforms of the other modules) return
+through the private ``Multivector._trusted``, which checks nothing.  The
+public ``Multivector(rank, terms)`` keeps every check and is their
+oracle: ``tests/test_varieties.py`` rebuilds each kernel's output
+through it.
 
 One kernel, :class:`ExteriorPower`, extends generator images to an
 algebra map: it is the compound-matrix table of the int rows of a matrix,
@@ -38,7 +46,9 @@ way: once one of the two has every mask, the other takes its images from
 it in one transposition pass, so each homomorphism computes its minors
 once for both directions.  One loop,
 :func:`_wedge_into`, multiplies two sets of terms with the one sign rule
-above; ``wedge``, the divided powers and the table all call it.
+above; ``wedge``, the divided powers and the table all call it.  The
+table appends generator j as ``img ^ (c e_j)``, whose sign is the same
+rule with ``b = e_j``.
 :func:`complement_sign` gives the Poincare-duality sign of ``e_S ^
 e_{S^c}`` in constant time.
 """

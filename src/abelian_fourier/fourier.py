@@ -61,8 +61,10 @@ the paper's Kunneth split and Prop. 4.5 included, is a check in
 ``suite``.  The suite's
 ``lemma51_diagram`` compares the transform with the correspondence and
 ``product_exchange`` compares the transform with the ``m_*`` product, so
-neither check compares a fast path with itself.  The star checks take their star powers from both
-:func:`pontryagin` and :func:`pontryagin_reference`.
+neither check compares a fast path with itself.  The star checks
+(``star_exp_of_R``, ``theta_divided``, ``divided_square``) take their star
+powers from both :func:`pontryagin` and :func:`pontryagin_reference` at
+every genus they run, so each of their points tests ``m_*`` on its own.
 
 Curve classes of divisors.  For a principal A with polarization isogeny
 ``lambda: A -> A^``, the paper's triple sum
@@ -98,15 +100,17 @@ with ``x^[i] = x^i / i!``, is ``lambda^* F(D)`` for every degree-2 D
 So :func:`beta_from_divisor` is one transform and one pullback along
 ``lambda``; ``push_2(T ^ p_1^*D)`` stays as its oracle
 (:func:`beta_from_divisor_reference`), and the suite's
-``beta_surjectivity`` compares the two at every genus it runs.
+``beta_surjectivity`` compares the two at every genus it runs, on theta
+and on every divisor basis class.
 
 Sign conventions (pinned once, consumed everywhere):
 
 * ``ell`` on ``A x A^`` pairs generator i with dual generator i, with
   sign -1 on the generators of the mask ``A.negative``; freshly
   constructed varieties have the empty mask, dualizing complements it and
-  a product concatenates the factors' masks.  A single global sign
-  cannot work: the inversion identity ``F . F = (-1)^g [-1]^*`` on
+  a product concatenates the factors' masks.  :func:`poincare_class`
+  and :func:`fourier` read the sign of generator i off bit i.  A single
+  global sign cannot work: the inversion identity ``F . F = (-1)^g [-1]^*`` on
   odd-degree classes forces the pairing class of the dual to be the
   pullback of the primal one under the swap map, which in coordinates is
   the sign flip.  Even
@@ -402,7 +406,9 @@ def theta_triple_sum(A: AbelianVariety) -> Multivector:
     which the suite's ``sigma_triple_sum`` compares with
     ``ell_lambda^{2g-2}/(2g-2)!`` and :func:`beta_from_divisor_reference`
     pushes forward.  Memoized per variety, so the oracle builds T once for
-    all the divisors it is given.
+    all the divisors it is given, and in a full run ``beta_surjectivity``
+    reuses the T that ``sigma_triple_sum`` built; ``clear_caches()``
+    empties the memo.
     """
     g = A.genus
     sh = structure_homs(A)

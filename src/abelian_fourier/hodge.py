@@ -14,7 +14,9 @@ kernel is exactly the (k, k) part, and since D_J is rational its saturated
 integer kernel is the lattice of integral Hodge classes.  A variety
 stores J as the int matrix ``N = dJ``, and ``D_N = d D_J`` has the same
 kernel, so the arithmetic is in ints alone: ``D_N(e_S)`` has one term per
-slot i of S and nonzero entry of row i of N.
+slot i of S and nonzero entry of row i of N.  Its entries are those of N,
+so no parameter and no eigenvalue power enters; ``tests/test_hodge.py``
+keeps the Gaussian-prime operator it replaced as a dense oracle.
 
 The rows of ``D_N`` in degree 2k are built sparse, one pass over the slot
 terms of every monomial (:func:`_derive`), and
@@ -31,7 +33,11 @@ nonzero entries of ``L x``, read at the terms of x alone and checked
 against the sum of the columns they name;
 :meth:`HodgeLattice.check_saturated` asks it for those of each basis
 class.  A model whose J does not split is one block.  :func:`is_hodge`
-tests ``D_N x = 0`` in one pass over the terms of x.
+tests ``D_N x = 0`` in one pass over the terms of x.  A split model gets
+a different basis of the same lattice than the whole-matrix oracle
+``intlinalg.kernel_saturated_reference``, and ``abelian-fourier hodge``
+prints that basis; rank, saturation divisors and certificates do not
+depend on the choice.
 
 Every certificate is a :func:`voisin_certificate`: the sparse
 coordinates of Hodge generators, passed as columns to
@@ -40,12 +46,14 @@ divisors off the connected blocks of their support.
 :func:`fourier_hodge_matrix` certifies the transforms of the basis
 classes on the dual and keeps the cokernel they leave; on the shipped
 Gaussian models their coordinates are a signed permutation, all 1x1
-blocks.
+blocks.  A nontrivial cokernel is witnessed by :func:`first_outside`, the
+first basis class of the lattice outside the span of the generators.
 
 The lattices depend on the complex structure alone, so there is one memo,
 one saturated kernel and its inverse per ``(N, k)`` (:func:`_lattice_tables`).
-A variety and its dual with the same N, or two models with different
-polarizations on the same N, compute each lattice once.
+A variety and its dual with the same N (``-J^T = J`` on every shipped
+model), or two models with different polarizations on the same N,
+compute each lattice once.
 ``abelian_fourier.clear_caches`` empties the memo.
 """
 

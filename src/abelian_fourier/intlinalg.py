@@ -23,8 +23,11 @@ Two eliminations serve everything.  The column echelon form
 :func:`_echelon` (Cohen, GTM 138, section 2.4) gives kernels, with the
 unimodular transform V of its column operations and V's inverse: the
 last columns of V are a kernel basis and the last rows of ``V^{-1}`` an
-integer left inverse of it, a proof of saturation.  Taken on a matrix and
-its transpose in turn it diagonalizes it, which gives the divisors of
+integer left inverse of it, a proof of saturation.  Nothing bounds the
+entries of V: on dense 18x20 matrices with entries in [-9, 9] the kernel
+basis reaches about 15 digits and its left inverse about 110.  Taken on
+a matrix and its transpose in turn it diagonalizes it, which gives the
+divisors of
 :func:`smith_normal_form`.  The cokernel invariants split the matrix into
 the same connected blocks as the kernel and take a Smith form only of a
 block larger than 1x1; :func:`_divisor_chain` merges the blocks'
@@ -53,10 +56,19 @@ def identity_matrix(n: int) -> IntMatrix:
 
 
 def mat_mul(A, B):
-    """Matrix product of two integer matrices, lists or tuples of rows."""
+    """Matrix product of two integer matrices, lists or tuples of rows; a
+    row of A that is not as long as B is tall, or a row of B that is not
+    as long as the first, is a :class:`ValueError`.
+
+    >>> mat_mul([[1, 2]], [[1], [2, 3]])
+    Traceback (most recent call last):
+    ValueError: matrix B has rows of different lengths
+    """
     rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    if A and len(A[0]) != inner:
+    if any(len(row) != inner for row in A):
         raise ValueError("inner dimensions differ")
+    if any(len(row) != cols for row in B):
+        raise ValueError("matrix B has rows of different lengths")
     out = []
     for i in range(rows):
         Ai = A[i]
@@ -228,7 +240,9 @@ def _row_blocks(rows: list[dict], cols: int) -> list[tuple[list[int], list[int]]
     is a block of its own with no rows.  Blocks come in the order of their
     first column, and permuting rows and columns by them makes the matrix
     block diagonal.  An entry that is not an int (a bool, say) is a
-    :class:`TypeError`: the one type check of the kernel's sparse rows.
+    :class:`TypeError`, and a column outside ``range(cols)``, a negative
+    one included, a :class:`ValueError`: the one check of the kernel's
+    sparse rows.
 
     >>> _row_blocks(*sparse_rows([[1, 1, 0], [0, 0, 0], [0, 0, 3]]))
     [([0], [0, 1]), ([2], [2])]
@@ -242,9 +256,11 @@ def _row_blocks(rows: list[dict], cols: int) -> list[tuple[list[int], list[int]]
         return c
 
     for row in rows:
-        for x in row.values():
+        for j, x in row.items():
             if type(x) is not int:
                 raise TypeError(f"sparse row {row!r} has an entry that is not an integer")
+            if not 0 <= j < cols:
+                raise ValueError(f"sparse row {row!r} has column {j!r} outside range({cols})")
         if not row:
             continue
         support = iter(row)
@@ -416,6 +432,8 @@ def cokernel_invariants_sparse(columns: list[dict], ambient_rank: int) -> Cokern
     CokernelInvariants(divisors=(1, 6), free_rank=1)
     """
     require_int(ambient_rank, "ambient rank")
+    if ambient_rank < 0:
+        raise ValueError(f"ambient rank {ambient_rank} is negative")
     divisors = _block_divisors(columns, ambient_rank)
     return CokernelInvariants(divisors=divisors, free_rank=ambient_rank - len(divisors))
 

@@ -50,7 +50,7 @@ def _rational(value, what: str):
 def _json(value, kind: type, what: str):
     if isinstance(value, kind):
         return value
-    name = "list" if kind is list else "object"
+    name = {list: "list", dict: "object", str: "string"}[kind]
     raise ValueError(f"{what} must be a JSON {name}, got {value!r}")
 
 
@@ -123,11 +123,11 @@ def variety_from_dict(data: dict) -> AbelianVariety:
     fixes the standard Gaussian complex structure) or
     ``polarization_matrix`` must be present; an explicit
     ``complex_structure`` holds rational entries as ``p/q`` strings
-    (:func:`_rational`).  A field of the wrong JSON shape is a
-    ``ValueError``.
+    (:func:`_rational`).  A field of the wrong JSON shape, a ``name``
+    that is not a string included, is a ``ValueError``.
     """
     data = _json(data, dict, "a variety spec")
-    name = str(data.get("name", "A"))
+    name = _json(data.get("name", "A"), str, "name")
     has_type = "polarization_type" in data
     has_matrix = "polarization_matrix" in data
     if has_type == has_matrix:

@@ -24,7 +24,10 @@ that is a class killed by the derivation ``D_J`` of
 those of the dual and ``J^`` its complex structure, the coefficient of
 ``e_t f_i`` in ``D(sum_i e_i f_i)`` is ``J[i][t] + J^[t][i]``, which
 vanishes for every i and t exactly when ``J^ = -J^T``; ``+J^T`` would
-leave ``2 J[i][t]``.
+leave ``2 J[i][t]``.  No default check sees that sign: a dual built with
+``+J^T`` passes them all, and the ``make_variety`` rebuild of
+``tests/test_varieties.py`` and the pairing-class tests of
+``tests/test_hodge.py`` reject it.
 
 Each variety also carries the mask ``negative`` of the generators whose
 term in the pairing class on ``A x A^`` has sign -1: zero as constructed,
@@ -39,15 +42,22 @@ carry J, that the map is holomorphic: ``M J == J M``.  Models and maps
 that are built in closed form from validated parts skip those checks
 through two private constructors.  ``_variety`` only orients, from a
 Pfaffian its caller supplies (it keeps the check ``|Pf| = d_1 ... d_g``):
-:func:`dual` computes it by elimination, :func:`elliptic_product` and
-:func:`product` in closed form from their parts.
+:func:`make_variety` and :func:`dual` compute it by elimination
+(:func:`_pfaffian`), :func:`elliptic_product` and :func:`product` in
+closed form from their parts.  :func:`make_variety` is the one reader of
+a Fraction, and everything past it is int-only: :func:`dual` takes
+``-N^T``, :func:`product` scales its factors' N to the lcm of their d,
+and a ``Homomorphism`` between two models with J checks
+``d_B M N_A = d_A N_B M``.
 ``Homomorphism._trusted`` checks nothing and serves ``dual_hom``,
 ``compose``, :func:`scalar_hom`, :func:`polarization_isogeny`, the maps
 of :func:`product` and :func:`structure_homs`, and in
 :mod:`abelian_fourier.fourier` the graph of the polarization and the
 projections of the 4-fold product.  The public constructors are their
 oracles: ``tests/test_varieties.py`` rebuilds each trusted model through
-``make_variety`` and each trusted map through ``Homomorphism(...)``.
+``make_variety`` and each trusted map through ``Homomorphism(...)``.  The
+maps a check draws at random (``functoriality``'s f, ``isogeny_degree``'s
+alpha and beta) and every map a user builds keep the public constructor.
 """
 
 from __future__ import annotations
@@ -203,12 +213,13 @@ def make_variety(E, J=None, name: str = "A") -> AbelianVariety:
     The one reader of Fractions: J's int or Fraction entries are stored
     as ``N = dJ``, d the lcm of their denominators.  Raises
     :class:`TypeError` on an entry of E that is not an int or of J that is
-    neither an int nor a Fraction (a float or a bool, say), and
+    neither an int nor a Fraction (a float or a bool, say), which ``int()``
+    would truncate (``[[0, 1.5], [-1.5, 0]]`` to a principal E), and
     :class:`InvalidType` (an empty E, genus 0), :class:`NotAlternating`,
     :class:`SingularPolarization`, :class:`ComplexStructureInvalid`
     (``N^2 != -d^2 I``) or :class:`RiemannRelationViolated` (``E N`` not
     symmetric positive definite).  A name that is not a str is a
-    :class:`TypeError`.
+    :class:`TypeError`: :func:`dual` appends to it.
     """
     if type(name) is not str:
         raise TypeError(f"model name {name!r} is not a str")
@@ -274,8 +285,11 @@ def elliptic_product(delta, name: str | None = None) -> AbelianVariety:
     this E is ``(-1)^{g(g-1)/2} d_1 ... d_g``: the sign of the permutation
     that interleaves the two halves of the generators.  An entry of
     ``delta`` that is not an int, or a name that is not a str, is a
-    :class:`TypeError`.  Each model is built once per type and name and
-    then shared (``clear_caches()`` drops it).
+    :class:`TypeError`; ``int()`` would truncate ``(1.9, 2.2)`` to the
+    type (1, 2).  Each model is built once per type and name and then
+    shared (``clear_caches()`` drops it), so the memos of :func:`dual`,
+    :func:`product`, :func:`structure_homs` and ``fourier.context`` find it
+    by identity.
     """
     # checked before the memo, which would take (1.0, 2), (Fraction(1), 2)
     # and (True, 2) for the key (1, 2)
@@ -326,7 +340,8 @@ def standard_ppav(g: int) -> AbelianVariety:
 def dual(A: AbelianVariety) -> AbelianVariety:
     """Dual abelian variety, modeled on the dual lattice.
 
-    The dual polarization is ``-(d_1 d_g) E^{-1}``, the unique rescaled
+    The dual polarization is ``-(d_1 d_g) E^{-1}``, from
+    :func:`intlinalg.scaled_inverse`: the unique rescaled
     inverse that is integral, satisfies the Riemann relations against the
     dual complex structure, and makes the double dual reproduce ``E``
     exactly.  The dual complex structure is ``-J^T``: with ``S = E J``,
@@ -369,7 +384,10 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
     ``__slots__``: the two exterior-power tables are cached in ``__dict__``.
     They are linked, the columns table being the rows table of the
     transpose, so once either has every mask the other is read off it by
-    transposition, with no wedge (:class:`~abelian_fourier.exterior.ExteriorPower`).
+    transposition, with no wedge (:class:`~abelian_fourier.exterior.ExteriorPower`):
+    in the suite's ``functoriality`` a pushforward of a class with every
+    mask completes the columns table, so the pullback law after it wedges
+    nothing.
     Between two models with J the map must be holomorphic, ``M J == J M``;
     complex conjugation is not, but is a map of real tori, without J:
 
@@ -568,7 +586,9 @@ def product(A: AbelianVariety, B: AbelianVariety) -> ProductStructure:
     ``negative`` mask concatenates the factors' masks the same way, so the
     pairing class of a product is the sum of the factor pairing classes.
     Type and Pfaffian come from the factors, with no elimination on the
-    block matrix: its Pfaffian is ``Pf(E_A) Pf(E_B)``, each factor's
+    block matrix.  The type merges the factors' types by gcd/lcm, the Smith
+    form of a diagonal matrix, so ``(2) x (3)`` has type (1, 6), not
+    (2, 3).  The Pfaffian is ``Pf(E_A) Pf(E_B)``, each factor's
     Pfaffian being its orientation times the product of its type.
     """
     nA, nB = A.rank, B.rank

@@ -267,6 +267,15 @@ def test_a_malformed_variety_file_is_an_input_error(tmp_path, capsys, spec, mess
     assert captured.out == ""
 
 
+def test_a_variety_name_that_is_not_a_string_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    write_json(path, {"name": None, "polarization_type": [1]})
+    assert run_cli(["verify", "--variety", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "name must be a JSON string, got None" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_type_runs_the_type_as_an_injected_variety(tmp_path):
     # --type is the --variety path on the built-in model of that type:
     # every result agrees but for the variety name in the parameters

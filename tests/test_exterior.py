@@ -6,6 +6,9 @@ table filled from its complete transposed partner against a fresh one.
 The prefix-parity signs of ``wedge`` are tested against
 :func:`wedge_by_signs`, which calls ``wedge_sign`` on every pair, and the
 elementary symmetric divided powers against ``x^k`` divided by ``k!``.
+Examples pinned on bits 0, 31, 32 and 63 of rank 64 cover a prefix
+parity that runs to the top generator, which the default grid alone
+never reaches.
 """
 
 import random

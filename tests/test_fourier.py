@@ -3,6 +3,11 @@
 The genus-1 values here were computed by hand on the rank-4 product
 algebra (generators a1, a2 for the curve, b1, b2 for the dual, bits
 0..3) and pin every sign convention in the package.
+
+:func:`beta_literal` is the paper's triple sum as written, one
+``push_2`` per term: with ``beta_from_divisor_reference``, which takes
+each ``theta^[k]`` inside ``push_2``, it is an oracle of the closed form
+``beta_from_divisor``.
 """
 
 import random

@@ -1,5 +1,14 @@
 """Hodge lattices: ranks, membership, certificates, and the derivation
-D_J against the Gaussian-prime operator ``T - p^k`` it replaced."""
+D_J against the Gaussian-prime operator ``T - p^k`` it replaced.
+
+:func:`operator_matrix` is that operator, dense: T is the action of
+``a + bJ`` on forms and ``p = a^2 + b^2`` an odd prime (5 by default).
+By unique factorization in the Gaussian integers its saturated kernel
+is the Hodge lattice, but its entries reach ``p^k`` and its blocks are
+dense.  It is the oracle of the lattices and of ``is_hodge``, and
+:func:`derivation_matrix` is the dense oracle of the sparse rows of
+``D_J``.  ``LATTICE_SHA256`` pins the basis and inverse of every lattice.
+"""
 
 import hashlib
 import random

@@ -1,4 +1,10 @@
-"""Exact linear algebra: normal forms, kernels, cokernels, definiteness."""
+"""Exact linear algebra: normal forms, kernels, cokernels, definiteness.
+
+Smith divisors are checked against the gcds of the k x k minors, which
+are ``d_1 ... d_k``.  The Fraction Gauss-Jordan inverse is the oracle
+of ``scaled_inverse``, with the largest elementary divisor read as the
+lcm of its denominators.
+"""
 
 import random
 import signal
@@ -478,6 +484,39 @@ def test_a_ragged_matrix_is_a_value_error(reader):
     # the kernel gave [[], []], and the other two raised IndexError
     with pytest.raises(ValueError, match="rows of different lengths"):
         reader([[1, 2], [3]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kernel_saturated_sparse([{-1: 1}], 2),
+        lambda: cokernel_invariants_sparse([{0: 2, -1: 3}], 2),
+        lambda: kernel_saturated_sparse([{5: 1}], 2),
+        lambda: cokernel_invariants_sparse([{3: 2}], 2),
+        lambda: cokernel_invariants_sparse([{-1: 2}], 2),
+        lambda: cokernel_invariants_sparse([{0: 2}], -1),
+    ],
+    ids=["kernel column -1", "cokernel column -1", "kernel column 5", "cokernel column 3",
+         "cokernel only column -1", "cokernel rank -1"],
+)
+def test_a_sparse_column_outside_the_matrix_is_a_value_error(call):
+    # column -1 gave both unit vectors as the kernel, and the divisors
+    # (2,) with free rank 1 for the cokernel, dropping the 3; the others
+    # raised IndexError or KeyError
+    with pytest.raises(ValueError, match="outside range|is negative"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "A, B",
+    [([[1, 2]], [[1], [2, 3]]), ([[1, 2]], [[1, 5], [2]]), ([[1], [2, 3]], [[1]])],
+    ids=["B long second row", "B short second row", "A long second row"],
+)
+def test_mat_mul_rejects_ragged_operands(A, B):
+    # the first returned [[5]], the second raised IndexError, and the
+    # third read A as [[1], [2]]
+    with pytest.raises(ValueError):
+        mat_mul(A, B)
 
 
 def test_positive_definite():

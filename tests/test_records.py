@@ -1,4 +1,9 @@
-"""Records: immutable namedtuples, and what importing the package loads."""
+"""Records: immutable namedtuples, and what importing the package loads.
+
+Three functions build a Fraction, and each imports ``fractions`` when it
+runs: ``make_variety`` given a J entry that is not an int,
+``intlinalg.rational_solve`` and ``report._rational``.
+"""
 
 import json
 import subprocess

@@ -148,6 +148,14 @@ def test_variety_fields_must_have_their_json_shape(data, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("name", [None, 5, [1, 2]], ids=["null", "int", "list"])
+def test_variety_name_must_be_a_string(name):
+    # str() made the null name the model 'None'
+    with pytest.raises(ValueError) as exc:
+        variety_from_dict({"name": name, "polarization_type": [1]})
+    assert str(exc.value) == f"name must be a JSON string, got {name!r}"
+
+
 def test_variety_rational_strings():
     A = parse_variety(
         json.dumps(
