@@ -84,8 +84,8 @@ def clear_caches():
     """Drop all internal memoization.
 
     The memos are the models of ``varieties.elliptic_product``,
-    ``varieties.dual``, ``varieties.product``,
-    ``varieties.structure_homs``, ``fourier.context``,
+    ``varieties.dual``, ``varieties.polarization_isogeny``,
+    ``varieties.product``, ``varieties.structure_homs``, ``fourier.context``,
     ``fourier.theta_triple_sum``, and in ``hodge`` the lattice per complex
     structure and degree (``_lattice_tables``).
     The caches are semantically invisible; this exists for tests that
@@ -101,6 +101,7 @@ def clear_caches():
     _hodge = sys.modules["abelian_fourier.hodge"]
     _varieties._elliptic_product.cache_clear()
     _varieties.dual.cache_clear()
+    _varieties.polarization_isogeny.cache_clear()
     _varieties.product.cache_clear()
     _varieties.structure_homs.cache_clear()
     _fourier.context.cache_clear()

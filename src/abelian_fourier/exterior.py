@@ -545,4 +545,4 @@ def degree_basis_masks(rank: int, k: int) -> list[int]:
     degree k that is not an int (a bool or a float) is a :class:`TypeError`."""
     require_int(rank, "rank")
     require_int(k, "degree")
-    return sorted(sum(1 << i for i in c) for c in combinations(range(rank), k))
+    return sorted(map(sum, combinations([1 << i for i in range(rank)], k)))

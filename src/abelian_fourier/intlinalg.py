@@ -247,35 +247,38 @@ def _row_blocks(rows: list[dict], cols: int) -> list[tuple[list[int], list[int]]
     >>> _row_blocks(*sparse_rows([[1, 1, 0], [0, 0, 0], [0, 0, 3]]))
     [([0], [0, 1]), ([2], [2])]
     """
+    # Union-find that hangs the larger root under the smaller, so every
+    # parent is at most its column and each root is its block's first
+    # column; each column is sent to its root by path halving, inline.
     parent = list(range(cols))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
     for row in rows:
+        root = None
         for j, x in row.items():
             if type(x) is not int:
                 raise TypeError(f"sparse row {row!r} has an entry that is not an integer")
             if not 0 <= j < cols:
                 raise ValueError(f"sparse row {row!r} has column {j!r} outside range({cols})")
-        if not row:
-            continue
-        support = iter(row)
-        root = find(next(support))
-        for j in support:
-            r = find(j)
-            if r != root:
-                parent[r] = root
-    by_root: dict[int, tuple[list[int], list[int]]] = {}
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if root is None:
+                root = j
+            elif j < root:
+                parent[root] = root = j
+            elif j > root:
+                parent[j] = root
+    # parents come before their columns, so one ascending pass sends
+    # every column to its root, and a block starts at its root
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
     for j in range(cols):
-        by_root.setdefault(find(j), ([], []))[1].append(j)
+        r = parent[j] = parent[parent[j]]
+        if r == j:
+            blocks[j] = ([], [j])
+        else:
+            blocks[r][1].append(j)
     for i, row in enumerate(rows):
         if row:
-            by_root[find(next(iter(row)))][0].append(i)
-    return list(by_root.values())
+            blocks[parent[next(iter(row))]][0].append(i)
+    return list(blocks.values())
 
 
 def _kernel(A: IntMatrix, cols: int) -> tuple[IntMatrix, IntMatrix]:
@@ -344,9 +347,16 @@ def kernel_saturated_sparse(rows: list[dict], cols: int) -> tuple[list[tuple], l
     blocks are 4 distinct ones, on E^4 26 blocks are 4, and on E^6 in
     degree 6 242 blocks are 6.
 
+    A column count that is not an int is a :class:`TypeError` and a
+    negative one a :class:`ValueError`, as for
+    :func:`cokernel_invariants_sparse`.
+
     >>> kernel_saturated_sparse([{0: 2, 1: -2}], 2)
     ([((0, 1), (1, 1))], [((1, 1),)])
     """
+    require_int(cols, "column count")
+    if cols < 0:
+        raise ValueError(f"column count {cols} is negative")
     kernel, inverse = [], []  # the columns of K and the rows of L, sparse
     solved: dict = {}  # block entries -> its (K_b, L_b), in block coordinates
     for brows, bcols in _row_blocks(rows, cols):
@@ -359,12 +369,12 @@ def kernel_saturated_sparse(rows: list[dict], cols: int) -> tuple[list[tuple], l
         if key not in solved:
             Kb, Lb = _kernel(block, len(bcols))
             solved[key] = (
-                [tuple((t, x) for t, x in enumerate(column) if x) for column in zip(*Kb)],
-                [tuple((t, x) for t, x in enumerate(row) if x) for row in Lb],
+                [tuple([(t, x) for t, x in enumerate(column) if x]) for column in zip(*Kb)],
+                [tuple([(t, x) for t, x in enumerate(row) if x]) for row in Lb],
             )
         Kb, Lb = solved[key]
-        kernel += [tuple((bcols[t], x) for t, x in column) for column in Kb]
-        inverse += [tuple((bcols[t], x) for t, x in row) for row in Lb]
+        kernel += [tuple([(bcols[t], x) for t, x in column]) for column in Kb]
+        inverse += [tuple([(bcols[t], x) for t, x in row]) for row in Lb]
     return kernel, inverse
 
 

@@ -58,6 +58,13 @@ oracles: ``tests/test_varieties.py`` rebuilds each trusted model through
 ``make_variety`` and each trusted map through ``Homomorphism(...)``.  The
 maps a check draws at random (``functoriality``'s f, ``isogeny_degree``'s
 alpha and beta) and every map a user builds keep the public constructor.
+
+:func:`dual`, :func:`product`, :func:`structure_homs` and
+:func:`polarization_isogeny` are memoized per variety, and
+``abelian_fourier.clear_caches()`` empties them.  A memoized map keeps
+its exterior-power tables, so the minors of E that every
+``fourier.beta_from_divisor`` call on A pulls back through are filled
+once, not once per call.
 """
 
 from __future__ import annotations
@@ -288,8 +295,8 @@ def elliptic_product(delta, name: str | None = None) -> AbelianVariety:
     :class:`TypeError`; ``int()`` would truncate ``(1.9, 2.2)`` to the
     type (1, 2).  Each model is built once per type and name and then
     shared (``clear_caches()`` drops it), so the memos of :func:`dual`,
-    :func:`product`, :func:`structure_homs` and ``fourier.context`` find it
-    by identity.
+    :func:`polarization_isogeny`, :func:`product`, :func:`structure_homs`
+    and ``fourier.context`` find it by identity.
     """
     # checked before the memo, which would take (1.0, 2), (Fraction(1), 2)
     # and (True, 2) for the key (1, 2)
@@ -512,6 +519,7 @@ def scalar_hom(A: AbelianVariety, n: int) -> Homomorphism:
     return Homomorphism._trusted(A, A, rows)
 
 
+@lru_cache(maxsize=None)
 def polarization_isogeny(A: AbelianVariety) -> Homomorphism:
     """The isogeny to the dual induced by the polarization form.
 
@@ -519,7 +527,10 @@ def polarization_isogeny(A: AbelianVariety) -> Homomorphism:
     matrix is E itself; the convention is pinned by the requirement that
     the pairing class on the product pulls back along ``(id, lambda)`` to
     twice the polarization class.  It intertwines A's J with the dual's
-    ``-J^T`` by the Riemann relation ``E J = -J^T E``.
+    ``-J^T`` by the Riemann relation ``E J = -J^T E``.  Memoized per
+    variety, so every ``fourier.beta_from_divisor`` call on A pulls back
+    through one minor table of E, filled once (``clear_caches()`` empties
+    the memo).
     """
     return Homomorphism._trusted(A, dual(A), A.E)
 

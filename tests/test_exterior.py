@@ -395,6 +395,11 @@ def test_degree_basis_masks():
     assert len(masks) == 6
     assert masks == sorted(masks)
     assert all(m.bit_count() == 2 for m in masks)
+    # every mask of k bits below 2^rank, in increasing order; none above rank
+    for rank in range(11):
+        for k in range(rank + 2):
+            expected = [m for m in range(1 << rank) if m.bit_count() == k]
+            assert degree_basis_masks(rank, k) == expected
 
 
 @settings(max_examples=150, deadline=None)

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abelian_fourier import clear_caches, varieties
 from abelian_fourier.errors import NonDivisible, UnsupportedParams
 from abelian_fourier.exterior import Multivector, degree_basis_masks
 from abelian_fourier.fourier import (
@@ -37,7 +38,7 @@ from abelian_fourier.fourier import (
     star_exponential,
     star_power,
 )
-from abelian_fourier.hodge import is_hodge
+from abelian_fourier.hodge import hodge_lattice, is_hodge
 from abelian_fourier.intlinalg import det_bareiss, mat_mul, scaled_inverse
 from abelian_fourier.varieties import (
     dual,
@@ -522,3 +523,30 @@ def test_beta_closed_form_on_the_hermitian_e8_model():
     for D in divisors:
         fast = beta_from_divisor(A, D)
         assert fast == beta_from_divisor_reference(A, D) == beta_literal(A, D)
+
+
+def test_curve_classes_share_one_polarization_isogeny(monkeypatch):
+    # the 16 curve classes of the divisor basis of E_i^4 pull back along
+    # one memoized isogeny, so the minor table of E is built once, not
+    # once per class; from cleared caches they are the same classes
+    A = standard_ppav(4)
+    basis = hodge_lattice(A, 1).basis_classes()
+    assert len(basis) == 16
+    power, tables = varieties.ExteriorPower, []
+
+    def recording(matrix, *args, **kwargs):
+        tables.append(matrix)
+        return power(matrix, *args, **kwargs)
+
+    clear_caches()
+    monkeypatch.setattr(varieties, "ExteriorPower", recording)
+    lam = polarization_isogeny(A)
+    classes = [beta_from_divisor(A, D) for D in basis]
+    monkeypatch.undo()
+    assert polarization_isogeny(A) is lam
+    assert [M for M in tables if M is A.E] == [A.E]
+    assert "_pullback_power" in vars(lam)
+    clear_caches()
+    assert polarization_isogeny(A) is not lam
+    assert [beta_from_divisor(A, D) for D in basis] == classes
+    assert classes == [beta_from_divisor_reference(A, D) for D in basis]

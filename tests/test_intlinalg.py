@@ -8,6 +8,7 @@ lcm of its denominators.
 
 import random
 import signal
+from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
@@ -408,6 +409,90 @@ def test_column_blocks_examples():
         ([0, 2], [1, 2]),
     ]
     assert kernel_saturated([[0, 5, 0], [0, 0, 0], [0, 1, 1]]) == [[1], [0], [0]]
+
+
+def blocks_by_search(rows, cols):
+    """The oracle of ``_row_blocks``: a breadth-first search of the
+    row/column support graph from each column not yet reached, in
+    increasing order, so each block starts at its first column."""
+    rows_of = [[] for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            rows_of[j].append(i)
+    reached, blocks = set(), []
+    for start in range(cols):
+        if start in reached:
+            continue
+        reached.add(start)
+        block_rows, block_cols, queue = set(), [start], deque([start])
+        while queue:
+            for i in rows_of[queue.popleft()]:
+                if i in block_rows:
+                    continue
+                block_rows.add(i)
+                for j in rows[i]:
+                    if j not in reached:
+                        reached.add(j)
+                        block_cols.append(j)
+                        queue.append(j)
+        blocks.append((sorted(block_rows), sorted(block_cols)))
+    return blocks
+
+
+def seeded_sparse_rows(seed):
+    """Sparse rows with zero rows, zero columns and a chain of rows
+    ``{i: 1, i+1: 1}``, shuffled (or, for every fourth seed, in decreasing
+    order of i, which hangs each column under the next), so the
+    union-find trees of ``_row_blocks`` grow deep."""
+    rng = random.Random(seed)
+    cols = rng.randint(0, 60)
+    rows = [{} for _ in range(rng.randint(0, 4))]
+    for _ in range(rng.randint(0, cols // 3)):
+        support = rng.sample(range(cols), rng.randint(1, min(3, cols)))
+        rows.append({j: rng.choice((-3, -2, -1, 1, 2, 3)) for j in support})
+    rng.shuffle(rows)
+    if cols >= 2:
+        start = rng.randrange(cols - 1)
+        chain = [dict(rng.sample([(i, 1), (i + 1, 1)], 2))
+                 for i in range(start, rng.randint(start + 1, cols - 1))]
+        if seed % 4:
+            rng.shuffle(chain)
+        else:
+            chain.reverse()
+        for row in chain:
+            rows.insert(rng.randint(0, len(rows)), row)
+    return rows, cols
+
+
+def test_row_blocks_match_a_breadth_first_search():
+    # the partition, the order of the blocks (by first column) and the
+    # order of their rows and columns, against the search
+    seen = {"zero row": 0, "zero column": 0, "chain of 20": 0}
+    for seed in range(300):
+        rows, cols = seeded_sparse_rows(seed)
+        blocks = _row_blocks(rows, cols)
+        assert blocks == blocks_by_search(rows, cols), seed
+        seen["zero row"] += {} in rows
+        seen["zero column"] += any(not r for r, _ in blocks)
+        seen["chain of 20"] += any(len(c) >= 20 for _, c in blocks)
+    assert min(seen.values()) >= 30, seen
+    # a chain in decreasing order over 500 columns, and its reverse
+    chain = [{i: 1, i + 1: 1} for i in range(499)]
+    for rows in (chain[::-1], chain):
+        assert _row_blocks(rows, 501) == [(list(range(499)), list(range(500))), ([], [500])]
+
+
+@pytest.mark.parametrize(
+    "rows, cols, error",
+    [([], -1, ValueError), ([{}], -2, ValueError), ([{0: 1}], 1.0, TypeError)],
+    ids=["no rows, -1 columns", "a zero row, -2 columns", "1.0 columns"],
+)
+def test_a_kernel_column_count_must_be_a_nonnegative_int(rows, cols, error):
+    # the negative counts gave the kernel ([], []), and 1.0 raised the
+    # bare TypeError of range()
+    with pytest.raises(error, match="column count"):
+        kernel_saturated_sparse(rows, cols)
+    assert kernel_saturated_sparse([], 0) == ([], [])
 
 
 def test_cokernel_examples():

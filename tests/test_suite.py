@@ -569,6 +569,7 @@ def test_clear_caches_empties_every_memo():
     assert {
         "abelian_fourier.varieties._elliptic_product",
         "abelian_fourier.varieties.dual",
+        "abelian_fourier.varieties.polarization_isogeny",
         "abelian_fourier.varieties.product",
         "abelian_fourier.varieties.structure_homs",
         "abelian_fourier.fourier.context",
